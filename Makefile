@@ -1,8 +1,9 @@
 # uexc build/verify entry points.
 #
 # `make check` is the tier-1 verification gate: static checks, the full
-# test suite under the race detector, and a 30-seed fault-injection
-# smoke campaign across all three delivery modes.
+# test suite under the race detector (the root module and the bench/
+# harness module), and a 30-seed fault-injection smoke campaign across
+# all three delivery modes.
 
 GO ?= go
 
@@ -11,7 +12,7 @@ GO ?= go
 # durably improves; never lower it to make a change pass.
 COVER_MIN ?= 86.0
 
-.PHONY: all build test vet check cover campaign soak soak-smoke bench-campaign bench-cpu bench-jit bench-serve bench-fleet bench-snapshot serve-smoke chaos-smoke snapshot-smoke difftest-crosscheck fleet-smoke fuzz clean
+.PHONY: all build test vet check cover campaign soak soak-smoke bench-campaign bench-cpu bench-jit bench-serve bench-fleet serve-smoke chaos-smoke snapshot-smoke difftest-crosscheck fleet-smoke fuzz clean
 
 all: build
 
@@ -29,6 +30,7 @@ test:
 # deterministic-merge contract (internal/parallel, DESIGN.md §8).
 check: vet build
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test -race -short ./...
 	$(GO) run ./cmd/uexc-bench -faultcampaign -seeds 30 -parallel 4
 	$(GO) run ./cmd/uexc-bench -difftest -seeds 30 -parallel 4
 	$(MAKE) difftest-crosscheck
@@ -49,12 +51,12 @@ serve-smoke:
 # Snapshot/fork/debug-session gauntlet (DESIGN.md §16), race-enabled
 # and cache-busted: CoW snapshot round-trips at every layer (mem, TLB,
 # CPU, kernel, machine), the engine-toggle torture with restore points
-# and post-restore SMC, warm-vs-cold pool byte-identity under all three
+# and post-restore SMC, pooled-vs-booted byte-identity under all three
 # engines, record-replay exactness, and the virtual-breakpoint debug
 # sessions end to end (including the kernel trapframe-page watch).
 snapshot-smoke:
 	$(GO) test -race -count=1 ./internal/snapshot ./internal/debug
-	$(GO) test -race -count=1 -run 'Snapshot|Fork|Restore|PoolWarm|WarmPool|SMCAfterFork|TimeTravel|Debug|Session' \
+	$(GO) test -race -count=1 -run 'Snapshot|Fork|Restore|PoolWarm|WarmPool|DefaultEngine|SMCAfterFork|TimeTravel|Debug|Session' \
 		./internal/mem ./internal/tlb ./internal/cpu ./internal/core ./internal/difftest ./internal/server
 
 # Crash-tolerance gauntlet: a 30-seed campaign through a journal-backed
@@ -152,13 +154,6 @@ bench-serve:
 # EXPERIMENTS.md). Built without -race: this measures throughput.
 bench-fleet:
 	$(GO) run ./cmd/uexc-serve -bench-fleet -bench-out BENCH_serve.json
-
-# Machine checkout latency (cold boot vs fork-from-snapshot vs warm
-# in-place restore) and warm-pool campaign throughput; paired numbers
-# recorded under the "snapshot" keys of BENCH_cpu.json and
-# BENCH_serve.json (the fork-vs-boot >=5x acceptance bar lives there).
-bench-snapshot:
-	$(GO) test -run '^$$' -bench 'Benchmark(ColdBoot|ForkFromSnapshot|PoolCycle|DifftestCampaign)' -benchtime 2s .
 
 # Short coverage-guided fuzzing burst on the decoder and assembler.
 fuzz:

@@ -57,7 +57,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		maxSeeds   = fs.Int("max-seeds", 0, "per-job campaign/difftest seed cap (0: 5000)")
 		storeDir   = fs.String("store-dir", "", "durable job journal directory (empty: in-memory only)")
 		resume     = fs.Bool("resume", false, "re-admit journaled jobs that never finished (needs -store-dir)")
-		warmBoot   = fs.Bool("warm-boot", true, "serve machine checkouts from a warm post-boot snapshot (fork/restore instead of boot/reset)")
 
 		coordinator    = fs.String("coordinator", "", "comma-separated worker base URLs; serve as a fleet coordinator (DESIGN.md §13)")
 		dispatchShards = fs.Int("dispatch-shards", 0, "shards per dispatched range in coordinator mode (0: 12)")
@@ -151,7 +150,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return server.Run(ctx, server.Config{
 			Addr: *addr, Workers: *workers, QueueDepth: *queue,
 			MaxJobTimeout: *jobTimeout, MaxSeeds: *maxSeeds,
-			StoreDir: *storeDir, Resume: *resume, WarmBoot: *warmBoot,
+			StoreDir: *storeDir, Resume: *resume,
 			Tenants: tenants, WorkerNodes: nodes, DispatchShards: *dispatchShards,
 		}, stderr, nil)
 	}

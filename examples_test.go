@@ -43,7 +43,7 @@ func runExampleSource(t *testing.T, m *core.Machine, src string) string {
 // TestExamplePrograms: every .s file under examples/programs runs to a
 // clean exit with its pinned console fragment, and the console is
 // byte-identical when the machine is recycled through the pool — the
-// same reset contract the sharded campaigns rely on.
+// same restore contract the sharded campaigns rely on.
 func TestExamplePrograms(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("examples", "programs", "*.s"))
 	if err != nil {

@@ -45,43 +45,61 @@ func (m Mode) String() string {
 }
 
 // Machine is a booted simulated computer: kernel image in memory, CPU
-// at the launch stub, one user process.
+// at the launch stub, one user process. Every Machine descends from
+// the boot snapshot (BootSnapshot) by fork or restore; only the
+// identity tests wrap a directly booted kernel as their reference.
 type Machine struct {
 	K    *kernel.Kernel
 	Prog *asm.Program // assembled user program (runtime + user text)
 }
 
-// NewMachine boots fresh hardware and kernel. The CPU watchdog is
-// armed by default: a machine that provably stops making progress (a
-// pure state cycle — no stores, no new code) fails its Run with a
-// typed *cpu.LivelockError instead of spinning out the whole budget.
-func NewMachine() (*Machine, error) {
+// BootSnapshot returns the process-wide boot snapshot: the kernel is
+// booted once per process (kernel.New) and captured immutably, and
+// every Machine is a fork or a restore of that image. The boot is
+// verified to leave zero simulator counters — an image with baked-in
+// counts would be re-harvested into /metrics totals on every
+// fork-run-put cycle (see TestPoolWarmHarvestTotals).
+func BootSnapshot() (*Snapshot, error) { return bootSnapshot() }
+
+var bootSnapshot = sync.OnceValues(func() (*Snapshot, error) {
 	k, err := kernel.New()
 	if err != nil {
 		return nil, err
 	}
-	k.CPU.Watchdog = cpu.NewWatchdog(0)
-	return &Machine{K: k}, nil
+	c := k.CPU
+	if c.Insts != 0 || c.Cycles != 0 || c.TLB.Hits != 0 || c.TLB.Misses != 0 ||
+		c.FastHits != 0 || (k.Stats != kernel.Stats{}) {
+		return nil, fmt.Errorf("core: post-boot machine has nonzero counters; refusing boot snapshot")
+	}
+	return (&Machine{K: k}).Snapshot(), nil
+})
+
+// fromBoot re-applies the process-wide engine choice to a machine just
+// forked or restored from the boot snapshot. The snapshot froze
+// cpu.DefaultEngine as it stood at first use; a later change (the
+// -engine knobs, the per-engine test loops) must still take effect.
+func (m *Machine) fromBoot() *Machine {
+	m.K.CPU.Engine = cpu.DefaultEngine
+	return m
 }
 
-// Reset reboots the machine in place — kernel, CPU, TLB, and memory
-// scrubbed but their allocations reused — restoring the exact state
-// NewMachine produces (watchdog armed, no program loaded). The CPU
-// keeps its predecode cache and translated basic blocks across the
-// reset as allocations only: both are keyed by physical page and
-// guarded by mem.Page store generations, and the memory scrub
-// advances every page's generation, so a recycled machine re-decodes
-// and re-translates everything it executes while reusing the arrays.
-// The campaign's replay discipline doubles as the verification: a
-// reset machine must produce byte-identical fingerprints to a fresh
-// one, pooled or not.
-func (m *Machine) Reset() error {
-	if err := m.K.Reset(); err != nil {
-		return err
+// NewMachine returns a post-boot machine: a fork of the boot snapshot
+// onto fresh hardware. The CPU watchdog is armed by default: a machine
+// that provably stops making progress (a pure state cycle — no stores,
+// no new code) fails its Run with a typed *cpu.LivelockError instead
+// of spinning out the whole budget.
+func NewMachine() (*Machine, error) {
+	boot, err := BootSnapshot()
+	if err != nil {
+		return nil, err
 	}
+	m, err := Fork(boot)
+	if err != nil {
+		return nil, err
+	}
+	m.fromBoot()
 	m.K.CPU.Watchdog = cpu.NewWatchdog(0)
-	m.Prog = nil
-	return nil
+	return m, nil
 }
 
 // progCache caches assembled user images by source text. Programs are
@@ -163,7 +181,7 @@ func (m *Machine) EnableHardwareDelivery(mask uint32) {
 // errors.Is/errors.As.
 func (m *Machine) Run(maxInsts uint64) error {
 	// Forked and restored machines defer watchdog construction to the
-	// first Run — checkout latency is what warm pools exist to shave —
+	// first Run — checkout latency is what the pool exists to shave —
 	// so arm one here if the machine doesn't carry one yet. Armed or
 	// not, execution is identical (Observe only reads machine state);
 	// only livelock classification needs the detector.

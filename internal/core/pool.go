@@ -1,51 +1,43 @@
 package core
 
-import (
-	"fmt"
-	"sync"
+import "sync"
 
-	"uexc/internal/kernel"
-)
-
-// MachinePool recycles booted Machines across simulator runs. Booting
-// is cheap thanks to the cached kernel image, but every boot still
-// rebuilds the address space (memory pages, page tables, TLB) from
-// nothing; a pooled machine keeps those allocations and is scrubbed
-// back to the NewMachine state by Reset on reuse. The pool is safe for
-// concurrent use by the parallel campaign workers; it holds at most as
-// many machines as were ever simultaneously checked out, i.e. one per
-// worker in steady state.
+// MachinePool recycles Machines across simulator runs. Every checkout
+// starts from the process-wide boot snapshot (BootSnapshot): a pooled
+// machine is restored from it in place, copying only the pages its
+// last run dirtied, and an empty pool forks it onto fresh hardware.
+// The pool is safe for concurrent use by the parallel campaign
+// workers; it holds at most as many machines as were ever
+// simultaneously checked out, i.e. one per worker in steady state.
 //
 // Determinism contract: Get returns a machine whose observable state
-// is identical to a fresh NewMachine, so runs are byte-identical
+// is identical to a freshly booted kernel, so runs are byte-identical
 // whether their machine was pooled or fresh, and regardless of which
 // worker previously used it. Callers that suspect a machine's
 // integrity (e.g. after recovering a panic mid-run) should drop it on
 // the floor instead of calling Put.
 type MachinePool struct {
 	// Harvest, when non-nil, is invoked by Put with the machine still in
-	// its post-run state (counters intact, reset not yet performed), on
-	// the caller's goroutine and outside the pool lock. The serving
+	// its post-run state (counters intact, restore not yet performed),
+	// on the caller's goroutine and outside the pool lock. The serving
 	// layer uses it to accumulate simulator counters — deliveries, TLB
-	// hits/misses, fast-path hits — across pooled runs before Reset
-	// wipes them. It must not retain the machine.
+	// hits/misses, fast-path hits — across pooled runs before the next
+	// restore wipes them. It must not retain the machine.
 	Harvest func(*Machine)
 
 	mu    sync.Mutex
 	free  []*Machine
-	warm  *Snapshot
 	stats PoolStats
 }
 
-// PoolStats counts pool traffic; the reuse ratio Reuses/Gets is the
-// pool hit rate the serving layer exports.
+// PoolStats counts pool traffic. Every checkout is a fork or a
+// restore, so Gets == Forks + Restores; Restores/Gets is the pool hit
+// rate the serving layer exports.
 type PoolStats struct {
-	Gets     uint64 // checkouts (Reuses + Boots + Forks)
-	Reuses   uint64 // checkouts served by recycling a pooled machine (reset path)
-	Boots    uint64 // checkouts that had to boot fresh hardware
+	Gets     uint64 // checkouts (Forks + Restores)
 	Puts     uint64 // machines returned for reuse
-	Forks    uint64 // checkouts served by forking the warm snapshot onto fresh hardware
-	Restores uint64 // pooled checkouts served by restoring the warm snapshot in place
+	Forks    uint64 // empty-pool checkouts: the boot snapshot forked onto fresh hardware
+	Restores uint64 // pooled checkouts: the boot snapshot restored in place
 }
 
 // Stats returns a snapshot of the pool counters.
@@ -55,81 +47,46 @@ func (p *MachinePool) Stats() PoolStats {
 	return p.stats
 }
 
-// EnableWarmBoot captures a warm post-boot snapshot that subsequent
-// Gets serve from: pooled machines restore it in place (O(dirty pages)
-// instead of a full scrub-and-reload Reset) and empty-pool checkouts
-// fork it onto fresh hardware instead of booting. The snapshot is
-// taken from a machine this call boots itself, and is verified to
-// carry zero simulator counters — a warm image with baked-in counts
-// would be re-harvested into /metrics totals on every fork-run-put
-// cycle (see TestPoolWarmHarvestTotals).
+// EnableWarmBoot primes the boot snapshot and returns its error.
+//
+// Deprecated: every pool serves checkouts from the boot snapshot, so
+// there is nothing to enable. It is kept only for the benchmark
+// harness under bench/ and is deleted when that harness next changes.
 func (p *MachinePool) EnableWarmBoot() error {
-	m, err := NewMachine()
-	if err != nil {
-		return err
-	}
-	c := m.K.CPU
-	if c.Insts != 0 || c.Cycles != 0 || c.TLB.Hits != 0 || c.TLB.Misses != 0 ||
-		c.FastHits != 0 || (m.K.Stats != kernel.Stats{}) {
-		return fmt.Errorf("core: post-boot machine has nonzero counters; refusing warm snapshot")
-	}
-	snap := m.Snapshot()
-	p.mu.Lock()
-	p.warm = snap
-	p.free = append(p.free, m) // the boot machine itself is reusable
-	p.mu.Unlock()
-	return nil
+	_, err := BootSnapshot()
+	return err
 }
 
-// WarmBoot reports whether a warm snapshot is installed.
-func (p *MachinePool) WarmBoot() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.warm != nil
-}
-
-// Get returns a machine in the NewMachine state: a pooled one restored
-// from the warm snapshot (or reset in place when warm boot is off), or
-// a forked/freshly booted one when the pool is empty.
+// Get returns a machine in the post-boot state: a pooled one restored
+// from the boot snapshot, or a fork of it when the pool is empty.
 func (p *MachinePool) Get() (*Machine, error) {
+	boot, err := BootSnapshot()
+	if err != nil {
+		return nil, err
+	}
 	p.mu.Lock()
 	var m *Machine
-	warm := p.warm
 	p.stats.Gets++
 	if n := len(p.free); n > 0 {
 		m = p.free[n-1]
 		p.free = p.free[:n-1]
-		if warm != nil {
-			p.stats.Restores++
-		} else {
-			p.stats.Reuses++
-		}
-	} else if warm != nil {
-		p.stats.Forks++
+		p.stats.Restores++
 	} else {
-		p.stats.Boots++
+		p.stats.Forks++
 	}
 	p.mu.Unlock()
 	if m == nil {
-		if warm != nil {
-			return Fork(warm)
-		}
-		return NewMachine()
-	}
-	if warm != nil {
-		if _, err := m.Restore(warm); err != nil {
+		if m, err = Fork(boot); err != nil {
 			return nil, err
 		}
-		return m, nil
-	}
-	if err := m.Reset(); err != nil {
+	} else if _, err := m.Restore(boot); err != nil {
 		return nil, err
 	}
-	return m, nil
+	return m.fromBoot(), nil
 }
 
-// Put returns a machine to the pool for reuse. The machine is reset on
-// the next Get, so Put itself is cheap and may be called with the
+// Put returns a machine to the pool for reuse. The machine is restored
+// on the next Get, so Put itself is cheap and may be called with the
 // machine in any post-run state.
 func (p *MachinePool) Put(m *Machine) {
 	if m == nil {

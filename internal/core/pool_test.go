@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"uexc/internal/cpu"
+	"uexc/internal/kernel"
 )
 
 // runDigest executes a program on m and digests every observable the
@@ -23,62 +26,137 @@ func runDigest(t *testing.T, m *Machine, prog string) string {
 		errText, m.K.Console(), m.K.Stats, m.CPU().Cycles, m.CPU().Insts)
 }
 
-// TestResetMatchesFreshMachine: a machine reset after a run must be
-// observationally identical to a freshly booted one — the contract the
-// campaign's machine pool depends on. The first run deliberately takes
-// exceptions and exercises the fast path so real kernel state (page
-// tables, TLB entries, stats, u-area) is left behind for Reset to
-// scrub.
-func TestResetMatchesFreshMachine(t *testing.T) {
-	dirty, err := NewMachine()
+// bootedMachine is the reference the fork/restore lifecycle is held
+// to: a kernel booted directly on fresh hardware, never snapshotted.
+func bootedMachine(t *testing.T) *Machine {
+	t.Helper()
+	k, err := kernel.New()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = runDigest(t, dirty, simpleFastProg(20)) // leave residue
+	return &Machine{K: k}
+}
 
-	if err := dirty.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	if dirty.Prog != nil {
-		t.Error("Reset kept the loaded program")
-	}
-	if c := dirty.CPU(); c.Cycles != 0 || c.Insts != 0 || c.TeraMode {
-		t.Errorf("Reset left CPU state: cycles=%d insts=%d tera=%v", c.Cycles, c.Insts, c.TeraMode)
-	}
-
-	fresh, err := NewMachine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, prog := range []string{simpleFastProg(20), simpleUltrixProg(20)} {
-		got := runDigest(t, dirty, prog)
-		want := runDigest(t, fresh, prog)
-		if got != want {
-			t.Errorf("program %d: reset machine diverged from fresh\n reset: %s\n fresh: %s", i, got, want)
-		}
-		if err := dirty.Reset(); err != nil {
-			t.Fatal(err)
-		}
-		if err := fresh.Reset(); err != nil {
-			t.Fatal(err)
-		}
+// forEachEngine runs f with cpu.DefaultEngine set to each tier in turn.
+func forEachEngine(t *testing.T, f func(e cpu.Engine)) {
+	t.Helper()
+	prev := cpu.DefaultEngine
+	defer func() { cpu.DefaultEngine = prev }()
+	for _, e := range []cpu.Engine{cpu.EngineJIT, cpu.EngineFast, cpu.EngineInterp} {
+		cpu.DefaultEngine = e
+		f(e)
 	}
 }
 
-// TestResetClearsHardwareDelivery: mode configuration must not leak
-// from one pooled run into the next.
-func TestResetClearsHardwareDelivery(t *testing.T) {
-	m, err := NewMachine()
-	if err != nil {
+// checkPoolBalance asserts the pool's accounting identity: every
+// checkout is a fork or a restore.
+func checkPoolBalance(t *testing.T, pool *MachinePool) {
+	t.Helper()
+	if st := pool.Stats(); st.Gets != st.Forks+st.Restores {
+		t.Errorf("Gets (%d) != Forks (%d) + Restores (%d)", st.Gets, st.Forks, st.Restores)
+	}
+}
+
+// TestRestoreMatchesBootedMachine: a pooled machine restored after a
+// run must be observationally identical to a directly booted one — the
+// contract the campaign's machine pool depends on — under every
+// engine. The first run deliberately takes exceptions and exercises the
+// fast path so real kernel state (page tables, TLB entries, stats,
+// u-area) is left behind for the restore to undo, and the SMC program
+// runs first after it.
+func TestRestoreMatchesBootedMachine(t *testing.T) {
+	forEachEngine(t, func(e cpu.Engine) {
+		var pool MachinePool
+		m, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_ = runDigest(t, m, simpleFastProg(20)) // leave residue
+		for i, prog := range []string{smcProg, simpleFastProg(20), simpleUltrixProg(20)} {
+			pool.Put(m)
+			if m, err = pool.Get(); err != nil {
+				t.Fatal(err)
+			}
+			if m.Prog != nil {
+				t.Error("restore kept the loaded program")
+			}
+			if c := m.CPU(); c.Cycles != 0 || c.Insts != 0 || c.TeraMode {
+				t.Errorf("restore left CPU state: cycles=%d insts=%d tera=%v", c.Cycles, c.Insts, c.TeraMode)
+			}
+			got := runDigest(t, m, prog)
+			want := runDigest(t, bootedMachine(t), prog)
+			if got != want {
+				t.Errorf("engine %d program %d: restored machine diverged from booted\nrestored: %s\n  booted: %s", e, i, got, want)
+			}
+		}
+		if st := pool.Stats(); st.Forks != 1 || st.Restores != 3 {
+			t.Errorf("engine %d: stats = %+v, want one fork then three restores", e, st)
+		}
+		checkPoolBalance(t, &pool)
+	})
+}
+
+// TestRestoreClearsHardwareDelivery: mode configuration must not leak
+// from one pooled run into the next; the next run matches a booted
+// machine's under every engine.
+func TestRestoreClearsHardwareDelivery(t *testing.T) {
+	forEachEngine(t, func(e cpu.Engine) {
+		var pool MachinePool
+		m, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.EnableHardwareDelivery(1 << 1)
+		pool.Put(m)
+		if m, err = pool.Get(); err != nil {
+			t.Fatal(err)
+		}
+		if m.CPU().TeraMode || m.CPU().UserVector != 0 {
+			t.Errorf("engine %d: restore kept hardware-delivery configuration", e)
+		}
+		if got, want := runDigest(t, m, smcProg), runDigest(t, bootedMachine(t), smcProg); got != want {
+			t.Errorf("engine %d: restored machine diverged from booted\nrestored: %s\n  booted: %s", e, got, want)
+		}
+		checkPoolBalance(t, &pool)
+	})
+}
+
+// TestDefaultEngineAfterBootSnapshot: the boot snapshot freezes the
+// engine in force when it was captured, so an engine chosen afterwards
+// must still reach NewMachine and both pool checkout paths.
+func TestDefaultEngineAfterBootSnapshot(t *testing.T) {
+	if _, err := BootSnapshot(); err != nil {
 		t.Fatal(err)
 	}
-	m.EnableHardwareDelivery(1 << 1)
-	if err := m.Reset(); err != nil {
-		t.Fatal(err)
+	var pool MachinePool
+	forEachEngine(t, func(e cpu.Engine) {
+		m, err := NewMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.CPU().Engine; got != e {
+			t.Errorf("NewMachine engine = %d, want %d", got, e)
+		}
+		a, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pm := range []*Machine{a, b} {
+			if got := pm.CPU().Engine; got != e {
+				t.Errorf("pool checkout engine = %d, want %d (stats %+v)", got, e, pool.Stats())
+			}
+		}
+		pool.Put(a)
+		pool.Put(b)
+	})
+	if st := pool.Stats(); st.Forks != 2 || st.Restores != 4 {
+		t.Errorf("stats = %+v, want both fork and restore paths exercised", st)
 	}
-	if m.CPU().TeraMode || m.CPU().UserVector != 0 {
-		t.Error("Reset kept hardware-delivery configuration")
-	}
+	checkPoolBalance(t, &pool)
 }
 
 // TestMachinePoolRecycles: Get/Put round-trips reuse the machine and
@@ -97,14 +175,14 @@ func TestMachinePoolRecycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m2 != m1 {
-		t.Fatal("pool booted a new machine while one was free")
+		t.Fatal("pool forked a new machine while one was free")
 	}
 	if second := runDigest(t, m2, simpleFastProg(10)); second != first {
 		t.Errorf("recycled run diverged:\n first: %s\nsecond: %s", first, second)
 	}
 	pool.Put(m2)
 
-	// Two concurrent checkouts force a second boot.
+	// Two concurrent checkouts force a second fork.
 	a, err := pool.Get()
 	if err != nil {
 		t.Fatal(err)
@@ -144,8 +222,8 @@ func TestAssembleUserCache(t *testing.T) {
 // TestMachinePoolConcurrent hammers Get/Put from many goroutines (run
 // under -race by make check): the pool must never hand the same
 // machine to two holders at once, every recycled machine must pass the
-// kernel's invariant SelfCheck after Reset, and the traffic counters
-// must balance.
+// kernel's invariant SelfCheck after its restore, and the traffic
+// counters must balance.
 func TestMachinePoolConcurrent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots machines from many goroutines")
@@ -187,7 +265,7 @@ func TestMachinePoolConcurrent(t *testing.T) {
 					errs <- fmt.Errorf("goroutine %d round %d: recycled machine fails SelfCheck: %w", g, r, err)
 					return
 				}
-				// Dirty some rounds so Reset has real residue to scrub.
+				// Dirty some rounds so the restore has real residue to undo.
 				if r%3 == 0 {
 					if err := m.LoadProgram(simpleFastProg(3)); err != nil {
 						errs <- fmt.Errorf("goroutine %d round %d: load: %w", g, r, err)
@@ -216,20 +294,18 @@ func TestMachinePoolConcurrent(t *testing.T) {
 	if st.Gets != goroutines*rounds {
 		t.Errorf("Gets = %d, want %d", st.Gets, goroutines*rounds)
 	}
-	if st.Reuses+st.Boots != st.Gets {
-		t.Errorf("Reuses (%d) + Boots (%d) != Gets (%d)", st.Reuses, st.Boots, st.Gets)
-	}
+	checkPoolBalance(t, &pool)
 	if st.Puts != st.Gets {
 		t.Errorf("Puts = %d, want %d (every Get was returned)", st.Puts, st.Gets)
 	}
-	if st.Boots > goroutines {
-		t.Errorf("Boots = %d, want <= %d (at most one boot per concurrent holder)", st.Boots, goroutines)
+	if st.Forks > goroutines {
+		t.Errorf("Forks = %d, want <= %d (at most one fork per concurrent holder)", st.Forks, goroutines)
 	}
 }
 
 // TestMachinePoolHarvest: Put invokes the Harvest hook with the
-// machine's post-run counters still intact (Reset happens on the next
-// Get, not on Put).
+// machine's post-run counters still intact (the restore happens on the
+// next Get, not on Put).
 func TestMachinePoolHarvest(t *testing.T) {
 	var pool MachinePool
 	var harvested []uint64
@@ -250,7 +326,7 @@ func TestMachinePoolHarvest(t *testing.T) {
 		t.Fatalf("harvested = %v, want [%d]", harvested, insts)
 	}
 	st := pool.Stats()
-	if st.Gets != 1 || st.Boots != 1 || st.Puts != 1 || st.Reuses != 0 {
-		t.Errorf("stats = %+v, want one boot, one put", st)
+	if st.Gets != 1 || st.Forks != 1 || st.Puts != 1 || st.Restores != 0 {
+		t.Errorf("stats = %+v, want one fork, one put", st)
 	}
 }

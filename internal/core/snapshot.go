@@ -10,8 +10,7 @@ import (
 // Snapshot is a point-in-time copy of a whole Machine — CPU registers,
 // TLB, kernel state, and page contents — built by Machine.Snapshot.
 // It is immutable after capture and safe to share across goroutines:
-// one warm post-boot snapshot backs every fork and restore in a
-// MachinePool.
+// one boot snapshot (BootSnapshot) backs every Machine in the process.
 //
 // Restore semantics are copy-on-write against the mem.Page store
 // generations the predecode and JIT caches already maintain: a page
@@ -42,8 +41,8 @@ func (m *Machine) Snapshot() *Snapshot {
 }
 
 // Restore rewrites the machine in place to match the snapshot, copying
-// only pages that diverged from it. Injector hooks are dropped exactly
-// like Reset, and the watchdog is re-armed lazily by the next Run: a
+// only pages that diverged from it. Injector hooks are dropped, and
+// the watchdog is re-armed lazily by the next Run: a
 // restored machine is observationally identical to one that reached
 // the snapshot state by execution. Returns the number of pages copied.
 func (m *Machine) Restore(s *Snapshot) (int, error) {

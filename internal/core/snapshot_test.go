@@ -8,7 +8,7 @@ import (
 
 // TestForkMatchesSource: a machine forked from a post-boot snapshot
 // must be observationally identical to the machine the snapshot was
-// taken from — the fork-from-boot contract the warm serving pool
+// taken from — the fork-from-boot contract the machine pool
 // depends on (DESIGN.md §16).
 func TestForkMatchesSource(t *testing.T) {
 	src, err := NewMachine()
@@ -106,21 +106,14 @@ func TestForkIndependence(t *testing.T) {
 	}
 }
 
-// TestPoolWarmHarvestTotals: with warm boot enabled, each fork-run-put
-// cycle harvests exactly that run's counters — the warm snapshot must
-// not bake counter residue into every restored machine, or /metrics
-// totals would double-count. (EnableWarmBoot's zero-counter assertion
-// references this test.)
+// TestPoolWarmHarvestTotals: each fork-run-put cycle harvests exactly
+// that run's counters — the boot snapshot must not bake counter residue
+// into every restored machine, or /metrics totals would double-count.
+// (BootSnapshot's zero-counter assertion references this test.)
 func TestPoolWarmHarvestTotals(t *testing.T) {
 	var pool MachinePool
 	var harvested []uint64
 	pool.Harvest = func(m *Machine) { harvested = append(harvested, m.CPU().Insts) }
-	if err := pool.EnableWarmBoot(); err != nil {
-		t.Fatal(err)
-	}
-	if !pool.WarmBoot() {
-		t.Fatal("warm snapshot not installed")
-	}
 
 	var perRun []uint64
 	for i := 0; i < 2; i++ {
@@ -129,7 +122,7 @@ func TestPoolWarmHarvestTotals(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := m.CPU().Insts; got != 0 {
-			t.Fatalf("cycle %d: warm checkout carries %d retired insts", i, got)
+			t.Fatalf("cycle %d: checkout carries %d retired insts", i, got)
 		}
 		_ = runDigest(t, m, simpleFastProg(5+i))
 		perRun = append(perRun, m.CPU().Insts)
@@ -155,11 +148,11 @@ func TestPoolWarmHarvestTotals(t *testing.T) {
 	}
 
 	st := pool.Stats()
-	if st.Gets != 2 || st.Restores != 2 || st.Boots != 0 || st.Forks != 0 {
-		t.Errorf("stats = %+v, want 2 gets served by warm restore of the boot machine", st)
+	if st.Gets != 2 || st.Forks != 1 || st.Restores != 1 {
+		t.Errorf("stats = %+v, want a fork, then a restore of the returned machine", st)
 	}
 
-	// Drain the pool so the next Get must fork onto fresh hardware.
+	// Drain the pool so the second Get must fork onto fresh hardware.
 	m1, err := pool.Get()
 	if err != nil {
 		t.Fatal(err)
@@ -171,50 +164,54 @@ func TestPoolWarmHarvestTotals(t *testing.T) {
 	if m1 == m2 {
 		t.Fatal("pool handed out the same machine twice")
 	}
-	if st := pool.Stats(); st.Forks != 1 {
-		t.Errorf("empty-pool warm checkout did not fork (stats=%+v)", st)
+	if st := pool.Stats(); st.Forks != 2 || st.Gets != st.Forks+st.Restores {
+		t.Errorf("empty-pool checkout did not fork (stats=%+v)", st)
 	}
 	if got := m2.CPU().Insts; got != 0 {
 		t.Errorf("forked checkout carries %d retired insts", got)
 	}
 }
 
-// TestPoolWarmMatchesCold: runs served by a warm pool (restore/fork
-// path) are byte-identical to runs served by a cold pool (reset/boot
-// path) — the warm boot optimisation must be invisible to every
-// campaign digest.
+// TestPoolWarmMatchesCold: runs on pooled machines (the boot
+// snapshot forked or restored) and on NewMachine forks are
+// byte-identical to runs on a cold, directly booted kernel under every
+// engine — the boot snapshot must be invisible to every campaign
+// digest. Two machines stay checked out at once so both the fork and
+// the restore path serve runs.
 func TestPoolWarmMatchesCold(t *testing.T) {
-	prev := cpu.DefaultEngine
-	defer func() { cpu.DefaultEngine = prev }()
-	for _, e := range []cpu.Engine{cpu.EngineJIT, cpu.EngineFast, cpu.EngineInterp} {
-		cpu.DefaultEngine = e
-		var warm, cold MachinePool
-		if err := warm.EnableWarmBoot(); err != nil {
-			t.Fatal(err)
-		}
-
+	forEachEngine(t, func(e cpu.Engine) {
+		var pool MachinePool
 		// smcProg leads: the very first instructions a restored machine
 		// executes patch code in place, so a stale decode surviving the
 		// snapshot restore's generation advance would diverge here.
 		progs := []string{smcProg, simpleFastProg(10), simpleUltrixProg(10), smcProg}
 		for i, prog := range progs {
-			wm, err := warm.Get()
+			want := runDigest(t, bootedMachine(t), prog)
+			nm, err := NewMachine()
 			if err != nil {
 				t.Fatal(err)
 			}
-			cm, err := cold.Get()
+			a, err := pool.Get()
 			if err != nil {
 				t.Fatal(err)
 			}
-			w := runDigest(t, wm, prog)
-			c := runDigest(t, cm, prog)
-			warm.Put(wm)
-			cold.Put(cm)
-			if w != c {
-				t.Errorf("engine %d program %d: warm pool diverged from cold\nwarm: %s\ncold: %s", e, i, w, c)
+			b, err := pool.Get()
+			if err != nil {
+				t.Fatal(err)
 			}
+			for j, m := range []*Machine{nm, a, b} {
+				if got := runDigest(t, m, prog); got != want {
+					t.Errorf("engine %d program %d machine %d: diverged from cold boot\n got: %s\nwant: %s", e, i, j, got, want)
+				}
+			}
+			pool.Put(a)
+			pool.Put(b)
 		}
-	}
+		if st := pool.Stats(); st.Forks != 2 || st.Restores == 0 {
+			t.Errorf("engine %d: stats = %+v, want both checkout paths exercised", e, st)
+		}
+		checkPoolBalance(t, &pool)
+	})
 }
 
 // smcProg copies a tiny thunk into a buffer, calls it, patches its

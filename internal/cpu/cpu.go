@@ -133,18 +133,11 @@ type CPU struct {
 	Mem *mem.Memory
 	TLB *tlb.TLB
 
-	// NoFastPath disables the micro-TLB / predecoded-instruction /
-	// direct-page fast paths (fastpath.go), forcing every access down
-	// the uncached interpreter path. The fast path is observationally
-	// transparent, so this only changes speed; tests flip it to verify
-	// exactly that. Equivalent to Engine=EngineInterp, kept as the
-	// historical master kill switch (it also suppresses the JIT).
-	NoFastPath bool
-
 	// Engine is the three-way execution-tier switch (translate.go):
 	// translated basic blocks (EngineJIT, the default), the fast-path
 	// interpreter (EngineFast), or the uncached reference interpreter
-	// (EngineInterp). All three are observationally identical.
+	// (EngineInterp). All three are observationally identical, so the
+	// switch only changes speed; tests flip it to verify exactly that.
 	Engine Engine
 
 	// InjectUserOnly declares that the installed Inject hook is a pure
@@ -267,7 +260,7 @@ func New(m *mem.Memory, t *tlb.TLB) *CPU { return Init(new(CPU), m, t) }
 // larger allocation (the fork shell builds a whole machine from a
 // single allocation; see kernel.NewForRestore). c must be zero-valued
 // — a fresh allocation — so only the non-zero fields need writing;
-// rewriting a used CPU is ResetAll's job, not Init's.
+// rewriting a used CPU is RestoreState's job, not Init's.
 func Init(c *CPU, m *mem.Memory, t *tlb.TLB) *CPU {
 	c.Mem, c.TLB = m, t
 	c.Cost = DefaultCost()
@@ -290,46 +283,6 @@ func (c *CPU) Reset() {
 	c.Halted = false
 	c.prevWasBranch = false
 	c.flushMicroTLB()
-}
-
-// ResetAll restores the CPU to its as-constructed state: architectural
-// registers (via Reset) plus counters, delivery configuration, cost
-// model, and every installed hook. The attached memory and TLB are
-// reused; their contents are the caller's to reset. This is the
-// processor half of the machine-reset path that lets pooled machines
-// be recycled across simulator runs.
-func (c *CPU) ResetAll() {
-	c.Reset()
-	c.TeraMode, c.UserVector, c.FixedVector = false, 0, 0
-	c.HWUTLBMod = true
-	c.Cost = DefaultCost()
-	c.Cycles, c.Insts, c.MemWrites = 0, 0, 0
-	c.FastHits = 0
-	c.HCall = nil
-	c.OS = nil
-	c.Inject = nil
-	c.OnUEXRecursion, c.OnUEXClear = nil, nil
-	c.Watchdog = nil
-	c.CountPCs, c.PCCounts = false, nil
-	c.ExcCounts = [32]uint64{}
-	c.Trace = nil
-	c.Debug = nil
-	c.redirect = false
-	c.pendingHookErr = nil
-	c.NoFastPath = false
-	c.Engine = DefaultEngine
-	c.InjectUserOnly = false
-	c.JITBlocks, c.JITExecs, c.JITGuardMisses, c.JITInvalidations = 0, 0, 0, 0
-	c.itlbClock, c.dtlbClock = 0, 0
-	c.microGen = 0
-	// ipages is deliberately kept: predecoded instructions are keyed by
-	// physical page and validated against the page's store generation,
-	// which Memory.Reset advances, so entries from a previous run can
-	// never leak stale decodes — and pooled machines skip re-decoding
-	// the shared kernel text on every recycle. Translated blocks ride
-	// along (pageInsts.blocks) under the same generation guard: a
-	// recycled machine re-enters a kept block only after revalidating
-	// it against the page generation Memory.Reset advanced.
 }
 
 // Charge adds cycles outside normal instruction accounting; used by the

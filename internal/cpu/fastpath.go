@@ -23,9 +23,9 @@ package cpu
 //   - Whenever a tlb.TLB.InjectMiss hook is installed (fault-injection
 //     campaigns), the micro-TLBs are bypassed entirely so the hook and
 //     the statistics see every single lookup; the predecode cache stays
-//     active because decoding is pure and generation-checked. NoFastPath
-//     (equivalently Engine=EngineInterp, see translate.go) disables
-//     everything for differential verification.
+//     active because decoding is pure and generation-checked.
+//     Engine=EngineInterp (translate.go) disables everything for
+//     differential verification.
 //
 // The JIT tier (translate.go/block.go) builds on all three layers:
 // blocks are discovered through the predecode cache, entered through

@@ -54,12 +54,12 @@ type tortureMachine struct {
 	smcPA uint32 // physical address of the smc: instruction
 }
 
-func newTortureMachine(t *testing.T, noFast bool) *tortureMachine {
+func newTortureMachine(t *testing.T, engine Engine) *tortureMachine {
 	t.Helper()
 	m := mem.New(1 << 22)
 	tl := &tlb.TLB{}
 	c := New(m, tl)
-	c.NoFastPath = noFast
+	c.Engine = engine
 
 	p, err := asm.Assemble(tortureSrc, arch.KSeg0Base)
 	if err != nil {
@@ -138,15 +138,15 @@ func (tm *tortureMachine) snapshot() string {
 		c.PC, c.NPC, c.GPR, c.HI, c.LO, c.CP0, c.Insts, c.Cycles, c.MemWrites, c.TLB.Hits, c.TLB.Misses)
 }
 
-// TestFastPathTortureLockstep drives the interpreter with and without
-// the fast path through an identical schedule of TLB upsets, random
-// refills, protection changes, ASID switches, page invalidations, and
-// self-modifying code, comparing the complete architectural state after
-// every chunk. Any invalidation hole in the micro-TLBs or predecode
-// cache diverges the two machines.
+// TestFastPathTortureLockstep drives the default engine and the
+// EngineInterp reference through an identical schedule of TLB upsets,
+// random refills, protection changes, ASID switches, page
+// invalidations, and self-modifying code, comparing the complete
+// architectural state after every chunk. Any invalidation hole in the
+// micro-TLBs, predecode cache, or JIT diverges the two machines.
 func TestFastPathTortureLockstep(t *testing.T) {
-	fast := newTortureMachine(t, false)
-	slow := newTortureMachine(t, true)
+	fast := newTortureMachine(t, DefaultEngine)
+	slow := newTortureMachine(t, EngineInterp)
 
 	const chunk = 97 // odd so chunk boundaries drift across the loop body
 	for r := uint32(0); r < 400; r++ {
@@ -175,7 +175,7 @@ func TestFastPathTortureLockstep(t *testing.T) {
 		t.Error("fast machine never engaged the predecode cache")
 	}
 	if slow.c.ipages != nil {
-		t.Error("NoFastPath machine engaged the predecode cache")
+		t.Error("EngineInterp machine engaged the predecode cache")
 	}
 
 	// Data pages must match byte-for-byte across modes.

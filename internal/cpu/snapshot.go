@@ -23,7 +23,6 @@ type State struct {
 	userVector     uint32
 	fixedVector    uint32
 	hwUTLBMod      bool
-	noFastPath     bool
 	engine         Engine
 	injectUserOnly bool
 
@@ -58,8 +57,8 @@ func (c *CPU) CaptureState() *State {
 		cp0: c.CP0,
 		xt:  c.XT, xc: c.XC, xb: c.XB,
 		teraMode: c.TeraMode, userVector: c.UserVector, fixedVector: c.FixedVector,
-		hwUTLBMod: c.HWUTLBMod, noFastPath: c.NoFastPath,
-		engine: c.Engine, injectUserOnly: c.InjectUserOnly,
+		hwUTLBMod: c.HWUTLBMod,
+		engine:    c.Engine, injectUserOnly: c.InjectUserOnly,
 		cost:   c.Cost,
 		cycles: c.Cycles, insts: c.Insts, memWrites: c.MemWrites,
 		fastHits:  c.FastHits,
@@ -82,9 +81,10 @@ func (c *CPU) CaptureState() *State {
 // watchdog, and any DebugGuard are cleared (the caller rewires what the
 // next run needs); the micro-TLBs are flushed and re-sync against the
 // TLB generation on the next access; the predecode cache and its
-// translated blocks are kept, exactly as ResetAll keeps them, because
-// the accompanying memory restore advances every dirty page's
-// generation and the guards revalidate on next use.
+// translated blocks are kept as allocations, because the accompanying
+// memory restore advances every dirty page's generation and the guards
+// revalidate on next use — a pooled machine skips re-decoding the
+// shared kernel text on every checkout.
 func (c *CPU) RestoreState(st *State) {
 	c.GPR, c.HI, c.LO = st.gpr, st.hi, st.lo
 	c.PC, c.NPC = st.pc, st.npc
@@ -92,7 +92,6 @@ func (c *CPU) RestoreState(st *State) {
 	c.XT, c.XC, c.XB = st.xt, st.xc, st.xb
 	c.TeraMode, c.UserVector, c.FixedVector = st.teraMode, st.userVector, st.fixedVector
 	c.HWUTLBMod = st.hwUTLBMod
-	c.NoFastPath = st.noFastPath
 	c.Engine = st.engine
 	c.InjectUserOnly = st.injectUserOnly
 	c.Cost = st.cost

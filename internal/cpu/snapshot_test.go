@@ -13,7 +13,7 @@ import (
 // accounting — and a guard-lifted step retires it exactly as if the
 // debugger had never been attached.
 func TestDebugGuardFetchPause(t *testing.T) {
-	tm := newTortureMachine(t, false)
+	tm := newTortureMachine(t, DefaultEngine)
 	g := NewDebugGuard()
 	tm.c.Debug = g
 	g.GuardPage(tm.c.PC, DebugFetch)
@@ -56,7 +56,7 @@ func TestDebugGuardFetchPause(t *testing.T) {
 // from the page through and pauses exactly at the first store, before
 // the store happens.
 func TestDebugGuardDataWatch(t *testing.T) {
-	tm := newTortureMachine(t, false)
+	tm := newTortureMachine(t, DefaultEngine)
 	g := NewDebugGuard()
 	tm.c.Debug = g
 	g.GuardPage(0x10000, DebugStore)
@@ -122,8 +122,7 @@ func TestDebugGuardUnguardDrain(t *testing.T) {
 // tier refuses to run (every instruction must pass the Step-level
 // checks); detaching re-enables it.
 func TestDebugGuardJITStandDown(t *testing.T) {
-	tm := newTortureMachine(t, false)
-	tm.c.Engine = EngineJIT
+	tm := newTortureMachine(t, EngineJIT)
 	tm.c.Debug = NewDebugGuard() // empty: never fires, but must gate the JIT
 
 	var be *BudgetError
@@ -151,8 +150,8 @@ func TestDebugGuardJITStandDown(t *testing.T) {
 // immediately after each restore so stale predecode/JIT state keyed to
 // pre-restore page generations would be caught at once.
 func TestEngineToggleTortureSnapshotRestore(t *testing.T) {
-	tog := newTortureMachine(t, false)
-	ref := newTortureMachine(t, true)
+	tog := newTortureMachine(t, EngineJIT)
+	ref := newTortureMachine(t, EngineInterp)
 
 	type point struct {
 		mem    *mem.MemState

@@ -31,15 +31,15 @@ package cpu
 //     with the tier enabled.
 //
 // The lockstep torture in fastpath_test.go runs a default-engine
-// machine (JIT) against a NoFastPath interpreter for 400 mutation
+// machine (JIT) against an EngineInterp reference for 400 mutation
 // rounds comparing full architectural state plus every counted
 // statistic; translate_test.go adds the invalidation edge cases.
 
 import "uexc/internal/arch"
 
 // Engine selects the execution tier Run uses. The zero value is the
-// JIT so machines built by New (and recycled by ResetAll) default to
-// the fastest observationally-identical tier.
+// JIT so machines built by New default to the fastest
+// observationally-identical tier.
 type Engine uint8
 
 const (
@@ -49,20 +49,20 @@ const (
 	// EngineFast is the pre-JIT default: the micro-TLB/predecode
 	// fast-path interpreter (DESIGN.md §10).
 	EngineFast
-	// EngineInterp is the uncached reference interpreter, equivalent
-	// to NoFastPath=true: every access takes the slow path.
+	// EngineInterp is the uncached reference interpreter: every access
+	// takes the slow path, and neither the micro-TLBs, the predecode
+	// cache, nor the JIT engage.
 	EngineInterp
 )
 
-// DefaultEngine is the tier installed by New and restored by
-// ResetAll. Process-wide knobs (uexc-bench -engine) set it once at
-// startup, before any machines exist.
+// DefaultEngine is the tier installed by New and re-applied by core to
+// every machine forked or restored from its boot snapshot. Process-wide
+// knobs (uexc-bench -engine) set it once at startup.
 var DefaultEngine = EngineJIT
 
 // fastOff reports whether the micro-TLB/predecode fast paths are
-// disabled — by the legacy NoFastPath switch or by selecting the
-// reference interpreter tier.
-func (c *CPU) fastOff() bool { return c.NoFastPath || c.Engine == EngineInterp }
+// disabled, i.e. the reference interpreter tier is selected.
+func (c *CPU) fastOff() bool { return c.Engine == EngineInterp }
 
 // jitStep tries to execute one translated block at PC, retiring at
 // most limit instructions. It reports false — with architectural
@@ -75,7 +75,7 @@ func (c *CPU) jitStep(limit uint64) bool {
 	// an armed injector must see every step unless it declared itself
 	// a no-op in kernel mode (faultinject's contract) and we are in
 	// kernel mode now.
-	if c.prevWasBranch || c.NoFastPath || c.CountPCs || c.Debug != nil {
+	if c.prevWasBranch || c.CountPCs || c.Debug != nil {
 		return false
 	}
 	if c.Inject != nil && !(c.InjectUserOnly && c.KernelMode()) {

@@ -241,10 +241,10 @@ func TestJITBlockSpansPageGeneration(t *testing.T) {
 // schedule while flipping the engine switch pseudo-randomly between
 // jit, fastpath, and interpreter every chunk. Any state the tiers
 // disagree on — or any stale micro-TLB/predecode/block state surviving
-// a switch — diverges from the NoFastPath reference.
+// a switch — diverges from the EngineInterp reference.
 func TestEngineToggleTortureLockstep(t *testing.T) {
-	tog := newTortureMachine(t, false)
-	ref := newTortureMachine(t, true)
+	tog := newTortureMachine(t, EngineJIT)
+	ref := newTortureMachine(t, EngineInterp)
 
 	engines := []Engine{EngineJIT, EngineFast, EngineInterp}
 	seen := [3]int{}

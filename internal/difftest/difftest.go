@@ -111,9 +111,17 @@ type ModeRun struct {
 	Arena   []uint32 // fault arena
 }
 
+// Machines is where the oracle checks its machines out: a
+// *core.MachinePool in production; the identity tests substitute
+// directly booted kernels as the reference the pool is held to.
+type Machines interface {
+	Get() (*core.Machine, error)
+	Put(*core.Machine)
+}
+
 // runMode executes program p under mode on a pooled machine. mutate
 // selects the deliberately wrong handler variant (self-test only).
-func runMode(pool *core.MachinePool, p *progen.Program, mode core.Mode, mutate bool) (r ModeRun) {
+func runMode(pool Machines, p *progen.Program, mode core.Mode, mutate bool) (r ModeRun) {
 	r.Mode = mode
 	r.Counts = map[uint32]uint64{}
 
@@ -240,13 +248,13 @@ func diff(base, other *ModeRun) []string {
 // (empty = the modes agree) plus the baseline's handler-policy
 // invocation count. Mode errors surface as violations too: a program
 // that fails anywhere cannot witness equivalence.
-func CheckSeed(pool *core.MachinePool, seed int64) (divergences []string, entries uint64) {
+func CheckSeed(pool Machines, seed int64) (divergences []string, entries uint64) {
 	return CheckProgram(pool, progen.Generate(seed))
 }
 
 // CheckProgram is CheckSeed for a caller-built program — the fuzzer
 // uses it to graft extra stanzas (the SMC probe) onto generated seeds.
-func CheckProgram(pool *core.MachinePool, p *progen.Program) (divergences []string, entries uint64) {
+func CheckProgram(pool Machines, p *progen.Program) (divergences []string, entries uint64) {
 	runs := make([]ModeRun, len(Modes))
 	for i, mode := range Modes {
 		runs[i] = runMode(pool, p, mode, false)
@@ -371,7 +379,7 @@ func budgetScaled(p *progen.Program) bool {
 // returns its digest — the single shard-execution point shared by the
 // local sweep and the serving layer's shard-range jobs, so remote and
 // local digests are byte-identical.
-func RunShard(pool *core.MachinePool, i int) Shard {
+func RunShard(pool Machines, i int) Shard {
 	var t Shard
 	p := progen.Generate(int64(i))
 	t.Divergences, t.Entries = CheckProgram(pool, p)

@@ -9,6 +9,7 @@ import (
 
 	"uexc/internal/core"
 	"uexc/internal/cpu"
+	"uexc/internal/kernel"
 	"uexc/internal/progen"
 )
 
@@ -74,39 +75,63 @@ func TestTimeTravelExact(t *testing.T) {
 	}
 }
 
-// TestWarmPoolShardIdentity: shard digests computed on a warm pool
-// (fork/restore checkouts) are byte-identical to a cold pool
-// (boot/reset checkouts) under every engine — the acceptance bar for
-// the warm serving pool.
-func TestWarmPoolShardIdentity(t *testing.T) {
-	for _, e := range []cpu.Engine{cpu.EngineJIT, cpu.EngineFast, cpu.EngineInterp} {
-		prev := cpu.DefaultEngine
-		cpu.DefaultEngine = e
-		func() {
-			defer func() { cpu.DefaultEngine = prev }()
+// booted hands out directly booted kernels — never snapshotted, never
+// recycled — as the reference the pooled fork/restore lifecycle is
+// held to.
+type booted struct{}
 
-			var warm, cold core.MachinePool
-			if err := warm.EnableWarmBoot(); err != nil {
-				t.Fatal(err)
-			}
-			for seed := 0; seed < 3; seed++ {
-				w, err := json.Marshal(RunShard(&warm, seed))
+func (booted) Get() (*core.Machine, error) {
+	k, err := kernel.New()
+	if err != nil {
+		return nil, err
+	}
+	return &core.Machine{K: k}, nil
+}
+
+func (booted) Put(*core.Machine) {}
+
+// forEachEngine runs f with cpu.DefaultEngine set to each tier in turn.
+func forEachEngine(t *testing.T, f func(e cpu.Engine)) {
+	t.Helper()
+	prev := cpu.DefaultEngine
+	defer func() { cpu.DefaultEngine = prev }()
+	for _, e := range []cpu.Engine{cpu.EngineJIT, cpu.EngineFast, cpu.EngineInterp} {
+		cpu.DefaultEngine = e
+		f(e)
+	}
+}
+
+// TestWarmPoolShardIdentity: every mode run on a pooled machine (the
+// boot snapshot forked or restored) records exactly the state — GPRs,
+// console, exception counts, handler log, data page, fault arena — of
+// the same run on a directly booted kernel, under every engine. The
+// SMC probe program runs first, so a stale decode surviving a restore
+// would diverge at once.
+func TestWarmPoolShardIdentity(t *testing.T) {
+	smc := progen.Generate(11)
+	smc.Extra = progen.SMCStanza
+	progs := []*progen.Program{smc, progen.Generate(0), progen.Generate(1), progen.Generate(2)}
+	forEachEngine(t, func(e cpu.Engine) {
+		var pool core.MachinePool
+		for i, p := range progs {
+			for _, mode := range Modes {
+				w, err := json.Marshal(runMode(&pool, p, mode, false))
 				if err != nil {
 					t.Fatal(err)
 				}
-				c, err := json.Marshal(RunShard(&cold, seed))
+				c, err := json.Marshal(runMode(booted{}, p, mode, false))
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(w, c) {
-					t.Errorf("engine %d seed %d: warm shard diverged\nwarm: %s\ncold: %s", e, seed, w, c)
+					t.Errorf("engine %d program %d %v: pooled run diverged from booted\npooled: %s\nbooted: %s", e, i, mode, w, c)
 				}
 			}
-			if st := warm.Stats(); st.Forks+st.Restores == 0 {
-				t.Errorf("engine %d: warm pool never forked or restored (stats=%+v)", e, st)
-			}
-		}()
-	}
+		}
+		if st := pool.Stats(); st.Restores == 0 || st.Gets != st.Forks+st.Restores {
+			t.Errorf("engine %d: pool stats = %+v, want gets == forks + restores with restores > 0", e, st)
+		}
+	})
 }
 
 // TestSMCAfterForkIdentity: a program whose first act after checkout
@@ -118,72 +143,62 @@ func TestSMCAfterForkIdentity(t *testing.T) {
 	p := progen.Generate(11)
 	p.Extra = progen.SMCStanza
 
-	for _, e := range []cpu.Engine{cpu.EngineJIT, cpu.EngineFast, cpu.EngineInterp} {
-		prev := cpu.DefaultEngine
-		cpu.DefaultEngine = e
-		func() {
-			defer func() { cpu.DefaultEngine = prev }()
+	forEachEngine(t, func(e cpu.Engine) {
+		src, err := core.NewMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := src.Snapshot()
 
-			src, err := core.NewMachine()
+		for _, mode := range Modes {
+			forked, err := core.Fork(snap)
 			if err != nil {
 				t.Fatal(err)
 			}
-			snap := src.Snapshot()
-
-			for _, mode := range Modes {
-				forked, err := core.Fork(snap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				booted, err := core.NewMachine()
-				if err != nil {
-					t.Fatal(err)
-				}
-				digests := [2]string{}
-				for i, m := range []*core.Machine{forked, booted} {
-					if err := m.LoadProgram(p.Source(mode, false)); err != nil {
-						t.Fatal(err)
-					}
-					if mode == core.ModeHardware {
-						m.EnableHardwareDelivery(progen.HWVector)
-					}
-					digests[i] = machineDigest(m, m.Run(BudgetFor(p, mode)))
-				}
-				if digests[0] != digests[1] {
-					t.Errorf("engine %d %v: SMC run diverged after fork\nforked: %s\nbooted: %s",
-						e, mode, digests[0], digests[1])
-				}
+			ref, err := booted{}.Get()
+			if err != nil {
+				t.Fatal(err)
 			}
-		}()
-	}
+			digests := [2]string{}
+			for i, m := range []*core.Machine{forked, ref} {
+				if err := m.LoadProgram(p.Source(mode, false)); err != nil {
+					t.Fatal(err)
+				}
+				if mode == core.ModeHardware {
+					m.EnableHardwareDelivery(progen.HWVector)
+				}
+				digests[i] = machineDigest(m, m.Run(BudgetFor(p, mode)))
+			}
+			if digests[0] != digests[1] {
+				t.Errorf("engine %d %v: SMC run diverged after fork\nforked: %s\nbooted: %s",
+					e, mode, digests[0], digests[1])
+			}
+		}
+	})
 }
 
-// TestCampaignWarmPoolIdentity: the full oracle sweep's output stream
-// is byte-identical with the warm pool on and off, at one worker and
-// at four — the serving layer's golden-stream guarantee.
+// TestCampaignWarmPoolIdentity: the full oracle sweep's output stream,
+// at one worker and at four, is byte-identical to the shard lines of
+// the same seeds checked on directly booted kernels — the serving
+// layer's golden-stream guarantee, held to the reference boot.
 func TestCampaignWarmPoolIdentity(t *testing.T) {
 	const seeds = 6
-	var golden []byte
+	var golden bytes.Buffer
+	for i := 0; i < seeds; i++ {
+		golden.WriteString(ShardLine(i, RunShard(booted{}, i)))
+	}
 	for _, workers := range []int{1, 4} {
-		for _, warmBoot := range []bool{false, true} {
-			var pool core.MachinePool
-			if warmBoot {
-				if err := pool.EnableWarmBoot(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			var buf bytes.Buffer
-			if _, err := CampaignCtx(t.Context(), &pool, seeds, workers, &buf); err != nil {
-				t.Fatalf("workers=%d warm=%v: %v", workers, warmBoot, err)
-			}
-			if golden == nil {
-				golden = buf.Bytes()
-				continue
-			}
-			if !bytes.Equal(buf.Bytes(), golden) {
-				t.Errorf("workers=%d warm=%v: output diverged from golden\ngot:\n%s\nwant:\n%s",
-					workers, warmBoot, buf.Bytes(), golden)
-			}
+		var pool core.MachinePool
+		var buf bytes.Buffer
+		if _, err := CampaignCtx(t.Context(), &pool, seeds, workers, &buf); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if !bytes.Equal(buf.Bytes(), golden.Bytes()) {
+			t.Errorf("workers=%d: output diverged from booted golden\ngot:\n%s\nwant:\n%s",
+				workers, buf.Bytes(), golden.Bytes())
+		}
+		if st := pool.Stats(); st.Gets != st.Forks+st.Restores {
+			t.Errorf("workers=%d: pool stats = %+v, want gets == forks + restores", workers, st)
 		}
 	}
 }

@@ -119,8 +119,11 @@ var bootImage = sync.OnceValues(func() (*asm.Program, error) {
 	return img, nil
 })
 
-// New boots a kernel on fresh hardware (the assembled image itself is
-// cached process-wide; see bootImage).
+// New boots a kernel on fresh hardware: loads the image (assembled
+// once per process; see bootImage), points the refill handler at the
+// page table, and creates the boot process. This is the reference boot
+// sequence; core runs it once per process and forks every machine from
+// its snapshot.
 func New() (*Kernel, error) {
 	img, err := bootImage()
 	if err != nil {
@@ -130,40 +133,11 @@ func New() (*Kernel, error) {
 	t := &tlb.TLB{}
 	c := cpu.New(m, t)
 
-	k := &Kernel{CPU: c, Mem: m, TLB: t, Image: img}
-	if err := k.Reset(); err != nil {
-		return nil, err
-	}
-	return k, nil
-}
-
-// Reset reboots the kernel in place on its existing hardware: memory
-// pages, TLB array, and CPU are scrubbed (keeping their allocations),
-// injector hooks are dropped, the kernel image is reloaded, and a
-// fresh boot process is created. A reset kernel is observationally
-// identical to one from New — the property the campaign's machine pool
-// depends on and its replay fingerprints verify — while reusing the
-// address-space allocations of the previous run.
-func (k *Kernel) Reset() error {
-	c := k.CPU
-	c.ResetAll()
-	k.Mem.Reset()
-	k.TLB.Reset()
-	k.TLB.InjectMiss = nil // TLB.Reset preserves the hook; the reboot must not
-
+	k := &Kernel{CPU: c, Mem: m, TLB: t, Image: img, Costs: DefaultCosts()}
 	k.wireCPUHooks()
-
-	k.Costs = DefaultCosts()
-	k.Stats = Stats{}
-	k.Events = nil
-	k.TraceEvents = false
-	k.console.Reset()
-	k.exited, k.exitCode = false, 0
-	k.mcheck = nil
-
-	for _, ch := range k.Image.Chunks {
-		if err := k.Mem.Write(arch.KSegPhys(ch.Addr), ch.Data); err != nil {
-			return fmt.Errorf("kernel: loading image: %w", err)
+	for _, ch := range img.Chunks {
+		if err := m.Write(arch.KSegPhys(ch.Addr), ch.Data); err != nil {
+			return nil, fmt.Errorf("kernel: loading image: %w", err)
 		}
 	}
 
@@ -173,7 +147,6 @@ func (k *Kernel) Reset() error {
 	k.nextFrame = FramePhysBase
 	k.Proc = newProc(k, 0)
 	k.procs = []*Proc{k.Proc}
-	k.curr = 0
 
 	// Publish u-area fields the assembly reads.
 	k.storeKernelWord(UAreaBase+UKStack, KStackTop)
@@ -181,7 +154,7 @@ func (k *Kernel) Reset() error {
 	k.storeKernelWord(UAreaBase+UFexcHandler, 0)
 	k.storeKernelWord(UAreaBase+UFramePhys, 0)
 	k.storeKernelWord(UAreaBase+UFrameVA, 0)
-	return nil
+	return k, nil
 }
 
 // Procs returns all processes (index 0 is the boot process).

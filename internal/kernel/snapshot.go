@@ -10,7 +10,7 @@ import (
 // memory contents, and every piece of host-side OS state (processes,
 // stats, console, frame allocator). Built by CaptureState at a run
 // boundary; immutable afterwards and safe to share across machines —
-// one warm post-boot State backs every fork in a machine pool.
+// one post-boot State backs every machine in the process.
 //
 // The simulated-memory snapshot transitively covers everything the
 // kernel keeps IN the machine: page tables, trapframes, and the u-area
@@ -117,18 +117,18 @@ func (k *Kernel) CaptureState() *State {
 
 // RestoreState rewrites the kernel (and its hardware) to match the
 // snapshot, copying only memory pages that have diverged from it (see
-// mem.Memory.RestoreState for the copy-on-write rule). Hook wiring
-// follows Reset's contract exactly: the kernel's own CPU hooks are
-// re-installed, injector hooks (CPU.Inject, TLB.InjectMiss) and the
-// watchdog are dropped for the next run's owner to arm. It returns the
-// number of memory pages that had to be copied.
+// mem.Memory.RestoreState for the copy-on-write rule). A restore is a
+// fresh run boundary: the kernel's own CPU hooks are re-installed,
+// injector hooks (CPU.Inject, TLB.InjectMiss) and the watchdog are
+// dropped for the next run's owner to arm. It returns the number of
+// memory pages that had to be copied.
 func (k *Kernel) RestoreState(st *State) (int, error) {
 	dirty, err := k.Mem.RestoreState(st.mem)
 	if err != nil {
 		return dirty, err
 	}
 	k.TLB.RestoreState(st.tlb)
-	k.TLB.InjectMiss = nil // like Reset: a restore is a fresh run boundary
+	k.TLB.InjectMiss = nil // TLB.RestoreState keeps the hook; the run boundary must not
 	c := k.CPU
 	c.RestoreState(st.cpu)
 	k.wireCPUHooks()
@@ -148,7 +148,7 @@ func (k *Kernel) RestoreState(st *State) (int, error) {
 	k.curr = st.curr
 
 	// Reuse the existing Proc allocations when the shapes line up (the
-	// warm pool's restore-in-place path); the wholesale overwrite also
+	// pool's restore-in-place path); the wholesale overwrite also
 	// drops each proc's ptScanGen memo, per procState's capture rule.
 	if len(k.procs) != len(st.procs) {
 		k.procs = make([]*Proc, len(st.procs))
@@ -194,10 +194,10 @@ func (k *Kernel) RestoreState(st *State) (int, error) {
 
 // restoreShell packs the fixed structures of a whole machine — kernel,
 // CPU, memory, TLB — into one allocation. Fork churns through
-// thousands of machines per second in a warm pool; building each from
-// a single ~3 KB allocation instead of four separate ones (plus two
+// thousands of machines per second in a pool; building each from a
+// single ~3 KB allocation instead of four separate ones (plus two
 // eager 4 KB page copies, now lazy) is most of what puts fork well
-// under cold boot. The inner pointers keep the shell alive as a unit,
+// under a boot. The inner pointers keep the shell alive as a unit,
 // which matches the machine's lifetime exactly.
 type restoreShell struct {
 	k  Kernel
@@ -210,9 +210,9 @@ type restoreShell struct {
 
 // NewForRestore builds a kernel shell on fresh hardware WITHOUT running
 // the boot sequence; the caller must RestoreState into it before use.
-// This is the fork-from-snapshot constructor: it skips the image load,
-// process setup, and memory scrub that Reset performs, leaving all
-// content to the snapshot's lazy O(dirty pages) restore.
+// This is the fork-from-snapshot constructor: it skips the image load
+// and process setup that New performs, leaving all content to the
+// snapshot's lazy O(dirty pages) restore.
 func NewForRestore() (*Kernel, error) {
 	img, err := bootImage()
 	if err != nil {

@@ -13,7 +13,7 @@
 //     address as a *Page whose accessors read and write bytes directly,
 //     so a caller that caches the handle (the CPU's micro-TLBs) skips
 //     the per-access map lookup. Handles never go stale — pages are
-//     allocated once and reused forever, even across Reset.
+//     allocated once and reused forever, even across RestoreState.
 //   - Store generations: every mutation of a page advances its Gen
 //     counter, giving the CPU's predecoded instruction cache a precise,
 //     O(1) invalidation signal for self-modifying code, program loads,
@@ -44,7 +44,7 @@ type Page struct {
 }
 
 // Gen returns the page's store generation: it advances on every write
-// into the page, including Memory.Reset's scrub. It is the single
+// into the page, including a snapshot restore's rewrite. It is the single
 // invalidation signal for all derived code state — the CPU's predecode
 // cache revalidates against it on every fetch and the translation
 // tier's basic blocks re-prove it on every block entry — so any new
@@ -145,22 +145,6 @@ func Init(m *Memory, size uint32) *Memory {
 // Size returns the physical memory size in bytes.
 func (m *Memory) Size() uint32 { return m.size }
 
-// Reset zeroes every touched page while keeping the page allocations
-// (and therefore every outstanding *Page handle). Untouched pages read
-// as zero, so a reset memory is observationally identical to a fresh
-// one — this is what lets a machine pool reuse address spaces across
-// simulator runs. Each scrubbed page's generation advances, so cached
-// derivations (predecoded instructions) invalidate precisely.
-func (m *Memory) Reset() {
-	for _, p := range m.pages {
-		clear(p.data)
-		p.gen++
-	}
-	// Snapshot pages never materialized would otherwise survive the
-	// scrub; a reset memory is all zero.
-	m.backing = nil
-}
-
 // lookup returns the page holding pfn via the handle cache, or nil if
 // the page is unallocated.
 func (m *Memory) lookup(pfn uint32) *Page {
@@ -200,7 +184,7 @@ func (m *Memory) page(pa uint32, alloc bool) (*Page, error) {
 
 // PageRef returns the page handle backing pa, or nil if pa is beyond
 // physical memory or its page has never been touched. The handle stays
-// valid forever (pages survive Reset); content staleness is tracked by
+// valid forever (pages survive RestoreState); content staleness is tracked by
 // Page.Gen.
 func (m *Memory) PageRef(pa uint32) *Page {
 	if pa >= m.size {

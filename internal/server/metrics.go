@@ -99,7 +99,7 @@ func (m *Metrics) addVerdicts(c verdict.Counts) {
 
 // harvest accumulates one finished run's simulator counters. Installed
 // as the machine pool's Harvest hook, so it observes the machine after
-// the run and before the recycling Reset wipes it.
+// the run and before the next checkout's restore wipes it.
 func (m *Metrics) harvest(mach *core.Machine) {
 	st := mach.K.Stats
 	m.SimFastDeliveries.Add(st.FastDeliveries)
@@ -176,7 +176,6 @@ type Snapshot struct {
 
 	Pool        core.PoolStats `json:"machine_pool"`
 	PoolHitRate float64        `json:"machine_pool_hit_rate"`
-	WarmBoot    bool           `json:"machine_pool_warm_boot"`
 
 	SimFastDeliveries uint64 `json:"sim_fast_deliveries_total"`
 	SimUnixDeliveries uint64 `json:"sim_unix_deliveries_total"`
@@ -240,8 +239,7 @@ func (s *Server) snapshot() Snapshot {
 		ShardStalls:    m.ShardStalls.Load(),
 		ShardTimeouts:  m.ShardTimeouts.Load(),
 
-		Pool:     s.pool.Stats(),
-		WarmBoot: s.pool.WarmBoot(),
+		Pool: s.pool.Stats(),
 
 		SimFastDeliveries: m.SimFastDeliveries.Load(),
 		SimUnixDeliveries: m.SimUnixDeliveries.Load(),
@@ -270,9 +268,9 @@ func (s *Server) snapshot() Snapshot {
 		snap.Verdicts[k.String()] = m.Verdicts[k].Load()
 	}
 	if snap.Pool.Gets > 0 {
-		// A recycled machine is a pool hit whichever path scrubbed it:
-		// the in-place Reset (Reuses) or the warm-snapshot restore.
-		snap.PoolHitRate = float64(snap.Pool.Reuses+snap.Pool.Restores) / float64(snap.Pool.Gets)
+		// A checkout served by restoring a pooled machine is a hit; a
+		// fork onto fresh hardware is a miss.
+		snap.PoolHitRate = float64(snap.Pool.Restores) / float64(snap.Pool.Gets)
 	}
 	return snap
 }
@@ -316,12 +314,9 @@ func (snap Snapshot) renderText(w io.Writer) {
 		"uexc_journal_syncs_total":             fmt.Sprint(snap.JournalSyncs),
 		"uexc_journal_lost_total":              fmt.Sprint(snap.JournalLost),
 		"uexc_pool_gets_total":                 fmt.Sprint(snap.Pool.Gets),
-		"uexc_pool_reuses_total":               fmt.Sprint(snap.Pool.Reuses),
-		"uexc_pool_boots_total":                fmt.Sprint(snap.Pool.Boots),
 		"uexc_pool_puts_total":                 fmt.Sprint(snap.Pool.Puts),
 		"uexc_pool_forks_total":                fmt.Sprint(snap.Pool.Forks),
 		"uexc_pool_restores_total":             fmt.Sprint(snap.Pool.Restores),
-		"uexc_pool_warm_boot":                  fmt.Sprint(boolToInt(snap.WarmBoot)),
 		"uexc_pool_hit_rate":                   fmt.Sprintf("%.4f", snap.PoolHitRate),
 		"uexc_sim_fast_deliveries_total":       fmt.Sprint(snap.SimFastDeliveries),
 		"uexc_sim_unix_deliveries_total":       fmt.Sprint(snap.SimUnixDeliveries),

@@ -86,11 +86,11 @@ type Config struct {
 	// debug-session records are evicted under the same window.
 	JobRetention time.Duration
 
-	// WarmBoot installs a warm post-boot snapshot in the machine pool at
-	// startup (core.MachinePool.EnableWarmBoot): checkouts fork or
-	// restore the snapshot in O(dirty pages) instead of booting or
-	// scrub-resetting, with byte-identical job output either way
-	// (DESIGN.md §16). cmd/uexc-serve enables it by default.
+	// WarmBoot is ignored: every machine checkout forks or restores the
+	// process-wide boot snapshot (DESIGN.md §16).
+	//
+	// Deprecated: kept only so the benchmark harness under bench/ still
+	// compiles; deleted when that harness next changes.
 	WarmBoot bool
 
 	// StoreDir, when set, enables the durable job store: a write-ahead
@@ -239,14 +239,10 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.pool.Harvest = s.metrics.harvest
-	if cfg.WarmBoot {
-		// Install the warm snapshot before any job can check a machine
-		// out; EnableWarmBoot itself verifies the image carries zero
-		// simulator counters so forked machines cannot double-count
-		// /metrics totals.
-		if err := s.pool.EnableWarmBoot(); err != nil {
-			return nil, fmt.Errorf("warm boot: %w", err)
-		}
+	// Boot before any job can check a machine out, so a broken kernel
+	// image fails startup rather than the first job.
+	if _, err := core.BootSnapshot(); err != nil {
+		return nil, fmt.Errorf("boot: %w", err)
 	}
 	if len(cfg.WorkerNodes) > 0 {
 		s.fleet = newFleet(s, cfg.WorkerNodes)
@@ -505,9 +501,7 @@ func (s *Server) execute(j *job) {
 	defer s.jobWG.Done()
 	defer j.cancel()
 	s.metrics.InFlight.Add(1)
-	defer s.metrics.InFlight.Add(-1)
 	s.tenants.start(j.tenant)
-	defer s.tenants.done(j.tenant)
 
 	start := time.Now()
 	var (
@@ -531,6 +525,12 @@ func (s *Server) execute(j *job) {
 			ok, summary, err = s.runJob(j)
 		}
 	}()
+
+	// Settle the running gauges before anything that marks the job
+	// finished: a reader who has seen the terminal counter or the
+	// result event must not still read the job as in flight.
+	s.metrics.InFlight.Add(-1)
+	s.tenants.done(j.tenant)
 
 	var se *ShardError
 	switch {

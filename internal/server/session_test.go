@@ -61,7 +61,7 @@ func TestDebugSessionValidate(t *testing.T) {
 // deterministic transcript, retains it under GET /sessions/{id}, and
 // counts in the session metrics.
 func TestDebugSessionJob(t *testing.T) {
-	s, base := startTest(t, Config{Workers: 1, QueueDepth: 4, WarmBoot: true})
+	s, base := startTest(t, Config{Workers: 1, QueueDepth: 4})
 
 	req := Request{Type: TypeDebugSession, Seed: 1, Mode: "ultrix", Commands: sessionScript()}
 	out, ok, errText, status, _ := postStream(t, base, req)
@@ -144,10 +144,10 @@ func TestSessionEviction(t *testing.T) {
 	}
 }
 
-// TestSessionMetricsSurfaced: the session counters and warm-boot gauge
-// appear in both /metrics renderings.
+// TestSessionMetricsSurfaced: the session counters appear in both
+// /metrics renderings.
 func TestSessionMetricsSurfaced(t *testing.T) {
-	_, base := startTest(t, Config{Workers: 1, QueueDepth: 4, WarmBoot: true})
+	_, base := startTest(t, Config{Workers: 1, QueueDepth: 4})
 	req := Request{Type: TypeDebugSession, Seed: 1, Mode: "ultrix",
 		Commands: []debug.Command{{Op: "continue"}}}
 	if out, ok, errText, _, _ := postStream(t, base, req); !ok {
@@ -163,7 +163,6 @@ func TestSessionMetricsSurfaced(t *testing.T) {
 	for _, want := range []string{
 		"uexc_sessions_started_total 1",
 		"uexc_sessions_evicted_total 0",
-		"uexc_pool_warm_boot 1",
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("/metrics missing %q", want)
@@ -176,7 +175,7 @@ func TestSessionMetricsSurfaced(t *testing.T) {
 	}
 	js, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{`"sessions_started_total": 1`, `"machine_pool_warm_boot": true`} {
+	for _, want := range []string{`"sessions_started_total": 1`} {
 		if !strings.Contains(string(js), want) {
 			t.Errorf("JSON metrics missing %q in %s", want, js)
 		}

@@ -68,7 +68,7 @@ func Smoke(ctx context.Context, out io.Writer, cfg SmokeConfig) (*LoadReport, er
 	ready := make(chan string, 1)
 	runErr := make(chan error, 1)
 	go func() {
-		runErr <- Run(runCtx, Config{Workers: cfg.Workers, QueueDepth: cfg.QueueDepth, WarmBoot: true}, out, ready)
+		runErr <- Run(runCtx, Config{Workers: cfg.Workers, QueueDepth: cfg.QueueDepth}, out, ready)
 	}()
 	var base string
 	select {
@@ -87,10 +87,10 @@ func Smoke(ctx context.Context, out io.Writer, cfg SmokeConfig) (*LoadReport, er
 		return nil, fmt.Errorf("smoke: byte-identity: %w", err)
 	}
 
-	// Phase 1b: the debug-session gauntlet on the same warm-pool
-	// instance: a watchpoint on the kernel trapframe page must hit,
-	// state must be inspectable at the pause, and the resumed session
-	// must re-run byte-identically.
+	// Phase 1b: the debug-session gauntlet on the same instance: a
+	// watchpoint on the kernel trapframe page must hit, state must be
+	// inspectable at the pause, and the resumed session must re-run
+	// byte-identically.
 	fmt.Fprintln(out, "smoke: phase 1b: debug-session watchpoint gauntlet")
 	if err := checkDebugSession(client, base); err != nil {
 		return nil, fmt.Errorf("smoke: debug-session: %w", err)
@@ -126,15 +126,10 @@ func Smoke(ctx context.Context, out io.Writer, cfg SmokeConfig) (*LoadReport, er
 		if err := checkGauges(s, true); err != nil {
 			return err
 		}
-		// With the warm pool on, recycled checkouts take the snapshot
-		// restore path instead of the scrub Reset; either way a machine
-		// must have been recycled, and the warm image must have served
-		// at least one fork or restore.
-		if s.Pool.Gets == 0 || s.Pool.Reuses+s.Pool.Restores == 0 {
-			return fmt.Errorf("pool never recycled a machine: %+v", s.Pool)
-		}
-		if !s.WarmBoot || s.Pool.Forks+s.Pool.Restores == 0 {
-			return fmt.Errorf("warm-boot pool never forked or restored: warm=%v %+v", s.WarmBoot, s.Pool)
+		// Every checkout is a fork or a restore of the boot snapshot,
+		// and a burst this size must have recycled a machine.
+		if s.Pool.Gets != s.Pool.Forks+s.Pool.Restores || s.Pool.Restores == 0 {
+			return fmt.Errorf("pool accounting: want gets == forks + restores with restores > 0: %+v", s.Pool)
 		}
 		if s.SessionsStarted != 2 {
 			return fmt.Errorf("sessions_started_total = %d, want 2", s.SessionsStarted)

@@ -20,18 +20,6 @@ import (
 	"uexc/internal/cpu"
 )
 
-// Take captures the machine at its current run boundary. Equivalent to
-// m.Snapshot(); exported here so callers of the subsystem need only
-// this package.
-func Take(m *core.Machine) *core.Snapshot { return m.Snapshot() }
-
-// Fork builds an independent machine from a snapshot without booting.
-func Fork(s *core.Snapshot) (*core.Machine, error) { return core.Fork(s) }
-
-// Restore rewrites m in place to match the snapshot, copying only
-// pages that diverged from it. Returns the number of pages copied.
-func Restore(m *core.Machine, s *core.Snapshot) (int, error) { return m.Restore(s) }
-
 // Tape is a recorded run: periodic snapshots indexed by retired
 // instruction count, plus the run's outcome. Immutable after Record.
 type Tape struct {
@@ -118,7 +106,7 @@ func (t *Tape) ReplayTo(n uint64) (*core.Machine, error) {
 	if n < t.points[0].Insts() {
 		return nil, fmt.Errorf("snapshot: target %d precedes tape start %d", n, t.points[0].Insts())
 	}
-	m, err := Fork(t.Nearest(n))
+	m, err := core.Fork(t.Nearest(n))
 	if err != nil {
 		return nil, err
 	}

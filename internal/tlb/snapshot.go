@@ -18,9 +18,9 @@ func (t *TLB) CaptureState() *State {
 	return &State{slots: t.slots, rand: t.rand, hits: t.Hits, misses: t.Misses}
 }
 
-// RestoreState rewrites the TLB to match the snapshot, following the
-// same contract as Reset: the installed InjectMiss hook is kept, and
-// the mutation generation is advanced (never rewound) so micro-TLBs and
+// RestoreState rewrites the TLB to match the snapshot. The installed
+// InjectMiss hook is kept, and the mutation generation is advanced
+// (never rewound) so micro-TLBs and
 // translated blocks built against the pre-restore contents invalidate.
 // The VPN index and memo rebuild lazily on the next Lookup.
 func (t *TLB) RestoreState(st *State) {

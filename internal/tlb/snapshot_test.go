@@ -42,3 +42,20 @@ func TestTLBSnapshotRoundTrip(t *testing.T) {
 		t.Errorf("InjectMiss hook lost across restore (calls=%d)", misses)
 	}
 }
+
+// TestRestorePreservesGenMonotonicity: restoring an empty TLB image
+// drops every entry and still advances the generation, so caches built
+// against the pre-restore contents cannot alias the recycled TLB.
+func TestRestorePreservesGenMonotonicity(t *testing.T) {
+	empty := (&TLB{}).CaptureState()
+	var tl TLB
+	tl.WriteIndexed(0, Entry{Hi: MakeHi(1, 0), Lo: MakeLo(1, LoV)})
+	g := tl.Gen()
+	tl.RestoreState(empty)
+	if tl.Gen() <= g {
+		t.Fatalf("restore gen %d not past %d: recycled TLBs could alias stale caches", tl.Gen(), g)
+	}
+	if _, _, ok := tl.Lookup(1<<12, 0); ok {
+		t.Fatal("lookup hit after restoring an empty TLB")
+	}
+}

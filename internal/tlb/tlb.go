@@ -101,9 +101,9 @@ type TLB struct {
 	// usable; nil means "not built yet".
 	index map[uint32]uint64
 	// gen counts mutations (writes, flips, protection updates,
-	// invalidations, resets). The CPU's micro-TLBs compare it to decide
-	// whether their cached translations are still current; it is never
-	// reset so a recycled TLB can't alias a stale cache.
+	// invalidations, restores). The CPU's micro-TLBs compare it to
+	// decide whether their cached translations are still current; it is
+	// never rewound so a recycled TLB can't alias a stale cache.
 	gen uint64
 	// rand drives WriteRandom victim selection deterministically; real
 	// hardware decrements Random once per cycle, which is
@@ -135,23 +135,12 @@ type TLB struct {
 
 // Gen returns the mutation generation. Any change to TLB contents —
 // WriteIndexed, WriteRandom, FlipBits, UpdateProtection,
-// InvalidateASID, InvalidatePage, Reset — advances it; caches keyed on
+// InvalidateASID, InvalidatePage, RestoreState — advances it; caches keyed on
 // a past generation must be discarded when it moves. The CPU's
 // micro-TLBs flush on it, and since translated basic blocks are only
 // reachable through a micro-ITLB hit, it transitively unmaps every
 // block a dropped translation could have entered.
 func (t *TLB) Gen() uint64 { return t.gen }
-
-// Reset invalidates every entry and zeroes statistics, keeping any
-// installed InjectMiss hook. The mutation generation is preserved (and
-// advanced) so caches built against the old contents still invalidate.
-func (t *TLB) Reset() {
-	hook := t.InjectMiss
-	gen := t.gen
-	*t = TLB{}
-	t.InjectMiss = hook
-	t.gen = gen + 1
-}
 
 // buildIndex (re)derives the VPN index from the slot array.
 func (t *TLB) buildIndex() {

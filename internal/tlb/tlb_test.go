@@ -85,7 +85,7 @@ func TestWriteRandomNeverVictimizesWired(t *testing.T) {
 	}
 	// All non-wired slots should eventually be chosen.
 	seen := map[int]bool{}
-	tl.Reset()
+	tl = TLB{}
 	for i := 0; i < 20000 && len(seen) < Entries-Wired; i++ {
 		seen[tl.WriteRandom(Entry{Lo: LoV, Hi: 4096})] = true
 	}
@@ -254,18 +254,5 @@ func TestLookupMemoStalenessAcrossMutators(t *testing.T) {
 	tl.InvalidatePage(4, 0)
 	if _, _, ok := tl.Lookup(4<<12, 0); ok {
 		t.Fatal("memo served dropped entry")
-	}
-}
-
-func TestResetPreservesGenMonotonicity(t *testing.T) {
-	var tl TLB
-	tl.WriteIndexed(0, Entry{Hi: MakeHi(1, 0), Lo: MakeLo(1, LoV)})
-	g := tl.Gen()
-	tl.Reset()
-	if tl.Gen() <= g {
-		t.Fatalf("Reset gen %d not past %d: recycled TLBs could alias stale caches", tl.Gen(), g)
-	}
-	if _, _, ok := tl.Lookup(1<<12, 0); ok {
-		t.Fatal("lookup hit after Reset")
 	}
 }
