@@ -12,7 +12,7 @@ GO ?= go
 # durably improves; never lower it to make a change pass.
 COVER_MIN ?= 86.0
 
-.PHONY: all build test vet check cover campaign soak soak-smoke bench-campaign bench-cpu bench-jit bench-serve bench-fleet serve-smoke chaos-smoke snapshot-smoke difftest-crosscheck fleet-smoke fuzz clean
+.PHONY: all build test vet check cover campaign soak soak-smoke bench-campaign bench-cpu bench-jit bench-fleet serve-smoke chaos-smoke snapshot-smoke difftest-crosscheck fleet-smoke fuzz clean
 
 all: build
 
@@ -43,8 +43,8 @@ check: vet build
 
 # Serving smoke: spins a race-enabled uexc-serve on an ephemeral port
 # and runs the end-to-end self-test — CLI byte-identity of streamed
-# jobs, deterministic 429 backpressure, a mixed loadgen burst with
-# exact /metrics accounting, and a graceful SIGTERM-style drain.
+# jobs, the debug-session gauntlet, a mixed loadgen burst with exact
+# /metrics accounting, and a graceful SIGTERM-style drain.
 serve-smoke:
 	$(GO) run -race ./cmd/uexc-serve -selftest -jobs 24 -concurrency 8
 
@@ -63,9 +63,8 @@ snapshot-smoke:
 # race-enabled server that is killed and restarted 3 times mid-run
 # (plus injected worker panics, shard stalls, slow fsyncs, and client
 # disconnects); the survivor's stream must be byte-identical to an
-# undisturbed run, /metrics accounting exact, and a poison shard must
-# quarantine with a typed failure instead of wedging the service
-# (DESIGN.md §12, EXPERIMENTS.md).
+# undisturbed run and /metrics accounting exact (DESIGN.md §12,
+# EXPERIMENTS.md).
 chaos-smoke:
 	$(GO) run -race ./cmd/uexc-serve -chaos -chaos-seeds 30 -chaos-kills 3
 
@@ -139,13 +138,6 @@ bench-jit:
 	UEXC_ENGINE=fast $(GO) test -run '^$$' -bench 'Benchmark(StepLoop|MemcpyProgram|CampaignSerial)' -benchtime 2s .
 	@echo "== engine=jit (after) =="
 	UEXC_ENGINE=jit $(GO) test -run '^$$' -bench 'Benchmark(StepLoop|MemcpyProgram|CampaignSerial)' -benchtime 2s .
-
-# Serving benchmark: the full self-test at acceptance scale — 200
-# mixed jobs at client concurrency 32 against a race-enabled server —
-# recording throughput and latency percentiles in BENCH_serve.json
-# (see EXPERIMENTS.md).
-bench-serve:
-	$(GO) run -race ./cmd/uexc-serve -selftest -jobs 200 -concurrency 32 -bench-out BENCH_serve.json
 
 # Fleet benchmark: spawns two real uexc-serve worker processes, runs a
 # coordinator against them, and records coordinator overhead vs a

@@ -9,12 +9,10 @@ package main
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"os/exec"
@@ -87,28 +85,28 @@ func runBenchFleet(ctx context.Context, cfg benchFleetConfig, stdout, stderr io.
 	// the coordinator. The workers are separate processes, so on a
 	// loaded box the distributed run also buys real parallelism; the
 	// ratio is the honest end-to-end cost of dispatch + merge.
-	single, stopSingle, err := startInProcess(server.Config{Workers: 4, QueueDepth: 8, MaxJobTimeout: 20 * time.Minute})
+	single, err := server.Start(server.Config{Workers: 4, QueueDepth: 8, MaxJobTimeout: 20 * time.Minute})
 	if err != nil {
 		return err
 	}
 	t0 := time.Now()
-	if err := runCampaignJob(single, res.ProbeSeeds); err != nil {
-		stopSingle()
+	if err := runCampaignJob(ctx, single.URL, res.ProbeSeeds); err != nil {
+		single.Stop()
 		return fmt.Errorf("bench-fleet: single-node probe: %w", err)
 	}
 	res.SingleNodeSecs = time.Since(t0).Seconds()
-	stopSingle()
+	single.Stop()
 
-	coord, stopCoord, err := startInProcess(server.Config{
+	coord, err := server.Start(server.Config{
 		Workers: 2, QueueDepth: 8, MaxJobTimeout: 20 * time.Minute,
 		WorkerNodes: workerURLs,
 	})
 	if err != nil {
 		return err
 	}
-	defer stopCoord()
+	defer coord.Stop()
 	t0 = time.Now()
-	if err := runCampaignJob(coord, res.ProbeSeeds); err != nil {
+	if err := runCampaignJob(ctx, coord.URL, res.ProbeSeeds); err != nil {
 		return fmt.Errorf("bench-fleet: distributed probe: %w", err)
 	}
 	res.DistributedSecs = time.Since(t0).Seconds()
@@ -138,7 +136,7 @@ func runBenchFleet(ctx context.Context, cfg benchFleetConfig, stdout, stderr io.
 		go func() {
 			defer wg.Done()
 			for range jobs {
-				if err := runCampaignJob(coord, seedsPerJob); err != nil {
+				if err := runCampaignJob(ctx, coord.URL, seedsPerJob); err != nil {
 					select {
 					case errs <- err:
 					default:
@@ -159,28 +157,27 @@ func runBenchFleet(ctx context.Context, cfg benchFleetConfig, stdout, stderr io.
 	}
 	res.BurstSecs = time.Since(t0).Seconds()
 	res.EquivalentsPerSec = float64(res.SeedEquivalents) / res.BurstSecs
-	if err := server.VerifyMetrics(coord, func(s server.Snapshot) error {
-		res.Dispatches, res.Acks, res.Redispatches = s.FleetDispatches, s.FleetAcks, s.FleetRedispatches
-		return nil
-	}); err != nil {
+	s, err := server.Metrics(coord.URL)
+	if err != nil {
 		return err
 	}
+	res.Dispatches, res.Acks, res.Redispatches = s.FleetDispatches, s.FleetAcks, s.FleetRedispatches
 	fmt.Fprintf(stderr, "bench-fleet: burst done in %.1fs — %.0f seed-equivalents/s (%d dispatches, %d acks)\n",
 		res.BurstSecs, res.EquivalentsPerSec, res.Dispatches, res.Acks)
 
 	// Tenant-quota demo: a stingy bucket admits one sweep, rejects the
 	// next two with Retry-After, and /metrics carries the per-tenant
 	// accounting that lands in the bench record.
-	demo, stopDemo, err := startInProcess(server.Config{
+	demo, err := server.Start(server.Config{
 		Workers: 2, QueueDepth: 8,
 		Tenants: server.TenantLimits{SeedsPerSec: 1, SeedBurst: 40},
 	})
 	if err != nil {
 		return err
 	}
-	defer stopDemo()
+	defer demo.Stop()
 	for i := 0; i < 3; i++ {
-		status, err := postCampaign(demo, "bench", 30)
+		status, err := runCampaign(ctx, demo.URL, "bench", 30)
 		if err != nil {
 			return fmt.Errorf("bench-fleet: tenant demo: %w", err)
 		}
@@ -193,14 +190,12 @@ func runBenchFleet(ctx context.Context, cfg benchFleetConfig, stdout, stderr io.
 			return fmt.Errorf("bench-fleet: tenant demo: unexpected status %d", status)
 		}
 	}
-	if err := server.VerifyMetrics(demo, func(s server.Snapshot) error {
-		res.TenantDemo.Snapshot = s.Tenants
-		if s.RejectedTenant == 0 {
-			return fmt.Errorf("tenant demo produced no quota rejections")
-		}
-		return nil
-	}); err != nil {
+	if s, err = server.Metrics(demo.URL); err != nil {
 		return fmt.Errorf("bench-fleet: %w", err)
+	}
+	res.TenantDemo.Snapshot = s.Tenants
+	if s.RejectedTenant == 0 {
+		return fmt.Errorf("bench-fleet: tenant demo produced no quota rejections")
 	}
 	fmt.Fprintf(stderr, "bench-fleet: tenant demo: %d admitted, %d rejected by quota\n",
 		res.TenantDemo.Admitted, res.TenantDemo.Rejected)
@@ -252,53 +247,20 @@ func spawnWorker(ctx context.Context, exe string, stderr io.Writer) (url string,
 	}
 }
 
-// startInProcess serves a Server in this process on an ephemeral port.
-func startInProcess(cfg server.Config) (base string, stop func(), err error) {
-	s, err := server.New(cfg)
-	if err != nil {
-		return "", nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		s.Close()
-		return "", nil, err
-	}
-	hs := &http.Server{Handler: s.Handler()}
-	done := make(chan struct{})
-	go func() { defer close(done); _ = hs.Serve(ln) }()
-	return "http://" + ln.Addr().String(), func() {
-		s.Close()
-		_ = hs.Close()
-		<-done
-	}, nil
-}
-
 // runCampaignJob posts one campaign and consumes it to the verified
 // trailer, failing on anything short of a clean ok.
-func runCampaignJob(base string, seeds int) error {
-	status, err := postCampaign(base, "", seeds)
-	if err != nil {
-		return err
+func runCampaignJob(ctx context.Context, base string, seeds int) error {
+	status, err := runCampaign(ctx, base, "", seeds)
+	if err == nil && status != http.StatusOK {
+		err = fmt.Errorf("campaign status %d", status)
 	}
-	if status != http.StatusOK {
-		return fmt.Errorf("campaign status %d", status)
-	}
-	return nil
+	return err
 }
 
-// postCampaign posts one campaign job under an optional tenant and, on
+// runCampaign posts one campaign job under an optional tenant and, on
 // 200, streams it to completion.
-func postCampaign(base, tenant string, seeds int) (int, error) {
-	body, _ := json.Marshal(server.Request{Type: server.TypeCampaign, Seeds: seeds, Parallel: 4})
-	req, err := http.NewRequest(http.MethodPost, base+"/jobs", bytes.NewReader(body))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		req.Header.Set("X-Tenant", tenant)
-	}
-	resp, err := http.DefaultClient.Do(req)
+func runCampaign(ctx context.Context, base, tenant string, seeds int) (int, error) {
+	resp, err := server.PostJob(ctx, base, tenant, server.Request{Type: server.TypeCampaign, Seeds: seeds, Parallel: 4})
 	if err != nil {
 		return 0, err
 	}

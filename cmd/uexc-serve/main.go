@@ -71,7 +71,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		chaosMode   = fs.Bool("chaos", false, "run the crash-tolerance gauntlet on an ephemeral server, then exit")
 		chaosSeeds  = fs.Int("chaos-seeds", 0, "campaign size for -chaos (0: 30)")
 		chaosKills  = fs.Int("chaos-kills", 0, "kill/restart cycles for -chaos (0: 3)")
-		chaosSeed   = fs.Int64("chaos-seed", 0, "fault-plan seed for -chaos (reproduces a failing run)")
+		chaosSeed   = fs.Int64("chaos-seed", 0, "fault-plan seed for -chaos and -fleet-smoke (reproduces a failing run)")
 		fleetSmoke  = fs.Bool("fleet-smoke", false, "run the distributed-coordinator gauntlet on an ephemeral fleet, then exit")
 		fleetSeeds  = fs.Int("fleet-seeds", 0, "campaign size for -fleet-smoke (0: 30)")
 		benchFleet  = fs.Bool("bench-fleet", false, "run the multi-process localhost fleet benchmark, then exit")
@@ -79,7 +79,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		url         = fs.String("url", "http://127.0.0.1:8612", "server base URL (loadgen mode)")
 		jobs        = fs.Int("jobs", 200, "total jobs (loadgen/selftest)")
 		concurrency = fs.Int("concurrency", 32, "client goroutines (loadgen/selftest)")
-		benchOut    = fs.String("bench-out", "", "write the load report as JSON to this file")
+		benchOut    = fs.String("bench-out", "", "write the -loadgen or -bench-fleet report as JSON to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -120,17 +120,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}, stdout, stderr)
 
 	case *selftest:
-		rep, err := server.Smoke(ctx, stderr, server.SmokeConfig{
+		return server.Smoke(ctx, stderr, server.SmokeConfig{
 			Jobs: *jobs, Concurrency: *concurrency,
 			Workers: *workers, QueueDepth: *queue,
 		})
-		if rep != nil {
-			rep.Render(stdout)
-		}
-		if err != nil {
-			return err
-		}
-		return writeBench(*benchOut, rep, stderr)
 
 	case *loadgen:
 		start := time.Now()

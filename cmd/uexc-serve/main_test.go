@@ -15,18 +15,17 @@ import (
 )
 
 func TestFlagErrors(t *testing.T) {
-	var stderr bytes.Buffer
-	if err := run(context.Background(), []string{"-bogus"}, io.Discard, &stderr); err == nil {
-		t.Error("unknown flag accepted")
-	}
-	if err := run(context.Background(), []string{"-selftest", "-loadgen"}, io.Discard, &stderr); err == nil {
-		t.Error("-selftest -loadgen accepted together")
-	}
-	if err := run(context.Background(), []string{"-selftest", "-chaos"}, io.Discard, &stderr); err == nil {
-		t.Error("-selftest -chaos accepted together")
-	}
-	if err := run(context.Background(), []string{"-resume"}, io.Discard, &stderr); err == nil {
-		t.Error("-resume accepted without -store-dir")
+	for _, args := range [][]string{
+		{"-bogus"},
+		{"-selftest", "-loadgen"},
+		{"-selftest", "-chaos"},
+		{"-chaos", "-fleet-smoke"},
+		{"-loadgen", "-bench-fleet"},
+		{"-resume"}, // without -store-dir
+	} {
+		if err := run(context.Background(), args, io.Discard, io.Discard); err == nil {
+			t.Errorf("%v accepted", args)
+		}
 	}
 }
 
@@ -123,19 +122,15 @@ func TestLoadgenMode(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs campaigns")
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	ready := make(chan string, 1)
-	srvErr := make(chan error, 1)
-	go func() {
-		srvErr <- server.Run(ctx, server.Config{Workers: 2, QueueDepth: 8}, nil, ready)
-	}()
-	addr := <-ready
+	in, err := server.Start(server.Config{Workers: 2, QueueDepth: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
 	var stdout, stderr bytes.Buffer
-	err := run(context.Background(), []string{
-		"-loadgen", "-url", "http://" + addr,
+	err = run(context.Background(), []string{
+		"-loadgen", "-url", in.URL,
 		"-jobs", "6", "-concurrency", "3", "-bench-out", out,
 	}, &stdout, &stderr)
 	if err != nil {
@@ -155,9 +150,7 @@ func TestLoadgenMode(t *testing.T) {
 	if rep.OK != 6 || rep.Jobs != 6 || rep.Concurrency != 3 {
 		t.Errorf("bench-out report: %+v", rep)
 	}
-
-	cancel()
-	if err := <-srvErr; err != nil {
+	if err := in.Stop(); err != nil {
 		t.Fatalf("server: %v", err)
 	}
 }

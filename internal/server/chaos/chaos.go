@@ -13,9 +13,8 @@
 //     precisely the restarts, replayed jobs, resumed shards, and job
 //     verdicts the harness itself observed.
 //
-// A separate phase proves the poison-shard quarantine: a shard that
-// fails every retry fails its job with the typed error chain instead
-// of wedging the service.
+// Poison-shard quarantine, with and without a journal, is pinned by
+// the server package's TestPoisonShardQuarantine.
 //
 // Every fault decision is a pure function of (plan seed, job, shard,
 // attempt), so a failing run reproduces with the same -chaos-seed.
@@ -23,13 +22,11 @@ package chaos
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -130,12 +127,10 @@ func Run(ctx context.Context, cfg Config) error {
 	p := plan{seed: cfg.Seed}
 
 	// The undisturbed golden output the survivor must reproduce.
-	var golden bytes.Buffer
-	gres, err := harness.FaultCampaignCtx(ctx, nil, cfg.Seeds, 1, &golden)
+	golden, err := server.Golden(ctx, server.TypeCampaign, cfg.Seeds)
 	if err != nil {
 		return fmt.Errorf("chaos: golden campaign: %w", err)
 	}
-	golden.WriteString(gres.Summary())
 	totalShards := harness.CampaignShards(cfg.Seeds)
 	fmt.Fprintf(out, "chaos: plan seed %d, %d seeds (%d shards), %d kills, journal %s\n",
 		cfg.Seed, cfg.Seeds, totalShards, cfg.Kills, dir)
@@ -149,63 +144,11 @@ func Run(ctx context.Context, cfg Config) error {
 		return fmt.Errorf("chaos: %d seeds is too small for %d kills", cfg.Seeds, cfg.Kills)
 	}
 
-	if err := crashCycles(ctx, cfg, p, dir, budget, golden.String(), out); err != nil {
+	if err := crashCycles(ctx, cfg, p, dir, budget, golden, out); err != nil {
 		return err
 	}
-	if err := poisonPhase(ctx, cfg, out); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "chaos: ok — %d kills survived, stream byte-identical, metrics exact, poison quarantined\n",
-		cfg.Kills)
+	fmt.Fprintf(out, "chaos: ok — %d kills survived, stream byte-identical, metrics exact\n", cfg.Kills)
 	return nil
-}
-
-// incarnation is one server life: a listener plus the server behind it.
-type incarnation struct {
-	srv  *server.Server
-	hs   *http.Server
-	base string
-	done chan struct{}
-}
-
-func start(cfg server.Config) (*incarnation, error) {
-	srv, err := server.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		srv.Close()
-		return nil, err
-	}
-	inc := &incarnation{
-		srv:  srv,
-		hs:   &http.Server{Handler: srv.Handler()},
-		base: "http://" + ln.Addr().String(),
-		done: make(chan struct{}),
-	}
-	go func() { defer close(inc.done); _ = inc.hs.Serve(ln) }()
-	return inc, nil
-}
-
-// kill crashes this incarnation. A real SIGKILL severs the process's
-// sockets and its execution at the same instant; in-process, the
-// listener goes first so remotely-driven ephemeral jobs (a worker's
-// dispatched shard ranges) lose their client and die — otherwise
-// Kill's worker shutdown could be pinned behind a stalled range whose
-// context only the connection cancels. The journal is abandoned inside
-// Kill before job contexts die, preserving the no-zero-digest window.
-func (inc *incarnation) kill() {
-	_ = inc.hs.Close()
-	inc.srv.Kill()
-	<-inc.done
-}
-
-// stop shuts this incarnation down gracefully.
-func (inc *incarnation) stop() {
-	inc.srv.Close()
-	_ = inc.hs.Close()
-	<-inc.done
 }
 
 // brake caps an incarnation's progress at a fixed shard-index limit:
@@ -261,7 +204,7 @@ func crashCycles(ctx context.Context, cfg Config, p plan, dir string, budget int
 			br = newBrake(p, budget*(cycle+1))
 			fault = br.fault
 		}
-		inc, err := start(serverCfg(cycle > 0, fault))
+		inc, err := server.Start(serverCfg(cycle > 0, fault))
 		if err != nil {
 			return fmt.Errorf("chaos: incarnation %d: %w", cycle, err)
 		}
@@ -270,35 +213,24 @@ func crashCycles(ctx context.Context, cfg Config, p plan, dir string, budget int
 			// Post the campaign, read just past the accepted event, and
 			// hang up — the mid-stream disconnect fault. The durable job
 			// must keep running without its client.
-			id, err := postAndAbandon(inc.base, server.Request{
+			id, err := postAndAbandon(ctx, inc.URL, server.Request{
 				Type: server.TypeCampaign, Seeds: cfg.Seeds, Parallel: 3, Verbose: true,
 			})
 			if err != nil {
-				inc.kill()
+				inc.Kill()
 				return fmt.Errorf("chaos: admit: %w", err)
 			}
 			jobID = id
 		} else {
 			// The restarted incarnation must have replayed exactly our job.
-			if err := server.VerifyMetrics(inc.base, func(s server.Snapshot) error {
-				if s.Restarts != uint64(cycle) {
-					return fmt.Errorf("restarts = %d, want %d", s.Restarts, cycle)
-				}
-				if s.ReplayedJobs != 1 {
-					return fmt.Errorf("replayed jobs = %d, want 1", s.ReplayedJobs)
-				}
-				if s.ResumedShards == 0 {
-					return fmt.Errorf("no resumed shards after kill %d; durable prefix lost", cycle)
-				}
-				return nil
-			}); err != nil {
-				inc.kill()
+			if err := checkReplay(inc.URL, cycle); err != nil {
+				inc.Kill()
 				return fmt.Errorf("chaos: incarnation %d replay: %w", cycle, err)
 			}
 			// Re-attach mid-run and hang up again — replay + disconnect.
 			if cycle < cfg.Kills {
-				if err := attachAndAbandon(inc.base, jobID, 3); err != nil {
-					inc.kill()
+				if err := attachAndAbandon(inc.URL, jobID, 3); err != nil {
+					inc.Kill()
 					return fmt.Errorf("chaos: incarnation %d re-attach: %w", cycle, err)
 				}
 			}
@@ -313,124 +245,92 @@ func crashCycles(ctx context.Context, cfg Config, p plan, dir string, budget int
 			select {
 			case <-br.engaged:
 			case <-ctx.Done():
-				inc.kill()
+				inc.Kill()
 				return ctx.Err()
 			case <-time.After(60 * time.Second):
-				inc.kill()
+				inc.Kill()
 				return fmt.Errorf("chaos: incarnation %d: brake never engaged", cycle)
 			}
-			at, err := waitJournalQuiesce(inc.base, 30*time.Second)
+			at, err := waitJournalQuiesce(inc.URL, 30*time.Second)
 			if err != nil {
-				inc.kill()
+				inc.Kill()
 				return fmt.Errorf("chaos: incarnation %d quiesce: %w", cycle, err)
 			}
-			inc.kill()
+			inc.Kill()
 			fmt.Fprintf(out, "chaos: kill #%d after %d journaled records this life\n", cycle+1, at)
 			continue
 		}
 
 		// Final incarnation: attach for real and read to the trailer.
-		streamed, ok, complete, errText := attachFully(inc.base, jobID)
+		streamed, ok, complete, errText := attachFully(inc.URL, jobID)
 		if !complete || !ok {
-			inc.stop()
+			inc.Stop()
 			return fmt.Errorf("chaos: survivor stream incomplete (ok=%v complete=%v): %s", ok, complete, errText)
 		}
 		if streamed != golden {
-			inc.stop()
+			inc.Stop()
 			return fmt.Errorf("chaos: survivor stream differs from the undisturbed run\n--- survivor ---\n%s--- golden ---\n%s",
 				streamed, golden)
 		}
 		fmt.Fprintf(out, "chaos: survivor stream byte-identical to the undisturbed run (%d bytes)\n", len(streamed))
 
 		// Exact accounting on the survivor.
-		if err := server.VerifyMetrics(inc.base, func(s server.Snapshot) error {
-			switch {
-			case s.Restarts != uint64(cfg.Kills):
-				return fmt.Errorf("restarts = %d, want %d", s.Restarts, cfg.Kills)
-			case s.ReplayedJobs != 1:
-				return fmt.Errorf("replayed jobs = %d, want 1", s.ReplayedJobs)
-			case s.JobsOK != 1 || s.JobsFailed != 0 || s.JobsCancelled != 0:
-				return fmt.Errorf("ok/failed/cancelled = %d/%d/%d, want 1/0/0", s.JobsOK, s.JobsFailed, s.JobsCancelled)
-			case s.ResumedShards == 0 || s.ResumedShards >= uint64(harness.CampaignShards(cfg.Seeds)):
-				return fmt.Errorf("resumed shards = %d, want mid-campaign", s.ResumedShards)
-			case s.Checkpoints == 0:
-				return fmt.Errorf("no checkpoints journaled by the survivor")
-			case !s.StoreEnabled:
-				return fmt.Errorf("store not enabled on the survivor")
-			case s.QueueDepth != 0 || s.InFlight != 0:
-				return fmt.Errorf("queue/in-flight = %d/%d after completion", s.QueueDepth, s.InFlight)
-			}
-			return nil
-		}); err != nil {
-			inc.stop()
+		if err := checkSurvivor(inc.URL, cfg); err != nil {
+			inc.Stop()
 			return fmt.Errorf("chaos: survivor accounting: %w", err)
 		}
 		fmt.Fprintf(out, "chaos: survivor metrics exact (restarts %d, 1 job replayed)\n", cfg.Kills)
-		inc.stop()
+		inc.Stop()
 	}
 	return nil
 }
 
-// poisonPhase proves the quarantine on a fresh journal: one shard
-// panics on every attempt, so after the retry budget the job must fail
-// with the typed poison error — and the service must stay healthy.
-func poisonPhase(ctx context.Context, cfg Config, out io.Writer) error {
-	dir, err := os.MkdirTemp("", "uexc-chaos-poison-")
-	if err != nil {
+// checkReplay holds a restarted incarnation to exactly one replayed
+// job with a nonempty durable prefix.
+func checkReplay(base string, cycle int) error {
+	s, err := server.Metrics(base)
+	switch {
+	case err != nil:
 		return err
+	case s.Restarts != uint64(cycle):
+		return fmt.Errorf("restarts = %d, want %d", s.Restarts, cycle)
+	case s.ReplayedJobs != 1:
+		return fmt.Errorf("replayed jobs = %d, want 1", s.ReplayedJobs)
+	case s.ResumedShards == 0:
+		return fmt.Errorf("no resumed shards after kill %d; durable prefix lost", cycle)
 	}
-	defer os.RemoveAll(dir)
+	return nil
+}
 
-	const poisonShard = 2
-	inc, err := start(server.Config{
-		Workers: 1, QueueDepth: 2,
-		StoreDir: dir, CheckpointEvery: 1,
-		ShardAttempts: 2, ShardBackoff: time.Millisecond,
-		ShardFault: func(job uint64, shard, attempt int) server.ShardFault {
-			return server.ShardFault{Panic: shard == poisonShard}
-		},
-	})
-	if err != nil {
-		return fmt.Errorf("chaos: poison server: %w", err)
+// checkSurvivor holds the final incarnation's /metrics to exactly what
+// the harness observed across the whole gauntlet.
+func checkSurvivor(base string, cfg Config) error {
+	s, err := server.Metrics(base)
+	switch {
+	case err != nil:
+		return err
+	case s.Restarts != uint64(cfg.Kills):
+		return fmt.Errorf("restarts = %d, want %d", s.Restarts, cfg.Kills)
+	case s.ReplayedJobs != 1:
+		return fmt.Errorf("replayed jobs = %d, want 1", s.ReplayedJobs)
+	case s.JobsOK != 1 || s.JobsFailed != 0 || s.JobsCancelled != 0:
+		return fmt.Errorf("ok/failed/cancelled = %d/%d/%d, want 1/0/0", s.JobsOK, s.JobsFailed, s.JobsCancelled)
+	case s.ResumedShards == 0 || s.ResumedShards >= uint64(harness.CampaignShards(cfg.Seeds)):
+		return fmt.Errorf("resumed shards = %d, want mid-campaign", s.ResumedShards)
+	case s.Checkpoints == 0:
+		return fmt.Errorf("no checkpoints journaled by the survivor")
+	case !s.StoreEnabled:
+		return fmt.Errorf("store not enabled on the survivor")
+	case s.QueueDepth != 0 || s.InFlight != 0:
+		return fmt.Errorf("queue/in-flight = %d/%d after completion", s.QueueDepth, s.InFlight)
 	}
-	defer inc.stop()
-
-	body, _ := json.Marshal(server.Request{Type: server.TypeCampaign, Seeds: 2, Parallel: 1})
-	resp, err := http.Post(inc.base+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("chaos: poison post: %w", err)
-	}
-	defer resp.Body.Close()
-	_, ok, complete, errText := server.StreamResult(resp.Body)
-	if !complete {
-		return fmt.Errorf("chaos: poison stream incomplete: %s", errText)
-	}
-	if ok {
-		return fmt.Errorf("chaos: job succeeded despite a poison shard")
-	}
-	for _, want := range []string{"poison shard quarantined", fmt.Sprintf("shard %d", poisonShard)} {
-		if !strings.Contains(errText, want) {
-			return fmt.Errorf("chaos: poison error %q missing %q", errText, want)
-		}
-	}
-	if err := server.VerifyMetrics(inc.base, func(s server.Snapshot) error {
-		if s.ShardsPoisoned != 1 || s.JobsFailed != 1 || s.ShardRetries == 0 {
-			return fmt.Errorf("poisoned/failed/retries = %d/%d/%d, want 1/1/>0",
-				s.ShardsPoisoned, s.JobsFailed, s.ShardRetries)
-		}
-		return nil
-	}); err != nil {
-		return fmt.Errorf("chaos: poison accounting: %w", err)
-	}
-	fmt.Fprintf(out, "chaos: poison shard quarantined with typed error after bounded retries\n")
 	return nil
 }
 
 // postAndAbandon admits a job, reads just the accepted event for the
 // ID, and drops the connection — the first mid-stream disconnect.
-func postAndAbandon(base string, req server.Request) (uint64, error) {
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
+func postAndAbandon(ctx context.Context, base string, req server.Request) (uint64, error) {
+	resp, err := server.PostJob(ctx, base, "", req)
 	if err != nil {
 		return 0, err
 	}
@@ -486,29 +386,18 @@ func attachFully(base string, id uint64) (output string, ok, complete bool, errT
 // count — the shards that finished ahead of the brake have all been
 // journaled, so the kill cannot erase the life's durable progress.
 func waitJournalQuiesce(base string, timeout time.Duration) (uint64, error) {
-	deadline := time.Now().Add(timeout)
 	var last uint64
 	stable := 0
-	for {
-		var now uint64
-		var checkpointed bool
-		if err := server.VerifyMetrics(base, func(s server.Snapshot) error {
-			now, checkpointed = s.JournalAppends, s.Checkpoints >= 1
-			return nil
-		}); err != nil {
-			return 0, err
-		}
-		if checkpointed && now == last {
+	s, err := server.WaitMetrics(base, timeout, func(s server.Snapshot) bool {
+		if s.Checkpoints >= 1 && s.JournalAppends == last {
 			stable++
-			if stable >= 20 {
-				return now, nil
-			}
 		} else {
-			last, stable = now, 0
+			last, stable = s.JournalAppends, 0
 		}
-		if time.Now().After(deadline) {
-			return 0, fmt.Errorf("journal never quiesced within %v", timeout)
-		}
-		time.Sleep(2 * time.Millisecond)
+		return stable >= 20
+	})
+	if err != nil {
+		return 0, fmt.Errorf("journal never quiesced within %v: %w", timeout, err)
 	}
+	return s.JournalAppends, nil
 }

@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"io"
@@ -68,12 +67,10 @@ func FleetRun(ctx context.Context, cfg FleetConfig) error {
 	space := harness.CampaignShards(cfg.Seeds)
 
 	// The undisturbed golden output the distributed run must reproduce.
-	var golden bytes.Buffer
-	gres, err := harness.FaultCampaignCtx(ctx, nil, cfg.Seeds, 1, &golden)
+	golden, err := server.Golden(ctx, server.TypeCampaign, cfg.Seeds)
 	if err != nil {
 		return fmt.Errorf("fleet: golden campaign: %w", err)
 	}
-	golden.WriteString(gres.Summary())
 	fmt.Fprintf(out, "fleet: %d seeds (%d shards), 2 workers, journal %s\n", cfg.Seeds, space, dir)
 
 	// The gate brakes every worker at one global shard index: shards
@@ -95,16 +92,16 @@ func FleetRun(ctx context.Context, cfg FleetConfig) error {
 		ShardAttempts: 3, ShardBackoff: time.Millisecond,
 		ShardFault: workerFault,
 	}
-	w0, err := start(workerCfg)
+	w0, err := server.Start(workerCfg)
 	if err != nil {
 		return fmt.Errorf("fleet: worker 0: %w", err)
 	}
-	defer w0.stop()
-	w1, err := start(workerCfg)
+	defer w0.Stop()
+	w1, err := server.Start(workerCfg)
 	if err != nil {
 		return fmt.Errorf("fleet: worker 1: %w", err)
 	}
-	defer w1.stop()
+	defer w1.Stop()
 
 	coordCfg := func(resume bool, nodes []string) server.Config {
 		return server.Config{
@@ -116,33 +113,33 @@ func FleetRun(ctx context.Context, cfg FleetConfig) error {
 			ShardBackoff:     time.Millisecond,
 		}
 	}
-	coordA, err := start(coordCfg(false, []string{w0.base, w1.base}))
+	coordA, err := server.Start(coordCfg(false, []string{w0.URL, w1.URL}))
 	if err != nil {
 		return fmt.Errorf("fleet: coordinator A: %w", err)
 	}
 
 	// Admit the campaign and hang up mid-stream: the durable
 	// coordinator job must keep dispatching without its client.
-	jobID, err := postAndAbandon(coordA.base, server.Request{
+	jobID, err := postAndAbandon(ctx, coordA.URL, server.Request{
 		Type: server.TypeCampaign, Seeds: cfg.Seeds, Parallel: 2, Verbose: true,
 	})
 	if err != nil {
-		coordA.kill()
+		coordA.Kill()
 		return fmt.Errorf("fleet: admit: %w", err)
 	}
 
 	// Fault 1: kill worker 0 once it holds a dispatched range, and
 	// demand the coordinator move the stranded range to the survivor.
-	if err := waitFleet(coordA.base, w0.base, 30*time.Second, out); err != nil {
-		coordA.kill()
+	if err := waitFleet(coordA.URL, w0.URL, 30*time.Second); err != nil {
+		coordA.Kill()
 		return fmt.Errorf("fleet: pre-kill progress: %w", err)
 	}
-	w0.kill()
+	w0.Kill()
 	fmt.Fprintf(out, "fleet: worker 0 killed mid-range\n")
-	if err := waitSnapshotOn(coordA.base, 30*time.Second, func(s server.Snapshot) bool {
+	if _, err := server.WaitMetrics(coordA.URL, 30*time.Second, func(s server.Snapshot) bool {
 		return s.FleetRedispatches >= 1
 	}); err != nil {
-		coordA.kill()
+		coordA.Kill()
 		return fmt.Errorf("fleet: stranded range never re-dispatched: %w", err)
 	}
 	fmt.Fprintf(out, "fleet: stranded range re-dispatched to the survivor\n")
@@ -150,17 +147,17 @@ func FleetRun(ctx context.Context, cfg FleetConfig) error {
 	// Fault 2: kill the coordinator once this life's merge progress is
 	// checkpointed, then plant a torn compaction tmp next to the
 	// journal — reopening must clobber it, not replay it.
-	if err := waitSnapshotOn(coordA.base, 30*time.Second, func(s server.Snapshot) bool {
+	if _, err := server.WaitMetrics(coordA.URL, 30*time.Second, func(s server.Snapshot) bool {
 		return s.Checkpoints >= 1 && s.FleetAcks >= 1
 	}); err != nil {
-		coordA.kill()
+		coordA.Kill()
 		return fmt.Errorf("fleet: durable progress before coordinator kill: %w", err)
 	}
-	if _, err := waitJournalQuiesce(coordA.base, 30*time.Second); err != nil {
-		coordA.kill()
+	if _, err := waitJournalQuiesce(coordA.URL, 30*time.Second); err != nil {
+		coordA.Kill()
 		return fmt.Errorf("fleet: quiesce before coordinator kill: %w", err)
 	}
-	coordA.kill()
+	coordA.Kill()
 	tornTmp := filepath.Join(dir, "journal.ndjson.tmp")
 	if err := os.WriteFile(tornTmp, []byte("{\"t\":\"restart\",\"job\":9\ngarbage"), 0o644); err != nil {
 		return fmt.Errorf("fleet: plant torn tmp: %w", err)
@@ -170,57 +167,65 @@ func FleetRun(ctx context.Context, cfg FleetConfig) error {
 	// Recovery: open the gate, bring up a replacement worker, and let
 	// coordinator B resume from the journal with the surviving fleet.
 	gate.Store(int64(space))
-	w2, err := start(workerCfg)
+	w2, err := server.Start(workerCfg)
 	if err != nil {
 		return fmt.Errorf("fleet: replacement worker: %w", err)
 	}
-	defer w2.stop()
-	coordB, err := start(coordCfg(true, []string{w1.base, w2.base}))
+	defer w2.Stop()
+	coordB, err := server.Start(coordCfg(true, []string{w1.URL, w2.URL}))
 	if err != nil {
 		return fmt.Errorf("fleet: coordinator B: %w", err)
 	}
-	defer coordB.stop()
+	defer coordB.Stop()
 	if _, err := os.Stat(tornTmp); !os.IsNotExist(err) {
 		return fmt.Errorf("fleet: torn compaction tmp survived reopen (stat err: %v)", err)
 	}
 
-	streamed, ok, complete, errText := attachFully(coordB.base, jobID)
+	streamed, ok, complete, errText := attachFully(coordB.URL, jobID)
 	if !complete || !ok {
 		return fmt.Errorf("fleet: resumed stream incomplete (ok=%v complete=%v): %s", ok, complete, errText)
 	}
-	if streamed != golden.String() {
+	if streamed != golden {
 		return fmt.Errorf("fleet: distributed stream differs from the undisturbed run\n--- distributed ---\n%s--- golden ---\n%s",
-			streamed, golden.String())
+			streamed, golden)
 	}
 	fmt.Fprintf(out, "fleet: resumed distributed stream byte-identical to the serial run (%d bytes)\n", len(streamed))
 
 	// Exact accounting on the surviving coordinator.
-	if err := server.VerifyMetrics(coordB.base, func(s server.Snapshot) error {
-		switch {
-		case s.Restarts != 1 || s.ReplayedJobs != 1:
-			return fmt.Errorf("restarts/replayed = %d/%d, want 1/1", s.Restarts, s.ReplayedJobs)
-		case s.ResumedShards == 0 || s.ResumedShards >= uint64(space):
-			return fmt.Errorf("resumed shards = %d, want mid-campaign (of %d)", s.ResumedShards, space)
-		case s.JobsOK != 1 || s.JobsFailed != 0 || s.JobsCancelled != 0:
-			return fmt.Errorf("ok/failed/cancelled = %d/%d/%d, want 1/0/0", s.JobsOK, s.JobsFailed, s.JobsCancelled)
-		case !s.FleetEnabled || s.FleetWorkers != 2:
-			return fmt.Errorf("fleet enabled/workers = %v/%d, want true/2", s.FleetEnabled, s.FleetWorkers)
-		case s.FleetDispatches == 0 || s.FleetDispatches != s.FleetAcks:
-			return fmt.Errorf("dispatches/acks = %d/%d, want equal and nonzero on the survivor",
-				s.FleetDispatches, s.FleetAcks)
-		case s.QueueDepth != 0 || s.InFlight != 0:
-			return fmt.Errorf("queue/in-flight = %d/%d after completion", s.QueueDepth, s.InFlight)
-		}
-		for name, ts := range s.Tenants {
-			if ts.Queued != 0 || ts.Running != 0 {
-				return fmt.Errorf("tenant %q gauges queued=%d running=%d after completion", name, ts.Queued, ts.Running)
-			}
-		}
-		return nil
-	}); err != nil {
+	if err := checkFleetSurvivor(coordB.URL, space); err != nil {
 		return fmt.Errorf("fleet: survivor accounting: %w", err)
 	}
 	fmt.Fprintf(out, "fleet: ok — worker kill, coordinator kill, torn tmp all survived; stream byte-identical, metrics exact\n")
+	return nil
+}
+
+// checkFleetSurvivor holds the replacement coordinator's /metrics to
+// the whole ordeal: one restart, one replayed job resumed mid-campaign,
+// every dispatch acked, and every gauge back at zero.
+func checkFleetSurvivor(base string, space int) error {
+	s, err := server.Metrics(base)
+	switch {
+	case err != nil:
+		return err
+	case s.Restarts != 1 || s.ReplayedJobs != 1:
+		return fmt.Errorf("restarts/replayed = %d/%d, want 1/1", s.Restarts, s.ReplayedJobs)
+	case s.ResumedShards == 0 || s.ResumedShards >= uint64(space):
+		return fmt.Errorf("resumed shards = %d, want mid-campaign (of %d)", s.ResumedShards, space)
+	case s.JobsOK != 1 || s.JobsFailed != 0 || s.JobsCancelled != 0:
+		return fmt.Errorf("ok/failed/cancelled = %d/%d/%d, want 1/0/0", s.JobsOK, s.JobsFailed, s.JobsCancelled)
+	case !s.FleetEnabled || s.FleetWorkers != 2:
+		return fmt.Errorf("fleet enabled/workers = %v/%d, want true/2", s.FleetEnabled, s.FleetWorkers)
+	case s.FleetDispatches == 0 || s.FleetDispatches != s.FleetAcks:
+		return fmt.Errorf("dispatches/acks = %d/%d, want equal and nonzero on the survivor",
+			s.FleetDispatches, s.FleetAcks)
+	case s.QueueDepth != 0 || s.InFlight != 0:
+		return fmt.Errorf("queue/in-flight = %d/%d after completion", s.QueueDepth, s.InFlight)
+	}
+	for name, ts := range s.Tenants {
+		if ts.Queued != 0 || ts.Running != 0 {
+			return fmt.Errorf("tenant %q gauges queued=%d running=%d after completion", name, ts.Queued, ts.Running)
+		}
+	}
 	return nil
 }
 
@@ -230,46 +235,16 @@ func FleetRun(ctx context.Context, cfg FleetConfig) error {
 // kill matters: the survivor may be braked for the full stall on its
 // own range, so the post-kill "durable progress" wait must already be
 // satisfied by pre-kill work, not depend on the brake expiring.
-func waitFleet(coord, worker string, timeout time.Duration, out io.Writer) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		var coordReady, workerBusy bool
-		if err := server.VerifyMetrics(coord, func(s server.Snapshot) error {
-			coordReady = s.FleetDispatches >= 2 && s.FleetAcks >= 1
-			return nil
-		}); err != nil {
-			return err
+func waitFleet(coord, worker string, timeout time.Duration) error {
+	_, err := server.WaitMetrics(coord, timeout, func(s server.Snapshot) bool {
+		if s.FleetDispatches < 2 || s.FleetAcks < 1 {
+			return false
 		}
-		if err := server.VerifyMetrics(worker, func(s server.Snapshot) error {
-			workerBusy = s.InFlight >= 1
-			return nil
-		}); err != nil {
-			return err
-		}
-		if coordReady && workerBusy {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("worker never held a live range (coord ready %v, worker busy %v)", coordReady, workerBusy)
-		}
-		time.Sleep(2 * time.Millisecond)
+		ws, err := server.Metrics(worker)
+		return err == nil && ws.InFlight >= 1
+	})
+	if err != nil {
+		return fmt.Errorf("worker never held a live range: %w", err)
 	}
-}
-
-// waitSnapshotOn polls one server's /metrics until cond holds.
-func waitSnapshotOn(base string, timeout time.Duration, cond func(server.Snapshot) bool) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		var got server.Snapshot
-		if err := server.VerifyMetrics(base, func(s server.Snapshot) error { got = s; return nil }); err != nil {
-			return err
-		}
-		if cond(got) {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("condition never held; last snapshot: %+v", got)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	return nil
 }

@@ -71,7 +71,7 @@ func (n *fleetNode) ok() {
 // backoff (deterministically jittered), repeat offenders are
 // quarantined for the full cooldown so a dead worker cannot burn range
 // attempts at connection-refused speed.
-func (n *fleetNode) fail(base, quarantine time.Duration, m *Metrics, jobID uint64) {
+func (n *fleetNode) fail(base, quarantine time.Duration, m *metrics, jobID uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.failures++

@@ -1,18 +1,13 @@
 package server
 
 import (
-	"bytes"
-	"context"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	dt "uexc/internal/difftest"
 	"uexc/internal/harness"
 )
 
@@ -26,29 +21,6 @@ func startWorkers(t *testing.T, n int, cfg Config) []string {
 		_, urls[i] = startTest(t, cfg)
 	}
 	return urls
-}
-
-// campaignGolden is the undisturbed serial CLI stream + summary.
-func campaignGolden(t *testing.T, seeds int) string {
-	t.Helper()
-	var b bytes.Buffer
-	res, err := harness.FaultCampaignCtx(context.Background(), nil, seeds, 1, &b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.WriteString(res.Summary())
-	return b.String()
-}
-
-func difftestGolden(t *testing.T, seeds int) string {
-	t.Helper()
-	var b bytes.Buffer
-	res, err := dt.CampaignCtx(context.Background(), nil, seeds, 1, &b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.WriteString(res.Summary())
-	return b.String()
 }
 
 // TestDistributedByteIdentity: a coordinator fanning a sweep out to two
@@ -65,28 +37,18 @@ func TestDistributedByteIdentity(t *testing.T) {
 		WorkerNodes: workers, DispatchShards: 4,
 	})
 
-	t.Run("campaign", func(t *testing.T) {
-		out, ok, errText, _, _ := postStream(t, base,
-			Request{Type: TypeCampaign, Seeds: seeds, Parallel: 4, Verbose: true})
-		if !ok {
-			t.Fatalf("distributed campaign failed: %s", errText)
-		}
-		if golden := campaignGolden(t, seeds); out != golden {
-			t.Errorf("distributed stream differs from the serial run\n--- distributed ---\n%s--- golden ---\n%s",
-				out, golden)
-		}
-	})
-	t.Run("difftest", func(t *testing.T) {
-		out, ok, errText, _, _ := postStream(t, base,
-			Request{Type: TypeDifftest, Seeds: seeds, Parallel: 4, Verbose: true})
-		if !ok {
-			t.Fatalf("distributed difftest failed: %s", errText)
-		}
-		if golden := difftestGolden(t, seeds); out != golden {
-			t.Errorf("distributed stream differs from the serial run\n--- distributed ---\n%s--- golden ---\n%s",
-				out, golden)
-		}
-	})
+	for _, typ := range []Type{TypeCampaign, TypeDifftest} {
+		t.Run(string(typ), func(t *testing.T) {
+			st := postStream(t, base, Request{Type: typ, Seeds: seeds, Parallel: 4, Verbose: true})
+			if !st.ok {
+				t.Fatalf("distributed %s failed: %s", typ, st.errText)
+			}
+			if want := golden(t, typ, seeds); st.output != want {
+				t.Errorf("distributed stream differs from the serial run\n--- distributed ---\n%s--- golden ---\n%s",
+					st.output, want)
+			}
+		})
+	}
 
 	if got := coord.metrics.FleetDispatches.Load(); got < 2 {
 		t.Errorf("FleetDispatches = %d, want >= 2", got)
@@ -96,8 +58,8 @@ func TestDistributedByteIdentity(t *testing.T) {
 	}
 	// Point jobs stay local: no dispatch for a program-run.
 	before := coord.metrics.FleetDispatches.Load()
-	if _, ok, errText, _, _ := postStream(t, base, Request{Type: TypeProgramRun, Seed: 3}); !ok {
-		t.Fatalf("program-run on coordinator failed: %s", errText)
+	if st := postStream(t, base, Request{Type: TypeProgramRun, Seed: 3}); !st.ok {
+		t.Fatalf("program-run on coordinator failed: %s", st.errText)
 	}
 	if got := coord.metrics.FleetDispatches.Load(); got != before {
 		t.Errorf("program-run was dispatched to the fleet (dispatches %d -> %d)", before, got)
@@ -177,14 +139,13 @@ func TestDistributedWorkerKillMidRange(t *testing.T) {
 		ShardBackoff:     time.Millisecond,
 	})
 
-	out, ok, errText, _, _ := postStream(t, base,
-		Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
-	if !ok {
-		t.Fatalf("campaign failed despite a surviving worker: %s", errText)
+	st := postStream(t, base, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
+	if !st.ok {
+		t.Fatalf("campaign failed despite a surviving worker: %s", st.errText)
 	}
-	if golden := campaignGolden(t, seeds); out != golden {
+	if want := golden(t, TypeCampaign, seeds); st.output != want {
 		t.Errorf("stream across a worker kill differs from the serial run\n--- distributed ---\n%s--- golden ---\n%s",
-			out, golden)
+			st.output, want)
 	}
 	if got := coord.metrics.FleetRedispatches.Load(); got < 1 {
 		t.Errorf("FleetRedispatches = %d, want >= 1 (the victim's range had to move)", got)
@@ -219,14 +180,13 @@ func TestDistributedAllWorkersPoisoned(t *testing.T) {
 		ShardBackoff:     time.Millisecond,
 	})
 
-	_, ok, errText, _, _ := postStream(t, base,
-		Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2})
-	if ok {
+	st := postStream(t, base, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2})
+	if st.ok {
 		t.Fatal("campaign succeeded although every worker poisons shard 5")
 	}
 	for _, want := range []string{"poison shard quarantined", "shard 5"} {
-		if !strings.Contains(errText, want) {
-			t.Errorf("terminal error %q missing %q", errText, want)
+		if !strings.Contains(st.errText, want) {
+			t.Errorf("terminal error %q missing %q", st.errText, want)
 		}
 	}
 	if got := coord.metrics.JobsFailed.Load(); got != 1 {
@@ -247,7 +207,7 @@ func TestDistributedCoordinatorKillResume(t *testing.T) {
 		t.Skip("runs campaigns across a coordinator kill")
 	}
 	const seeds = 6
-	golden := campaignGolden(t, seeds)
+	want := golden(t, TypeCampaign, seeds)
 	space := harness.CampaignShards(seeds)
 
 	// Workers stall every shard a little so the kill lands mid-sweep.
@@ -270,38 +230,27 @@ func TestDistributedCoordinatorKillResume(t *testing.T) {
 		StoreDir: dir, CheckpointEvery: 1, StoreSyncEvery: 1,
 		WorkerNodes: workers, DispatchShards: 3,
 	})
-	hs1 := httptest.NewServer(s1.Handler())
-
-	body, _ := json.Marshal(Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	in1, err := Serve(s1, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	posted := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		resp, err := http.Post(hs1.URL+"/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			return
-		}
-		defer resp.Body.Close()
-		StreamResult(resp.Body)
+		defer close(posted)
+		tryPost(in1.URL, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
 	}()
 
 	waitMetric(t, "durable fleet progress before kill", func() bool {
 		return s1.metrics.Checkpoints.Load() >= 2 && s1.metrics.FleetAcks.Load() >= 1
 	})
-	s1.Kill()
-	wg.Wait()
-	hs1.Close()
+	in1.Kill()
+	<-posted
 	stall.Store(false)
 
-	s2 := newT(t, Config{
+	s2, base2 := startTest(t, Config{
 		Workers: 1, QueueDepth: 4,
 		StoreDir: dir, Resume: true, CheckpointEvery: 1,
 		WorkerNodes: workers, DispatchShards: 3,
-	})
-	hs2 := httptest.NewServer(s2.Handler())
-	t.Cleanup(func() {
-		hs2.Close()
-		s2.Close()
 	})
 
 	if got := s2.metrics.ReplayedJobs.Load(); got != 1 {
@@ -315,18 +264,13 @@ func TestDistributedCoordinatorKillResume(t *testing.T) {
 		t.Errorf("ResumedShards = %d of %d; nothing was left to dispatch", resumed, space)
 	}
 
-	resp, err := http.Get(hs2.URL + "/jobs/1")
-	if err != nil {
-		t.Fatal(err)
+	st := reattach(t, base2, 1)
+	if !st.complete || !st.ok {
+		t.Fatalf("resumed distributed job did not complete cleanly: %+v", st)
 	}
-	defer resp.Body.Close()
-	out, ok, complete, errText := StreamResult(resp.Body)
-	if !complete || !ok {
-		t.Fatalf("resumed distributed job did not complete cleanly: ok=%v complete=%v err=%s", ok, complete, errText)
-	}
-	if out != golden {
+	if st.output != want {
 		t.Errorf("resumed distributed stream differs from the serial run\n--- resumed ---\n%s--- golden ---\n%s",
-			out, golden)
+			st.output, want)
 	}
 	// The second incarnation dispatched only past the frontier.
 	maxRanges := (space-int(resumed))/3 + 1

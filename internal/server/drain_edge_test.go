@@ -2,11 +2,8 @@ package server
 
 import (
 	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"net/http"
-	"net/http/httptest"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -23,17 +20,12 @@ func TestDrainWaitsForMidCheckpointJob(t *testing.T) {
 		t.Skip("runs a campaign")
 	}
 	const seeds = 2
-	var golden bytes.Buffer
-	gres, err := harness.FaultCampaignCtx(context.Background(), nil, seeds, 1, &golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden.WriteString(gres.Summary())
+	want := golden(t, TypeCampaign, seeds)
 
 	var armed atomic.Bool
 	entered := make(chan struct{}, 1)
 	release := make(chan struct{})
-	s, err := New(Config{
+	s, base := startTest(t, Config{
 		Workers: 1, QueueDepth: 2,
 		StoreDir: t.TempDir(), CheckpointEvery: 1, StoreSyncEvery: 1,
 		// Once armed, the next checkpoint fsync parks until released —
@@ -54,31 +46,10 @@ func TestDrainWaitsForMidCheckpointJob(t *testing.T) {
 			return ShardFault{Stall: 5 * time.Millisecond}
 		},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		s.Close()
-	})
 
-	body, _ := json.Marshal(Request{Type: TypeCampaign, Seeds: seeds, Parallel: 1, Verbose: true})
-	type streamed struct {
-		output       string
-		ok, complete bool
-		errText      string
-	}
 	clientDone := make(chan streamed, 1)
 	go func() {
-		resp, err := http.Post(hs.URL+"/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			clientDone <- streamed{errText: err.Error()}
-			return
-		}
-		defer resp.Body.Close()
-		var st streamed
-		st.output, st.ok, st.complete, st.errText = StreamResult(resp.Body)
+		st, _ := tryPost(base, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 1, Verbose: true})
 		clientDone <- st
 	}()
 
@@ -103,11 +74,11 @@ func TestDrainWaitsForMidCheckpointJob(t *testing.T) {
 	}
 	st := <-clientDone
 	if !st.complete || !st.ok {
-		t.Fatalf("job across a mid-checkpoint drain: ok=%v complete=%v err=%s", st.ok, st.complete, st.errText)
+		t.Fatalf("job across a mid-checkpoint drain: %+v", st)
 	}
-	if st.output != golden.String() {
+	if st.output != want {
 		t.Errorf("stream differs from the undisturbed run\n--- got ---\n%s--- golden ---\n%s",
-			st.output, golden.String())
+			st.output, want)
 	}
 	if got := s.metrics.JobsOK.Load(); got != 1 {
 		t.Errorf("JobsOK = %d, want 1", got)
@@ -124,17 +95,12 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 	}
 	const seeds = 4
 	dir := t.TempDir()
-	var golden bytes.Buffer
-	gres, err := harness.FaultCampaignCtx(context.Background(), nil, seeds, 1, &golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden.WriteString(gres.Summary())
+	want := golden(t, TypeCampaign, seeds)
 
 	// Incarnation A: checkpoint every shard, stall a late shard to pin
 	// the campaign mid-flight, then kill.
 	stallShard := harness.CampaignShards(seeds) - 2
-	s1, err := New(Config{
+	s1 := newT(t, Config{
 		Workers: 1, QueueDepth: 2,
 		StoreDir: dir, CheckpointEvery: 1, StoreSyncEvery: 1,
 		ShardFault: func(job uint64, shard, attempt int) ShardFault {
@@ -144,41 +110,27 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 			return ShardFault{}
 		},
 	})
+	in1, err := Serve(s1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs1 := httptest.NewServer(s1.Handler())
-	body, _ := json.Marshal(Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
 	posted := make(chan struct{})
 	go func() {
 		defer close(posted)
-		resp, err := http.Post(hs1.URL+"/jobs", "application/json", bytes.NewReader(body))
-		if err == nil {
-			StreamResult(resp.Body)
-			resp.Body.Close()
-		}
+		tryPost(in1.URL, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
 	}()
 	waitMetric(t, "checkpoints before kill", func() bool { return s1.metrics.Checkpoints.Load() >= 3 })
-	s1.Kill()
+	in1.Kill()
 	<-posted
-	hs1.Close()
 
 	// Incarnation B: resume, with every live shard slowed so the
 	// replayed prefix streams while the job is still running.
-	s2, err := New(Config{
+	s2, base2 := startTest(t, Config{
 		Workers: 1, QueueDepth: 2,
 		StoreDir: dir, Resume: true, CheckpointEvery: 1,
 		ShardFault: func(job uint64, shard, attempt int) ShardFault {
 			return ShardFault{Stall: 5 * time.Millisecond}
 		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs2 := httptest.NewServer(s2.Handler())
-	t.Cleanup(func() {
-		hs2.Close()
-		s2.Close()
 	})
 	if got := s2.metrics.ReplayedJobs.Load(); got != 1 {
 		t.Fatalf("ReplayedJobs = %d, want 1", got)
@@ -186,7 +138,7 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 
 	// Attach, sip two replayed events, and hang up mid-replay.
 	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, hs2.URL+"/jobs/1", nil)
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, base2+"/jobs/1", nil)
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -203,17 +155,12 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 		t.Errorf("JobsCancelled = %d, want 0", got)
 	}
 
-	full, err := http.Get(hs2.URL + "/jobs/1")
-	if err != nil {
-		t.Fatal(err)
+	st := reattach(t, base2, 1)
+	if !st.complete || !st.ok {
+		t.Fatalf("final attach incomplete: %+v", st)
 	}
-	defer full.Body.Close()
-	out, ok, complete, errText := StreamResult(full.Body)
-	if !complete || !ok {
-		t.Fatalf("final attach incomplete: ok=%v complete=%v err=%s", ok, complete, errText)
-	}
-	if out != golden.String() {
+	if st.output != want {
 		t.Errorf("resumed stream differs from the undisturbed run\n--- got ---\n%s--- golden ---\n%s",
-			out, golden.String())
+			st.output, want)
 	}
 }

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,26 +8,12 @@ import (
 	"hash/fnv"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
 	"uexc/internal/harness"
 )
-
-// waitMetric polls a server-side condition until it holds or the
-// deadline lapses. Test goroutine only.
-func waitMetric(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(30 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: condition never held", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
 
 // TestDurableJobSurvivesKillAndResumes is the acceptance scenario: a
 // campaign job is admitted on a durable server, the server is killed
@@ -44,18 +29,12 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 	const seeds = 6
 	dir := t.TempDir()
 
-	// The undisturbed golden: CLI stream + summary at shard width 1.
-	var golden bytes.Buffer
-	gres, err := harness.FaultCampaignCtx(context.Background(), nil, seeds, 1, &golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden.WriteString(gres.Summary())
+	want := golden(t, TypeCampaign, seeds)
 
 	// Incarnation A: checkpoint every merged shard, and stall one late
 	// shard so the campaign reliably outlives the kill trigger.
 	stallShard := harness.CampaignShards(seeds) - 3
-	s1, err := New(Config{
+	s1 := newT(t, Config{
 		Workers: 1, QueueDepth: 4,
 		StoreDir: dir, CheckpointEvery: 1, StoreSyncEvery: 1,
 		ShardFault: func(job uint64, shard, attempt int) ShardFault {
@@ -65,26 +44,14 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 			return ShardFault{}
 		},
 	})
+	in1, err := Serve(s1, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs1 := httptest.NewServer(s1.Handler())
 
-	body, _ := json.Marshal(Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
-	type streamed struct {
-		ok, complete bool
-		errText      string
-	}
 	clientDone := make(chan streamed, 1)
 	go func() {
-		resp, err := http.Post(hs1.URL+"/jobs", "application/json", bytes.NewReader(body))
-		if err != nil {
-			clientDone <- streamed{errText: err.Error()}
-			return
-		}
-		defer resp.Body.Close()
-		var st streamed
-		_, st.ok, st.complete, st.errText = StreamResult(resp.Body)
+		st, _ := tryPost(in1.URL, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
 		clientDone <- st
 	}()
 
@@ -93,28 +60,18 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 	waitMetric(t, "checkpoints before kill", func() bool {
 		return s1.metrics.Checkpoints.Load() >= 5 && s1.metrics.ShardStalls.Load() >= 1
 	})
-	s1.Kill()
-	// An in-process kill cannot cut the TCP stream the way a real
-	// SIGKILL does, but the job must have died unfinished — and the
-	// journal must carry no finish record (proven below by the replay).
+	in1.Kill()
+	// The job must have died unfinished — and the journal must carry no
+	// finish record (proven below by the replay).
 	if st := <-clientDone; st.ok {
 		t.Fatalf("job finished ok across a kill: %+v", st)
 	}
-	hs1.Close()
 	if got := s1.metrics.JobsCancelled.Load(); got != 1 {
 		t.Errorf("incarnation A JobsCancelled = %d, want 1", got)
 	}
 
 	// Incarnation B: same store, resume on. No faults this time.
-	s2, err := New(Config{Workers: 1, QueueDepth: 4, StoreDir: dir, Resume: true, CheckpointEvery: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	hs2 := httptest.NewServer(s2.Handler())
-	t.Cleanup(func() {
-		hs2.Close()
-		s2.Close()
-	})
+	s2, base2 := startTest(t, Config{Workers: 1, QueueDepth: 4, StoreDir: dir, Resume: true, CheckpointEvery: 1})
 
 	if got := s2.metrics.Restarts.Load(); got != 1 {
 		t.Errorf("Restarts = %d, want 1", got)
@@ -130,21 +87,14 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 	}
 
 	// Re-attach to the replayed job and demand the undisturbed bytes.
-	resp, err := http.Get(hs2.URL + "/jobs/1")
-	if err != nil {
-		t.Fatal(err)
+	st := reattach(t, base2, 1)
+	if !st.complete || !st.ok {
+		t.Fatalf("resumed job did not complete cleanly: status=%d ok=%v complete=%v err=%s",
+			st.status, st.ok, st.complete, st.errText)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /jobs/1: status %d", resp.StatusCode)
-	}
-	out, ok, complete, errText := StreamResult(resp.Body)
-	if !complete || !ok {
-		t.Fatalf("resumed job did not complete cleanly: ok=%v complete=%v err=%s", ok, complete, errText)
-	}
-	if out != golden.String() {
+	if st.output != want {
 		t.Errorf("resumed stream differs from the undisturbed run\n--- resumed ---\n%s--- golden ---\n%s",
-			out, golden.String())
+			st.output, want)
 	}
 	if got := s2.metrics.JobsOK.Load(); got != 1 {
 		t.Errorf("incarnation B JobsOK = %d, want 1", got)
@@ -155,29 +105,10 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 // walking away mid-stream leaves the journaled job running; its result
 // is recovered later via GET /jobs/{id}.
 func TestDurableClientDisconnectDoesNotCancel(t *testing.T) {
-	s, err := New(Config{Workers: 1, QueueDepth: 2, StoreDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	release := make(chan struct{})
-	s.execHook = func(j *job) (bool, string, error) {
-		select {
-		case <-release:
-			return true, "durable job done\n", nil
-		case <-j.ctx.Done():
-			return false, "", j.ctx.Err()
-		}
-	}
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		s.Close()
-	})
+	s, base, release := hold(t, Config{Workers: 1, QueueDepth: 2, StoreDir: t.TempDir()})
 
-	body, _ := json.Marshal(Request{Type: TypeProgramRun, Seed: 1})
 	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/jobs", bytes.NewReader(body))
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := PostJob(ctx, base, "", Request{Type: TypeProgramRun, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,18 +122,12 @@ func TestDurableClientDisconnectDoesNotCancel(t *testing.T) {
 	if got := s.metrics.InFlight.Load(); got != 1 {
 		t.Fatalf("InFlight = %d after disconnect; a durable job must not be cancelled by its client", got)
 	}
-	close(release)
+	release()
 	waitMetric(t, "job finished", func() bool { return s.metrics.JobsOK.Load() == 1 })
 
 	// Recover the full stream by re-attaching.
-	rresp, err := http.Get(hs.URL + "/jobs/1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rresp.Body.Close()
-	out, ok, complete, errText := StreamResult(rresp.Body)
-	if !complete || !ok || out != "durable job done\n" {
-		t.Errorf("re-attached stream: ok=%v complete=%v out=%q err=%s", ok, complete, out, errText)
+	if st := reattach(t, base, 1); !st.complete || !st.ok || st.output != heldOutput {
+		t.Errorf("re-attached stream: %+v", st)
 	}
 	if got := s.metrics.JobsCancelled.Load(); got != 0 {
 		t.Errorf("JobsCancelled = %d, want 0", got)
@@ -211,41 +136,52 @@ func TestDurableClientDisconnectDoesNotCancel(t *testing.T) {
 
 // TestPoisonShardQuarantine: a shard that fails every attempt is
 // quarantined after ShardAttempts tries, failing the job with the
-// typed *ShardError chain, while a transiently failing shard is
-// retried into success with byte-identical output.
+// typed *ShardError chain instead of wedging the service — on an
+// ephemeral server and on a journal-backed one checkpointing every
+// shard.
 func TestPoisonShardQuarantine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs campaigns")
 	}
 	const seeds = 2
-	s, base := startTest(t, Config{
-		Workers: 1, QueueDepth: 2,
-		ShardAttempts: 2, ShardBackoff: time.Millisecond,
-		ShardFault: func(job uint64, shard, attempt int) ShardFault {
-			return ShardFault{Panic: shard == 3}
-		},
-	})
-	out, ok, errText, status, _ := postStream(t, base,
-		Request{Type: TypeCampaign, Seeds: seeds, Parallel: 1})
-	if status != http.StatusOK {
-		t.Fatalf("status %d", status)
-	}
-	if ok {
-		t.Fatalf("job succeeded with a poison shard: %s", out)
-	}
-	for _, want := range []string{"poison shard quarantined", "shard 3", "2 attempts"} {
-		if !strings.Contains(errText, want) {
-			t.Errorf("terminal error %q missing %q", errText, want)
-		}
-	}
-	if got := s.metrics.ShardsPoisoned.Load(); got != 1 {
-		t.Errorf("ShardsPoisoned = %d, want 1", got)
-	}
-	if got := s.metrics.ShardRetries.Load(); got != 1 {
-		t.Errorf("ShardRetries = %d, want 1 (one retry before quarantine)", got)
-	}
-	if got := s.metrics.JobsFailed.Load(); got != 1 {
-		t.Errorf("JobsFailed = %d, want 1 (quarantine is a failure, not a cancellation)", got)
+	for _, tc := range []struct {
+		name  string
+		store bool
+	}{{"ephemeral", false}, {"journaled", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := Config{
+				Workers: 1, QueueDepth: 2,
+				ShardAttempts: 2, ShardBackoff: time.Millisecond,
+				ShardFault: func(job uint64, shard, attempt int) ShardFault {
+					return ShardFault{Panic: shard == 3}
+				},
+			}
+			if tc.store {
+				cfg.StoreDir, cfg.CheckpointEvery = t.TempDir(), 1
+			}
+			s, base := startTest(t, cfg)
+			st := postStream(t, base, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 1})
+			if st.status != http.StatusOK {
+				t.Fatalf("status %d", st.status)
+			}
+			if st.ok {
+				t.Fatalf("job succeeded with a poison shard: %s", st.output)
+			}
+			for _, want := range []string{"poison shard quarantined", "shard 3", "2 attempts"} {
+				if !strings.Contains(st.errText, want) {
+					t.Errorf("terminal error %q missing %q", st.errText, want)
+				}
+			}
+			snap := s.snapshot()
+			if snap.ShardsPoisoned != 1 || snap.ShardRetries != 1 || snap.JobsFailed != 1 {
+				// One retry before quarantine; quarantine is a failure, not a cancellation.
+				t.Errorf("poisoned/retries/failed = %d/%d/%d, want 1/1/1",
+					snap.ShardsPoisoned, snap.ShardRetries, snap.JobsFailed)
+			}
+			if snap.StoreEnabled != tc.store {
+				t.Errorf("store enabled = %v, want %v", snap.StoreEnabled, tc.store)
+			}
+		})
 	}
 }
 
@@ -258,13 +194,7 @@ func TestTransientShardPanicRetriedByteIdentical(t *testing.T) {
 		t.Skip("runs campaigns")
 	}
 	const seeds = 3
-	var golden bytes.Buffer
-	gres, err := harness.FaultCampaignCtx(context.Background(), nil, seeds, 1, &golden)
-	if err != nil {
-		t.Fatal(err)
-	}
-	golden.WriteString(gres.Summary())
-
+	want := golden(t, TypeCampaign, seeds)
 	s, base := startTest(t, Config{
 		Workers: 1, QueueDepth: 2,
 		ShardAttempts: 3, ShardBackoff: time.Millisecond,
@@ -272,14 +202,13 @@ func TestTransientShardPanicRetriedByteIdentical(t *testing.T) {
 			return ShardFault{Panic: shard == 2 && attempt == 0}
 		},
 	})
-	out, ok, errText, _, _ := postStream(t, base,
-		Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
-	if !ok {
-		t.Fatalf("job failed despite retry budget: %s", errText)
+	st := postStream(t, base, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
+	if !st.ok {
+		t.Fatalf("job failed despite retry budget: %s", st.errText)
 	}
-	if out != golden.String() {
+	if st.output != want {
 		t.Errorf("retried stream differs from the undisturbed run\n--- retried ---\n%s--- golden ---\n%s",
-			out, golden.String())
+			st.output, want)
 	}
 	if got := s.metrics.ShardRetries.Load(); got != 1 {
 		t.Errorf("ShardRetries = %d, want 1", got)
@@ -426,4 +355,18 @@ func TestStreamResultTrailerIntegrity(t *testing.T) {
 		!strings.Contains(errText, "fingerprint") {
 		t.Errorf("bad fingerprint: complete=%v err=%q", complete, errText)
 	}
+
+	// Transport failure after the accepted event: reported as such, not
+	// as a clean end of stream.
+	accepted, _ := lines(Event{Type: "accepted", ID: 1, Job: "program-run"})
+	reset := io.MultiReader(strings.NewReader(accepted), failingReader{errors.New("connection reset by peer")})
+	if _, _, complete, errText = StreamResult(reset); complete ||
+		!strings.Contains(errText, "connection reset by peer") {
+		t.Errorf("reset stream: complete=%v err=%q", complete, errText)
+	}
 }
+
+// failingReader fails every read with err.
+type failingReader struct{ err error }
+
+func (r failingReader) Read([]byte) (int, error) { return 0, r.err }

@@ -1,10 +1,7 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -100,64 +97,6 @@ type jobOutcome struct {
 	retries  [2]int // [429, 503]
 }
 
-// StreamResult reads one NDJSON job stream and reconstructs the
-// CLI-equivalent output: concatenated progress lines followed by the
-// result summary. It returns the reconstructed output, the result
-// verdict, and whether the stream completed — which now requires the
-// integrity trailer: the final event's record count and FNV-1a-64
-// fingerprint must match what the client itself counted and hashed,
-// so a truncated or corrupted stream can never pass as complete.
-func StreamResult(r io.Reader) (output string, ok, complete bool, errText string) {
-	var b strings.Builder
-	h := fnv.New64a()
-	records := 0
-	sawResult := false
-	var resultOK bool
-	var resultErr string
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return b.String(), false, false, "malformed event: " + err.Error()
-		}
-		if ev.Type == "trailer" {
-			if !sawResult {
-				return b.String(), false, false, "trailer arrived before a result event"
-			}
-			if ev.Records != records {
-				return b.String(), false, false,
-					fmt.Sprintf("trailer counts %d records, client saw %d", ev.Records, records)
-			}
-			if want := fmt.Sprintf("%016x", h.Sum64()); ev.FNV != want {
-				return b.String(), false, false,
-					fmt.Sprintf("stream fingerprint mismatch: trailer %s, client %s", ev.FNV, want)
-			}
-			return b.String(), resultOK, true, resultErr
-		}
-		// The trailer fingerprints every preceding line with its newline.
-		h.Write(line)
-		h.Write([]byte{'\n'})
-		records++
-		switch ev.Type {
-		case "progress":
-			b.WriteString(ev.Line)
-		case "result":
-			sawResult = true
-			b.WriteString(ev.Summary)
-			if ev.OK != nil {
-				resultOK = *ev.OK
-			}
-			resultErr = ev.Error
-		}
-	}
-	if sawResult {
-		return b.String(), false, false, "stream ended without an integrity trailer"
-	}
-	return b.String(), false, false, "stream ended without a result event"
-}
-
 // Bounds on the backpressure pause: a zero or missing Retry-After hint
 // must never produce a zero-sleep hot retry loop (the client would spin
 // re-POSTing a full queue as fast as the network allows), and the
@@ -195,9 +134,8 @@ func retryWait(hinted time.Duration, jobIdx, rejection int) time.Duration {
 
 // postJob posts one job and consumes its stream, retrying on
 // backpressure (429/503) until admitted or the context dies.
-func postJob(ctx context.Context, client *http.Client, base string, jobIdx int, req Request, retryCap time.Duration) jobOutcome {
+func postJob(ctx context.Context, base string, jobIdx int, req Request, retryCap time.Duration) jobOutcome {
 	out := jobOutcome{req: req}
-	body, _ := json.Marshal(req)
 	start := time.Now()
 	rejections := 0
 	for {
@@ -205,13 +143,7 @@ func postJob(ctx context.Context, client *http.Client, base string, jobIdx int, 
 			out.errText = ctx.Err().Error()
 			return out
 		}
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/jobs", bytes.NewReader(body))
-		if err != nil {
-			out.errText = err.Error()
-			return out
-		}
-		hreq.Header.Set("Content-Type", "application/json")
-		resp, err := client.Do(hreq)
+		resp, err := PostJob(ctx, base, "", req)
 		if err != nil {
 			out.errText = err.Error()
 			return out
@@ -266,8 +198,6 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	if cfg.Jobs <= 0 || cfg.Concurrency <= 0 {
 		return nil, fmt.Errorf("loadgen: jobs (%d) and concurrency (%d) must be positive", cfg.Jobs, cfg.Concurrency)
 	}
-	client := &http.Client{}
-
 	rep := &LoadReport{
 		Jobs: cfg.Jobs, Concurrency: cfg.Concurrency,
 		ByType: map[string]int{}, RetryHistogram: map[int]int{},
@@ -281,7 +211,7 @@ func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 		go func() {
 			defer wg.Done()
 			for i := range indices {
-				outcomes[i] = postJob(ctx, client, cfg.BaseURL, i, cfg.mixRequest(i), cfg.RetryCap)
+				outcomes[i] = postJob(ctx, cfg.BaseURL, i, cfg.mixRequest(i), cfg.RetryCap)
 			}
 		}()
 	}

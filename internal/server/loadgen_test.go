@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -115,8 +114,7 @@ func TestPostJobMissingRetryAfterRetries(t *testing.T) {
 	defer hs.Close()
 
 	start := time.Now()
-	out := postJob(context.Background(), hs.Client(), hs.URL, 0,
-		Request{Type: TypeProgramRun, Seed: 1}, 0)
+	out := postJob(context.Background(), hs.URL, 0, Request{Type: TypeProgramRun, Seed: 1}, 0)
 	if !out.complete || !out.ok {
 		t.Fatalf("job against a hint-less 429 server: complete=%v ok=%v err=%q",
 			out.complete, out.ok, out.errText)
@@ -136,28 +134,13 @@ func TestPostJobMissingRetryAfterRetries(t *testing.T) {
 // the logjam and checks the burst completes with an internally
 // consistent retry histogram.
 func TestLoadgenBackpressureRetryHistogram(t *testing.T) {
-	s := newT(t, Config{Workers: 1, QueueDepth: 1})
-	release := make(chan struct{})
-	var once sync.Once
-	rel := func() { once.Do(func() { close(release) }) }
-	defer rel()
-	s.execHook = func(j *job) (bool, string, error) {
-		select {
-		case <-release:
-			return true, "done\n", nil
-		case <-j.ctx.Done():
-			return false, "", j.ctx.Err()
-		}
-	}
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-	defer s.Close()
+	s, base, release := hold(t, Config{Workers: 1, QueueDepth: 1})
 
 	// Pin the worker, then the queue slot, strictly in turn.
 	results := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, _, _, err := tryPost(hs.URL, Request{Type: TypeProgramRun, Seed: 1})
+			_, err := tryPost(base, Request{Type: TypeProgramRun, Seed: 1})
 			results <- err
 		}()
 		inFlight, queued := int64(1), 0
@@ -169,9 +152,9 @@ func TestLoadgenBackpressureRetryHistogram(t *testing.T) {
 		})
 	}
 
-	go func() { time.Sleep(50 * time.Millisecond); rel() }()
+	go func() { time.Sleep(50 * time.Millisecond); release() }()
 	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL: hs.URL, Jobs: 4, Concurrency: 2, RetryCap: 2 * time.Millisecond,
+		BaseURL: base, Jobs: 4, Concurrency: 2, RetryCap: 2 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatalf("loadgen against a saturated server: %v\nreport: %+v", err, rep)

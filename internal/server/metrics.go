@@ -11,12 +11,12 @@ import (
 	"uexc/internal/verdict"
 )
 
-// Metrics is the server's observability surface: admission and
+// metrics is the server's observability surface: admission and
 // completion counters, the in-flight gauge, and the simulator's own
 // counters accumulated from every pooled machine as it is returned
 // after a run (core.MachinePool.Harvest). All fields are atomics; the
 // struct is safe for concurrent update from workers and handlers.
-type Metrics struct {
+type metrics struct {
 	Admitted         atomic.Uint64 // jobs accepted into the queue
 	RejectedFull     atomic.Uint64 // 429: queue at capacity
 	RejectedDraining atomic.Uint64 // 503: drain in progress
@@ -77,10 +77,10 @@ type Metrics struct {
 	SimJITInvalidations atomic.Uint64 // block entries rejected by a moved page generation
 }
 
-// newMetrics builds a Metrics with one per-type admission counter for
+// newMetrics builds a metrics with one per-type admission counter for
 // every known job type.
-func newMetrics() *Metrics {
-	m := &Metrics{byType: make(map[Type]*atomic.Uint64, len(Types))}
+func newMetrics() *metrics {
+	m := &metrics{byType: make(map[Type]*atomic.Uint64, len(Types))}
 	for _, t := range Types {
 		m.byType[t] = &atomic.Uint64{}
 	}
@@ -89,7 +89,7 @@ func newMetrics() *Metrics {
 
 // addVerdicts folds one completed sweep's verdict tally into the
 // counters.
-func (m *Metrics) addVerdicts(c verdict.Counts) {
+func (m *metrics) addVerdicts(c verdict.Counts) {
 	for k := verdict.Kind(0); k < verdict.NumKinds; k++ {
 		if c[k] > 0 {
 			m.Verdicts[k].Add(uint64(c[k]))
@@ -100,7 +100,7 @@ func (m *Metrics) addVerdicts(c verdict.Counts) {
 // harvest accumulates one finished run's simulator counters. Installed
 // as the machine pool's Harvest hook, so it observes the machine after
 // the run and before the next checkout's restore wipes it.
-func (m *Metrics) harvest(mach *core.Machine) {
+func (m *metrics) harvest(mach *core.Machine) {
 	st := mach.K.Stats
 	m.SimFastDeliveries.Add(st.FastDeliveries)
 	m.SimUnixDeliveries.Add(st.UnixDeliveries)

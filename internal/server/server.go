@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -66,7 +65,7 @@ import (
 // Config sizes the service.
 type Config struct {
 	// Addr is the listen address for Run ("" picks 127.0.0.1:0, the
-	// ephemeral-port form the smoke harness uses).
+	// ephemeral-port form the self-test uses).
 	Addr string
 	// Workers is the number of jobs executing concurrently (<=0: 4).
 	Workers int
@@ -195,7 +194,7 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg     Config
 	pool    *core.MachinePool
-	metrics *Metrics
+	metrics *metrics
 	store   *store.Store // nil without StoreDir
 	tenants *tenantRegistry
 	fleet   *fleet // nil unless WorkerNodes is set
@@ -218,9 +217,9 @@ type Server struct {
 
 	workerWG sync.WaitGroup
 
-	// execHook, when non-nil, replaces runJob — a seam the tests and
-	// the smoke harness use to hold jobs in place, making queue-full
-	// and drain conditions deterministic regardless of engine speed.
+	// execHook, when non-nil, replaces runJob — a seam the tests use
+	// to hold jobs in place, making queue-full and drain conditions
+	// deterministic regardless of engine speed.
 	execHook func(j *job) (bool, string, error)
 }
 
@@ -732,7 +731,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Run serves cfg.Addr until ctx is cancelled (SIGTERM in
-// cmd/uexc-serve), then drains gracefully: admission closes, admitted
+// cmd/uexc-serve), then stops gracefully: admission closes, admitted
 // jobs finish and flush, and only then does the listener shut down.
 // The bound address is reported through ready (buffered; may be nil)
 // as soon as the listener is up.
@@ -741,45 +740,33 @@ func Run(ctx context.Context, cfg Config, logw io.Writer, ready chan<- string) e
 	if err != nil {
 		return err
 	}
-	defer s.Close()
-
-	addr := cfg.Addr
-	if addr == "" {
-		addr = "127.0.0.1:0"
-	}
-	ln, err := net.Listen("tcp", addr)
+	in, err := Serve(s, cfg.Addr)
 	if err != nil {
+		s.Close()
 		return err
 	}
-	hs := &http.Server{Handler: s.Handler()}
 	if logw != nil {
 		fmt.Fprintf(logw, "uexc-serve: listening on %s (workers %d, queue %d)\n",
-			ln.Addr(), s.cfg.Workers, s.cfg.QueueDepth)
+			in.addr, s.cfg.Workers, s.cfg.QueueDepth)
 		if s.store != nil {
 			fmt.Fprintf(logw, "uexc-serve: journal %s: restart #%d, %d jobs replayed (%d durable shards)\n",
 				cfg.StoreDir, s.metrics.Restarts.Load(), s.metrics.ReplayedJobs.Load(), s.metrics.ResumedShards.Load())
 		}
 	}
 	if ready != nil {
-		ready <- ln.Addr().String()
+		ready <- in.addr
 	}
 
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
 	select {
-	case err := <-serveErr:
-		return err
+	case <-in.done:
+		s.Close()
+		return in.serveErr
 	case <-ctx.Done():
 	}
 	if logw != nil {
 		fmt.Fprintln(logw, "uexc-serve: drain: admission closed, finishing in-flight jobs")
 	}
-	s.Drain()
-	// Streams may still be flushing; Shutdown waits for the handlers.
-	shutCtx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	err = hs.Shutdown(shutCtx)
+	err = in.Stop()
 	if logw != nil {
 		fmt.Fprintln(logw, "uexc-serve: drained, bye")
 	}

@@ -1,86 +1,19 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	dt "uexc/internal/difftest"
 	"uexc/internal/harness"
 )
-
-// newT builds a Server, failing the test on a store error.
-func newT(t *testing.T, cfg Config) *Server {
-	t.Helper()
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New: %v", err)
-	}
-	return s
-}
-
-// startTest serves a fresh Server over real HTTP and tears both down
-// with the test.
-func startTest(t *testing.T, cfg Config) (*Server, string) {
-	t.Helper()
-	s := newT(t, cfg)
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		s.Close()
-	})
-	return s, hs.URL
-}
-
-// postStream posts a job and fully consumes its stream. Main test
-// goroutine only (it may Fatal).
-func postStream(t *testing.T, base string, req Request) (output string, ok bool, errText string, status int, hdr http.Header) {
-	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /jobs: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		return string(msg), false, "", resp.StatusCode, resp.Header
-	}
-	out, okv, complete, errText := StreamResult(resp.Body)
-	if !complete {
-		t.Fatalf("stream for %+v ended without a result event (so far: %q, err %s)", req, out, errText)
-	}
-	return out, okv, errText, resp.StatusCode, resp.Header
-}
-
-// tryPost is the goroutine-safe variant: it never touches testing.T,
-// reporting transport problems as an error instead.
-func tryPost(base string, req Request) (output string, ok bool, status int, err error) {
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return "", false, 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return "", false, resp.StatusCode, nil
-	}
-	out, okv, complete, errText := StreamResult(resp.Body)
-	if !complete {
-		return out, false, resp.StatusCode, fmt.Errorf("incomplete stream: %s", errText)
-	}
-	return out, okv, resp.StatusCode, nil
-}
 
 func TestRequestValidate(t *testing.T) {
 	const maxSeeds = 100
@@ -133,68 +66,41 @@ func TestParseMode(t *testing.T) {
 // rejection never disturbs the admitted jobs. The blocking exec hook
 // makes saturation deterministic.
 func TestQueueFull429(t *testing.T) {
-	s := newT(t, Config{Workers: 2, QueueDepth: 2})
-	release := make(chan struct{})
-	s.execHook = func(j *job) (bool, string, error) {
-		select {
-		case <-release:
-			return true, "held job done\n", nil
-		case <-j.ctx.Done():
-			return false, "", j.ctx.Err()
-		}
-	}
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-	defer s.Close()
-	var once sync.Once
-	rel := func() { once.Do(func() { close(release) }) }
-	defer rel() // must run before s.Close so held jobs can finish
+	s, base, release := hold(t, Config{Workers: 2, QueueDepth: 2})
 
-	type res struct {
-		ok     bool
-		output string
-	}
-	results := make(chan res, 4)
+	results := make(chan error, 4)
 	for i := 0; i < 4; i++ {
 		go func(i int) {
-			out, ok, status, err := tryPost(hs.URL, Request{Type: TypeProgramRun, Seed: int64(i)})
-			if err != nil || status != http.StatusOK {
-				results <- res{false, fmt.Sprintf("status %d err %v", status, err)}
-				return
+			st, err := tryPost(base, Request{Type: TypeProgramRun, Seed: int64(i)})
+			if err == nil && (st.status != http.StatusOK || !st.ok) {
+				err = fmt.Errorf("status %d ok %v: %s", st.status, st.ok, st.output)
 			}
-			results <- res{ok, out}
+			results <- err
 		}(i)
 	}
 	// Deterministic saturation: 2 in flight, 2 queued.
-	deadline := time.Now().Add(10 * time.Second)
-	for s.metrics.InFlight.Load() != 2 || len(s.queue) != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("saturation not reached: inflight %d, queued %d",
-				s.metrics.InFlight.Load(), len(s.queue))
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitMetric(t, "saturation", func() bool {
+		return s.metrics.InFlight.Load() == 2 && len(s.queue) == 2
+	})
 
-	_, _, _, status, hdr := postStream(t, hs.URL, Request{Type: TypeProgramRun, Seed: 99})
-	if status != http.StatusTooManyRequests {
-		t.Fatalf("queue-full POST: status %d, want 429", status)
+	st := postStream(t, base, Request{Type: TypeProgramRun, Seed: 99})
+	if st.status != http.StatusTooManyRequests {
+		t.Fatalf("queue-full POST: status %d, want 429", st.status)
 	}
-	if hdr.Get("Retry-After") == "" {
+	if st.header.Get("Retry-After") == "" {
 		t.Error("429 response missing Retry-After")
 	}
 
-	rel()
+	release()
 	for i := 0; i < 4; i++ {
-		r := <-results
-		if !r.ok {
-			t.Errorf("admitted job failed: %s", r.output)
+		if err := <-results; err != nil {
+			t.Errorf("admitted job failed: %v", err)
 		}
 	}
-	if got := s.metrics.RejectedFull.Load(); got != 1 {
-		t.Errorf("RejectedFull = %d, want 1", got)
-	}
-	if got := s.metrics.Admitted.Load(); got != 4 {
-		t.Errorf("Admitted = %d, want 4", got)
+	snap := s.snapshot()
+	if snap.RejectedFull != 1 || snap.Admitted != 4 || snap.JobsOK != 4 {
+		t.Errorf("rejected/admitted/ok = %d/%d/%d, want 1/4/4",
+			snap.RejectedFull, snap.Admitted, snap.JobsOK)
 	}
 }
 
@@ -202,56 +108,33 @@ func TestQueueFull429(t *testing.T) {
 // run to completion and stream its full result while new jobs bounce
 // with 503 + Retry-After; /healthz flips to draining.
 func TestDrainFinishesAdmittedRejectsNew(t *testing.T) {
-	s := newT(t, Config{Workers: 1, QueueDepth: 4})
-	release := make(chan struct{})
-	s.execHook = func(j *job) (bool, string, error) {
-		select {
-		case <-release:
-			return true, "drained job done\n", nil
-		case <-j.ctx.Done():
-			return false, "", j.ctx.Err()
-		}
-	}
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-	defer s.Close()
-	var once sync.Once
-	rel := func() { once.Do(func() { close(release) }) }
-	defer rel()
+	s, base, release := hold(t, Config{Workers: 1, QueueDepth: 4})
 
 	results := make(chan bool, 2)
 	for i := 0; i < 2; i++ {
 		go func(i int) {
-			out, ok, status, err := tryPost(hs.URL, Request{Type: TypeProgramRun, Seed: int64(i)})
-			results <- err == nil && ok && status == http.StatusOK && out == "drained job done\n"
+			st, err := tryPost(base, Request{Type: TypeProgramRun, Seed: int64(i)})
+			results <- err == nil && st.ok && st.status == http.StatusOK && st.output == heldOutput
 		}(i)
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for s.metrics.Admitted.Load() != 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("jobs never admitted")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitMetric(t, "jobs admitted", func() bool { return s.metrics.Admitted.Load() == 2 })
 
 	drained := make(chan struct{})
 	go func() {
 		s.Drain()
 		close(drained)
 	}()
-	for !s.isDraining() {
-		time.Sleep(time.Millisecond)
-	}
+	waitMetric(t, "draining", s.isDraining)
 
 	// New work is rejected while the admitted jobs are still running.
-	_, _, _, status, hdr := postStream(t, hs.URL, Request{Type: TypeProgramRun, Seed: 9})
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("POST during drain: status %d, want 503", status)
+	st := postStream(t, base, Request{Type: TypeProgramRun, Seed: 9})
+	if st.status != http.StatusServiceUnavailable {
+		t.Fatalf("POST during drain: status %d, want 503", st.status)
 	}
-	if hdr.Get("Retry-After") == "" {
+	if st.header.Get("Retry-After") == "" {
 		t.Error("503 response missing Retry-After")
 	}
-	hres, err := http.Get(hs.URL + "/healthz")
+	hres, err := http.Get(base + "/healthz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +149,7 @@ func TestDrainFinishesAdmittedRejectsNew(t *testing.T) {
 		t.Fatal("Drain returned while jobs were still held")
 	default:
 	}
-	rel()
+	release()
 	select {
 	case <-drained:
 	case <-time.After(10 * time.Second):
@@ -277,8 +160,10 @@ func TestDrainFinishesAdmittedRejectsNew(t *testing.T) {
 			t.Error("admitted job did not complete cleanly across the drain")
 		}
 	}
-	if got := s.metrics.RejectedDraining.Load(); got != 1 {
-		t.Errorf("RejectedDraining = %d, want 1", got)
+	snap := s.snapshot()
+	if snap.RejectedDraining != 1 || snap.Admitted != 2 || snap.JobsOK != 2 {
+		t.Errorf("rejectedDraining/admitted/ok = %d/%d/%d, want 1/2/2",
+			snap.RejectedDraining, snap.Admitted, snap.JobsOK)
 	}
 }
 
@@ -291,37 +176,17 @@ func TestStreamByteIdenticalToCLI(t *testing.T) {
 	}
 	s, base := startTest(t, Config{Workers: 2, QueueDepth: 8})
 	const seeds = 3
-
-	var wantCampaign bytes.Buffer
-	cres, err := harness.FaultCampaignCtx(context.Background(), nil, seeds, 1, &wantCampaign)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCampaign.WriteString(cres.Summary())
-
-	var wantDiff bytes.Buffer
-	dres, err := dt.CampaignCtx(context.Background(), nil, seeds, 1, &wantDiff)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantDiff.WriteString(dres.Summary())
-
-	for _, tc := range []struct {
-		req  Request
-		want string
-	}{
-		{Request{Type: TypeCampaign, Seeds: seeds, Parallel: 1, Verbose: true}, wantCampaign.String()},
-		{Request{Type: TypeCampaign, Seeds: seeds, Parallel: 4, Verbose: true}, wantCampaign.String()},
-		{Request{Type: TypeDifftest, Seeds: seeds, Parallel: 1, Verbose: true}, wantDiff.String()},
-		{Request{Type: TypeDifftest, Seeds: seeds, Parallel: 4, Verbose: true}, wantDiff.String()},
-	} {
-		out, ok, errText, status, _ := postStream(t, base, tc.req)
-		if status != http.StatusOK || !ok {
-			t.Fatalf("%s parallel %d: status %d ok %v err %s", tc.req.Type, tc.req.Parallel, status, ok, errText)
-		}
-		if out != tc.want {
-			t.Errorf("%s parallel %d: stream differs from CLI\n--- server ---\n%s--- cli ---\n%s",
-				tc.req.Type, tc.req.Parallel, out, tc.want)
+	for _, typ := range []Type{TypeCampaign, TypeDifftest} {
+		want := golden(t, typ, seeds)
+		for _, par := range []int{1, 4} {
+			st := postStream(t, base, Request{Type: typ, Seeds: seeds, Parallel: par, Verbose: true})
+			if st.status != http.StatusOK || !st.ok {
+				t.Fatalf("%s parallel %d: status %d ok %v err %s", typ, par, st.status, st.ok, st.errText)
+			}
+			if st.output != want {
+				t.Errorf("%s parallel %d: stream differs from CLI\n--- server ---\n%s--- cli ---\n%s",
+					typ, par, st.output, want)
+			}
 		}
 	}
 
@@ -348,16 +213,15 @@ func TestProgramRunJob(t *testing.T) {
 	s, base := startTest(t, Config{Workers: 2, QueueDepth: 8})
 	for _, mode := range []string{"ultrix", "fast", "hardware"} {
 		req := Request{Type: TypeProgramRun, Seed: 11, Mode: mode}
-		out1, ok, errText, _, _ := postStream(t, base, req)
-		if !ok {
-			t.Fatalf("mode %s: job failed: %s", mode, errText)
+		st := postStream(t, base, req)
+		if !st.ok {
+			t.Fatalf("mode %s: job failed: %s", mode, st.errText)
 		}
-		if !strings.Contains(out1, "program-run: seed 11") || !strings.Contains(out1, "exit: clean") {
-			t.Errorf("mode %s: unexpected summary:\n%s", mode, out1)
+		if !strings.Contains(st.output, "program-run: seed 11") || !strings.Contains(st.output, "exit: clean") {
+			t.Errorf("mode %s: unexpected summary:\n%s", mode, st.output)
 		}
-		out2, _, _, _, _ := postStream(t, base, req)
-		if out1 != out2 {
-			t.Errorf("mode %s: summary not deterministic:\n%s\nvs\n%s", mode, out1, out2)
+		if again := postStream(t, base, req); again.output != st.output {
+			t.Errorf("mode %s: summary not deterministic:\n%s\nvs\n%s", mode, st.output, again.output)
 		}
 	}
 	if s.metrics.SimInsts.Load() == 0 || s.metrics.SimExceptions.Load() == 0 {
@@ -375,12 +239,12 @@ func TestFigureSweepJob(t *testing.T) {
 		t.Skip("boots measurement machines")
 	}
 	_, base := startTest(t, Config{Workers: 1, QueueDepth: 2})
-	out, ok, errText, _, _ := postStream(t, base, Request{Type: TypeFigureSweep, Parallel: 1})
-	if !ok {
-		t.Fatalf("figure sweep failed: %s", errText)
+	st := postStream(t, base, Request{Type: TypeFigureSweep, Parallel: 1})
+	if !st.ok {
+		t.Fatalf("figure sweep failed: %s", st.errText)
 	}
 	for _, want := range []string{"Figure 3:", "Figure 4:"} {
-		if !strings.Contains(out, want) {
+		if !strings.Contains(st.output, want) {
 			t.Errorf("sweep output missing %q", want)
 		}
 	}
@@ -397,16 +261,15 @@ func TestJobDeadline(t *testing.T) {
 		t.Skip("runs a campaign")
 	}
 	s, base := startTest(t, Config{Workers: 1, QueueDepth: 2})
-	out, ok, errText, status, _ := postStream(t, base,
-		Request{Type: TypeCampaign, Seeds: 2000, Parallel: 1, TimeoutMS: 25})
-	if status != http.StatusOK {
-		t.Fatalf("status %d", status)
+	st := postStream(t, base, Request{Type: TypeCampaign, Seeds: 2000, Parallel: 1, TimeoutMS: 25})
+	if st.status != http.StatusOK {
+		t.Fatalf("status %d", st.status)
 	}
-	if ok {
-		t.Fatalf("a 2000-seed campaign finished in 25ms? output: %s", out)
+	if st.ok {
+		t.Fatalf("a 2000-seed campaign finished in 25ms? output: %s", st.output)
 	}
-	if !strings.Contains(errText, "aborted") {
-		t.Errorf("result error %q does not mention the abort", errText)
+	if !strings.Contains(st.errText, "aborted") {
+		t.Errorf("result error %q does not mention the abort", st.errText)
 	}
 	if got := s.metrics.JobsCancelled.Load(); got != 1 {
 		t.Errorf("JobsCancelled = %d, want 1", got)
@@ -414,34 +277,6 @@ func TestJobDeadline(t *testing.T) {
 	if got := s.metrics.JobsFailed.Load(); got != 0 {
 		t.Errorf("JobsFailed = %d, want 0 (deadline is a cancellation)", got)
 	}
-}
-
-// postEvents posts a job and returns every raw event in the stream —
-// for tests that inspect event kinds postStream's reconstruction hides
-// (shard-range digests).
-func postEvents(t *testing.T, base string, req Request) []Event {
-	t.Helper()
-	body, _ := json.Marshal(req)
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST /jobs: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		t.Fatalf("POST /jobs: status %d: %s", resp.StatusCode, msg)
-	}
-	var evs []Event
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("malformed event %q: %v", sc.Bytes(), err)
-		}
-		evs = append(evs, ev)
-	}
-	return evs
 }
 
 // TestShardRangeJob pins the worker half of the coordinator protocol:
@@ -506,8 +341,8 @@ func TestShardRangeJob(t *testing.T) {
 		{Type: TypeCampaign, Seeds: seeds, ShardFrom: 0, ShardTo: 9999}, // past the space
 		{Type: TypeDifftest, Seeds: seeds, ShardFrom: 2, ShardTo: 1},    // inverted
 	} {
-		if _, _, status, err := tryPost(base, req); err != nil || status != http.StatusBadRequest {
-			t.Errorf("range %+v: status %d (err %v), want 400", req, status, err)
+		if st, err := tryPost(base, req); err != nil || st.status != http.StatusBadRequest {
+			t.Errorf("range %+v: status %d (err %v), want 400", req, st.status, err)
 		}
 	}
 }
@@ -638,14 +473,10 @@ func TestClientDisconnectCancelsJob(t *testing.T) {
 		<-j.ctx.Done() // only a disconnect or deadline can end this job
 		return false, "", j.ctx.Err()
 	}
-	hs := httptest.NewServer(s.Handler())
-	defer hs.Close()
-	defer s.Close()
+	base := serve(t, s)
 
-	body, _ := json.Marshal(Request{Type: TypeProgramRun, Seed: 1})
 	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, hs.URL+"/jobs", bytes.NewReader(body))
-	resp, err := http.DefaultClient.Do(req)
+	resp, err := PostJob(ctx, base, "", Request{Type: TypeProgramRun, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,13 +485,7 @@ func TestClientDisconnectCancelsJob(t *testing.T) {
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
-	deadline := time.Now().Add(10 * time.Second)
-	for s.metrics.InFlight.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker still held after client disconnect")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitMetric(t, "worker freed after client disconnect", func() bool { return s.metrics.InFlight.Load() == 0 })
 	if got := s.metrics.JobsCancelled.Load(); got != 1 {
 		t.Errorf("JobsCancelled = %d, want 1", got)
 	}
@@ -673,12 +498,8 @@ func TestSmoke(t *testing.T) {
 		t.Skip("full serving smoke")
 	}
 	var out bytes.Buffer
-	rep, err := Smoke(context.Background(), &out, SmokeConfig{Jobs: 10, Concurrency: 4, Workers: 2, QueueDepth: 16})
-	if err != nil {
+	if err := Smoke(context.Background(), &out, SmokeConfig{Jobs: 10, Concurrency: 4, Workers: 2, QueueDepth: 16}); err != nil {
 		t.Fatalf("smoke: %v\n%s", err, out.String())
-	}
-	if rep.OK != 10 {
-		t.Errorf("smoke burst: %+v", rep)
 	}
 	if !strings.Contains(out.String(), "smoke: ok") {
 		t.Errorf("smoke transcript:\n%s", out.String())

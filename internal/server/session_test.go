@@ -64,20 +64,19 @@ func TestDebugSessionJob(t *testing.T) {
 	s, base := startTest(t, Config{Workers: 1, QueueDepth: 4})
 
 	req := Request{Type: TypeDebugSession, Seed: 1, Mode: "ultrix", Commands: sessionScript()}
-	out, ok, errText, status, _ := postStream(t, base, req)
-	if !ok || status != http.StatusOK {
-		t.Fatalf("session job failed: status=%d err=%q out=%q", status, errText, out)
+	st := postStream(t, base, req)
+	if !st.ok || st.status != http.StatusOK {
+		t.Fatalf("session job failed: %+v", st)
 	}
 	for _, want := range []string{"debug-session: seed 1 mode Ultrix", "hit watch", "inspect", "exit: status="} {
-		if !strings.Contains(out, want) {
-			t.Errorf("summary missing %q:\n%s", want, out)
+		if !strings.Contains(st.output, want) {
+			t.Errorf("summary missing %q:\n%s", want, st.output)
 		}
 	}
 
 	// Byte-identical on a re-run (a fresh machine, possibly recycled).
-	again, ok, _, _, _ := postStream(t, base, req)
-	if !ok || again != out {
-		t.Errorf("session not deterministic\nfirst:\n%s\nsecond:\n%s", out, again)
+	if again := postStream(t, base, req); !again.ok || again.output != st.output {
+		t.Errorf("session not deterministic\nfirst:\n%s\nsecond:\n%s", st.output, again.output)
 	}
 
 	// The transcript is retained and served by id (ids are sequential
@@ -117,8 +116,8 @@ func TestSessionEviction(t *testing.T) {
 
 	req := Request{Type: TypeDebugSession, Seed: 2, Mode: "fast",
 		Commands: []debug.Command{{Op: "regs"}, {Op: "continue"}}}
-	if out, ok, errText, _, _ := postStream(t, base, req); !ok {
-		t.Fatalf("session job failed: %s %q", errText, out)
+	if st := postStream(t, base, req); !st.ok {
+		t.Fatalf("session job failed: %+v", st)
 	}
 	if got := s.sessionCount(); got != 1 {
 		t.Fatalf("retained sessions = %d, want 1 before eviction", got)
@@ -150,8 +149,8 @@ func TestSessionMetricsSurfaced(t *testing.T) {
 	_, base := startTest(t, Config{Workers: 1, QueueDepth: 4})
 	req := Request{Type: TypeDebugSession, Seed: 1, Mode: "ultrix",
 		Commands: []debug.Command{{Op: "continue"}}}
-	if out, ok, errText, _, _ := postStream(t, base, req); !ok {
-		t.Fatalf("session job failed: %s %q", errText, out)
+	if st := postStream(t, base, req); !st.ok {
+		t.Fatalf("session job failed: %+v", st)
 	}
 
 	resp, err := http.Get(base + "/metrics")

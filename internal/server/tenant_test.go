@@ -1,83 +1,69 @@
 package server
 
 import (
-	"bytes"
-	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 )
 
-// postAs posts a job under an X-Tenant header without consuming the
-// stream further than the backpressure verdict needs.
-func postAs(t *testing.T, base, tenant string, req Request) (status int, retryAfter string, body io.ReadCloser) {
-	t.Helper()
-	blob, _ := json.Marshal(req)
-	hreq, _ := http.NewRequest(http.MethodPost, base+"/jobs", bytes.NewReader(blob))
-	hreq.Header.Set("Content-Type", "application/json")
-	if tenant != "" {
-		hreq.Header.Set("X-Tenant", tenant)
-	}
-	resp, err := http.DefaultClient.Do(hreq)
-	if err != nil {
-		t.Fatalf("POST /jobs as %q: %v", tenant, err)
-	}
-	return resp.StatusCode, resp.Header.Get("Retry-After"), resp.Body
-}
-
 // TestTenantInFlightQuota: one tenant saturating its in-flight cap gets
 // 429 with a Retry-After hint while another tenant sails through —
 // isolation is per X-Tenant key, not global.
 func TestTenantInFlightQuota(t *testing.T) {
-	s := newT(t, Config{
+	s, base, release := hold(t, Config{
 		Workers: 4, QueueDepth: 8,
 		Tenants: TenantLimits{MaxInFlight: 1},
 	})
-	release := make(chan struct{})
-	s.execHook = func(j *job) (bool, string, error) {
-		select {
-		case <-release:
-			return true, "done\n", nil
-		case <-j.ctx.Done():
-			return false, "", j.ctx.Err()
+
+	// Each admitted job is held open; its stream is read once released.
+	results := make(chan streamed, 2)
+	admit := func(tenant string, seed int64) {
+		t.Helper()
+		resp := post(t, base, tenant, Request{Type: TypeProgramRun, Seed: seed})
+		if resp.StatusCode != http.StatusOK {
+			resp.Body.Close()
+			t.Fatalf("%s job: status %d, want 200", tenant, resp.StatusCode)
 		}
+		go func() { results <- read(resp) }()
 	}
-	base := newTestHTTP(t, s)
+	admit("acme", 1)
+	waitMetric(t, "acme job running", func() bool { return s.tenants.snapshot()["acme"].Running == 1 })
 
-	st, _, body := postAs(t, base, "acme", Request{Type: TypeProgramRun, Seed: 1})
-	if st != http.StatusOK {
-		t.Fatalf("first acme job: status %d", st)
+	rej := read(post(t, base, "acme", Request{Type: TypeProgramRun, Seed: 2}))
+	if rej.status != http.StatusTooManyRequests {
+		t.Fatalf("second acme job: status %d, want 429 (%s)", rej.status, rej.output)
 	}
-	defer body.Close()
-	waitMetric(t, "acme job running", func() bool { return s.metrics.InFlight.Load() == 1 })
-
-	st2, ra, body2 := postAs(t, base, "acme", Request{Type: TypeProgramRun, Seed: 2})
-	msg, _ := io.ReadAll(body2)
-	body2.Close()
-	if st2 != http.StatusTooManyRequests {
-		t.Fatalf("second acme job: status %d, want 429 (%s)", st2, msg)
-	}
-	if ra == "" {
+	if rej.header.Get("Retry-After") == "" {
 		t.Error("tenant rejection carried no Retry-After header")
 	}
-	if !strings.Contains(string(msg), `tenant "acme"`) {
-		t.Errorf("rejection body %q does not name the tenant", msg)
+	if !strings.Contains(rej.output, `tenant "acme"`) {
+		t.Errorf("rejection body %q does not name the tenant", rej.output)
 	}
 
-	st3, _, body3 := postAs(t, base, "globex", Request{Type: TypeProgramRun, Seed: 3})
-	if st3 != http.StatusOK {
-		t.Fatalf("globex job: status %d, want 200 — quotas must not leak across tenants", st3)
-	}
-	defer body3.Close()
+	// globex's quota is its own: admitted despite acme's rejection.
+	admit("globex", 3)
 
 	if got := s.metrics.RejectedTenant.Load(); got != 1 {
 		t.Errorf("RejectedTenant = %d, want 1", got)
 	}
-	close(release)
+	// While the held jobs run, no gauge — global or per-tenant — may
+	// read negative.
+	if err := checkGauges(s.snapshot(), false); err != nil {
+		t.Error(err)
+	}
+	release()
+	for i := 0; i < 2; i++ {
+		if st := <-results; !st.complete || !st.ok || st.output != heldOutput {
+			t.Errorf("held tenant job did not finish cleanly: %+v", st)
+		}
+	}
 	waitMetric(t, "jobs drained", func() bool { return s.metrics.JobsOK.Load() == 2 })
+	// Every gauge, global and per-tenant, back at exactly zero.
+	if err := checkGauges(s.snapshot(), true); err != nil {
+		t.Error(err)
+	}
 
 	// Gauges moved exactly once per transition: everything back to zero,
 	// counters remember the history.
@@ -182,22 +168,20 @@ func TestTenantResumeDoesNotRecharge(t *testing.T) {
 		}
 		return false, "", j.ctx.Err()
 	}
-	base1 := newTestHTTP(t, s1)
-	st, _, body := postAs(t, base1, "acme", Request{Type: TypeCampaign, Seeds: 3, Verbose: true})
-	if st != http.StatusOK {
-		t.Fatalf("initial admission: status %d", st)
+	base1 := serve(t, s1)
+	resp := post(t, base1, "acme", Request{Type: TypeCampaign, Seeds: 3, Verbose: true})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("initial admission: status %d", resp.StatusCode)
 	}
 	waitMetric(t, "job running", func() bool { return s1.metrics.InFlight.Load() == 1 })
 	s1.Kill()
 	close(stall)
-	io.Copy(io.Discard, body)
-	body.Close()
+	read(resp)
 
 	// Incarnation B has the same stingy bucket; a fresh 3-seed campaign
 	// could never pass (0.001 seeds/s, empty after any spend), but the
 	// resumed job must run regardless.
-	s2 := newT(t, Config{Workers: 1, QueueDepth: 2, StoreDir: dir, Resume: true, Tenants: limits})
-	base2 := newTestHTTP(t, s2)
+	s2, base2 := startTest(t, Config{Workers: 1, QueueDepth: 2, StoreDir: dir, Resume: true, Tenants: limits})
 	waitMetric(t, "resumed job finished", func() bool { return s2.metrics.JobsOK.Load() == 1 })
 
 	snap := s2.tenants.snapshot()["acme"]
@@ -214,27 +198,14 @@ func TestTenantResumeDoesNotRecharge(t *testing.T) {
 		t.Errorf("resumed tenant tokens = %g, want the full burst of 3 — resume was re-charged", snap.Tokens)
 	}
 	// A fresh sweep spends that burst normally; the next is refused.
-	st2, _, body2 := postAs(t, base2, "acme", Request{Type: TypeCampaign, Seeds: 3})
-	if st2 != http.StatusOK {
-		t.Fatalf("fresh admission after resume: status %d, want 200 (burst available)", st2)
+	fresh := post(t, base2, "acme", Request{Type: TypeCampaign, Seeds: 3})
+	defer fresh.Body.Close()
+	if fresh.StatusCode != http.StatusOK {
+		t.Fatalf("fresh admission after resume: status %d, want 200 (burst available)", fresh.StatusCode)
 	}
-	defer body2.Close()
-	st3, ra, body3 := postAs(t, base2, "acme", Request{Type: TypeCampaign, Seeds: 3})
-	io.Copy(io.Discard, body3)
-	body3.Close()
-	if st3 != http.StatusTooManyRequests || ra == "" {
-		t.Errorf("over-budget admission after resume: status %d retry-after %q, want 429 with a hint", st3, ra)
+	over := read(post(t, base2, "acme", Request{Type: TypeCampaign, Seeds: 3}))
+	if over.status != http.StatusTooManyRequests || over.header.Get("Retry-After") == "" {
+		t.Errorf("over-budget admission after resume: status %d retry-after %q, want 429 with a hint",
+			over.status, over.header.Get("Retry-After"))
 	}
-}
-
-// newTestHTTP serves an already-built Server (e.g. one whose execHook
-// is set) over real HTTP and tears both down with the test.
-func newTestHTTP(t *testing.T, s *Server) string {
-	t.Helper()
-	hs := httptest.NewServer(s.Handler())
-	t.Cleanup(func() {
-		hs.Close()
-		s.Close()
-	})
-	return hs.URL
 }
