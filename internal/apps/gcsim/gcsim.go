@@ -21,6 +21,7 @@ package gcsim
 
 import (
 	"math/rand"
+	"slices"
 
 	"uexc/internal/simos"
 )
@@ -77,38 +78,55 @@ type Stats struct {
 	BarrierCyc      float64
 }
 
-// Object is a heap cell: a datum and up to two references (a cons).
-type Object struct {
-	data   uint32
-	refs   [2]*Object
-	gen    uint8 // 0 young, 1 old
-	page   int32 // old-generation page index
-	marked bool
+// Ref names a heap cell. The zero Ref is nil.
+type Ref int32
+
+// young is the page of a cell that has not been promoted.
+const young = -1
+
+// cell is a cons: a datum and two references. It holds no Go
+// pointers, so the host garbage collector never scans the arena.
+type cell struct {
+	refs [2]Ref
+	data uint32
+	page int32  // old-generation page index, or young
+	mark uint32 // epoch of the last walk that reached this cell
 }
 
-// Data returns the object's payload.
-func (o *Object) Data() uint32 { return o.data }
+// chunkCells is the arena's chunk size. Chunks are allocated whole and
+// never moved, so growing the arena never copies cells.
+const (
+	chunkBits  = 12
+	chunkCells = 1 << chunkBits
+)
 
-// Ref returns reference slot i.
-func (o *Object) Ref(i int) *Object { return o.refs[i] }
-
-// Heap is the collected heap.
+// Heap is the collected heap. Cells live in an append-only arena: a
+// cell the collector reclaims is never reused, because the mutator may
+// still hold its Ref in a local (TreeWorkload's build does) and splice
+// it back into the heap, exactly as a Go pointer would keep it alive.
 type Heap struct {
 	barrier Barrier
 	costs   simos.CostTable
 	clock   simos.Clock
 	checkCy float64
 
-	nursery     []*Object
-	nurseryCap  int
-	oldByPage   map[int32][]*Object
-	oldPageUsed int // objects on the current old page
-	oldPages    int
+	chunks []*[chunkCells]cell
+	cells  int // cells allocated, including the nil cell
 
-	protected map[int32]bool // old page is write-protected
-	dirty     map[int32]bool // old page stored-into since last collection
+	nursery    int // young cells allocated since the last collection
+	nurseryCap int
 
-	roots []*Object
+	// old lists the old generation in promotion order; page p holds
+	// old[p*objsPerPage:(p+1)*objsPerPage], since promotion and
+	// compaction both fill pages in order.
+	old []Ref
+
+	protected []bool // per old page: write-protected
+	dirty     []bool // per old page: stored-into since last collection
+
+	roots  []Ref
+	epoch  uint32 // bumped once per heap walk
+	marked []Ref  // young cells reached by the current collection
 
 	stats Stats
 }
@@ -120,17 +138,23 @@ func New(b Barrier, costs simos.CostTable, nurseryCap int) *Heap {
 		barrier:    b,
 		costs:      costs,
 		checkCy:    checkCyclesStd,
+		chunks:     []*[chunkCells]cell{new([chunkCells]cell)},
+		cells:      1, // cell 0 is nil
 		nurseryCap: nurseryCap,
-		oldByPage:  make(map[int32][]*Object),
-		protected:  make(map[int32]bool),
-		dirty:      make(map[int32]bool),
 	}
 }
+
+// cell returns r's storage. Chunks never move, so the pointer stays
+// valid across Alloc.
+func (h *Heap) cell(r Ref) *cell { return &h.chunks[r>>chunkBits][r&(chunkCells-1)] }
+
+// oldPages is the number of old-generation pages in use.
+func (h *Heap) oldPages() int { return (len(h.old) + objsPerPage - 1) / objsPerPage }
 
 // Stats returns run statistics.
 func (h *Heap) Stats() Stats {
 	s := h.stats
-	s.OldPages = h.oldPages
+	s.OldPages = h.oldPages()
 	return s
 }
 
@@ -138,47 +162,44 @@ func (h *Heap) Stats() Stats {
 func (h *Heap) Clock() *simos.Clock { return &h.clock }
 
 // AddRoot registers a root slot.
-func (h *Heap) AddRoot(o *Object) int {
-	h.roots = append(h.roots, o)
-	return len(h.roots) - 1
-}
-
-// SetRoot replaces a root.
-func (h *Heap) SetRoot(i int, o *Object) { h.roots[i] = o }
-
-// Root returns root i.
-func (h *Heap) Root(i int) *Object { return h.roots[i] }
+func (h *Heap) AddRoot(r Ref) { h.roots = append(h.roots, r) }
 
 // Work charges mutator computation.
 func (h *Heap) Work(ops int) { h.clock.Charge(float64(ops) * computeCycles) }
 
 // Alloc allocates a young object, collecting first if the nursery is
 // full.
-func (h *Heap) Alloc(data uint32, left, right *Object) *Object {
-	if len(h.nursery) >= h.nurseryCap {
+func (h *Heap) Alloc(data uint32, left, right Ref) Ref {
+	if h.nursery >= h.nurseryCap {
 		h.Collect()
 	}
 	h.clock.Charge(allocCycles)
 	h.stats.Allocated++
-	o := &Object{data: data, refs: [2]*Object{left, right}}
-	h.nursery = append(h.nursery, o)
-	return o
+	h.nursery++
+	if h.cells%chunkCells == 0 {
+		h.chunks = append(h.chunks, new([chunkCells]cell))
+	}
+	r := Ref(h.cells)
+	h.cells++
+	*h.cell(r) = cell{refs: [2]Ref{left, right}, data: data, page: young}
+	return r
 }
 
 // WriteRef performs a pointer store src.refs[slot] = dst through the
 // configured write barrier.
-func (h *Heap) WriteRef(src *Object, slot int, dst *Object) {
+func (h *Heap) WriteRef(src Ref, slot int, dst Ref) {
 	h.clock.Charge(storeCycles)
+	c := h.cell(src)
 	switch h.barrier {
 	case BarrierSoftware:
 		// Inline check before every pointer store.
 		h.clock.Charge(h.checkCy)
 		h.stats.Checks++
-		if src.gen == 1 {
-			h.dirty[src.page] = true
+		if c.page != young {
+			h.dirty[c.page] = true
 		}
 	case BarrierSigsegv, BarrierFastEager:
-		if src.gen == 1 && h.protected[src.page] {
+		if c.page != young && h.protected[c.page] {
 			// The store traps; the handler records the page in the
 			// dirty set and unprotects it (eagerly amplified under
 			// BarrierFastEager; by in-handler mprotect under
@@ -187,17 +208,34 @@ func (h *Heap) WriteRef(src *Object, slot int, dst *Object) {
 			h.stats.Faults++
 			h.clock.Charge(h.costs.ProtFaultRT)
 			h.stats.BarrierCyc += h.costs.ProtFaultRT
-			h.dirty[src.page] = true
-			h.protected[src.page] = false
+			h.dirty[c.page] = true
+			h.protected[c.page] = false
 		}
 	}
-	src.refs[slot] = dst
+	c.refs[slot] = dst
 }
 
 // ReadRef performs a pointer load (no barrier; charged as compute).
-func (h *Heap) ReadRef(src *Object, slot int) *Object {
+func (h *Heap) ReadRef(src Ref, slot int) Ref {
 	h.clock.Charge(storeCycles)
-	return src.refs[slot]
+	return h.cell(src).refs[slot]
+}
+
+// markYoung traces the young cells reachable from r, depth first in
+// preorder (refs[0] before refs[1]), recording them for promotion.
+func (h *Heap) markYoung(r Ref) {
+	if r == 0 {
+		return
+	}
+	c := h.cell(r)
+	if c.mark == h.epoch || c.page != young {
+		return
+	}
+	c.mark = h.epoch
+	h.clock.Charge(traceObjCycles)
+	h.marked = append(h.marked, r)
+	h.markYoung(c.refs[0])
+	h.markYoung(c.refs[1])
 }
 
 // Collect runs a young-generation collection: trace from roots and
@@ -205,74 +243,84 @@ func (h *Heap) ReadRef(src *Object, slot int) *Object {
 // re-protect the old generation pages that were opened.
 func (h *Heap) Collect() {
 	h.stats.Collections++
+	h.epoch++
+	h.marked = h.marked[:0]
 
 	// Mark phase: roots first.
-	var mark func(o *Object)
-	marked := make([]*Object, 0, len(h.nursery))
-	mark = func(o *Object) {
-		if o == nil || o.marked || o.gen != 0 {
-			return
-		}
-		o.marked = true
-		h.clock.Charge(traceObjCycles)
-		marked = append(marked, o)
-		mark(o.refs[0])
-		mark(o.refs[1])
-	}
 	for _, r := range h.roots {
-		if r != nil && r.gen == 0 {
-			mark(r)
-		} else if r != nil {
+		if r == 0 {
+			continue
+		}
+		if c := h.cell(r); c.page == young {
+			h.markYoung(r)
+		} else {
 			// Old roots: their young referents are found via the
 			// dirty-set scan below, but the root object itself is
 			// always scanned (registered roots are few).
-			mark(r.refs[0])
-			mark(r.refs[1])
+			h.markYoung(c.refs[0])
+			h.markYoung(c.refs[1])
 		}
 	}
-	// Remembered set: scan dirty old pages for old→young pointers.
-	for page := range h.dirty {
+	// Remembered set: scan dirty old pages, in page order, for
+	// old→young pointers.
+	dirtyPages := 0
+	for page, dirty := range h.dirty {
+		if !dirty {
+			continue
+		}
+		dirtyPages++
 		h.clock.Charge(scanPageCycles)
-		for _, o := range h.oldByPage[page] {
-			mark(o.refs[0])
-			mark(o.refs[1])
+		for _, r := range h.old[page*objsPerPage : min((page+1)*objsPerPage, len(h.old))] {
+			c := h.cell(r)
+			h.markYoung(c.refs[0])
+			h.markYoung(c.refs[1])
 		}
 	}
 
 	// Promote survivors to the old generation.
-	for _, o := range marked {
+	for _, r := range h.marked {
 		h.clock.Charge(promoteCycles)
-		o.gen = 1
-		if h.oldPageUsed == 0 || h.oldPageUsed >= objsPerPage {
-			h.oldPages++
-			h.oldPageUsed = 0
-		}
-		o.page = int32(h.oldPages - 1)
-		h.oldPageUsed++
-		o.marked = false
-		h.oldByPage[o.page] = append(h.oldByPage[o.page], o)
+		h.cell(r).page = int32(len(h.old) / objsPerPage)
+		h.old = append(h.old, r)
 		h.stats.Promoted++
 	}
-	h.stats.Reclaimed += len(h.nursery) - len(marked)
-	h.clock.Charge(float64(len(h.nursery)-len(marked)) * reclaimCycles)
-	h.nursery = h.nursery[:0]
+	h.stats.Reclaimed += h.nursery - len(h.marked)
+	h.clock.Charge(float64(h.nursery-len(h.marked)) * reclaimCycles)
+	h.nursery = 0
 
 	// Re-protect the old generation under page barriers: one batched
 	// mprotect covering the opened (dirty) and newly created pages.
-	if h.barrier != BarrierSoftware {
-		pages := len(h.dirty)
-		for p := int32(0); p < int32(h.oldPages); p++ {
-			if !h.protected[p] {
-				h.protected[p] = true
-			}
-		}
-		if pages > 0 || h.oldPages > 0 {
-			h.clock.Charge(h.costs.MprotectPage + float64(pages)*h.costs.MprotectExtraPage)
-		}
+	h.resetPages()
+	if h.barrier != BarrierSoftware && (dirtyPages > 0 || len(h.old) > 0) {
+		h.clock.Charge(h.costs.MprotectPage + float64(dirtyPages)*h.costs.MprotectExtraPage)
 	}
-	for page := range h.dirty {
-		delete(h.dirty, page)
+}
+
+// resetPages sizes the per-page state to the old generation, empties
+// the dirty set and, under page barriers, write-protects every page.
+func (h *Heap) resetPages() {
+	n := h.oldPages()
+	h.dirty = slices.Grow(h.dirty[:0], n)[:n]
+	h.protected = slices.Grow(h.protected[:0], n)[:n]
+	clear(h.dirty)
+	for p := range h.protected {
+		h.protected[p] = h.barrier != BarrierSoftware
 	}
+}
+
+// markAll traces every cell reachable from r, charging each once.
+func (h *Heap) markAll(r Ref) {
+	if r == 0 {
+		return
+	}
+	c := h.cell(r)
+	if c.mark == h.epoch {
+		return
+	}
+	c.mark = h.epoch
+	h.clock.Charge(traceObjCycles)
+	h.markAll(c.refs[0])
+	h.markAll(c.refs[1])
 }
 
 // CollectFull runs a major collection: the whole heap (both
@@ -288,90 +336,62 @@ func (h *Heap) CollectFull() {
 	h.stats.FullCollections++
 
 	// Mark reachable old objects.
-	marked := make(map[*Object]bool)
-	var mark func(o *Object)
-	mark = func(o *Object) {
-		if o == nil || marked[o] {
-			return
-		}
-		marked[o] = true
-		h.clock.Charge(traceObjCycles)
-		mark(o.refs[0])
-		mark(o.refs[1])
-	}
+	h.epoch++
 	for _, r := range h.roots {
-		mark(r)
+		h.markAll(r)
 	}
 
-	// Sweep and compact: survivors move to a fresh page sequence.
-	// Iterate pages in index order — map order would make page
-	// assignment (and thus barrier fault counts) nondeterministic.
-	oldByPage := h.oldByPage
-	prevPages := int32(h.oldPages)
-	h.oldByPage = make(map[int32][]*Object)
-	h.oldPages, h.oldPageUsed = 0, 0
-	live := 0
-	for page := int32(0); page < prevPages; page++ {
-		for _, o := range oldByPage[page] {
-			if !marked[o] {
-				h.stats.OldReclaimed++
-				h.clock.Charge(reclaimCycles)
-				continue
-			}
-			h.clock.Charge(promoteCycles) // compaction copy
-			if h.oldPageUsed == 0 || h.oldPageUsed >= objsPerPage {
-				h.oldPages++
-				h.oldPageUsed = 0
-			}
-			o.page = int32(h.oldPages - 1)
-			h.oldPageUsed++
-			h.oldByPage[o.page] = append(h.oldByPage[o.page], o)
-			live++
+	// Sweep and compact in page order: survivors slide down onto a
+	// fresh page sequence starting at page 0.
+	live := h.old[:0]
+	for _, r := range h.old {
+		c := h.cell(r)
+		if c.mark != h.epoch {
+			h.stats.OldReclaimed++
+			h.clock.Charge(reclaimCycles)
+			continue
 		}
+		h.clock.Charge(promoteCycles) // compaction copy
+		c.page = int32(len(live) / objsPerPage)
+		live = append(live, r)
 	}
+	h.old = live
 
 	// Reset protection state for the compacted generation.
+	h.resetPages()
 	if h.barrier != BarrierSoftware {
-		h.protected = make(map[int32]bool)
-		for p := int32(0); p < int32(h.oldPages); p++ {
-			h.protected[p] = true
-		}
-		h.clock.Charge(h.costs.MprotectPage + float64(h.oldPages)*h.costs.MprotectExtraPage)
-	} else {
-		h.protected = make(map[int32]bool)
+		h.clock.Charge(h.costs.MprotectPage + float64(h.oldPages())*h.costs.MprotectExtraPage)
 	}
-	h.dirty = make(map[int32]bool)
 }
 
-// OldLive returns the number of live old-generation objects (post
-// compaction bookkeeping; O(pages)).
-func (h *Heap) OldLive() int {
-	n := 0
-	for _, objs := range h.oldByPage {
-		n += len(objs)
-	}
-	return n
-}
+// OldLive returns the number of live old-generation objects.
+func (h *Heap) OldLive() int { return len(h.old) }
 
 // Checksum folds the reachable heap into a value; used to prove that
 // barrier mechanisms do not change collector results.
 func (h *Heap) Checksum() uint32 {
-	seen := make(map[*Object]bool)
+	h.epoch++
 	var sum uint32
-	var walk func(o *Object, depth uint32)
-	walk = func(o *Object, depth uint32) {
-		if o == nil || seen[o] {
-			return
-		}
-		seen[o] = true
-		sum = sum*1000003 + o.data + depth
-		walk(o.refs[0], depth+1)
-		walk(o.refs[1], depth+1)
-	}
 	for _, r := range h.roots {
-		walk(r, 1)
+		sum = h.fold(sum, r, 1)
 	}
 	return sum
+}
+
+// fold folds the cells reachable from r into sum, depth first in
+// preorder, each cell once.
+func (h *Heap) fold(sum uint32, r Ref, depth uint32) uint32 {
+	if r == 0 {
+		return sum
+	}
+	c := h.cell(r)
+	if c.mark == h.epoch {
+		return sum
+	}
+	c.mark = h.epoch
+	sum = sum*1000003 + c.data + depth
+	sum = h.fold(sum, c.refs[0], depth+1)
+	return h.fold(sum, c.refs[1], depth+1)
 }
 
 // --- Workloads -------------------------------------------------------
@@ -397,9 +417,9 @@ func LispOps(b Barrier, costs simos.CostTable) Result {
 	// pages), into which the mutator keeps splicing fresh young lists
 	// (old→young stores).
 	const skeletonSize = 4000
-	skeleton := make([]*Object, skeletonSize)
+	skeleton := make([]Ref, skeletonSize)
 	for i := range skeleton {
-		skeleton[i] = h.Alloc(uint32(i), nil, nil)
+		skeleton[i] = h.Alloc(uint32(i), 0, 0)
 		h.AddRoot(skeleton[i])
 	}
 	h.Collect() // promote the skeleton
@@ -408,9 +428,9 @@ func LispOps(b Barrier, costs simos.CostTable) Result {
 	for i := 0; i < iters; i++ {
 		// cons up a small fresh list (young garbage mostly).
 		n := 3 + rng.Intn(6)
-		var list *Object
+		var list Ref
 		for j := 0; j < n; j++ {
-			list = h.Alloc(uint32(i+j), list, nil)
+			list = h.Alloc(uint32(i+j), list, 0)
 			h.Work(6)
 		}
 		// Splice into the long-lived skeleton: an old→young store that
@@ -418,7 +438,7 @@ func LispOps(b Barrier, costs simos.CostTable) Result {
 		slot := rng.Intn(skeletonSize)
 		h.WriteRef(skeleton[slot], 1, list)
 		// car/cdr walking and arithmetic on the fresh list.
-		for p, steps := list, 0; p != nil && steps < n; steps++ {
+		for p, steps := list, 0; p != 0 && steps < n; steps++ {
 			p = h.ReadRef(p, 0)
 			h.Work(5)
 		}
@@ -441,9 +461,9 @@ func ArrayTest(b Barrier, costs simos.CostTable) Result {
 	// The 1 MB array: 8192 slot-objects spanning 64 pages of 32-byte
 	// cells, long-lived.
 	const slots = 8192
-	array := make([]*Object, slots)
+	array := make([]Ref, slots)
 	for i := range array {
-		array[i] = h.Alloc(uint32(i), nil, nil)
+		array[i] = h.Alloc(uint32(i), 0, 0)
 		h.AddRoot(array[i])
 	}
 	h.Collect() // promote the array
@@ -451,7 +471,7 @@ func ArrayTest(b Barrier, costs simos.CostTable) Result {
 	const replacements = 120_000
 	for i := 0; i < replacements; i++ {
 		idx := rng.Intn(slots)
-		fresh := h.Alloc(uint32(i), nil, nil)
+		fresh := h.Alloc(uint32(i), 0, 0)
 		h.WriteRef(array[idx], 0, fresh) // old→young: barrier
 		h.Work(7)
 	}
@@ -475,21 +495,21 @@ func TreeWorkload(b Barrier, costs simos.CostTable) Result {
 	// checked stores) and spliced into random old nodes (occasional
 	// trapping stores).
 	const poolSize = 6400
-	pool := make([]*Object, poolSize)
+	pool := make([]Ref, poolSize)
 	for i := range pool {
-		pool[i] = h.Alloc(uint32(i), nil, nil)
+		pool[i] = h.Alloc(uint32(i), 0, 0)
 		h.AddRoot(pool[i])
 	}
 	h.Collect()
 
-	var build func(depth int) *Object
-	build = func(depth int) *Object {
+	var build func(depth int) Ref
+	build = func(depth int) Ref {
 		if depth == 0 {
-			return h.Alloc(1, nil, nil)
+			return h.Alloc(1, 0, 0)
 		}
 		l := build(depth - 1)
 		r := build(depth - 1)
-		n := h.Alloc(uint32(depth), nil, nil)
+		n := h.Alloc(uint32(depth), 0, 0)
 		h.WriteRef(n, 0, l)
 		h.WriteRef(n, 1, r)
 		return n
@@ -510,16 +530,16 @@ func InteractiveWorkload(b Barrier, costs simos.CostTable) Result {
 	rng := rand.New(rand.NewSource(45))
 
 	const state = 3000
-	objs := make([]*Object, state)
+	objs := make([]Ref, state)
 	for i := range objs {
-		objs[i] = h.Alloc(uint32(i), nil, nil)
+		objs[i] = h.Alloc(uint32(i), 0, 0)
 		h.AddRoot(objs[i])
 	}
 	h.Collect()
 
 	for i := 0; i < 30_000; i++ {
 		idx := rng.Intn(state)
-		fresh := h.Alloc(uint32(i), nil, nil)
+		fresh := h.Alloc(uint32(i), 0, 0)
 		h.WriteRef(objs[idx], rng.Intn(2), fresh)
 		h.Work(6)
 	}

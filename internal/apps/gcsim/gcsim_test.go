@@ -1,6 +1,7 @@
 package gcsim
 
 import (
+	"slices"
 	"testing"
 
 	"uexc/internal/core"
@@ -16,17 +17,20 @@ func costs(t *testing.T, mode core.Mode) simos.CostTable {
 	return ct
 }
 
+// workloads is every workload the package runs.
+var workloads = []struct {
+	name string
+	run  func(Barrier, simos.CostTable) Result
+}{
+	{"lisp", LispOps}, {"array", ArrayTest},
+	{"tree", TreeWorkload}, {"interactive", InteractiveWorkload},
+}
+
 func TestBarriersProduceIdenticalHeaps(t *testing.T) {
 	// The barrier mechanism changes cost, never collector results.
 	ult := costs(t, core.ModeUltrix)
 	fast := costs(t, core.ModeFast)
-	for _, wl := range []struct {
-		name string
-		run  func(Barrier, simos.CostTable) Result
-	}{
-		{"lisp", LispOps}, {"array", ArrayTest},
-		{"tree", TreeWorkload}, {"interactive", InteractiveWorkload},
-	} {
+	for _, wl := range workloads {
 		a := wl.run(BarrierSigsegv, ult)
 		b := wl.run(BarrierFastEager, fast)
 		c := wl.run(BarrierSoftware, fast)
@@ -133,10 +137,10 @@ func TestCheckAndTrapCounts(t *testing.T) {
 
 func TestCollectReclaimsGarbage(t *testing.T) {
 	h := New(BarrierSoftware, simos.CostTable{}, 100)
-	root := h.Alloc(1, nil, nil)
+	root := h.Alloc(1, 0, 0)
 	h.AddRoot(root)
 	for i := 0; i < 99; i++ {
-		h.Alloc(uint32(i), nil, nil) // garbage
+		h.Alloc(uint32(i), 0, 0) // garbage
 	}
 	h.Collect()
 	s := h.Stats()
@@ -151,8 +155,8 @@ func TestCollectReclaimsGarbage(t *testing.T) {
 func TestPromotionKeepsReachableStructure(t *testing.T) {
 	h := New(BarrierSoftware, simos.CostTable{}, 1000)
 	// Build a small tree, keep it, collect, verify the structure.
-	leaf1 := h.Alloc(10, nil, nil)
-	leaf2 := h.Alloc(20, nil, nil)
+	leaf1 := h.Alloc(10, 0, 0)
+	leaf2 := h.Alloc(20, 0, 0)
 	node := h.Alloc(30, leaf1, leaf2)
 	h.AddRoot(node)
 	before := h.Checksum()
@@ -160,8 +164,10 @@ func TestPromotionKeepsReachableStructure(t *testing.T) {
 	if got := h.Checksum(); got != before {
 		t.Errorf("checksum changed across collection: %#x -> %#x", before, got)
 	}
-	if node.gen != 1 || leaf1.gen != 1 || leaf2.gen != 1 {
-		t.Error("reachable objects not promoted")
+	for _, r := range []Ref{node, leaf1, leaf2} {
+		if h.cell(r).page == young {
+			t.Errorf("reachable cell %d not promoted", r)
+		}
 	}
 }
 
@@ -169,22 +175,22 @@ func TestWriteBarrierFaultOncePerPagePerCycle(t *testing.T) {
 	ct := simos.CostTable{ProtFaultRT: 100, MprotectPage: 50, MprotectExtraPage: 5}
 	h := New(BarrierFastEager, ct, 1_000_000)
 	// Build some old objects on one page.
-	objs := make([]*Object, 10)
+	objs := make([]Ref, 10)
 	for i := range objs {
-		objs[i] = h.Alloc(uint32(i), nil, nil)
+		objs[i] = h.Alloc(uint32(i), 0, 0)
 		h.AddRoot(objs[i])
 	}
 	h.Collect()
 	// Repeated stores to the same old page: exactly one fault.
 	for i := 0; i < 5; i++ {
-		h.WriteRef(objs[i%len(objs)], 0, h.Alloc(99, nil, nil))
+		h.WriteRef(objs[i%len(objs)], 0, h.Alloc(99, 0, 0))
 	}
 	if got := h.Stats().Faults; got != 1 {
 		t.Errorf("faults = %d, want 1 (page amplified after first)", got)
 	}
 	// After a collection the page is re-protected: next store faults.
 	h.Collect()
-	h.WriteRef(objs[0], 0, h.Alloc(100, nil, nil))
+	h.WriteRef(objs[0], 0, h.Alloc(100, 0, 0))
 	if got := h.Stats().Faults; got != 2 {
 		t.Errorf("faults = %d, want 2 after re-protection", got)
 	}
@@ -192,14 +198,14 @@ func TestWriteBarrierFaultOncePerPagePerCycle(t *testing.T) {
 
 func TestFullCollectionReclaimsOldGarbage(t *testing.T) {
 	h := New(BarrierSoftware, simos.CostTable{}, 500)
-	root := h.Alloc(1, nil, nil)
+	root := h.Alloc(1, 0, 0)
 	h.AddRoot(root)
 	// Promote waves of garbage into the old generation: objects kept
 	// alive through a root slot only until the next wave replaces them.
 	for wave := 0; wave < 5; wave++ {
-		chain := h.Alloc(uint32(wave), nil, nil)
+		chain := h.Alloc(uint32(wave), 0, 0)
 		for i := 0; i < 400; i++ {
-			chain = h.Alloc(uint32(i), chain, nil)
+			chain = h.Alloc(uint32(i), chain, 0)
 		}
 		h.WriteRef(root, 0, chain) // previous wave becomes garbage
 		h.Collect()                // promotes the live wave
@@ -219,7 +225,7 @@ func TestFullCollectionReclaimsOldGarbage(t *testing.T) {
 	}
 	// The compacted generation must be fully re-protected... software
 	// barrier: no protection. Check dirty set cleared.
-	if len(h.dirty) != 0 {
+	if slices.Contains(h.dirty, true) {
 		t.Error("dirty set survived full collection")
 	}
 }
@@ -227,20 +233,20 @@ func TestFullCollectionReclaimsOldGarbage(t *testing.T) {
 func TestFullCollectionReprotectsUnderPageBarrier(t *testing.T) {
 	ct := simos.CostTable{ProtFaultRT: 100, MprotectPage: 50, MprotectExtraPage: 5}
 	h := New(BarrierFastEager, ct, 1000)
-	objs := make([]*Object, 20)
+	objs := make([]Ref, 20)
 	for i := range objs {
-		objs[i] = h.Alloc(uint32(i), nil, nil)
+		objs[i] = h.Alloc(uint32(i), 0, 0)
 		h.AddRoot(objs[i])
 	}
 	h.Collect()
 	// Open a page via a fault, then run a full collection: the page
 	// must be protected again.
-	h.WriteRef(objs[0], 0, h.Alloc(1, nil, nil))
+	h.WriteRef(objs[0], 0, h.Alloc(1, 0, 0))
 	if h.Stats().Faults != 1 {
 		t.Fatalf("faults = %d", h.Stats().Faults)
 	}
 	h.CollectFull()
-	h.WriteRef(objs[0], 1, h.Alloc(2, nil, nil))
+	h.WriteRef(objs[0], 1, h.Alloc(2, 0, 0))
 	if h.Stats().Faults != 2 {
 		t.Errorf("faults = %d, want 2 (page re-protected by full collection)", h.Stats().Faults)
 	}
@@ -253,5 +259,57 @@ func TestLispOpsRunsFullCollections(t *testing.T) {
 	}
 	if r.Stats.OldReclaimed == 0 {
 		t.Error("no old-generation garbage reclaimed")
+	}
+}
+
+func TestCollectScansDirtyPagesInPageOrder(t *testing.T) {
+	// Young cells reachable only through dirty, non-root old pages are
+	// promoted in ascending page order, whatever order the pages were
+	// dirtied in. Repeat to catch any order that varies between runs.
+	for run := 0; run < 20; run++ {
+		h := New(BarrierSoftware, simos.CostTable{}, 1000)
+		// A three-page list hanging off one root; preorder promotion
+		// puts list position k on page k/objsPerPage.
+		list := make([]Ref, 3*objsPerPage)
+		for k := len(list) - 1; k >= 0; k-- {
+			next := Ref(0)
+			if k+1 < len(list) {
+				next = list[k+1]
+			}
+			list[k] = h.Alloc(uint32(k), next, 0)
+		}
+		h.AddRoot(list[0])
+		h.Collect()
+		onPage1, onPage2 := list[objsPerPage+5], list[2*objsPerPage+5]
+		if p1, p2 := h.cell(onPage1).page, h.cell(onPage2).page; p1 != 1 || p2 != 2 {
+			t.Fatalf("list cells on pages %d and %d, want 1 and 2", p1, p2)
+		}
+
+		viaPage2 := h.Alloc(2, 0, 0)
+		h.WriteRef(onPage2, 1, viaPage2)
+		viaPage1 := h.Alloc(1, 0, 0)
+		h.WriteRef(onPage1, 1, viaPage1)
+		h.Collect()
+
+		n := len(h.old)
+		if got := h.old[n-2:]; got[0] != viaPage1 || got[1] != viaPage2 {
+			t.Fatalf("run %d: promoted %v, want [%d %d] (page 1's referent first)",
+				run, got, viaPage1, viaPage2)
+		}
+	}
+}
+
+func TestAllocsPerRunBounded(t *testing.T) {
+	// The arena allocates cells in chunks, so host allocations are a
+	// small fraction of simulated cells: at most one per 64.
+	fast := costs(t, core.ModeFast)
+	for _, wl := range workloads {
+		var r Result
+		allocs := testing.AllocsPerRun(1, func() { r = wl.run(BarrierFastEager, fast) })
+		limit := float64(r.Stats.Allocated) / 64
+		t.Logf("%s: %.0f host allocations for %d cells", wl.name, allocs, r.Stats.Allocated)
+		if allocs > limit {
+			t.Errorf("%s: %.0f host allocations, want at most %.0f (cells/64)", wl.name, allocs, limit)
+		}
 	}
 }
