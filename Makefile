@@ -4,6 +4,11 @@
 # test suite under the race detector (the root module and the bench/
 # harness module), and a 30-seed fault-injection smoke campaign across
 # all three delivery modes.
+#
+# Performance is measured in one place: `bash bench/run.sh` (see
+# bench/README.md). The root bench_test.go micro-benchmarks
+# (`go test -run '^$' -bench . .`) compare the execution tiers as
+# sub-benchmarks and write no record.
 
 GO ?= go
 
@@ -12,7 +17,7 @@ GO ?= go
 # durably improves; never lower it to make a change pass.
 COVER_MIN ?= 86.0
 
-.PHONY: all build test vet check cover campaign soak soak-smoke bench-campaign bench-cpu bench-jit bench-fleet serve-smoke chaos-smoke snapshot-smoke difftest-crosscheck fleet-smoke fuzz clean
+.PHONY: all build test vet check cover campaign soak soak-smoke serve-smoke chaos-smoke snapshot-smoke difftest-crosscheck fleet-smoke fuzz clean
 
 all: build
 
@@ -29,6 +34,7 @@ test:
 # (four workers); its output is byte-identical to -parallel 1 by the
 # deterministic-merge contract (internal/parallel, DESIGN.md §8).
 check: vet build
+	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test -race -short ./...
 	$(GO) run ./cmd/uexc-bench -faultcampaign -seeds 30 -parallel 4
@@ -43,10 +49,10 @@ check: vet build
 
 # Serving smoke: spins a race-enabled uexc-serve on an ephemeral port
 # and runs the end-to-end self-test — CLI byte-identity of streamed
-# jobs, the debug-session gauntlet, a mixed loadgen burst with exact
-# /metrics accounting, and a graceful SIGTERM-style drain.
+# jobs, the debug-session gauntlet, a mixed 24-job burst from 8 clients
+# with exact /metrics accounting, and a graceful SIGTERM-style drain.
 serve-smoke:
-	$(GO) run -race ./cmd/uexc-serve -selftest -jobs 24 -concurrency 8
+	$(GO) run -race ./cmd/uexc-serve -selftest
 
 # Snapshot/fork/debug-session gauntlet (DESIGN.md §16), race-enabled
 # and cache-busted: CoW snapshot round-trips at every layer (mem, TLB,
@@ -115,37 +121,6 @@ soak:
 # historically bad seeds (820, 2223, 2227) — part of the tier-1 gate.
 soak-smoke:
 	$(GO) run -race ./cmd/uexc-bench -soak -seeds 2500 -parallel 0
-
-# Serial-vs-parallel campaign wall time, recorded in the bench
-# trajectory (see EXPERIMENTS.md).
-bench-campaign:
-	$(GO) test -run '^$$' -bench 'BenchmarkCampaign(Serial|Parallel)' -benchtime 5x .
-
-# Interpreter fast-path benchmarks: raw step loop and memcpy-style
-# workload throughput (sim_MIPS) plus the serial campaign the DESIGN
-# §10 speedup claim is measured on. Before/after numbers for the
-# fast-path change are recorded in BENCH_cpu.json.
-bench-cpu:
-	$(GO) test -run '^$$' -bench 'Benchmark(StepLoop|MemcpyProgram|CampaignSerial)' -benchtime 2s .
-
-# Paired translation-tier benchmark: the same three benchmarks with
-# the engine pinned to the fast path and then to the JIT, back to back
-# on the same host — the before/after methodology the "jit" entry in
-# BENCH_cpu.json records. UEXC_ENGINE is read by the bench helpers in
-# bench_test.go.
-bench-jit:
-	@echo "== engine=fast (before) =="
-	UEXC_ENGINE=fast $(GO) test -run '^$$' -bench 'Benchmark(StepLoop|MemcpyProgram|CampaignSerial)' -benchtime 2s .
-	@echo "== engine=jit (after) =="
-	UEXC_ENGINE=jit $(GO) test -run '^$$' -bench 'Benchmark(StepLoop|MemcpyProgram|CampaignSerial)' -benchtime 2s .
-
-# Fleet benchmark: spawns two real uexc-serve worker processes, runs a
-# coordinator against them, and records coordinator overhead vs a
-# single node, a 100k+ seed-equivalent burst, and the tenant-quota
-# demo under the "fleet" key of BENCH_serve.json (DESIGN.md §13,
-# EXPERIMENTS.md). Built without -race: this measures throughput.
-bench-fleet:
-	$(GO) run ./cmd/uexc-serve -bench-fleet -bench-out BENCH_serve.json
 
 # Short coverage-guided fuzzing burst on the decoder and assembler.
 fuzz:

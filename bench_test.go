@@ -253,33 +253,31 @@ func BenchmarkAblationSubpage(b *testing.B) {
 // smoke campaign.
 const benchCampaignSeeds = 30
 
-// benchEngine maps UEXC_ENGINE to the execution tier under
-// measurement: "jit" (default), "fast" (the pre-JIT fast-path
-// interpreter), or "interp" (uncached reference). `make bench-jit`
-// runs the paired fast/jit comparison recorded in BENCH_cpu.json.
-func benchEngine(b *testing.B) cpu.Engine {
-	b.Helper()
-	switch env := os.Getenv("UEXC_ENGINE"); env {
-	case "", "jit":
-		return cpu.EngineJIT
-	case "fast":
-		return cpu.EngineFast
-	case "interp":
-		return cpu.EngineInterp
-	default:
-		b.Fatalf("UEXC_ENGINE=%q: want jit, fast, or interp", env)
-		return 0
+// benchEngines are the execution tiers the engine benchmarks compare:
+// the JIT (the default), the pre-JIT fast-path interpreter, and the
+// uncached reference interpreter.
+var benchEngines = []struct {
+	name   string
+	engine cpu.Engine
+}{{"jit", cpu.EngineJIT}, {"fast", cpu.EngineFast}, {"interp", cpu.EngineInterp}}
+
+// forEachEngine runs bench once per execution tier as a sub-benchmark
+// (BenchmarkStepLoop/jit, .../fast, .../interp), so one `go test
+// -bench` run compares all three. Machines pick the tier up from
+// cpu.DefaultEngine at checkout; it is restored after each leg.
+func forEachEngine(b *testing.B, bench func(b *testing.B)) {
+	for _, e := range benchEngines {
+		b.Run(e.name, func(b *testing.B) {
+			prev := cpu.DefaultEngine
+			cpu.DefaultEngine = e.engine
+			defer func() { cpu.DefaultEngine = prev }()
+			bench(b)
+		})
 	}
 }
 
 func benchCampaign(b *testing.B, workers int) {
 	b.Helper()
-	// The campaign boots its machines through the pool, so the engine
-	// under measurement is selected via the process-wide default (each
-	// `make bench-jit` leg is its own process).
-	prev := cpu.DefaultEngine
-	cpu.DefaultEngine = benchEngine(b)
-	defer func() { cpu.DefaultEngine = prev }()
 	var fp string
 	for i := 0; i < b.N; i++ {
 		res, err := harness.FaultCampaignParallel(benchCampaignSeeds, workers, nil)
@@ -299,12 +297,15 @@ func benchCampaign(b *testing.B, workers int) {
 }
 
 // BenchmarkCampaignSerial is the serial baseline for the sharded
-// campaign engine: the tier-1 smoke campaign on one worker.
-func BenchmarkCampaignSerial(b *testing.B) { benchCampaign(b, 1) }
+// campaign engine: the tier-1 smoke campaign on one worker, under each
+// execution tier.
+func BenchmarkCampaignSerial(b *testing.B) {
+	forEachEngine(b, func(b *testing.B) { benchCampaign(b, 1) })
+}
 
 // BenchmarkCampaignParallel4 runs the same campaign sharded over four
 // workers with deterministic merging; compare ns/op against
-// BenchmarkCampaignSerial for the engine's wall-clock speedup (it
+// BenchmarkCampaignSerial/jit for the engine's wall-clock speedup (it
 // tracks available cores — on a single-CPU host it can only match the
 // serial time).
 func BenchmarkCampaignParallel4(b *testing.B) { benchCampaign(b, 4) }
@@ -317,14 +318,9 @@ func BenchmarkCampaignParallel(b *testing.B) { benchCampaign(b, 0) }
 // instructions per host second) as a custom metric. The program must
 // run far longer than any plausible b.N.
 //
-// UEXC_ENGINE selects the execution tier under measurement: "jit"
-// (default), "fast" (the pre-JIT fast-path interpreter), or "interp"
-// (uncached reference) — `make bench-jit` runs the paired fast/jit
-// comparison recorded in BENCH_cpu.json. The livelock watchdog is a
-// Run-loop service rather than part of any engine, so it is detached
-// here: raw engine throughput is what the benchmark measures (the
-// pre-JIT numbers in BENCH_cpu.json were Step()-based and likewise
-// excluded it).
+// The livelock watchdog is a Run-loop service rather than part of any
+// engine, so it is detached here: raw engine throughput is what the
+// benchmark measures.
 func benchInterp(b *testing.B, src string) {
 	b.Helper()
 	m, err := core.NewMachine()
@@ -335,7 +331,6 @@ func benchInterp(b *testing.B, src string) {
 		b.Fatal(err)
 	}
 	c := m.CPU()
-	c.Engine = benchEngine(b)
 	c.Watchdog = nil
 	start := c.Insts
 	b.ResetTimer()
@@ -356,7 +351,10 @@ func benchInterp(b *testing.B, src string) {
 // register-only loop: the fetch/decode/execute path with no memory
 // traffic beyond the instruction stream.
 func BenchmarkStepLoop(b *testing.B) {
-	benchInterp(b, `
+	forEachEngine(b, func(b *testing.B) { benchInterp(b, stepLoopSrc) })
+}
+
+const stepLoopSrc = `
 main:
 	li    s0, 0x7fffffff
 	li    s1, 0
@@ -370,15 +368,17 @@ loop:
 	li    v0, 0
 	jr    ra
 	nop
-`)
-}
+`
 
 // BenchmarkMemcpyProgram measures interpreter throughput on a
 // load/store-dominated workload: a 4 KB word-by-word copy loop, so
 // every iteration exercises instruction fetch plus a data-TLB
 // translation and physical access for both a load and a store.
 func BenchmarkMemcpyProgram(b *testing.B) {
-	benchInterp(b, `
+	forEachEngine(b, func(b *testing.B) { benchInterp(b, memcpySrc) })
+}
+
+const memcpySrc = `
 main:
 	la    s0, bench_src
 	la    s1, bench_dst
@@ -400,8 +400,7 @@ bench_src:
 	.space 4096
 bench_dst:
 	.space 4096
-`)
-}
+`
 
 // BenchmarkSimulatorThroughput measures the host-side simulator itself:
 // simulated instructions per host second (not a paper exhibit; a

@@ -192,7 +192,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	// boots with. All three tiers are observationally identical (the
 	// difftest cross-check in `make check` holds them to that), so this
 	// only changes wall-clock — and is exactly the knob the cross-check
-	// and the paired BENCH_cpu.json runs turn.
+	// turns. The root bench_test.go compares the tiers' throughput as
+	// per-engine sub-benchmarks.
 	switch *engine {
 	case "jit":
 		cpu.DefaultEngine = cpu.EngineJIT

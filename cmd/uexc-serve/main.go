@@ -10,19 +10,16 @@
 //	uexc-serve -coordinator u1,u2    serve as a fleet coordinator: campaign and
 //	                                 difftest jobs fan out to these worker nodes
 //	uexc-serve -selftest             end-to-end serving smoke (spins its own server)
-//	uexc-serve -loadgen -url ...     generate load against a running server
 //	uexc-serve -chaos                crash-tolerance gauntlet: repeated mid-campaign
 //	                                 kills must leave the final stream byte-identical
 //	uexc-serve -fleet-smoke          distributed gauntlet: coordinator + 2 workers,
 //	                                 worker kill, coordinator kill, torn journal tmp
-//	uexc-serve -bench-fleet          multi-process localhost fleet benchmark
 //
 // See README.md "Serving" and DESIGN.md §11–13.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -30,7 +27,6 @@ import (
 	"os/signal"
 	"strings"
 	"syscall"
-	"time"
 
 	"uexc/internal/server"
 	"uexc/internal/server/chaos"
@@ -40,13 +36,13 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	forceExitOnSecondSignal(ctx, stop)
-	if err := run(ctx, os.Args[1:], os.Stdout, os.Stderr); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "uexc-serve:", err)
 		os.Exit(1)
 	}
 }
 
-func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+func run(ctx context.Context, args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("uexc-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -66,26 +62,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		tenantRate     = fs.Float64("tenant-seeds-per-sec", 0, "per-tenant admission rate in seed units/s (0: unlimited)")
 		tenantBurst    = fs.Float64("tenant-burst", 0, "per-tenant token-bucket burst in seed units (0: 4s of refill)")
 
-		selftest    = fs.Bool("selftest", false, "run the end-to-end serving smoke against an ephemeral server, then exit")
-		loadgen     = fs.Bool("loadgen", false, "generate load against -url, then exit")
-		chaosMode   = fs.Bool("chaos", false, "run the crash-tolerance gauntlet on an ephemeral server, then exit")
-		chaosSeeds  = fs.Int("chaos-seeds", 0, "campaign size for -chaos (0: 30)")
-		chaosKills  = fs.Int("chaos-kills", 0, "kill/restart cycles for -chaos (0: 3)")
-		chaosSeed   = fs.Int64("chaos-seed", 0, "fault-plan seed for -chaos and -fleet-smoke (reproduces a failing run)")
-		fleetSmoke  = fs.Bool("fleet-smoke", false, "run the distributed-coordinator gauntlet on an ephemeral fleet, then exit")
-		fleetSeeds  = fs.Int("fleet-seeds", 0, "campaign size for -fleet-smoke (0: 30)")
-		benchFleet  = fs.Bool("bench-fleet", false, "run the multi-process localhost fleet benchmark, then exit")
-		fleetEquiv  = fs.Int("fleet-equivalents", 0, "seed-equivalent target for the -bench-fleet burst (0: 100000)")
-		url         = fs.String("url", "http://127.0.0.1:8612", "server base URL (loadgen mode)")
-		jobs        = fs.Int("jobs", 200, "total jobs (loadgen/selftest)")
-		concurrency = fs.Int("concurrency", 32, "client goroutines (loadgen/selftest)")
-		benchOut    = fs.String("bench-out", "", "write the -loadgen or -bench-fleet report as JSON to this file")
+		selftest   = fs.Bool("selftest", false, "run the end-to-end serving smoke against an ephemeral server, then exit")
+		chaosMode  = fs.Bool("chaos", false, "run the crash-tolerance gauntlet on an ephemeral server, then exit")
+		chaosSeeds = fs.Int("chaos-seeds", 0, "campaign size for -chaos (0: 30)")
+		chaosKills = fs.Int("chaos-kills", 0, "kill/restart cycles for -chaos (0: 3)")
+		chaosSeed  = fs.Int64("chaos-seed", 0, "fault-plan seed for -chaos and -fleet-smoke (reproduces a failing run)")
+		fleetSmoke = fs.Bool("fleet-smoke", false, "run the distributed-coordinator gauntlet on an ephemeral fleet, then exit")
+		fleetSeeds = fs.Int("fleet-seeds", 0, "campaign size for -fleet-smoke (0: 30)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if modes := btoi(*selftest) + btoi(*loadgen) + btoi(*chaosMode) + btoi(*fleetSmoke) + btoi(*benchFleet); modes > 1 {
-		return fmt.Errorf("-selftest, -loadgen, -chaos, -fleet-smoke and -bench-fleet are mutually exclusive")
+	if modes := btoi(*selftest) + btoi(*chaosMode) + btoi(*fleetSmoke); modes > 1 {
+		return fmt.Errorf("-selftest, -chaos and -fleet-smoke are mutually exclusive")
 	}
 	if *resume && *storeDir == "" {
 		return fmt.Errorf("-resume requires -store-dir")
@@ -114,30 +103,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			Seeds: *fleetSeeds, Seed: *chaosSeed, Out: stderr,
 		})
 
-	case *benchFleet:
-		return runBenchFleet(ctx, benchFleetConfig{
-			equivalents: *fleetEquiv, benchOut: *benchOut,
-		}, stdout, stderr)
-
 	case *selftest:
 		return server.Smoke(ctx, stderr, server.SmokeConfig{
-			Jobs: *jobs, Concurrency: *concurrency,
 			Workers: *workers, QueueDepth: *queue,
 		})
-
-	case *loadgen:
-		start := time.Now()
-		rep, err := server.RunLoad(ctx, server.LoadConfig{
-			BaseURL: *url, Jobs: *jobs, Concurrency: *concurrency, Verbose: true,
-		})
-		if rep != nil {
-			rep.Render(stdout)
-			fmt.Fprintf(stderr, "loadgen: wall time %.2fs\n", time.Since(start).Seconds())
-		}
-		if err != nil {
-			return err
-		}
-		return writeBench(*benchOut, rep, stderr)
 
 	default:
 		return server.Run(ctx, server.Config{
@@ -166,20 +135,4 @@ func btoi(b bool) int {
 		return 1
 	}
 	return 0
-}
-
-// writeBench persists the machine-readable load report (BENCH_serve.json).
-func writeBench(path string, rep *server.LoadReport, stderr io.Writer) error {
-	if path == "" || rep == nil {
-		return nil
-	}
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("bench-out: %w", err)
-	}
-	fmt.Fprintf(stderr, "wrote %s\n", path)
-	return nil
 }

@@ -3,27 +3,22 @@ package main
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 	"time"
-
-	"uexc/internal/server"
 )
 
 func TestFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bogus"},
-		{"-selftest", "-loadgen"},
 		{"-selftest", "-chaos"},
 		{"-chaos", "-fleet-smoke"},
-		{"-loadgen", "-bench-fleet"},
 		{"-resume"}, // without -store-dir
 	} {
-		if err := run(context.Background(), args, io.Discard, io.Discard); err == nil {
+		if err := run(context.Background(), args, io.Discard); err == nil {
 			t.Errorf("%v accepted", args)
 		}
 	}
@@ -58,7 +53,7 @@ func TestChaosMode(t *testing.T) {
 	var stderr bytes.Buffer
 	err := run(context.Background(), []string{
 		"-chaos", "-chaos-seeds", "4", "-chaos-kills", "2", "-chaos-seed", "3",
-	}, io.Discard, &stderr)
+	}, &stderr)
 	if err != nil {
 		t.Fatalf("-chaos: %v\n%s", err, stderr.String())
 	}
@@ -76,7 +71,7 @@ func TestServeModeDurableFlags(t *testing.T) {
 	errc := make(chan error, 1)
 	var stderr bytes.Buffer
 	go func() {
-		errc <- run(ctx, []string{"-addr", "127.0.0.1:0", "-store-dir", dir, "-resume"}, io.Discard, &stderr)
+		errc <- run(ctx, []string{"-addr", "127.0.0.1:0", "-store-dir", dir, "-resume"}, &stderr)
 	}()
 	time.Sleep(200 * time.Millisecond)
 	cancel()
@@ -100,7 +95,7 @@ func TestServeModeDrainsOnCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	var stderr bytes.Buffer
-	go func() { errc <- run(ctx, []string{"-addr", "127.0.0.1:0"}, io.Discard, &stderr) }()
+	go func() { errc <- run(ctx, []string{"-addr", "127.0.0.1:0"}, &stderr) }()
 	time.Sleep(200 * time.Millisecond)
 	cancel()
 	select {
@@ -113,44 +108,5 @@ func TestServeModeDrainsOnCancel(t *testing.T) {
 	}
 	if !strings.Contains(stderr.String(), "drained, bye") {
 		t.Errorf("serve log:\n%s", stderr.String())
-	}
-}
-
-// TestLoadgenMode drives -loadgen against a live server and checks the
-// -bench-out report.
-func TestLoadgenMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs campaigns")
-	}
-	in, err := server.Start(server.Config{Workers: 2, QueueDepth: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	out := filepath.Join(t.TempDir(), "BENCH_serve.json")
-	var stdout, stderr bytes.Buffer
-	err = run(context.Background(), []string{
-		"-loadgen", "-url", in.URL,
-		"-jobs", "6", "-concurrency", "3", "-bench-out", out,
-	}, &stdout, &stderr)
-	if err != nil {
-		t.Fatalf("loadgen: %v\nstdout:\n%s\nstderr:\n%s", err, stdout.String(), stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "outcomes: ok 6, failed 0, dropped 0") {
-		t.Errorf("loadgen report:\n%s", stdout.String())
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var rep server.LoadReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		t.Fatalf("bench-out not JSON: %v", err)
-	}
-	if rep.OK != 6 || rep.Jobs != 6 || rep.Concurrency != 3 {
-		t.Errorf("bench-out report: %+v", rep)
-	}
-	if err := in.Stop(); err != nil {
-		t.Fatalf("server: %v", err)
 	}
 }

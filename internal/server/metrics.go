@@ -21,7 +21,7 @@ type metrics struct {
 	RejectedFull     atomic.Uint64 // 429: queue at capacity
 	RejectedDraining atomic.Uint64 // 503: drain in progress
 	RejectedTenant   atomic.Uint64 // 429: a tenant quota said no
-	BadRequests      atomic.Uint64 // 4xx: malformed or invalid job specs
+	BadRequests      atomic.Uint64 // 4xx: malformed or invalid job specs or X-Tenant headers
 
 	JobsOK        atomic.Uint64 // completed with ok=true
 	JobsFailed    atomic.Uint64 // completed with ok=false (engine failure)

@@ -479,6 +479,27 @@ func tenantName(h string) string {
 	return h
 }
 
+// maxTenantLen caps an X-Tenant header value.
+const maxTenantLen = 64
+
+// validTenant reports whether h may name a tenant: empty (the default
+// tenant) or at most maxTenantLen bytes of [A-Za-z0-9._-]. A tenant
+// name becomes a map key, a journal field and a /metrics label value,
+// so it is held to bytes no exposition format needs to escape.
+func validTenant(h string) bool {
+	if len(h) > maxTenantLen {
+		return false
+	}
+	for i := 0; i < len(h); i++ {
+		switch c := h[i]; {
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '.', c == '_', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
 // worker executes queued jobs until the server closes.
 func (s *Server) worker() {
 	defer s.workerWG.Done()
@@ -587,6 +608,12 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
+	tenant := r.Header.Get("X-Tenant")
+	if !validTenant(tenant) {
+		s.metrics.BadRequests.Add(1)
+		http.Error(w, fmt.Sprintf("invalid X-Tenant: want at most %d bytes of [A-Za-z0-9._-]", maxTenantLen), http.StatusBadRequest)
+		return
+	}
 	var req Request
 	body := http.MaxBytesReader(w, r.Body, 1<<16)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
@@ -614,7 +641,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	j := &job{
 		id: s.nextID.Add(1), req: req, rawReq: raw,
-		tenant: tenantName(r.Header.Get("X-Tenant")),
+		tenant: tenantName(tenant),
 		log:    newEventLog(),
 	}
 	j.ctx, j.cancel = s.jobContext(parent, req)

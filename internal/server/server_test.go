@@ -347,28 +347,43 @@ func TestShardRangeJob(t *testing.T) {
 	}
 }
 
-// TestBadRequests: malformed specs are 400s (counted), /jobs is
-// POST-only.
+// TestBadRequests: malformed specs and malformed X-Tenant headers are
+// 400s (counted), /jobs is POST-only.
 func TestBadRequests(t *testing.T) {
 	s, base := startTest(t, Config{Workers: 1, QueueDepth: 1})
-	for _, body := range []string{
-		`{"type":"bogus"}`,
-		`{"type":"campaign","seeds":0}`,
-		`{"type":"campaign","seeds":1000000}`,
-		`not json at all`,
-	} {
-		resp, err := http.Post(base+"/jobs", "application/json", strings.NewReader(body))
+	const okBody = `{"type":"program-run","seed":1}`
+	cases := []struct{ tenant, body string }{
+		{"", `{"type":"bogus"}`},
+		{"", `{"type":"campaign","seeds":0}`},
+		{"", `{"type":"campaign","seeds":1000000}`},
+		{"", `not json at all`},
+		{"a\tb", okBody},
+		{"x\xffy", okBody},
+		{"a b", okBody},
+		{`a"b`, okBody},
+		{strings.Repeat("t", maxTenantLen+1), okBody},
+		{strings.Repeat("t", 5000), okBody},
+	}
+	for _, c := range cases {
+		req, err := http.NewRequest(http.MethodPost, base+"/jobs", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.tenant != "" {
+			req.Header.Set("X-Tenant", c.tenant)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("POST %q: status %d, want 400", body, resp.StatusCode)
+			t.Errorf("POST %q, X-Tenant %.20q (%d bytes): status %d, want 400", c.body, c.tenant, len(c.tenant), resp.StatusCode)
 		}
 	}
-	if got := s.metrics.BadRequests.Load(); got != 4 {
-		t.Errorf("BadRequests = %d, want 4", got)
+	if got := s.metrics.BadRequests.Load(); got != uint64(len(cases)) {
+		t.Errorf("BadRequests = %d, want %d", got, len(cases))
 	}
 	resp, err := http.Get(base + "/jobs")
 	if err != nil {
@@ -425,44 +440,6 @@ func TestMetricsSurfaces(t *testing.T) {
 	}
 }
 
-// TestLoadgen: a small mixed burst completes with zero failures and
-// the /metrics totals agree exactly with the client-side counts.
-func TestLoadgen(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs campaigns under load")
-	}
-	s, base := startTest(t, Config{Workers: 4, QueueDepth: 16})
-	rep, err := RunLoad(context.Background(), LoadConfig{
-		BaseURL: base, Jobs: 20, Concurrency: 6, Verbose: true,
-	})
-	if err != nil {
-		t.Fatalf("loadgen: %v\nreport: %+v", err, rep)
-	}
-	if rep.OK != 20 || rep.Failed != 0 || rep.Dropped != 0 {
-		t.Fatalf("report: %+v", rep)
-	}
-	var total int
-	for _, n := range rep.ByType {
-		total += n
-	}
-	if total != 20 || rep.ByType[string(TypeCampaign)] == 0 || rep.ByType[string(TypeDifftest)] == 0 ||
-		rep.ByType[string(TypeProgramRun)] == 0 {
-		t.Errorf("job mix: %+v", rep.ByType)
-	}
-	if s.metrics.Admitted.Load() != 20 || s.metrics.JobsOK.Load() != 20 {
-		t.Errorf("server counts admitted=%d ok=%d, want 20/20 (client-side)",
-			s.metrics.Admitted.Load(), s.metrics.JobsOK.Load())
-	}
-	if st := s.pool.Stats(); st.Restores == 0 || st.Gets != st.Forks+st.Restores {
-		t.Errorf("machine pool never recycled under load, or lost a checkout: %+v", st)
-	}
-	var buf bytes.Buffer
-	rep.Render(&buf)
-	if !strings.Contains(buf.String(), "jobs/s") {
-		t.Errorf("report render: %s", buf.String())
-	}
-}
-
 // TestClientDisconnectCancelsJob: dropping the connection mid-stream
 // cancels the job's context so the worker is freed promptly.
 func TestClientDisconnectCancelsJob(t *testing.T) {
@@ -498,7 +475,7 @@ func TestSmoke(t *testing.T) {
 		t.Skip("full serving smoke")
 	}
 	var out bytes.Buffer
-	if err := Smoke(context.Background(), &out, SmokeConfig{Jobs: 10, Concurrency: 4, Workers: 2, QueueDepth: 16}); err != nil {
+	if err := Smoke(context.Background(), &out, SmokeConfig{Workers: 2, QueueDepth: 16}); err != nil {
 		t.Fatalf("smoke: %v\n%s", err, out.String())
 	}
 	if !strings.Contains(out.String(), "smoke: ok") {

@@ -10,15 +10,16 @@ import (
 
 	"uexc/internal/debug"
 	"uexc/internal/kernel"
+	"uexc/internal/parallel"
 )
 
-// SmokeConfig sizes the end-to-end smoke run.
+// SmokeConfig shapes the server the end-to-end smoke runs against.
 type SmokeConfig struct {
-	Jobs        int // loadgen burst size (<=0: 24)
-	Concurrency int // loadgen clients (<=0: 8)
-	// Server shape for the burst phase.
 	Workers, QueueDepth int
 }
+
+// The smoke's phase-3 burst: smokeJobs jobs from smokeClients clients.
+const smokeJobs, smokeClients = 24, 8
 
 // Smoke is the serving subsystem's end-to-end self-test, run by
 // `make serve-smoke` against a race-built binary: it starts a real
@@ -30,9 +31,9 @@ type SmokeConfig struct {
 //     width 1 and 4;
 //  2. debug sessions — a watchpoint on the kernel trapframe page hits,
 //     the paused state is inspectable, and a re-run is byte-identical;
-//  3. load — a mixed-job loadgen burst completes with zero failed or
-//     dropped jobs, and /metrics totals agree exactly with the
-//     client-side counts (every pool checkout a fork or a restore);
+//  3. load — a mixed-job burst completes with every job admitted and
+//     ok, and /metrics totals agree exactly with the client-side
+//     counts (every pool checkout a fork or a restore);
 //  4. shutdown — cancelling ctx takes Run's SIGTERM path: drain, then
 //     a clean exit.
 //
@@ -40,18 +41,16 @@ type SmokeConfig struct {
 // TestQueueFull429, TestDrainFinishesAdmittedRejectsNew, and
 // TestTenantInFlightQuota.
 func Smoke(ctx context.Context, out io.Writer, cfg SmokeConfig) error {
-	if cfg.Jobs <= 0 {
-		cfg.Jobs = 24
-	}
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 8
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
 	}
+	// Each client holds at most one job, so with no more clients than
+	// queue slots admission never pushes back: any 429 in the burst is
+	// a bug, and fetchJob fails the smoke on it.
+	clients := min(smokeClients, cfg.QueueDepth)
 
 	runCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -85,21 +84,24 @@ func Smoke(ctx context.Context, out io.Writer, cfg SmokeConfig) error {
 		return fmt.Errorf("smoke: debug-session: %w", err)
 	}
 
-	// Phase 3: the mixed load burst, then exact accounting against the
-	// client-side counts.
-	fmt.Fprintf(out, "smoke: phase 3: loadgen burst (%d jobs x %d clients)\n", cfg.Jobs, cfg.Concurrency)
-	rep, err := RunLoad(ctx, LoadConfig{
-		BaseURL: base, Jobs: cfg.Jobs, Concurrency: cfg.Concurrency, Verbose: true,
+	// Phase 3: the mixed burst, then exact accounting against the
+	// client-side count.
+	fmt.Fprintf(out, "smoke: phase 3: mixed burst (%d jobs x %d clients)\n", smokeJobs, clients)
+	errs, err := parallel.MapCtx(ctx, clients, smokeJobs, func(i int) error {
+		_, err := fetchJob(ctx, base, mixRequest(i))
+		return err
 	})
-	if rep != nil {
-		rep.Render(out)
-	}
 	if err != nil {
-		return fmt.Errorf("smoke: loadgen: %w", err)
+		return fmt.Errorf("smoke: burst: %w", err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			return fmt.Errorf("smoke: burst job %d (%s): %w", i, mixRequest(i).Type, err)
+		}
 	}
 	// 4 byte-identity jobs + 2 debug sessions + the burst, all ok,
 	// nothing queued or running once the burst returns.
-	wantAdmitted := uint64(4 + 2 + cfg.Jobs)
+	wantAdmitted := uint64(4 + 2 + smokeJobs)
 	s, err := Metrics(base)
 	if err == nil {
 		err = checkAccounting(s, wantAdmitted)
@@ -116,6 +118,23 @@ func Smoke(ctx context.Context, out io.Writer, cfg SmokeConfig) error {
 	}
 	fmt.Fprintln(out, "smoke: ok — byte-identity, debug sessions, load, accounting, shutdown all verified")
 	return nil
+}
+
+// mixRequest deterministically maps a burst index to a request, so the
+// burst's composition depends only on its size, never on scheduling:
+// every tenth job a 3-seed campaign, every tenth from offset 5 a
+// 2-seed difftest, the rest program runs across the three delivery
+// modes — all streaming per-run progress.
+func mixRequest(i int) Request {
+	switch i % 10 {
+	case 0:
+		return Request{Type: TypeCampaign, Seeds: 3, Parallel: 1 + i%3, Verbose: true}
+	case 5:
+		return Request{Type: TypeDifftest, Seeds: 2, Parallel: 1 + i%2, Verbose: true}
+	default:
+		modes := []string{"ultrix", "fast", "hardware"}
+		return Request{Type: TypeProgramRun, Seed: int64(i), Mode: modes[i%3], Verbose: true}
+	}
 }
 
 // checkAccounting holds the burst instance's /metrics to the
