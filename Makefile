@@ -2,8 +2,9 @@
 #
 # `make check` is the tier-1 verification gate: static checks, the full
 # test suite under the race detector (the root module and the bench/
-# harness module), and a 30-seed fault-injection smoke campaign across
-# all three delivery modes.
+# harness module), and 30-seed smoke runs of both sweeps (the
+# fault-injection campaign and the difftest oracle) across all three
+# delivery modes, each cross-checked between execution tiers.
 #
 # Performance is measured in one place: `bash bench/run.sh` (see
 # bench/README.md). The root bench_test.go micro-benchmarks
@@ -17,7 +18,7 @@ GO ?= go
 # durably improves; never lower it to make a change pass.
 COVER_MIN ?= 86.0
 
-.PHONY: all build test vet check cover campaign soak soak-smoke serve-smoke chaos-smoke snapshot-smoke difftest-crosscheck fleet-smoke fuzz clean
+.PHONY: all build test vet check cover campaign soak soak-smoke serve-smoke chaos-smoke snapshot-smoke engine-crosscheck fleet-smoke fuzz clean
 
 all: build
 
@@ -30,16 +31,15 @@ vet:
 test:
 	$(GO) test ./...
 
-# Tier-1 gate. The smoke campaign runs through the parallel engine
-# (four workers); its output is byte-identical to -parallel 1 by the
-# deterministic-merge contract (internal/parallel, DESIGN.md §8).
+# Tier-1 gate. The smoke sweeps run inside engine-crosscheck, through
+# the parallel engine (four workers); their output is byte-identical to
+# -parallel 1 by the deterministic-merge contract (internal/parallel,
+# DESIGN.md §8), and a failing sweep fails its jit leg and so the gate.
 check: vet build
 	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test -race -short ./...
-	$(GO) run ./cmd/uexc-bench -faultcampaign -seeds 30 -parallel 4
-	$(GO) run ./cmd/uexc-bench -difftest -seeds 30 -parallel 4
-	$(MAKE) difftest-crosscheck
+	$(MAKE) engine-crosscheck
 	$(MAKE) soak-smoke
 	$(MAKE) snapshot-smoke
 	$(MAKE) serve-smoke
@@ -86,13 +86,16 @@ chaos-smoke:
 fleet-smoke:
 	$(GO) run -race ./cmd/uexc-serve -fleet-smoke
 
-# Translation-tier cross-check: the 30-seed difftest with the JIT
-# forced on and forced off must produce byte-identical summaries —
-# the executable observational-identity contract of cpu/translate.go.
-difftest-crosscheck:
-	$(GO) run ./cmd/uexc-bench -difftest -seeds 30 -parallel 4 -engine jit > .crosscheck-jit.out
-	$(GO) run ./cmd/uexc-bench -difftest -seeds 30 -parallel 4 -engine interp > .crosscheck-interp.out
-	cmp .crosscheck-jit.out .crosscheck-interp.out
+# Execution-tier cross-check: each 30-seed sweep (the fault campaign
+# and the difftest oracle) under the JIT and under the pure interpreter
+# must pass and produce byte-identical summaries — the executable
+# observational-identity contract of cpu/translate.go.
+engine-crosscheck:
+	for sweep in faultcampaign difftest; do \
+		$(GO) run ./cmd/uexc-bench -$$sweep -seeds 30 -parallel 4 -engine jit > .crosscheck-jit.out && \
+		$(GO) run ./cmd/uexc-bench -$$sweep -seeds 30 -parallel 4 -engine interp > .crosscheck-interp.out && \
+		cmp .crosscheck-jit.out .crosscheck-interp.out || exit 1; \
+	done
 	rm -f .crosscheck-jit.out .crosscheck-interp.out
 
 # Coverage ratchet: reruns the suite with statement coverage over the

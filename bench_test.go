@@ -11,6 +11,7 @@ package uexc
 // binary prints the same tables without the benchmarking framework.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -24,6 +25,7 @@ import (
 	"uexc/internal/harness"
 	"uexc/internal/report"
 	"uexc/internal/simos"
+	"uexc/internal/sweep"
 )
 
 var printOnce sync.Map
@@ -280,13 +282,15 @@ func benchCampaign(b *testing.B, workers int) {
 	b.Helper()
 	var fp string
 	for i := 0; i < b.N; i++ {
-		res, err := harness.FaultCampaignParallel(benchCampaignSeeds, workers, nil)
+		swept, err := harness.Campaign.Resume(context.Background(),
+			sweep.Options{Seeds: benchCampaignSeeds, Workers: workers}, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if !res.Ok() {
-			b.Fatalf("campaign failed:\n%s", res.Summary())
+		if err := swept.Err(); err != nil {
+			b.Fatalf("%v:\n%s", err, swept.Summary())
 		}
+		res := swept.(*harness.CampaignResult)
 		if fp == "" {
 			fp = res.Fingerprints[0]
 		} else if fp != res.Fingerprints[0] {

@@ -50,6 +50,7 @@ import (
 	"uexc/internal/harness"
 	"uexc/internal/report"
 	soakpkg "uexc/internal/soak"
+	"uexc/internal/sweep"
 )
 
 func main() {
@@ -231,13 +232,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		return writeCSV(name, s)
 	}
 
-	if *campaign {
-		var progress io.Writer
-		if *verbose {
-			progress = stderr
+	var progress io.Writer
+	if *verbose {
+		progress = stderr
+	}
+	if *campaign || *difftest {
+		sw := harness.Campaign.Kind()
+		if *difftest {
+			sw = dt.Oracle.Kind()
 		}
 		var diag jitDiag
-		res, err := harness.FaultCampaignCtx(ctx, diag.pool(), *seeds, *workers, progress)
+		res, err := sw.Resume(ctx, sweep.Options{
+			Seeds: *seeds, Workers: *workers, Pool: diag.pool(), Progress: progress,
+		}, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -245,18 +252,10 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if *verbose {
 			diag.report(stderr)
 		}
-		if !res.Ok() {
-			return fmt.Errorf("fault campaign failed (%d failures, missing coverage: %v)",
-				len(res.Failures), res.MissingCoverage())
-		}
-		return nil
+		return res.Err()
 	}
 
 	if *soak {
-		var progress io.Writer
-		if *verbose {
-			progress = stderr
-		}
 		res, err := soakpkg.Run(ctx, soakpkg.Options{
 			Seeds: *seeds, Workers: *workers, Dir: *soakDir,
 		}, progress, stdout)
@@ -264,27 +263,6 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 			return err
 		}
 		return res.Gate()
-	}
-
-	if *difftest {
-		var progress io.Writer
-		if *verbose {
-			progress = stderr
-		}
-		var diag jitDiag
-		res, err := dt.CampaignCtx(ctx, diag.pool(), *seeds, *workers, progress)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(stdout, res.Summary())
-		if *verbose {
-			diag.report(stderr)
-		}
-		if !res.Ok() {
-			return fmt.Errorf("differential campaign failed (%d divergences, self-test ok: %v)",
-				len(res.Divergences), res.SelfTestOK)
-		}
-		return nil
 	}
 
 	if *all {

@@ -56,18 +56,30 @@ const ClockMHz = 25
 // CyclesToMicros converts a cycle count to microseconds at ClockMHz.
 func CyclesToMicros(cycles uint64) float64 { return float64(cycles) / ClockMHz }
 
-// HCallFn is the kernel-call hook: the simulated kernel's "compiled C"
-// layer. It runs host-side with full machine access and may charge
-// cycles via CPU.Charge. Returning an error halts simulation (a kernel
-// panic).
-type HCallFn func(c *CPU, code uint32) error
-
 // OSHooks bundles the kernel-owned CPU hooks behind one interface
-// value (see CPU.OS): the HCALL upcall plus the two Tera-mode UEX
-// notifications. The simulated kernel implements it directly.
+// value (see CPU.OS). The simulated kernel implements it directly.
 type OSHooks interface {
+	// HCall is invoked by the kernel-mode HCALL instruction: the
+	// simulated kernel's "compiled C" layer. It runs host-side with
+	// full machine access and may charge cycles via CPU.Charge.
+	// Returning an error halts simulation (a kernel panic).
 	HCall(c *CPU, code uint32) error
+
+	// OnUEXRecursion is called when a TeraMode machine suppresses
+	// direct user delivery of a claimed exception because the UEX
+	// recursion bit is already set (§2's double-fault indication). The
+	// exception then proceeds down the architectural kernel path; the
+	// hook lets the kernel record the recursion and arrange escalation
+	// (fallback or controlled kill) before that delivery.
 	OnUEXRecursion(e Exception)
+
+	// OnUEXClear is called when an XRET instruction clears a set UEX
+	// bit — a user-level handler just completed. The kernel uses it to
+	// restore the u-area claim mask it blanked for the handler's
+	// duration (the software analogue of the hardware UEX delivery
+	// gate: while a handler is in progress, claimed exceptions must
+	// take the kernel path so the in-progress exception frame is never
+	// overwritten).
 	OnUEXClear()
 }
 
@@ -181,39 +193,18 @@ type CPU struct {
 	// pure register cycling alone).
 	MemWrites uint64
 
-	// HCall is invoked by the kernel-mode HCALL instruction.
-	HCall HCallFn
-
-	// OS, when non-nil, supersedes the HCall / OnUEXRecursion /
-	// OnUEXClear func hooks with a single interface value. Attaching an
-	// OS this way is allocation-free — an interface holding an existing
-	// pointer is two words, where taking the three method values costs
-	// three closure allocations per attach, which the fork-from-snapshot
-	// checkout path pays per machine. The func hooks remain for tests
-	// and ad-hoc instrumentation.
+	// OS receives the kernel upcalls (HCALL and the two Tera-mode UEX
+	// notifications); nil makes HCALL a reserved instruction. One
+	// interface value rather than three func fields keeps attaching an
+	// OS allocation-free — an interface holding an existing pointer is
+	// two words, where taking method values costs a closure allocation
+	// each, which the fork-from-snapshot checkout path pays per machine.
 	OS OSHooks
 
 	// Inject, when non-nil, is consulted at the top of every Step; a
 	// non-nil result raises that exception instead of executing the
 	// instruction at PC. Hook point for internal/faultinject.
 	Inject func(c *CPU) *InjectedFault
-
-	// OnUEXRecursion, when non-nil, is called when a TeraMode machine
-	// suppresses direct user delivery of a claimed exception because the
-	// UEX recursion bit is already set (§2's double-fault indication).
-	// The exception then proceeds down the architectural kernel path;
-	// the hook lets the kernel record the recursion and arrange
-	// escalation (fallback or controlled kill) before that delivery.
-	OnUEXRecursion func(e Exception)
-
-	// OnUEXClear, when non-nil, is called when an XRET instruction
-	// clears a set UEX bit — a user-level handler just completed. The
-	// kernel uses it to restore the u-area claim mask it blanked for the
-	// handler's duration (the software analogue of the hardware UEX
-	// delivery gate: while a handler is in progress, claimed exceptions
-	// must take the kernel path so the in-progress exception frame is
-	// never overwritten).
-	OnUEXClear func()
 
 	// Watchdog, when non-nil, monitors Run for livelock.
 	Watchdog *Watchdog
@@ -539,16 +530,11 @@ func (c *CPU) raise(sig *excSignal, instPC uint32, inDelay bool) {
 
 	sr := c.CP0[arch.C0Status]
 	if c.TeraMode && user && sr&arch.SrUEX != 0 && c.UserVector&(1<<sig.code) != 0 &&
-		(c.OS != nil || c.OnUEXRecursion != nil) {
+		c.OS != nil {
 		// A claimed exception arrived while a user-level handler was
 		// already in progress: the UEX bit forces the kernel path, and
 		// the hook gives the OS its chance to police the recursion.
-		e := Exception{Code: sig.code, PC: instPC, BadVAddr: sig.badva, InDelay: inDelay, User: user}
-		if c.OS != nil {
-			c.OS.OnUEXRecursion(e)
-		} else {
-			c.OnUEXRecursion(e)
-		}
+		c.OS.OnUEXRecursion(Exception{Code: sig.code, PC: instPC, BadVAddr: sig.badva, InDelay: inDelay, User: user})
 	}
 	if c.TeraMode && user && sr&arch.SrUEX == 0 && c.UserVector&(1<<sig.code) != 0 {
 		// Direct user-level delivery (Tera-style): load condition

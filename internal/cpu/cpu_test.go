@@ -9,8 +9,8 @@ import (
 	"uexc/internal/tlb"
 )
 
-// testMachine wraps a CPU with helpers for loading assembled programs
-// and recording hcalls.
+// testMachine wraps a CPU with helpers for loading assembled programs,
+// and is the CPU's OSHooks: it records hcalls.
 type testMachine struct {
 	t  *testing.T
 	c  *CPU
@@ -35,16 +35,25 @@ func newTestMachine(t *testing.T) *testMachine {
 	tl := &tlb.TLB{}
 	c := New(m, tl)
 	tm := &testMachine{t: t, c: c, m: m, tl: tl}
-	c.HCall = func(c *CPU, code uint32) error {
-		if code == hcExit {
-			c.Halted = true
-			return nil
-		}
-		tm.hcalls = append(tm.hcalls, hcallRec{code, c.GPR[arch.RegV0], c.GPR[arch.RegA0]})
-		return nil
-	}
+	c.OS = tm
 	return tm
 }
+
+// HCall implements OSHooks.
+func (tm *testMachine) HCall(c *CPU, code uint32) error {
+	if code == hcExit {
+		c.Halted = true
+		return nil
+	}
+	tm.hcalls = append(tm.hcalls, hcallRec{code, c.GPR[arch.RegV0], c.GPR[arch.RegA0]})
+	return nil
+}
+
+// OnUEXRecursion implements OSHooks; the bare CPU tests police nothing.
+func (tm *testMachine) OnUEXRecursion(Exception) {}
+
+// OnUEXClear implements OSHooks.
+func (tm *testMachine) OnUEXClear() {}
 
 // load assembles src and loads its chunks: kseg addresses map directly
 // to physical; kuseg chunks are loaded at pa == va and identity-mapped

@@ -304,16 +304,10 @@ func (c *CPU) execute(i *arch.Inst, pc uint32) *excSignal {
 		if !c.KernelMode() {
 			return exc(arch.ExcRI)
 		}
-		if c.OS == nil && c.HCall == nil {
+		if c.OS == nil {
 			return exc(arch.ExcRI)
 		}
-		var err error
-		if c.OS != nil {
-			err = c.OS.HCall(c, i.Code)
-		} else {
-			err = c.HCall(c, i.Code)
-		}
-		if err != nil {
+		if err := c.OS.HCall(c, i.Code); err != nil {
 			c.pendingHookErr = err
 		}
 	case arch.MnMFXT:
@@ -332,12 +326,8 @@ func (c *CPU) execute(i *arch.Inst, pc uint32) *excSignal {
 		wasUEX := c.CP0[arch.C0Status]&arch.SrUEX != 0
 		c.CP0[arch.C0Status] &^= arch.SrUEX
 		c.SetPC(target)
-		if wasUEX {
-			if c.OS != nil {
-				c.OS.OnUEXClear()
-			} else if c.OnUEXClear != nil {
-				c.OnUEXClear()
-			}
+		if wasUEX && c.OS != nil {
+			c.OS.OnUEXClear()
 		}
 	case arch.MnUTLBMOD:
 		return c.executeUTLBMod(rs, rt)

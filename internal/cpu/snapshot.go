@@ -8,10 +8,10 @@ package cpu
 // flush on restore, the predecode cache and translated blocks stay with
 // the machine (they are keyed by physical page and revalidate against
 // mem.Page.Gen / tlb.TLB.Gen, both of which the memory/TLB restores
-// advance — see DESIGN.md §16). Hooks (HCall, Inject, Trace, the UEX
-// callbacks), the watchdog, and any attached DebugGuard belong to the
-// run, not the state, and are cleared on restore for the owner (the
-// kernel, the pool, a debugger) to rewire.
+// advance — see DESIGN.md §16). Hooks (OS, Inject, Trace), the
+// watchdog, and any attached DebugGuard belong to the run, not the
+// state, and are cleared on restore for the owner (the kernel, the
+// pool, a debugger) to rewire.
 type State struct {
 	gpr        [32]uint32
 	hi, lo     uint32
@@ -111,10 +111,8 @@ func (c *CPU) RestoreState(st *State) {
 		}
 	}
 
-	c.HCall = nil
 	c.OS = nil
 	c.Inject = nil
-	c.OnUEXRecursion, c.OnUEXClear = nil, nil
 	c.Watchdog = nil
 	c.Trace = nil
 	c.Debug = nil

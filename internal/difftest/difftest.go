@@ -27,16 +27,14 @@
 package difftest
 
 import (
-	"context"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
 	"uexc/internal/arch"
 	"uexc/internal/core"
-	"uexc/internal/parallel"
 	"uexc/internal/progen"
+	"uexc/internal/sweep"
 	"uexc/internal/verdict"
 )
 
@@ -283,8 +281,18 @@ type Result struct {
 	SelfTestSeed int64
 }
 
-// Ok reports whether the campaign passed.
-func (r *Result) Ok() bool { return len(r.Divergences) == 0 && r.SelfTestOK }
+// Err reports whether the campaign passed: nil when every seed agreed
+// across modes and the self-test caught its mutation.
+func (r *Result) Err() error {
+	if len(r.Divergences) > 0 || !r.SelfTestOK {
+		return fmt.Errorf("differential campaign failed (%d divergences, self-test ok: %v)",
+			len(r.Divergences), r.SelfTestOK)
+	}
+	return nil
+}
+
+// Counts returns the campaign's verdict tally.
+func (r *Result) Counts() verdict.Counts { return r.Verdicts }
 
 // Summary renders the deterministic campaign report.
 func (r *Result) Summary() string {
@@ -377,7 +385,7 @@ func budgetScaled(p *progen.Program) bool {
 
 // RunShard runs seed i's three-mode comparison on a pooled machine and
 // returns its digest — the single shard-execution point shared by the
-// local sweep and the serving layer's shard-range jobs, so remote and
+// Oracle sweep and the serving layer's shard-range jobs, so remote and
 // local digests are byte-identical.
 func RunShard(pool Machines, i int) Shard {
 	var t Shard
@@ -387,65 +395,24 @@ func RunShard(pool Machines, i int) Shard {
 	return t
 }
 
-// Campaign runs the oracle over seeds [0, n) sharded across workers via
-// the work-stealing engine, results merged strictly by seed index so
-// the Result and progress stream are byte-identical at any worker
-// count. The mutation self-test runs first on the lowest seed whose
-// program raises at least one fault.
-func Campaign(n, workers int, w io.Writer) (*Result, error) {
-	return CampaignCtx(context.Background(), nil, n, workers, w)
+// Oracle is the differential campaign as a sweep: one shard per seed
+// in [0, seeds), each a three-mode comparison of that seed's program.
+var Oracle = sweep.Sweep[Shard]{
+	Name:   "difftest",
+	Shards: func(seeds int) int { return seeds },
+	Run:    func(pool *core.MachinePool, _, i int) Shard { return RunShard(pool, i) },
+	Line:   func(_, i int, t Shard) string { return ShardLine(i, t) },
+	Fold:   fold,
 }
 
-// CampaignCtx is Campaign under a context and an optional caller-owned
-// machine pool (nil gets a private one; the serving layer passes its
-// shared pool so booted machines are recycled across jobs). A
-// cancelled or expired context aborts the sweep after at most the seed
-// comparisons already in flight and returns the context's error;
-// partial results are never reported.
-func CampaignCtx(ctx context.Context, pool *core.MachinePool, n, workers int, w io.Writer) (*Result, error) {
-	return CampaignResumeCtx(ctx, pool, n, workers, w, nil, 0, nil)
-}
-
-// CampaignResumeCtx is CampaignCtx with checkpoint/resume: `done`
-// holds the digests of the contiguous seed prefix recovered from a
-// durable checkpoint (nil for a fresh run), folded and re-streamed
-// without re-execution; `save`, when non-nil, receives the grown
-// contiguous prefix every `every` merged seeds and at completion,
-// strictly in order. The Result, Summary, and progress stream are
-// byte-identical to an undisturbed run regardless of worker count or
-// interruption point. The mutation self-test always re-runs — it is a
-// precondition for trusting the oracle, not a shard.
-func CampaignResumeCtx(ctx context.Context, pool *core.MachinePool, n, workers int, w io.Writer,
-	done []Shard, every int, save func(prefix []Shard) error) (*Result, error) {
-	if n <= 0 {
-		return nil, fmt.Errorf("difftest: seed count must be positive, got %d", n)
-	}
-	if len(done) > n {
-		return nil, fmt.Errorf("difftest: checkpoint has %d shards but the campaign has only %d seeds", len(done), n)
-	}
+// fold merges the seed digests in seed order. The mutation self-test
+// runs here, on the lowest seed whose program raises at least one
+// fault: it is a precondition for trusting the oracle, not a shard, so
+// it re-runs on every fold — a resumed campaign included.
+func fold(n int, tasks []Shard) sweep.Result {
 	res := &Result{Seeds: n, Episodes: map[string]int{}}
-
 	res.SelfTestSeed = mutationSeed()
 	res.SelfTestOK = SelfTest(res.SelfTestSeed)
-
-	if pool == nil {
-		pool = &core.MachinePool{}
-	}
-	if w != nil {
-		for i, t := range done {
-			io.WriteString(w, ShardLine(i, t))
-		}
-	}
-	progress := parallel.NewOrderedWriterAt(w, len(done))
-	tasks, err := parallel.MapResumeCtx(ctx, workers, n, done, every, save, func(i int) Shard {
-		t := RunShard(pool, i)
-		progress.Emit(i, ShardLine(i, t))
-		return t
-	})
-	if err != nil {
-		return nil, fmt.Errorf("difftest aborted: %w", err)
-	}
-
 	for i := 0; i < n; i++ {
 		for _, k := range progen.Generate(int64(i)).Episodes {
 			res.Episodes[k.String()]++
@@ -456,7 +423,7 @@ func CampaignResumeCtx(ctx context.Context, pool *core.MachinePool, n, workers i
 			res.Divergences = append(res.Divergences, fmt.Sprintf("seed %d %s", i, d))
 		}
 	}
-	return res, nil
+	return res
 }
 
 // mutationSeed returns the lowest seed whose program contains at least

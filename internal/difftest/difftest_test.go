@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 
@@ -58,52 +57,6 @@ func TestMutationDiffNamesLog(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("mutation divergences never mention the handler log: %v", divs)
-	}
-}
-
-// TestCampaignDeterministicAcrossWorkers: the full campaign — summary
-// and streamed progress — must be byte-identical at every worker
-// count. This is the contract the sharded CLI path advertises.
-func TestCampaignDeterministicAcrossWorkers(t *testing.T) {
-	const seeds = 12
-	type out struct {
-		summary  string
-		progress string
-	}
-	run := func(workers int) out {
-		var buf bytes.Buffer
-		res, err := Campaign(seeds, workers, &buf)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		return out{res.Summary(), buf.String()}
-	}
-	base := run(1)
-	for _, workers := range []int{2, 4} {
-		got := run(workers)
-		if got.summary != base.summary {
-			t.Errorf("workers=%d: summary differs from serial run\n--- serial ---\n%s--- sharded ---\n%s",
-				workers, base.summary, got.summary)
-		}
-		if got.progress != base.progress {
-			t.Errorf("workers=%d: progress stream differs from serial run", workers)
-		}
-	}
-	if !strings.Contains(base.summary, "zero cross-mode divergences") {
-		t.Errorf("campaign summary reports divergences:\n%s", base.summary)
-	}
-	if !strings.Contains(base.summary, "oracle self-test: mutation in one mode detected") {
-		t.Errorf("campaign summary missing self-test verdict:\n%s", base.summary)
-	}
-}
-
-// TestCampaignRejectsBadSeedCount: the CLI surface.
-func TestCampaignRejectsBadSeedCount(t *testing.T) {
-	if _, err := Campaign(0, 1, nil); err == nil {
-		t.Error("Campaign(0) should fail")
-	}
-	if _, err := Campaign(-3, 1, nil); err == nil {
-		t.Error("Campaign(-3) should fail")
 	}
 }
 

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 	"uexc/internal/cpu"
 	"uexc/internal/kernel"
 	"uexc/internal/progen"
+	"uexc/internal/sweep"
 )
 
 // machineDigest fingerprints a finished run the way the oracle does:
@@ -190,7 +192,8 @@ func TestCampaignWarmPoolIdentity(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		var pool core.MachinePool
 		var buf bytes.Buffer
-		if _, err := CampaignCtx(t.Context(), &pool, seeds, workers, &buf); err != nil {
+		o := sweep.Options{Seeds: seeds, Workers: workers, Pool: &pool, Progress: &buf}
+		if _, err := Oracle.Resume(context.Background(), o, nil, nil); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !bytes.Equal(buf.Bytes(), golden.Bytes()) {

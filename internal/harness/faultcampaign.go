@@ -1,10 +1,8 @@
 package harness
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"io"
 	"sort"
 	"strings"
 
@@ -13,8 +11,8 @@ import (
 	"uexc/internal/cpu"
 	"uexc/internal/faultinject"
 	"uexc/internal/kernel"
-	"uexc/internal/parallel"
 	"uexc/internal/progen"
+	"uexc/internal/sweep"
 	"uexc/internal/verdict"
 )
 
@@ -88,11 +86,17 @@ type CampaignResult struct {
 	Fingerprints []string
 }
 
-// Ok reports whether the campaign passed: no failures and every
-// required category exercised.
-func (r *CampaignResult) Ok() bool {
-	return len(r.Failures) == 0 && len(r.MissingCoverage()) == 0
+// Err reports whether the campaign passed: nil with no failures and
+// every required category exercised, otherwise the campaign's failure.
+func (r *CampaignResult) Err() error {
+	if missing := r.MissingCoverage(); len(r.Failures) > 0 || len(missing) > 0 {
+		return fmt.Errorf("fault campaign failed (%d failures, missing coverage: %v)", len(r.Failures), missing)
+	}
+	return nil
 }
+
+// Counts returns the campaign's verdict tally.
+func (r *CampaignResult) Counts() verdict.Counts { return r.Verdicts }
 
 // MissingCoverage returns the required categories never exercised.
 func (r *CampaignResult) MissingCoverage() []string {
@@ -171,16 +175,6 @@ type RunDigest struct {
 	VerdictDetail string       `json:"verdict_detail,omitempty"`
 }
 
-// FaultCampaign replays `seeds` fault plans under all three delivery
-// modes, each run twice, asserting determinism (identical fingerprints
-// per replay) and the DESIGN.md §6 invariants after every injected
-// event. A watchdog livelock probe (no injection, deliberate state
-// cycle) runs once per mode. Progress goes to w when non-nil. It is
-// the serial (one-worker) form of FaultCampaignParallel.
-func FaultCampaign(seeds int, w io.Writer) (*CampaignResult, error) {
-	return FaultCampaignParallel(seeds, 1, w)
-}
-
 // CampaignShard is one shard of a campaign: a seed×mode pair run
 // twice (run + determinism replay), or one livelock probe. Shards are
 // independent — each runs on its own self-contained machine — so the
@@ -194,35 +188,29 @@ type CampaignShard struct {
 	ProbeFail    string    `json:"probe_fail,omitempty"`
 }
 
-// FaultCampaignParallel shards the campaign's runs across `workers`
-// goroutines (0 selects GOMAXPROCS) via the work-stealing engine and
-// merges the shard results strictly in seed-major, mode-minor order —
-// never completion order — so the CampaignResult, its Summary, and the
-// per-run progress stream are byte-identical to the serial run for any
-// worker count. Machines are recycled through a pool, so a campaign
-// allocates only about one address space per worker rather than one
-// per run.
-func FaultCampaignParallel(seeds, workers int, w io.Writer) (*CampaignResult, error) {
-	return FaultCampaignCtx(context.Background(), nil, seeds, workers, w)
-}
-
-// FaultCampaignCtx is FaultCampaignParallel under a context and an
-// optional caller-owned machine pool. A nil pool gets a private one; a
-// shared pool (the serving layer's) recycles booted machines across
-// campaigns, not just within one. Cancelling the context aborts the
-// sweep after at most the runs already in flight complete and returns
-// the context's error — partial results are never reported, so a
-// campaign result is either complete and byte-identical to the serial
-// run or absent.
-func FaultCampaignCtx(ctx context.Context, pool *core.MachinePool, seeds, workers int, w io.Writer) (*CampaignResult, error) {
-	return FaultCampaignResumeCtx(ctx, pool, seeds, workers, w, nil, 0, nil)
+// Campaign is the fault-injection campaign as a sweep (DESIGN.md §6,
+// §8): it replays each seed's fault plan under all three delivery
+// modes, each run twice, asserting determinism (identical fingerprints
+// per replay) and the DESIGN.md §6 invariants after every injected
+// event, plus one watchdog livelock probe per mode. Machines are
+// recycled through the sweep's pool, so a campaign allocates about one
+// address space per worker rather than one per run.
+var Campaign = sweep.Sweep[CampaignShard]{
+	Name:   "fault campaign",
+	Shards: CampaignShards,
+	Run:    RunShard,
+	Line:   ShardLine,
+	Fold:   fold,
 }
 
 // campaignModes is the fixed mode order of a campaign's shard layout.
 var campaignModes = []core.Mode{core.ModeUltrix, core.ModeFast, core.ModeHardware}
 
-// CampaignShards returns the task count of a `seeds` campaign: the
-// seed×mode replay pairs plus the three per-mode watchdog probes.
+// CampaignShards returns the task count of a `seeds` campaign. Task
+// layout: [0, seeds×3) are the seed×mode replay pairs in seed-major
+// order; the last three are the per-mode watchdog probes (a deliberate
+// pure state cycle — no stores, no new code — that only the livelock
+// detector can classify).
 func CampaignShards(seeds int) int {
 	return seeds*len(campaignModes) + len(campaignModes)
 }
@@ -232,7 +220,7 @@ func CampaignShards(seeds int) int {
 // replayed on resume, and shards merged from remote workers by the
 // fleet coordinator (DESIGN.md §13), so all three are byte-identical
 // by construction.
-func ShardLine(i, seeds int, t CampaignShard) string {
+func ShardLine(seeds, i int, t CampaignShard) string {
 	if i < seeds*len(campaignModes) {
 		seed, mode := i/len(campaignModes), campaignModes[i%len(campaignModes)]
 		outcome := t.First.Outcome
@@ -249,8 +237,8 @@ func ShardLine(i, seeds int, t CampaignShard) string {
 
 // RunShard executes shard i of a `seeds`-sized campaign on a pooled
 // machine and returns its digest. It is the single shard-execution
-// point: the local sweep below and the serving layer's shard-range
-// jobs (the fleet coordinator's dispatch unit) both call it, so a
+// point: the Campaign sweep and the serving layer's shard-range jobs
+// (the fleet coordinator's dispatch unit) both call it, so a
 // digest computed on a remote worker is byte-identical to one computed
 // locally — the property that lets a distributed campaign merge into
 // the serial stream.
@@ -267,61 +255,15 @@ func RunShard(pool *core.MachinePool, seeds, i int) CampaignShard {
 	return t
 }
 
-// FaultCampaignResumeCtx is FaultCampaignCtx with checkpoint/resume:
-// `done` holds the digests of the contiguous shard prefix recovered
-// from a durable checkpoint (nil for a fresh run), which are folded
-// and re-streamed without re-execution; `save`, when non-nil, is
-// called with the grown contiguous prefix every `every` merged shards
-// (and at completion), in order, never concurrently — the §12
-// checkpoint cadence. The merged result, summary, and progress stream
-// are byte-identical to an undisturbed run at any worker count and
-// any interruption point, because shards are deterministic and the
-// merge is strictly index-ordered.
-func FaultCampaignResumeCtx(ctx context.Context, pool *core.MachinePool, seeds, workers int, w io.Writer,
-	done []CampaignShard, every int, save func(prefix []CampaignShard) error) (*CampaignResult, error) {
-	if seeds <= 0 {
-		seeds = 30
-	}
+// fold merges the campaign's shard digests strictly in task-index
+// order, reproducing exactly the accumulation the serial loop performed.
+func fold(seeds int, tasks []CampaignShard) sweep.Result {
 	res := &CampaignResult{
 		Seeds:     seeds,
 		Exercised: make(map[string]uint64),
 		Outcomes:  make(map[string]int),
 	}
 	modes := campaignModes
-
-	// Task layout: [0, seeds×3) are the seed×mode replay pairs in
-	// seed-major order; the last three are the per-mode watchdog
-	// probes (a deliberate pure state cycle — no stores, no new code —
-	// that only the livelock detector can classify).
-	nTasks := CampaignShards(seeds)
-	if len(done) > nTasks {
-		return nil, fmt.Errorf("fault campaign: checkpoint has %d shards but a %d-seed campaign has only %d",
-			len(done), seeds, nTasks)
-	}
-	if pool == nil {
-		pool = &core.MachinePool{}
-	}
-
-	// Replay the checkpointed prefix into the progress stream, then let
-	// the ordered writer continue from the first live shard.
-	if w != nil {
-		for i, t := range done {
-			io.WriteString(w, ShardLine(i, seeds, t))
-		}
-	}
-	progress := parallel.NewOrderedWriterAt(w, len(done))
-
-	tasks, err := parallel.MapResumeCtx(ctx, workers, nTasks, done, every, save, func(i int) CampaignShard {
-		t := RunShard(pool, seeds, i)
-		progress.Emit(i, ShardLine(i, seeds, t))
-		return t
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fault campaign aborted: %w", err)
-	}
-
-	// Deterministic merge: fold shard digests in task-index order,
-	// reproducing exactly the accumulation the serial loop performed.
 	for i := 0; i < seeds*len(modes); i++ {
 		seed, mode := i/len(modes), modes[i%len(modes)]
 		first, again := tasks[i].First, tasks[i].Again
@@ -371,7 +313,7 @@ func FaultCampaignResumeCtx(ctx context.Context, pool *core.MachinePool, seeds, 
 			res.Exercised["watchdog-livelock"]++
 		}
 	}
-	return res, nil
+	return res
 }
 
 // testHookPostLoad, when non-nil, runs after each campaign run's

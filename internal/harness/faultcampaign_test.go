@@ -1,69 +1,36 @@
 package harness
 
 import (
-	"bytes"
-	"reflect"
-	"runtime"
+	"context"
 	"testing"
 
 	"uexc/internal/core"
+	"uexc/internal/sweep"
 )
+
+// runCampaign runs a fresh seeds-sized campaign over workers.
+func runCampaign(t *testing.T, seeds, workers int) *CampaignResult {
+	t.Helper()
+	res, err := Campaign.Resume(context.Background(), sweep.Options{Seeds: seeds, Workers: workers}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.(*CampaignResult)
+}
 
 // TestFaultCampaignSmoke runs a short campaign: every required
 // category must be exercised, every run must be deterministic, and no
 // panic, invariant violation, or budget exhaustion may occur.
 func TestFaultCampaignSmoke(t *testing.T) {
-	res, err := FaultCampaign(8, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Ok() {
-		t.Fatalf("campaign failed:\n%s", res.Summary())
+	res := runCampaign(t, 8, 1)
+	if err := res.Err(); err != nil {
+		t.Fatalf("%v:\n%s", err, res.Summary())
 	}
 	if res.Outcomes["survived"] == 0 {
 		t.Errorf("no run survived to clean exit:\n%s", res.Summary())
 	}
 	if res.Runs != 8*3*2+3 {
 		t.Errorf("runs = %d, want %d", res.Runs, 8*3*2+3)
-	}
-}
-
-// TestFaultCampaignParallelDeterminism: the parallel campaign must be
-// byte-identical to the serial one for the same seeds — the whole
-// CampaignResult (Exercised, Outcomes, Failures ordering, per-run
-// Fingerprints), the rendered Summary, and the per-run progress stream
-// — at one worker, two workers, and NumCPU workers. This is the
-// deterministic-merge contract: results fold by seed/index, never by
-// completion time.
-func TestFaultCampaignParallelDeterminism(t *testing.T) {
-	const seeds = 6
-	var serialProgress bytes.Buffer
-	serial, err := FaultCampaignParallel(seeds, 1, &serialProgress)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(serial.Fingerprints) != seeds*3 {
-		t.Fatalf("serial fingerprints = %d, want %d", len(serial.Fingerprints), seeds*3)
-	}
-
-	for _, workers := range []int{2, runtime.NumCPU()} {
-		var progress bytes.Buffer
-		par, err := FaultCampaignParallel(seeds, workers, &progress)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(par, serial) {
-			t.Errorf("workers=%d: CampaignResult differs from serial\nserial: %+v\nparallel: %+v",
-				workers, serial, par)
-		}
-		if par.Summary() != serial.Summary() {
-			t.Errorf("workers=%d: Summary differs from serial:\n%s\nvs\n%s",
-				workers, par.Summary(), serial.Summary())
-		}
-		if progress.String() != serialProgress.String() {
-			t.Errorf("workers=%d: progress stream differs from serial:\n%q\nvs\n%q",
-				workers, progress.String(), serialProgress.String())
-		}
 	}
 }
 

@@ -96,17 +96,14 @@ func TestRecoverAndClassifyPanic(t *testing.T) {
 	}
 
 	// Campaign level: the sweep completes, tallies the EngineBug
-	// verdicts, and fails via Ok() — the process stayed up.
-	res, err := FaultCampaignParallel(1, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// verdicts, and fails via Err() — the process stayed up.
+	res := runCampaign(t, 1, 2)
 	if res.Verdicts[verdict.EngineBug] != len(campaignModes) {
 		t.Errorf("engine-bug verdicts = %d, want %d\n%s",
 			res.Verdicts[verdict.EngineBug], len(campaignModes), res.Summary())
 	}
-	if res.Ok() {
-		t.Error("campaign with panicking runs reported Ok")
+	if res.Err() == nil {
+		t.Error("campaign with panicking runs passed")
 	}
 	if !strings.Contains(res.Summary(), "engine-bug") {
 		t.Errorf("summary missing verdict tally:\n%s", res.Summary())
@@ -133,13 +130,13 @@ func TestShardLineTagsVerdicts(t *testing.T) {
 	var s CampaignShard
 	s.First.Outcome = "budget exhausted"
 	s.First.Verdict = verdict.KnownDivergent
-	line := ShardLine(0, 1, s)
+	line := ShardLine(1, 0, s)
 	if !strings.Contains(line, "budget exhausted [known-divergent]") {
 		t.Errorf("tagged line = %q", line)
 	}
 	s.First.Outcome = "survived"
 	s.First.Verdict = verdict.Clean
-	if got := ShardLine(0, 1, s); strings.Contains(got, "[") {
+	if got := ShardLine(1, 0, s); strings.Contains(got, "[") {
 		t.Errorf("clean line carries a tag: %q", got)
 	}
 }

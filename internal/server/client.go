@@ -12,8 +12,7 @@ import (
 	"strings"
 	"time"
 
-	dt "uexc/internal/difftest"
-	"uexc/internal/harness"
+	"uexc/internal/sweep"
 )
 
 // PostJob submits one job to the server at base under tenant ("": the
@@ -74,23 +73,16 @@ func WaitMetrics(base string, timeout time.Duration, cond func(Snapshot) bool) (
 // of that job's stream must equal it at any shard width, across kills
 // and resumes, and through a fleet coordinator.
 func Golden(ctx context.Context, typ Type, seeds int) (string, error) {
-	var b strings.Builder
-	switch typ {
-	case TypeCampaign:
-		res, err := harness.FaultCampaignCtx(ctx, nil, seeds, 1, &b)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(res.Summary())
-	case TypeDifftest:
-		res, err := dt.CampaignCtx(ctx, nil, seeds, 1, &b)
-		if err != nil {
-			return "", err
-		}
-		b.WriteString(res.Summary())
-	default:
+	sw := sweeps[typ]
+	if sw == nil {
 		return "", fmt.Errorf("no CLI golden for job type %q", typ)
 	}
+	var b strings.Builder
+	res, err := sw.Resume(ctx, sweep.Options{Seeds: seeds, Workers: 1, Progress: &b}, nil, nil)
+	if err != nil {
+		return "", err
+	}
+	b.WriteString(res.Summary())
 	return b.String(), nil
 }
 

@@ -1,7 +1,7 @@
 // Coordinator mode (DESIGN.md §13): with Config.WorkerNodes set, this
-// server splits every campaign/difftest job's shard space into ranges,
-// dispatches them to worker nodes over the ordinary HTTP/NDJSON job
-// API (each worker runs the unchanged engine via a shard-range job),
+// server splits every sweep job's shard space into ranges, dispatches
+// them to worker nodes over the ordinary HTTP/NDJSON job API (each
+// worker runs the unchanged sweep via a shard-range job),
 // and merges the streamed digests strictly by shard index — the same
 // §8 frontier a local sweep advances — so the distributed stream,
 // summary, and fingerprints are byte-identical to a serial single-node
@@ -27,8 +27,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	dt "uexc/internal/difftest"
-	"uexc/internal/harness"
+	"uexc/internal/sweep"
 )
 
 // fleet is the coordinator's worker set, shared by every distributed
@@ -221,34 +220,16 @@ func (fj *fleetJob) rangeDone() {
 	}
 }
 
-// runDistributed executes a campaign/difftest job across the fleet:
-// dispatch phase (ranges stream back and merge into the frontier),
-// then the fold — the unchanged engine's ResumeCtx entry point called
-// with the complete digest prefix, which re-derives the summary and
-// result exactly as a local run would, executing nothing.
-func (s *Server) runDistributed(j *job) (bool, string, error) {
+// runDistributed executes a sweep job across the fleet: dispatch
+// phase (ranges stream back and merge into the frontier), then the
+// sweep's Fold over the complete digest prefix, which re-derives the
+// summary and result exactly as a local run would, executing nothing.
+func (s *Server) runDistributed(j *job, sw sweep.Kind) (bool, string, error) {
 	space := j.req.ShardSpace()
 
 	var render func(i int, data json.RawMessage) (string, error)
 	if j.req.Verbose {
-		switch j.req.Type {
-		case TypeCampaign:
-			render = func(i int, data json.RawMessage) (string, error) {
-				var t harness.CampaignShard
-				if err := json.Unmarshal(data, &t); err != nil {
-					return "", fmt.Errorf("merge shard %d: corrupt digest: %w", i, err)
-				}
-				return harness.ShardLine(i, j.req.Seeds, t), nil
-			}
-		case TypeDifftest:
-			render = func(i int, data json.RawMessage) (string, error) {
-				var t dt.Shard
-				if err := json.Unmarshal(data, &t); err != nil {
-					return "", fmt.Errorf("merge shard %d: corrupt digest: %w", i, err)
-				}
-				return dt.ShardLine(i, t), nil
-			}
-		}
+		render = func(i int, data json.RawMessage) (string, error) { return sw.Line(j.req.Seeds, i, data) }
 	}
 
 	dctx, cancel := context.WithCancel(j.ctx)
@@ -265,7 +246,7 @@ func (s *Server) runDistributed(j *job) (bool, string, error) {
 		digests: make([]json.RawMessage, space),
 		pending: map[int]json.RawMessage{},
 		render:  render,
-		save:    saveShards[json.RawMessage](s, j),
+		save:    s.checkpoint(j),
 	}
 	m.lastSaved = m.next
 	copy(m.digests, j.done)
@@ -321,42 +302,11 @@ func (s *Server) runDistributed(j *job) (bool, string, error) {
 		return false, "", err
 	}
 
-	// Fold: hand the complete digest prefix back to the engine. With
-	// done covering the whole shard space nothing executes; the fold
-	// accumulates the identical CampaignResult a local run produces.
-	switch j.req.Type {
-	case TypeCampaign:
-		done, err := decodeShards[harness.CampaignShard](m.digests)
-		if err != nil {
-			return false, "", err
-		}
-		res, err := harness.FaultCampaignResumeCtx(j.ctx, s.pool, j.req.Seeds, 1, nil, done, 0, nil)
-		if err != nil {
-			return false, "", err
-		}
-		s.metrics.addVerdicts(res.Verdicts)
-		if !res.Ok() {
-			return false, res.Summary(), fmt.Errorf("fault campaign failed (%d failures, missing coverage: %v)",
-				len(res.Failures), res.MissingCoverage())
-		}
-		return true, res.Summary(), nil
-	case TypeDifftest:
-		done, err := decodeShards[dt.Shard](m.digests)
-		if err != nil {
-			return false, "", err
-		}
-		res, err := dt.CampaignResumeCtx(j.ctx, s.pool, j.req.Seeds, 1, nil, done, 0, nil)
-		if err != nil {
-			return false, "", err
-		}
-		s.metrics.addVerdicts(res.Verdicts)
-		if !res.Ok() {
-			return false, res.Summary(), fmt.Errorf("differential campaign failed (%d divergences, self-test ok: %v)",
-				len(res.Divergences), res.SelfTestOK)
-		}
-		return true, res.Summary(), nil
+	res, err := sw.Fold(j.req.Seeds, m.digests)
+	if err != nil {
+		return false, "", err
 	}
-	return false, "", fmt.Errorf("%s: not a distributable job type", j.req.Type)
+	return s.sweepVerdict(res)
 }
 
 // dispatcher is one worker node's pull loop: take a range, stream it,

@@ -14,6 +14,7 @@ import (
 	"uexc/internal/harness"
 	"uexc/internal/parallel"
 	"uexc/internal/progen"
+	"uexc/internal/sweep"
 )
 
 // Type names a job kind the service can execute.
@@ -76,14 +77,18 @@ type Request struct {
 	ShardTo   int `json:"shard_to,omitempty"`
 }
 
-// ShardSpace returns the size of the engine shard space a range may
-// address: campaignable types only, zero for everything else.
+// sweeps maps each sweep job type to its sweep: the one place the
+// serving layer tells one sweep from another.
+var sweeps = map[Type]sweep.Kind{
+	TypeCampaign: harness.Campaign.Kind(),
+	TypeDifftest: dt.Oracle.Kind(),
+}
+
+// ShardSpace returns the size of the sweep shard space a range may
+// address: sweep types only, zero for everything else.
 func (r *Request) ShardSpace() int {
-	switch r.Type {
-	case TypeCampaign:
-		return harness.CampaignShards(r.Seeds)
-	case TypeDifftest:
-		return r.Seeds
+	if sw := sweeps[r.Type]; sw != nil {
+		return sw.Shards(r.Seeds)
 	}
 	return 0
 }
@@ -92,19 +97,19 @@ func (r *Request) ShardSpace() int {
 // error. maxSeeds caps sweep sizes so one request cannot monopolize
 // the service.
 func (r *Request) Validate(maxSeeds int) error {
-	switch r.Type {
-	case TypeCampaign, TypeDifftest:
+	switch _, isSweep := sweeps[r.Type]; {
+	case isSweep:
 		if r.Seeds <= 0 {
 			return fmt.Errorf("%s: seeds must be positive, got %d", r.Type, r.Seeds)
 		}
 		if r.Seeds > maxSeeds {
 			return fmt.Errorf("%s: seeds %d exceeds the per-job cap %d", r.Type, r.Seeds, maxSeeds)
 		}
-	case TypeProgramRun:
+	case r.Type == TypeProgramRun:
 		if _, err := ParseMode(r.Mode); err != nil {
 			return err
 		}
-	case TypeDebugSession:
+	case r.Type == TypeDebugSession:
 		if _, err := ParseMode(r.Mode); err != nil {
 			return err
 		}
@@ -119,9 +124,9 @@ func (r *Request) Validate(maxSeeds int) error {
 				return fmt.Errorf("debug-session: command %d: unknown op %q (have %v)", i, c.Op, debug.Ops)
 			}
 		}
-	case TypeFigureSweep:
+	case r.Type == TypeFigureSweep:
 		// Only Parallel applies.
-	case "":
+	case r.Type == "":
 		return fmt.Errorf("missing job type (have %v)", Types)
 	default:
 		return fmt.Errorf("unknown job type %q (have %v)", r.Type, Types)
@@ -281,43 +286,16 @@ func (w progressWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// decodeShards unmarshals the journal's shard digests back into the
-// engine's typed checkpoint prefix.
-func decodeShards[T any](raw []json.RawMessage) ([]T, error) {
-	if len(raw) == 0 {
-		return nil, nil
-	}
-	out := make([]T, len(raw))
-	for i, blob := range raw {
-		if err := json.Unmarshal(blob, &out[i]); err != nil {
-			return nil, fmt.Errorf("resume: corrupt shard digest %d: %w", i, err)
-		}
-	}
-	return out, nil
-}
-
-// saveShards builds the engine checkpoint callback for a durable job:
-// journal every newly merged shard digest past the already-durable
-// prefix, then fsync — the §12 checkpoint boundary. The engine calls
-// it serially in prefix order, so the durable cursor needs no lock.
-// Without a store there is nothing to persist and the engines skip
-// checkpointing entirely.
-func saveShards[T any](s *Server, j *job) func(prefix []T) error {
+// checkpoint is a durable job's sweep checkpoint callback: the
+// store's, counted in /metrics. Without a store there is nothing to
+// persist and the sweep skips checkpointing entirely.
+func (s *Server) checkpoint(j *job) func(prefix []json.RawMessage) error {
 	if s.store == nil {
 		return nil
 	}
-	durable := j.resumed
-	return func(prefix []T) error {
-		for ; durable < len(prefix); durable++ {
-			blob, err := json.Marshal(prefix[durable])
-			if err != nil {
-				return fmt.Errorf("checkpoint shard %d: %w", durable, err)
-			}
-			if err := s.store.AppendShard(j.id, durable, blob); err != nil {
-				return err
-			}
-		}
-		if err := s.store.Sync(); err != nil {
+	save := s.store.Checkpoint(j.id, j.resumed)
+	return func(prefix []json.RawMessage) error {
+		if err := save(prefix); err != nil {
 			return err
 		}
 		s.metrics.Checkpoints.Add(1)
@@ -325,68 +303,25 @@ func saveShards[T any](s *Server, j *job) func(prefix []T) error {
 	}
 }
 
+// sweepVerdict turns a folded sweep into a job verdict, counting its
+// typed verdicts in /metrics.
+func (s *Server) sweepVerdict(res sweep.Result) (bool, string, error) {
+	s.metrics.addVerdicts(res.Counts())
+	if err := res.Err(); err != nil {
+		return false, res.Summary(), err
+	}
+	return true, res.Summary(), nil
+}
+
 // runJob executes one admitted job on the shared machine pool and
 // returns its verdict: ok mirrors the engine's own pass/fail notion,
 // summary is the exact text the CLI would print to stdout, and err
 // carries abort/engine failures. Panics are contained by the caller.
-//
-// Campaign and difftest jobs run under the server's shard runner
-// (per-shard retry, deadline, chaos injection) and, when a store is
-// configured, checkpoint every CheckpointEvery merged shards and skip
-// the durable prefix recovered from the journal on resume.
 func (s *Server) runJob(j *job) (ok bool, summary string, err error) {
-	if j.req.ShardTo > 0 {
-		return s.runShardRange(j)
+	if sw := sweeps[j.req.Type]; sw != nil {
+		return s.runSweep(j, sw)
 	}
-	if s.fleet != nil && j.req.ShardSpace() > 0 {
-		// Coordinator mode: shardable sweeps fan out to the worker
-		// fleet; point jobs still run locally.
-		return s.runDistributed(j)
-	}
-	// A nil io.Writer keeps the engines' "no progress stream" contract;
-	// a typed-nil wrapper would defeat their w == nil check.
-	var w io.Writer
-	if j.req.Verbose {
-		w = progressWriter{j}
-	}
-
 	switch j.req.Type {
-	case TypeCampaign:
-		done, derr := decodeShards[harness.CampaignShard](j.done)
-		if derr != nil {
-			return false, "", derr
-		}
-		ctx := parallel.WithShardRunner(j.ctx, s.shardRunner(j))
-		res, rerr := harness.FaultCampaignResumeCtx(ctx, s.pool, j.req.Seeds, j.req.Parallel, w,
-			done, s.cfg.CheckpointEvery, saveShards[harness.CampaignShard](s, j))
-		if rerr != nil {
-			return false, "", rerr
-		}
-		s.metrics.addVerdicts(res.Verdicts)
-		if !res.Ok() {
-			return false, res.Summary(), fmt.Errorf("fault campaign failed (%d failures, missing coverage: %v)",
-				len(res.Failures), res.MissingCoverage())
-		}
-		return true, res.Summary(), nil
-
-	case TypeDifftest:
-		done, derr := decodeShards[dt.Shard](j.done)
-		if derr != nil {
-			return false, "", derr
-		}
-		ctx := parallel.WithShardRunner(j.ctx, s.shardRunner(j))
-		res, rerr := dt.CampaignResumeCtx(ctx, s.pool, j.req.Seeds, j.req.Parallel, w,
-			done, s.cfg.CheckpointEvery, saveShards[dt.Shard](s, j))
-		if rerr != nil {
-			return false, "", rerr
-		}
-		s.metrics.addVerdicts(res.Verdicts)
-		if !res.Ok() {
-			return false, res.Summary(), fmt.Errorf("differential campaign failed (%d divergences, self-test ok: %v)",
-				len(res.Divergences), res.SelfTestOK)
-		}
-		return true, res.Summary(), nil
-
 	case TypeFigureSweep:
 		s3, err := harness.Figure3(false, j.req.Parallel)
 		if err != nil {
@@ -410,36 +345,58 @@ func (s *Server) runJob(j *job) (ok bool, summary string, err error) {
 	return false, "", fmt.Errorf("unknown job type %q", j.req.Type)
 }
 
-// shardEmitter streams merged shard digests as "shard" events in
-// ascending index order — the Event-stream counterpart of the §8
-// OrderedWriter: emits may arrive in any order, each index is emitted
-// exactly once, and nothing is held back once the frontier reaches it.
-// Like OrderedWriter.Emit it never blocks.
-type shardEmitter struct {
-	mu      sync.Mutex
-	j       *job
-	next    int
-	pending map[int]json.RawMessage
+// runSweep executes a sweep job. A shard-range job runs its slice of
+// the shard space for a coordinator; in coordinator mode the sweep fans
+// out to the worker fleet. Otherwise it runs locally under the
+// server's shard runner (per-shard retry, deadline, chaos injection)
+// and, when a store is configured, checkpoints every CheckpointEvery
+// merged shards and skips the durable prefix recovered from the
+// journal on resume.
+func (s *Server) runSweep(j *job, sw sweep.Kind) (bool, string, error) {
+	if j.req.ShardTo > 0 {
+		return s.runShardRange(j, sw)
+	}
+	if s.fleet != nil {
+		return s.runDistributed(j, sw)
+	}
+	// A nil io.Writer keeps the sweep's "no progress stream" contract;
+	// a typed-nil wrapper would defeat its nil check.
+	var w io.Writer
+	if j.req.Verbose {
+		w = progressWriter{j}
+	}
+	ctx := parallel.WithShardRunner(j.ctx, s.shardRunner(j))
+	res, err := sw.Resume(ctx, sweep.Options{
+		Seeds: j.req.Seeds, Workers: j.req.Parallel, Pool: s.pool,
+		Progress: w, Every: s.cfg.CheckpointEvery,
+	}, j.done, s.checkpoint(j))
+	if err != nil {
+		return false, "", err
+	}
+	return s.sweepVerdict(res)
 }
 
-func (e *shardEmitter) emit(i int, blob json.RawMessage) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.pending[i] = blob
-	for {
-		b, ok := e.pending[e.next]
-		if !ok {
-			return
-		}
-		delete(e.pending, e.next)
-		idx := e.next
-		e.j.emit(Event{Type: "shard", ID: e.j.id, Shard: &idx, Data: b})
-		e.next++
-	}
+// shardWriter turns merged shard digests into "shard" events. It sits
+// behind a parallel.OrderedWriter started at the range's first index —
+// the §8 frontier, so emits may arrive in any order and nothing is held
+// back once the frontier reaches it — and so receives each digest
+// exactly once, in ascending index order, and numbers them itself.
+type shardWriter struct {
+	j    *job
+	next int
+}
+
+func (w *shardWriter) Write(p []byte) (int, error) { return w.WriteString(string(p)) }
+
+func (w *shardWriter) WriteString(digest string) (int, error) {
+	idx := w.next
+	w.j.emit(Event{Type: "shard", ID: w.j.id, Shard: &idx, Data: json.RawMessage(digest)})
+	w.next++
+	return len(digest), nil
 }
 
 // runShardRange executes the sub-range [ShardFrom, ShardTo) of a
-// campaign/difftest shard space — the worker half of the coordinator
+// sweep's shard space — the worker half of the coordinator
 // protocol. Each shard runs through the server's shard runner at its
 // TRUE index (retry accounting, poison quarantine, and chaos plans all
 // key on the global shard index, so a re-dispatched range misbehaves
@@ -447,31 +404,16 @@ func (e *shardEmitter) emit(i int, blob json.RawMessage) {
 // "shard" event, strictly in ascending order. The digests are the
 // exact bytes a local run would checkpoint; the fold stays with the
 // coordinator.
-func (s *Server) runShardRange(j *job) (bool, string, error) {
+func (s *Server) runShardRange(j *job, sw sweep.Kind) (bool, string, error) {
 	from, to, space := j.req.ShardFrom, j.req.ShardTo, j.req.ShardSpace()
-
-	var runShard func(i int) (json.RawMessage, error)
-	switch j.req.Type {
-	case TypeCampaign:
-		runShard = func(i int) (json.RawMessage, error) {
-			return json.Marshal(harness.RunShard(s.pool, j.req.Seeds, i))
-		}
-	case TypeDifftest:
-		runShard = func(i int) (json.RawMessage, error) {
-			return json.Marshal(dt.RunShard(s.pool, i))
-		}
-	default:
-		return false, "", fmt.Errorf("%s: not a shard-range job type", j.req.Type)
-	}
-
 	runner := s.shardRunner(j)
-	em := &shardEmitter{j: j, next: from, pending: map[int]json.RawMessage{}}
+	em := parallel.NewOrderedWriterAt(&shardWriter{j: j, next: from}, from)
 	var firstErr error
 	var errMu sync.Mutex
 	err := parallel.ForEachCtx(j.ctx, j.req.Parallel, to-from, func(rel int) {
 		idx := from + rel
 		runner(idx, func() {
-			blob, merr := runShard(idx)
+			blob, merr := sw.RunShard(s.pool, j.req.Seeds, idx)
 			if merr != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -480,7 +422,7 @@ func (s *Server) runShardRange(j *job) (bool, string, error) {
 				errMu.Unlock()
 				return
 			}
-			em.emit(idx, blob)
+			em.Emit(idx, string(blob))
 		})
 	})
 	errMu.Lock()

@@ -360,6 +360,23 @@ func (s *Store) AppendShard(id uint64, index int, data json.RawMessage) error {
 	return s.append(Record{T: "shard", Job: id, Index: index, Data: data}, false)
 }
 
+// Checkpoint returns job id's checkpoint callback, whose shards
+// [0, durable) are already journaled: each call appends the digests of
+// prefix past the durable cursor, then Syncs — the §12 checkpoint
+// boundary, so the journal's durable frontier is always a contiguous
+// shard prefix. A sweep calls it serially in prefix order, so the
+// cursor needs no lock.
+func (s *Store) Checkpoint(id uint64, durable int) func(prefix []json.RawMessage) error {
+	return func(prefix []json.RawMessage) error {
+		for ; durable < len(prefix); durable++ {
+			if err := s.AppendShard(id, durable, prefix[durable]); err != nil {
+				return err
+			}
+		}
+		return s.Sync()
+	}
+}
+
 // FinishJob journals the terminal verdict durably.
 func (s *Store) FinishJob(id uint64, ok bool, summary, errText string) error {
 	return s.append(Record{T: "finish", Job: id, OK: ok, Summary: summary, Error: errText}, true)

@@ -24,6 +24,7 @@ import (
 	"uexc/internal/difftest"
 	"uexc/internal/harness"
 	"uexc/internal/server/store"
+	"uexc/internal/sweep"
 	"uexc/internal/verdict"
 )
 
@@ -41,36 +42,45 @@ type Options struct {
 	Every int
 }
 
-// Result aggregates both phases.
+// Result aggregates the phases, one per sweep in run order: the fault
+// campaign, then the difftest oracle.
 type Result struct {
-	Campaign *harness.CampaignResult
-	Diff     *difftest.Result
+	Phases []sweep.Result
 }
 
-// Verdicts merges both phases' verdict tallies.
+// Verdicts merges every phase's verdict tally.
 func (r *Result) Verdicts() verdict.Counts {
 	var c verdict.Counts
-	for k := verdict.Kind(0); k < verdict.NumKinds; k++ {
-		c[k] = r.Campaign.Verdicts[k] + r.Diff.Verdicts[k]
+	for _, p := range r.Phases {
+		for k, n := range p.Counts() {
+			c[k] += n
+		}
 	}
 	return c
 }
 
 // Gate is the soak pass/fail contract: every run classified (zero
-// EngineBug verdicts) and both engines' own invariants intact.
+// EngineBug verdicts) and every sweep's own invariants intact.
 func (r *Result) Gate() error {
 	if n := r.Verdicts().Unclassified(); n > 0 {
 		return fmt.Errorf("soak: %d unclassified (engine-bug) verdicts", n)
 	}
-	if !r.Campaign.Ok() {
-		return fmt.Errorf("soak: fault campaign failed (%d failures, missing coverage: %v)",
-			len(r.Campaign.Failures), r.Campaign.MissingCoverage())
-	}
-	if !r.Diff.Ok() {
-		return fmt.Errorf("soak: differential campaign failed (%d divergences, self-test ok: %v)",
-			len(r.Diff.Divergences), r.Diff.SelfTestOK)
+	for _, p := range r.Phases {
+		if err := p.Err(); err != nil {
+			return fmt.Errorf("soak: %w", err)
+		}
 	}
 	return nil
+}
+
+// phases are the soak's sweeps in run order, each with the name its
+// journaled request carries.
+var phases = []struct {
+	name string
+	kind sweep.Kind
+}{
+	{"faultcampaign", harness.Campaign.Kind()},
+	{"difftest", difftest.Oracle.Kind()},
 }
 
 // soakReq is a phase job's request spec, journaled verbatim on accept
@@ -80,87 +90,30 @@ type soakReq struct {
 	Seeds int    `json:"seeds"`
 }
 
-// phase wires one engine sweep to the store: it recovers the journaled
-// shard prefix of a matching pending job (or admits a new one), hands
-// the engines a save callback that appends only newly merged shards
-// and syncs — the §12 checkpoint cadence — and journals the terminal
-// verdict. A nil store degrades to a plain in-memory run.
-type phase[T any] struct {
-	st       *store.Store
-	id       uint64
-	done     []T
-	appended int
-}
-
-func openPhase[T any](st *store.Store, state *store.State, kind string, seeds int) (*phase[T], error) {
-	p := &phase[T]{st: st}
-	if st == nil {
-		return p, nil
-	}
-	req, err := json.Marshal(soakReq{Soak: kind, Seeds: seeds})
+// openPhase finds the pending journal job of a matching request — its
+// id and durable shard prefix — or admits a new one.
+func openPhase(st *store.Store, state *store.State, name string, seeds int) (id uint64, done []json.RawMessage, err error) {
+	req, err := json.Marshal(soakReq{Soak: name, Seeds: seeds})
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	for _, pend := range state.Pending {
-		if !bytes.Equal(pend.Req, req) {
-			continue
+		if bytes.Equal(pend.Req, req) {
+			return pend.ID, pend.Shards, nil
 		}
-		p.id = pend.ID
-		for i, blob := range pend.Shards {
-			var t T
-			if err := json.Unmarshal(blob, &t); err != nil {
-				return nil, fmt.Errorf("soak: journaled shard %d of job %d: %w", i, pend.ID, err)
-			}
-			p.done = append(p.done, t)
-		}
-		p.appended = len(p.done)
-		return p, nil
 	}
 	state.MaxID++
-	p.id = state.MaxID
-	if err := st.AcceptJob(p.id, req, "soak"); err != nil {
-		return nil, err
-	}
-	return p, nil
+	return state.MaxID, nil, st.AcceptJob(state.MaxID, req, "soak")
 }
 
-// save is the engines' checkpoint callback: append the prefix growth,
-// then sync — the journal's durable frontier is always a contiguous
-// shard prefix.
-func (p *phase[T]) save(prefix []T) error {
-	if p.st == nil {
-		return nil
-	}
-	for i := p.appended; i < len(prefix); i++ {
-		blob, err := json.Marshal(prefix[i])
-		if err != nil {
-			return err
-		}
-		if err := p.st.AppendShard(p.id, i, blob); err != nil {
-			return err
-		}
-	}
-	p.appended = len(prefix)
-	return p.st.Sync()
-}
-
-func (p *phase[T]) finish(ok bool, summary string) error {
-	if p.st == nil {
-		return nil
-	}
-	errText := ""
-	if !ok {
-		errText = "soak phase failed"
-	}
-	return p.st.FinishJob(p.id, ok, summary, errText)
-}
-
-// Run executes the sweep: the fault campaign phase, then the difftest
-// phase, streaming per-shard progress to progress (nil: silent) and
-// both summaries plus the merged verdict tally to out. The returned
-// Result is complete even when Gate() fails; the error is non-nil only
-// when an engine aborted (context cancelled, store I/O failure) — the
-// caller applies Gate separately so a failing sweep still reports.
+// Run executes the sweep: each phase in turn, streaming per-shard
+// progress to progress (nil: silent) and every summary plus the merged
+// verdict tally to out. With opts.Dir set, each phase is one journaled
+// job whose merged shard prefix is checkpointed at opts.Every and
+// recovered on resume. The returned Result is complete even when
+// Gate() fails; the error is non-nil only when a sweep aborted (context
+// cancelled, store I/O failure) — the caller applies Gate separately so
+// a failing sweep still reports.
 func Run(ctx context.Context, opts Options, progress, out io.Writer) (*Result, error) {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 10_000
@@ -182,43 +135,49 @@ func Run(ctx context.Context, opts Options, progress, out io.Writer) (*Result, e
 		defer st.Close()
 	}
 
-	pool := &core.MachinePool{}
+	o := sweep.Options{
+		Seeds: opts.Seeds, Workers: opts.Workers, Pool: &core.MachinePool{},
+		Progress: progress, Every: opts.Every,
+	}
 	res := &Result{}
+	ids := make([]uint64, len(phases))
+	for i, ph := range phases {
+		var (
+			done []json.RawMessage
+			save func(prefix []json.RawMessage) error
+		)
+		if st != nil {
+			var err error
+			if ids[i], done, err = openPhase(st, state, ph.name, opts.Seeds); err != nil {
+				return nil, err
+			}
+			save = st.Checkpoint(ids[i], len(done))
+		}
+		r, err := ph.kind.Resume(ctx, o, done, save)
+		if err != nil {
+			return nil, err
+		}
+		fmt.Fprint(out, r.Summary())
+		res.Phases = append(res.Phases, r)
+	}
 
-	cp, err := openPhase[harness.CampaignShard](st, state, "faultcampaign", opts.Seeds)
-	if err != nil {
-		return nil, err
-	}
-	res.Campaign, err = harness.FaultCampaignResumeCtx(ctx, pool, opts.Seeds, opts.Workers,
-		progress, cp.done, opts.Every, cp.save)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprint(out, res.Campaign.Summary())
-
-	dp, err := openPhase[difftest.Shard](st, state, "difftest", opts.Seeds)
-	if err != nil {
-		return nil, err
-	}
-	res.Diff, err = difftest.CampaignResumeCtx(ctx, pool, opts.Seeds, opts.Workers,
-		progress, dp.done, opts.Every, dp.save)
-	if err != nil {
-		return nil, err
-	}
-	fmt.Fprint(out, res.Diff.Summary())
-
-	// Finish both jobs only now: a kill during phase 2 keeps phase 1
-	// pending with its complete shard prefix, so resume replays it from
-	// the journal instead of re-running the whole campaign.
-	if err := cp.finish(res.Campaign.Ok(), res.Campaign.Summary()); err != nil {
-		return nil, err
-	}
-	if err := dp.finish(res.Diff.Ok(), res.Diff.Summary()); err != nil {
-		return nil, err
+	// Finish the jobs only now: a kill during a later phase keeps the
+	// earlier ones pending with their complete shard prefix, so resume
+	// replays them from the journal instead of re-running them.
+	if st != nil {
+		for i, r := range res.Phases {
+			errText := ""
+			if r.Err() != nil {
+				errText = "soak phase failed"
+			}
+			if err := st.FinishJob(ids[i], errText == "", r.Summary(), errText); err != nil {
+				return nil, err
+			}
+		}
 	}
 
 	v := res.Verdicts()
-	fmt.Fprintf(out, "soak: %d seeds x 2 engines, verdicts:\n", opts.Seeds)
+	fmt.Fprintf(out, "soak: %d seeds x %d engines, verdicts:\n", opts.Seeds, len(phases))
 	for k := verdict.Kind(0); k < verdict.NumKinds; k++ {
 		fmt.Fprintf(out, "  %-16s %d\n", k, v[k])
 	}

@@ -12,6 +12,7 @@ import (
 
 	"uexc/internal/difftest"
 	"uexc/internal/harness"
+	"uexc/internal/sweep"
 	"uexc/internal/verdict"
 )
 
@@ -109,37 +110,38 @@ func TestSoakDurableRunMatchesEphemeral(t *testing.T) {
 // TestSoakGate: the gate passes only when every run is classified and
 // both engines' invariants hold.
 func TestSoakGate(t *testing.T) {
-	clean := &Result{Campaign: &harness.CampaignResult{}, Diff: &difftest.Result{SelfTestOK: true}}
-	clean.Campaign.Exercised = map[string]uint64{}
+	covered := &harness.CampaignResult{Exercised: map[string]uint64{}}
 	for _, k := range harness.RequiredCoverage {
-		clean.Campaign.Exercised[k] = 1
+		covered.Exercised[k] = 1
 	}
+	clean := &Result{Phases: []sweep.Result{covered, &difftest.Result{SelfTestOK: true}}}
 	if err := clean.Gate(); err != nil {
 		t.Errorf("clean result gated: %v", err)
 	}
 
-	bug := &Result{Campaign: &harness.CampaignResult{}, Diff: &difftest.Result{SelfTestOK: true}}
-	bug.Campaign.Exercised = clean.Campaign.Exercised
-	bug.Campaign.Verdicts.Add(verdict.EngineBug)
+	buggy := &harness.CampaignResult{Exercised: covered.Exercised}
+	buggy.Verdicts.Add(verdict.EngineBug)
+	bug := &Result{Phases: []sweep.Result{buggy, &difftest.Result{SelfTestOK: true}}}
 	err := bug.Gate()
 	if err == nil || !strings.Contains(err.Error(), "unclassified") {
 		t.Errorf("engine-bug result not gated: %v", err)
 	}
 
-	div := &Result{Campaign: clean.Campaign, Diff: &difftest.Result{SelfTestOK: false}}
-	if div.Gate() == nil {
-		t.Error("failed self-test not gated")
+	div := &Result{Phases: []sweep.Result{covered, &difftest.Result{SelfTestOK: false}}}
+	err = div.Gate()
+	if err == nil || err.Error() != "soak: differential campaign failed (0 divergences, self-test ok: false)" {
+		t.Errorf("failed self-test not gated: %v", err)
 	}
 }
 
 // TestSoakVerdictsMerge: the merged tally is the sum of both phases.
 func TestSoakVerdictsMerge(t *testing.T) {
-	r := &Result{Campaign: &harness.CampaignResult{}, Diff: &difftest.Result{}}
-	r.Campaign.Verdicts.Add(verdict.Clean)
-	r.Campaign.Verdicts.Add(verdict.KnownDivergent)
-	r.Diff.Verdicts.Add(verdict.Clean)
-	r.Diff.Verdicts.Add(verdict.BudgetScaled)
-	v := r.Verdicts()
+	campaign, diff := &harness.CampaignResult{}, &difftest.Result{}
+	campaign.Verdicts.Add(verdict.Clean)
+	campaign.Verdicts.Add(verdict.KnownDivergent)
+	diff.Verdicts.Add(verdict.Clean)
+	diff.Verdicts.Add(verdict.BudgetScaled)
+	v := (&Result{Phases: []sweep.Result{campaign, diff}}).Verdicts()
 	if v[verdict.Clean] != 2 || v[verdict.KnownDivergent] != 1 || v[verdict.BudgetScaled] != 1 {
 		t.Errorf("merged verdicts = %v", v)
 	}
