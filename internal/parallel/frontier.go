@@ -1,0 +1,172 @@
+package parallel
+
+import (
+	"context"
+	"fmt"
+	"sync"
+)
+
+// ShardRunner wraps the execution of one shard. The driver calls it
+// with the shard index and a run closure that performs the shard's
+// work; the runner calls run once on success (it may call it again,
+// e.g. to retry a shard whose previous attempt panicked), panics with
+// a typed error to quarantine a shard that keeps failing, or — only
+// when the sweep's context is already dead — returns without ever
+// calling run. A shard whose run never executed never reaches the
+// frontier, so a give-up cannot advance the merged prefix (or a
+// checkpoint of it) over a result that was never computed. Runners are
+// how the serving layer attaches per-shard deadlines, bounded retries,
+// and chaos-injected faults without the engines knowing: the engine
+// sees only "the shard ran".
+type ShardRunner func(i int, run func())
+
+// Frontier is the §8 merge frontier: results of the shards [start, n)
+// arrive in any order — from local workers, a resumed run, or remote
+// fleet nodes — and leave as one in-order stream. It tracks the
+// contiguous merged prefix; each index the prefix advances over goes
+// to the merged callback, in order, never concurrently. Results that
+// arrive early wait in a pending set until the prefix reaches them.
+//
+// With a save callback the frontier also checkpoints: save(prefix)
+// runs whenever the prefix has advanced at least `every` indices past
+// the last save, and once more from Finish, strictly in order and
+// under the frontier's lock. The first save error sticks: every later
+// Add and Finish returns it.
+type Frontier[T any] struct {
+	mu        sync.Mutex
+	next      int // first index not yet merged
+	n         int
+	pending   map[int]T
+	merged    func(i int, t T)
+	every     int
+	lastSaved int
+	save      func(prefix int) error
+	err       error
+}
+
+// NewFrontier returns a frontier whose prefix already covers [0,
+// start) — a resumed run's durable prefix, or the shards below a
+// sub-range — and ends at n. every <= 0 checkpoints on every advance;
+// a nil save never checkpoints.
+func NewFrontier[T any](start, n, every int, merged func(i int, t T), save func(prefix int) error) *Frontier[T] {
+	return &Frontier[T]{
+		next: start, n: n, pending: map[int]T{}, merged: merged,
+		every: max(every, 1), lastSaved: start, save: save,
+	}
+}
+
+// Add accepts index i's result. An index below the frontier was
+// already merged (or replayed) and is ignored, as is a second copy of
+// one still pending: results are deterministic, so both copies are the
+// same. An index at or past n is refused with an error.
+func (f *Frontier[T]) Add(i int, t T) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if i >= f.n {
+		return fmt.Errorf("shard %d is past the end of the %d-shard space", i, f.n)
+	}
+	if f.err != nil || i < f.next {
+		return f.err
+	}
+	if _, dup := f.pending[i]; !dup {
+		f.pending[i] = t
+	}
+	for {
+		t, ok := f.pending[f.next]
+		if !ok {
+			break
+		}
+		delete(f.pending, f.next)
+		f.merged(f.next, t)
+		f.next++
+	}
+	if f.next-f.lastSaved >= f.every {
+		f.saveLocked()
+	}
+	return f.err
+}
+
+// Finish saves the rest of the prefix and fails if the prefix does not
+// cover every index below n.
+func (f *Frontier[T]) Finish() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err == nil && f.next < f.n {
+		return fmt.Errorf("merge frontier stopped at shard %d of %d", f.next, f.n)
+	}
+	if f.lastSaved < f.next {
+		f.saveLocked()
+	}
+	return f.err
+}
+
+// saveLocked checkpoints the prefix; callers hold f.mu.
+func (f *Frontier[T]) saveLocked() {
+	if f.err != nil || f.save == nil {
+		return
+	}
+	if f.err = f.save(f.next); f.err == nil {
+		f.lastSaved = f.next
+	}
+}
+
+// fail records err as the frontier's sticky error unless one is set.
+func (f *Frontier[T]) fail(err error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.err == nil {
+		f.err = err
+	}
+}
+
+// stuck returns the sticky error.
+func (f *Frontier[T]) stuck() error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.err
+}
+
+// Run is the sweep driver. It executes every shard the frontier still
+// lacks across workers (normalized via Workers), each through runner
+// (nil calls it directly), Adds each result, and Finishes. The first
+// shard or save error cancels the sweep and is returned; otherwise a
+// cut-short sweep returns ctx's error. Any non-nil error means the
+// merged prefix is all that is valid.
+func (f *Frontier[T]) Run(ctx context.Context, workers int, runner ShardRunner, shard func(i int) (T, error)) error {
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	f.mu.Lock()
+	start := f.next
+	f.mu.Unlock()
+	err := ForEachCtx(ctx, workers, f.n-start, func(rel int) {
+		i := start + rel
+		var (
+			t    T
+			serr error
+			ran  bool
+		)
+		run := func() { t, serr = shard(i); ran = true }
+		if runner == nil {
+			run()
+		} else {
+			runner(i, run)
+		}
+		if !ran {
+			return // the runner gave up on a dead sweep
+		}
+		if serr == nil {
+			serr = f.Add(i, t)
+		}
+		if serr != nil {
+			f.fail(serr)
+			cancel()
+		}
+	})
+	if serr := f.stuck(); serr != nil {
+		return serr
+	}
+	if err != nil {
+		return err
+	}
+	return f.Finish()
+}

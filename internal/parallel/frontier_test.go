@@ -1,0 +1,365 @@
+package parallel
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// frontierCase is one row of TestFrontier: a frontier over [start, n)
+// checkpointing every `every` advances, fed either directly (adds, in
+// arrival order) or by the driver (drive, once per width).
+type frontierCase struct {
+	name            string
+	start, n, every int
+	// adds is the direct arrival order. The first copy of index i
+	// carries the serial result i+1; any later copy carries -(i+1), so a
+	// duplicate that leaks into the merged stream is caught.
+	adds []int
+	// drive feeds the frontier through Run at the given width.
+	drive  func(t *testing.T, f *Frontier[int], workers int) error
+	widths []int // drive widths (nil: 1 and 4)
+	// failAt makes every save of a prefix >= failAt fail (0: never).
+	failAt int
+	// wantNext is where the merged prefix must end (-1: scheduling-
+	// dependent, unchecked).
+	wantNext int
+	wantErr  string // substring of the final error ("": success)
+}
+
+var errDiskFull = errors.New("disk full")
+
+// serialShard is the shard body of every drive row: the serial result.
+func serialShard(i int) (int, error) { return i + 1, nil }
+
+// runPlain drives the frontier with no runner.
+func runPlain(t *testing.T, f *Frontier[int], workers int) error {
+	return f.Run(context.Background(), workers, nil, serialShard)
+}
+
+// frontierCases covers the §8 frontier's contract — as a local sweep's
+// driver, as a shard-range worker's emitter started mid-space, and as
+// a fleet coordinator's merge of remote arrivals.
+var frontierCases = []frontierCase{
+	{
+		name: "skips-done-prefix", start: 3, n: 8, wantNext: 8,
+		drive: func(t *testing.T, f *Frontier[int], workers int) error {
+			return f.Run(context.Background(), workers, nil, func(i int) (int, error) {
+				if i < 3 {
+					t.Errorf("done shard %d re-executed", i)
+				}
+				return serialShard(i)
+			})
+		},
+	},
+	{name: "checkpoint-cadence", n: 17, every: 4, wantNext: 17, drive: runPlain},
+	{name: "resume-equivalence", start: 7, n: 12, every: 2, wantNext: 12, drive: runPlain},
+	{
+		// The disk fills once the prefix reaches half the sweep: how many
+		// saves precede that depends on scheduling, but some save always
+		// covers it, so the failure is certain.
+		name: "save-error-aborts", n: 100, every: 1, failAt: 50, wantNext: -1, wantErr: "disk full",
+		drive: func(t *testing.T, f *Frontier[int], workers int) error {
+			err := runPlain(t, f, workers)
+			if aerr := f.Add(99, 100); !errors.Is(aerr, errDiskFull) {
+				t.Errorf("Add after a failed save = %v, want the sticky %v", aerr, errDiskFull)
+			}
+			return err
+		},
+	},
+	{
+		// A runner that gives up without calling run (its only legal
+		// reason: the sweep's context is dead) must not advance the
+		// frontier, so no save can cover a shard that never ran.
+		name: "give-up-not-checkpointed", n: 12, every: 1, wantNext: -1, wantErr: "context canceled",
+		drive: func(t *testing.T, f *Frontier[int], workers int) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			return f.Run(ctx, workers, func(i int, run func()) {
+				if i >= 5 {
+					cancel()
+				}
+				if ctx.Err() != nil {
+					return
+				}
+				run()
+			}, serialShard)
+		},
+	},
+	{
+		// Later shards complete and wait in the pending set while shard 1
+		// stalls; the sweep is then cancelled and shard 1's runner gives
+		// up. The driver must not deadlock, and only the prefix below the
+		// stall may be merged — never a pending later shard.
+		name: "cancel-buffered-ahead-of-stall", n: 8, every: 1, widths: []int{2, 4},
+		wantNext: 1, wantErr: "context canceled",
+		drive: func(t *testing.T, f *Frontier[int], workers int) error {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			stall := make(chan struct{})
+			var later, zero atomic.Int32
+			done := make(chan error, 1)
+			go func() {
+				done <- f.Run(ctx, workers, func(i int, run func()) {
+					if i == 1 {
+						<-stall // held until after cancellation, like a hung worker
+						if ctx.Err() != nil {
+							return
+						}
+					}
+					run()
+				}, func(i int) (int, error) {
+					if i > 1 {
+						later.Add(1)
+					} else if i == 0 {
+						zero.Add(1)
+					}
+					return serialShard(i)
+				})
+			}()
+			deadline := time.After(10 * time.Second)
+			for later.Load() < 2 || zero.Load() == 0 {
+				select {
+				case <-deadline:
+					t.Fatal("sweep never reached the pending-ahead-of-stall state")
+				case <-time.After(time.Millisecond):
+				}
+			}
+			cancel()
+			close(stall)
+			select {
+			case err := <-done:
+				return err
+			case <-time.After(10 * time.Second):
+				t.Fatal("frontier deadlocked on cancellation with pending later shards")
+				return nil
+			}
+		},
+	},
+	{name: "start-ignores-below", start: 2, n: 5, adds: []int{3, 0, 2, 1, 4}, wantNext: 5},
+	{name: "out-of-order", n: 6, every: 2, adds: []int{5, 3, 1, 0, 4, 2}, wantNext: 6},
+	{name: "dup-below-frontier", n: 3, adds: []int{0, 1, 0, 1, 2}, wantNext: 3},
+	{name: "dup-pending", n: 4, every: 2, adds: []int{2, 3, 2, 1, 0, 3}, wantNext: 4},
+	{name: "past-end-refused", n: 3, adds: []int{3, 0, 7, 1, 2}, wantNext: 3, wantErr: "past the end"},
+	{name: "finish-incomplete", n: 3, every: 5, adds: []int{0, 2}, wantNext: 1, wantErr: "stopped at shard 1 of 3"},
+}
+
+// frontierRecord is what a frontier under test emitted.
+type frontierRecord struct {
+	mu     sync.Mutex
+	merged []int // indices, in merge order
+	vals   []int
+	saves  []int
+}
+
+func (r *frontierRecord) frontier(c frontierCase) *Frontier[int] {
+	return NewFrontier(c.start, c.n, c.every, func(i, v int) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		r.merged = append(r.merged, i)
+		r.vals = append(r.vals, v)
+	}, func(prefix int) error {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		if c.failAt > 0 && prefix >= c.failAt {
+			return errDiskFull
+		}
+		r.saves = append(r.saves, prefix)
+		return nil
+	})
+}
+
+// TestFrontier runs every frontierCase and holds each to the contract:
+// the merged stream is the serial results of start, start+1, ... in
+// order, each exactly once; saves grow strictly, never past the merged
+// prefix, at the cadence (only the final, completing save may be
+// shorter), and a completed frontier's last save is the full prefix
+// and it holds nothing pending.
+func TestFrontier(t *testing.T) {
+	for _, c := range frontierCases {
+		t.Run(c.name, func(t *testing.T) {
+			widths := c.widths
+			if c.drive == nil {
+				widths = []int{1}
+			} else if widths == nil {
+				widths = []int{1, 4}
+			}
+			for _, workers := range widths {
+				var r frontierRecord
+				f := r.frontier(c)
+				var err error
+				if c.drive != nil {
+					err = c.drive(t, f, workers)
+				} else {
+					seen := map[int]bool{}
+					for _, i := range c.adds {
+						v := i + 1
+						if seen[i] {
+							v = -v
+						}
+						seen[i] = true
+						if aerr := f.Add(i, v); err == nil {
+							err = aerr
+						}
+					}
+					if ferr := f.Finish(); err == nil {
+						err = ferr
+					}
+				}
+				r.check(t, c, fmt.Sprintf("workers=%d", workers), err)
+				if err == nil && len(f.pending) != 0 {
+					t.Fatalf("workers=%d: completed frontier still holds %v", workers, f.pending)
+				}
+			}
+		})
+	}
+}
+
+func (r *frontierRecord) check(t *testing.T, c frontierCase, what string, err error) {
+	t.Helper()
+	switch {
+	case c.wantErr == "" && err != nil:
+		t.Fatalf("%s: %v", what, err)
+	case c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)):
+		t.Fatalf("%s: err = %v, want one containing %q", what, err, c.wantErr)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, i := range r.merged {
+		if i != c.start+k || r.vals[k] != i+1 {
+			t.Fatalf("%s: merged stream %v (values %v) is not the serial results from %d",
+				what, r.merged, r.vals, c.start)
+		}
+	}
+	next := c.start + len(r.merged)
+	if c.wantNext >= 0 && next != c.wantNext {
+		t.Fatalf("%s: merged prefix ends at %d, want %d", what, next, c.wantNext)
+	}
+	last := c.start
+	for k, p := range r.saves {
+		final := k == len(r.saves)-1 && p == c.n
+		if p <= last || p > next || (p-last < max(c.every, 1) && !final) {
+			t.Fatalf("%s: saves %v break the cadence of %d from %d (merged to %d)", what, r.saves, c.every, c.start, next)
+		}
+		last = p
+	}
+	if err == nil && c.n > c.start && last != c.n {
+		t.Fatalf("%s: completed frontier saved only %v, never the full prefix %d", what, r.saves, c.n)
+	}
+}
+
+// TestShardRunnerWrapsEveryShard: the driver's runner sees every live
+// shard exactly once at its true index (under resume too, so done
+// shards are never wrapped), and a runner's retry re-runs the shard
+// body without merging it twice.
+func TestShardRunnerWrapsEveryShard(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		var wrapped sync.Map
+		var retried, calls atomic.Int32
+		var merged []int
+		f := NewFrontier(2, 8, 0, func(i, v int) { merged = append(merged, v) }, nil)
+		err := f.Run(context.Background(), workers, func(i int, run func()) {
+			if _, dup := wrapped.LoadOrStore(i, true); dup {
+				t.Errorf("workers %d: shard %d wrapped twice", workers, i)
+			}
+			run()
+			if i == 5 { // retry one shard: the body must tolerate re-execution
+				retried.Add(1)
+				run()
+			}
+		}, func(i int) (int, error) {
+			calls.Add(1)
+			return i * 100, nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(merged) != 6 {
+			t.Fatalf("workers %d: merged = %v, want shards 2..7", workers, merged)
+		}
+		for k, v := range merged {
+			if v != (k+2)*100 {
+				t.Fatalf("workers %d: merged = %v", workers, merged)
+			}
+		}
+		for i := 0; i < 8; i++ {
+			if _, ok := wrapped.Load(i); ok != (i >= 2) {
+				t.Errorf("workers %d: shard %d wrapped = %v", workers, i, ok)
+			}
+		}
+		if got := calls.Load(); got != 6+1 { // 6 live shards + 1 retry
+			t.Errorf("workers %d: %d body calls, want 7", workers, got)
+		}
+		if retried.Load() != 1 {
+			t.Errorf("workers %d: retry did not happen", workers)
+		}
+	}
+}
+
+// FuzzFrontier feeds the frontier adversarial arrival orders — any
+// permutation, duplicates, indices below the start and past the end —
+// at every cadence and start offset, as a fleet of misbehaving nodes
+// could. The fuzzed arrivals are followed by [start, n) in order, so
+// every run completes.
+func FuzzFrontier(f *testing.F) {
+	f.Fuzz(func(t *testing.T, nb, startb, everyb uint8, order []byte) {
+		n := int(nb)%32 + 1
+		start := int(startb) % (n + 1)
+		every := int(everyb)%n + 1
+		var merged, saves []int
+		fr := NewFrontier(start, n, every, func(i, v int) {
+			if v != i+1 {
+				t.Fatalf("index %d merged value %d, want the serial %d", i, v, i+1)
+			}
+			merged = append(merged, i)
+		}, func(prefix int) error {
+			last := start
+			if len(saves) > 0 {
+				last = saves[len(saves)-1]
+			}
+			if prefix <= last || prefix != start+len(merged) {
+				t.Fatalf("save(%d) after saves %v with merged prefix %d", prefix, saves, start+len(merged))
+			}
+			if prefix-last < every && prefix != n {
+				t.Fatalf("save(%d) only %d past save %d, cadence %d", prefix, prefix-last, last, every)
+			}
+			saves = append(saves, prefix)
+			return nil
+		})
+		arrivals := make([]int, 0, len(order)+n)
+		for _, b := range order {
+			arrivals = append(arrivals, int(b)%(n+2))
+		}
+		for i := start; i < n; i++ {
+			arrivals = append(arrivals, i)
+		}
+		for _, i := range arrivals {
+			err := fr.Add(i, i+1)
+			if (i >= n) != (err != nil) {
+				t.Fatalf("Add(%d) of %d = %v", i, n, err)
+			}
+		}
+		if err := fr.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		if len(fr.pending) != 0 {
+			t.Fatalf("completed frontier still holds %v", fr.pending)
+		}
+		for k, i := range merged {
+			if i != start+k {
+				t.Fatalf("merged %v, want %d..%d once each in order", merged, start, n-1)
+			}
+		}
+		if start+len(merged) != n {
+			t.Fatalf("merged %v, want %d..%d", merged, start, n-1)
+		}
+		if n > start && (len(saves) == 0 || saves[len(saves)-1] != n) {
+			t.Fatalf("saves %v never reached the full prefix %d", saves, n)
+		}
+	})
+}

@@ -99,7 +99,6 @@ func ForEachCtx(ctx context.Context, workers, n int, fn func(i int)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
-	fn = wrapShard(ctx, fn)
 	workers = Workers(workers)
 	if workers > n {
 		workers = n

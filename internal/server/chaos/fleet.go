@@ -31,11 +31,11 @@ type FleetConfig struct {
 // worker nodes, and the harness then breaks everything breakable in
 // sequence —
 //
-//  1. one worker is killed mid-shard-range, so its unacked range must
-//     re-dispatch to the survivor (duplicate shard deliveries land
-//     below the merge frontier and are discarded);
-//  2. the coordinator itself is killed mid-fan-out, after dispatch
-//     acks and merge checkpoints are durable, and a garbage
+//  1. one worker is killed mid-shard-range, so its unfinished range
+//     must re-dispatch to the survivor (duplicate shard deliveries
+//     reach the merge frontier and are discarded);
+//  2. the coordinator itself is killed mid-fan-out, after ranges have
+//     acked and merge checkpoints are durable, and a garbage
 //     journal.ndjson.tmp is planted in its store directory — the torn
 //     leftover of a compaction interrupted at the worst moment;
 //  3. a replacement coordinator reopens the journal (clobbering the
@@ -231,10 +231,11 @@ func checkFleetSurvivor(base string, space int) error {
 
 // waitFleet waits until worker 0 is actually executing a dispatched
 // range while the coordinator has acked at least one — the moment a
-// worker kill strands real work. Demanding a durable ack before the
-// kill matters: the survivor may be braked for the full stall on its
-// own range, so the post-kill "durable progress" wait must already be
-// satisfied by pre-kill work, not depend on the brake expiring.
+// worker kill strands real work. Demanding an ack before the kill
+// matters: the survivor may be braked for the full stall on its own
+// range, so the post-kill progress wait (a checkpoint and an ack) must
+// already be satisfied by pre-kill work, not depend on the brake
+// expiring.
 func waitFleet(coord, worker string, timeout time.Duration) error {
 	_, err := server.WaitMetrics(coord, timeout, func(s server.Snapshot) bool {
 		if s.FleetDispatches < 2 || s.FleetAcks < 1 {

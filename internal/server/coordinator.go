@@ -2,15 +2,14 @@
 // server splits every sweep job's shard space into ranges, dispatches
 // them to worker nodes over the ordinary HTTP/NDJSON job API (each
 // worker runs the unchanged sweep via a shard-range job),
-// and merges the streamed digests strictly by shard index — the same
-// §8 frontier a local sweep advances — so the distributed stream,
+// and merges the streamed digests through the sweep's own merge — the
+// same §8 frontier a local sweep advances — so the distributed stream,
 // summary, and fingerprints are byte-identical to a serial single-node
 // run. Failure handling rides the §12 machinery: a failed range is
 // requeued immediately for any surviving worker (the failing node
 // backs off, then quarantines), merged digests checkpoint through the
-// durable store under the usual cadence, dispatch/ack records journal
-// the fleet's promises, and a killed coordinator resumes from its
-// merge frontier.
+// durable store under the usual cadence, and a killed coordinator
+// resumes from its merge frontier.
 package server
 
 import (
@@ -102,90 +101,10 @@ type fleetRange struct {
 	failed   map[string]bool // node URL → has failed this range
 }
 
-// fleetMerge is the coordinator's §8 frontier over remote digests:
-// shards arrive from any worker in any order, merge strictly by index,
-// re-render the exact progress lines a local run would stream, and
-// checkpoint through the durable store at the usual cadence. Duplicate
-// deliveries (a re-dispatched range overlapping its first, partial
-// life) fall below the frontier and are ignored — digests are
-// deterministic, so the first copy was already the right bytes.
-type fleetMerge struct {
-	mu        sync.Mutex
-	fj        *fleetJob
-	next      int
-	lastSaved int
-	every     int
-	digests   []json.RawMessage
-	pending   map[int]json.RawMessage
-	render    func(i int, data json.RawMessage) (string, error) // nil unless Verbose
-	save      func(prefix []json.RawMessage) error              // nil without store
-	err       error                                             // sticky render/save failure
-}
-
-// merge accepts shard i's digest. A render or checkpoint failure is
-// the job's failure, not the delivering worker's: it sticks and
-// cancels the whole dispatch.
-func (m *fleetMerge) merge(i int, data json.RawMessage) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err != nil || i < m.next {
-		return
-	}
-	m.pending[i] = data
-	for {
-		d, ok := m.pending[m.next]
-		if !ok {
-			break
-		}
-		delete(m.pending, m.next)
-		m.digests[m.next] = d
-		if m.render != nil {
-			line, err := m.render(m.next, d)
-			if err != nil {
-				m.failLocked(err)
-				return
-			}
-			m.fj.j.emit(Event{Type: "progress", Line: line})
-		}
-		m.next++
-	}
-	if m.save != nil && m.next-m.lastSaved >= m.every {
-		if err := m.save(m.digests[:m.next]); err != nil {
-			m.failLocked(err)
-			return
-		}
-		m.lastSaved = m.next
-	}
-}
-
-// finish forces the final checkpoint once the frontier is complete.
-func (m *fleetMerge) finish() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.err == nil && m.save != nil && m.lastSaved < m.next {
-		m.err = m.save(m.digests[:m.next])
-		if m.err == nil {
-			m.lastSaved = m.next
-		}
-	}
-	return m.err
-}
-
-func (m *fleetMerge) failLocked(err error) {
-	m.err = err
-	m.fj.cancel()
-}
-
-func (m *fleetMerge) stickyErr() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.err
-}
-
 // fleetJob is one distributed job's dispatch state.
 type fleetJob struct {
 	j           *job
-	merge       *fleetMerge
+	merge       sweep.Merge
 	work        chan fleetRange
 	done        chan struct{} // closed when every range is acked
 	ctx         context.Context
@@ -221,62 +140,41 @@ func (fj *fleetJob) rangeDone() {
 }
 
 // runDistributed executes a sweep job across the fleet: dispatch
-// phase (ranges stream back and merge into the frontier), then the
-// sweep's Fold over the complete digest prefix, which re-derives the
-// summary and result exactly as a local run would, executing nothing.
+// phase (ranges stream back and merge into the sweep's frontier, which
+// renders the progress lines and checkpoints exactly as a local run
+// does), then the merge's Fold over the complete digest prefix, which
+// re-derives the summary and result exactly as a local run would,
+// executing nothing.
 func (s *Server) runDistributed(j *job, sw sweep.Kind) (bool, string, error) {
-	space := j.req.ShardSpace()
-
-	var render func(i int, data json.RawMessage) (string, error)
+	var w io.Writer
 	if j.req.Verbose {
-		render = func(i int, data json.RawMessage) (string, error) { return sw.Line(j.req.Seeds, i, data) }
+		w = progressWriter{j}
 	}
-
-	dctx, cancel := context.WithCancel(j.ctx)
-	defer cancel()
-	fj := &fleetJob{
-		j: j, done: make(chan struct{}),
-		ctx: dctx, cancel: cancel,
-		maxAttempts: max(s.cfg.ShardAttempts, len(s.fleet.nodes)+1),
-	}
-	m := &fleetMerge{
-		fj:      fj,
-		next:    j.resumed,
-		every:   s.cfg.CheckpointEvery,
-		digests: make([]json.RawMessage, space),
-		pending: map[int]json.RawMessage{},
-		render:  render,
-		save:    s.checkpoint(j),
-	}
-	m.lastSaved = m.next
-	copy(m.digests, j.done)
-	fj.merge = m
-
-	// Replay the durable prefix's progress lines, exactly as a local
-	// resume does, so the resumed stream stays byte-identical.
-	if render != nil {
-		for i := 0; i < m.next; i++ {
-			line, err := render(i, m.digests[i])
-			if err != nil {
-				return false, "", err
-			}
-			j.emit(Event{Type: "progress", Line: line})
-		}
+	// The merge replays the durable prefix's progress lines, exactly as
+	// a local resume does, so the resumed stream stays byte-identical.
+	m, err := sw.Merge(sweep.Options{Seeds: j.req.Seeds, Progress: w, Every: s.cfg.CheckpointEvery},
+		j.done, s.checkpoint(j))
+	if err != nil {
+		return false, "", err
 	}
 
 	// Dispatch everything past the merge frontier in DispatchShards
 	// chunks. The work channel holds every range at once (requeues
 	// reuse the slot their failed dispatch freed), so sends never block.
+	space := j.req.ShardSpace()
 	var ranges []fleetRange
-	for from := m.next; from < space; from += s.cfg.DispatchShards {
-		to := from + s.cfg.DispatchShards
-		if to > space {
-			to = space
-		}
-		ranges = append(ranges, fleetRange{from: from, to: to})
+	for from := j.resumed; from < space; from += s.cfg.DispatchShards {
+		ranges = append(ranges, fleetRange{from: from, to: min(from+s.cfg.DispatchShards, space)})
 	}
 	if len(ranges) > 0 {
-		fj.work = make(chan fleetRange, len(ranges))
+		dctx, cancel := context.WithCancel(j.ctx)
+		defer cancel()
+		fj := &fleetJob{
+			j: j, merge: m, done: make(chan struct{}),
+			ctx: dctx, cancel: cancel,
+			work:        make(chan fleetRange, len(ranges)),
+			maxAttempts: max(s.cfg.ShardAttempts, len(s.fleet.nodes)+1),
+		}
 		fj.remaining.Store(int64(len(ranges)))
 		for _, rg := range ranges {
 			fj.work <- rg
@@ -288,9 +186,6 @@ func (s *Server) runDistributed(j *job, sw sweep.Kind) (bool, string, error) {
 		case <-fj.done:
 		case <-dctx.Done():
 		}
-		if err := m.stickyErr(); err != nil {
-			return false, "", err
-		}
 		if err := fj.fatalErr(); err != nil {
 			return false, "", err
 		}
@@ -298,11 +193,8 @@ func (s *Server) runDistributed(j *job, sw sweep.Kind) (bool, string, error) {
 			return false, "", fmt.Errorf("distributed %s aborted: %w", j.req.Type, err)
 		}
 	}
-	if err := m.finish(); err != nil {
-		return false, "", err
-	}
 
-	res, err := sw.Fold(j.req.Seeds, m.digests)
+	res, err := m.Fold()
 	if err != nil {
 		return false, "", err
 	}
@@ -355,16 +247,13 @@ func (f *fleet) dispatcher(fj *fleetJob, n *fleetNode) {
 
 // dispatch sends one shard range to one worker as an ordinary job and
 // consumes its NDJSON stream, merging shard digests as they arrive.
-// The range is acked — durably, via the journal — only if every index
-// of [from, to) arrived in order, the result verdict was ok, and the
-// integrity trailer verified; anything less is a failed dispatch whose
+// The range is acked only if every index of [from, to) arrived in
+// order and none past it, the result verdict was ok, and the integrity
+// trailer verified; anything less is a failed dispatch whose
 // already-merged shards the duplicate-tolerant frontier keeps for
 // free.
 func (f *fleet) dispatch(fj *fleetJob, n *fleetNode, rg fleetRange) error {
 	s := f.s
-	if s.store != nil {
-		_ = s.store.AppendDispatch(fj.j.id, rg.from, rg.to, n.url)
-	}
 	s.metrics.FleetDispatches.Add(1)
 
 	req := fj.j.req
@@ -428,7 +317,15 @@ func (f *fleet) dispatch(fj *fleetJob, n *fleetNode, rg fleetRange) error {
 			if *ev.Shard != want {
 				return fmt.Errorf("worker %s: shard events out of order (got %d, want %d)", n.url, *ev.Shard, want)
 			}
-			fj.merge.merge(*ev.Shard, ev.Data)
+			if want >= rg.to {
+				return fmt.Errorf("worker %s: shard %d streamed past range [%d,%d)", n.url, want, rg.from, rg.to)
+			}
+			if err := fj.merge.Add(want, ev.Data); err != nil {
+				// A corrupt digest or a failed checkpoint is the job's
+				// failure, not the delivering worker's.
+				fj.fatal(err)
+				return err
+			}
 			want++
 		case "result":
 			sawResult = true
@@ -449,9 +346,6 @@ func (f *fleet) dispatch(fj *fleetJob, n *fleetNode, rg fleetRange) error {
 	}
 	if want != rg.to {
 		return fmt.Errorf("worker %s: range [%d,%d) delivered only [%d,%d)", n.url, rg.from, rg.to, rg.from, want)
-	}
-	if s.store != nil {
-		_ = s.store.AppendAck(fj.j.id, rg.from, rg.to, n.url)
 	}
 	s.metrics.FleetAcks.Add(1)
 	return nil

@@ -1,6 +1,10 @@
 package server
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -111,9 +115,9 @@ func (a *abortAfter) Flush() {
 
 // TestDistributedWorkerKillMidRange: one of two workers dies partway
 // through streaming its first range and stays dead. The coordinator
-// requeues the unacked range to the survivor, the duplicate shards it
-// already merged are ignored below the frontier, and the final stream
-// is still byte-identical to the serial run.
+// requeues the unfinished range to the survivor, the duplicate shards
+// it already merged are ignored below the frontier, and the final
+// stream is still byte-identical to the serial run.
 func TestDistributedWorkerKillMidRange(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs campaigns across a worker kill")
@@ -152,6 +156,109 @@ func TestDistributedWorkerKillMidRange(t *testing.T) {
 	}
 	if !dw.dead.Load() {
 		t.Error("the victim worker never received a dispatch; the kill was not exercised")
+	}
+}
+
+// overrunWorker wraps one worker's handler so every range job streams
+// one shard event past its range — a copy of the last shard's digest
+// under the next index — with the trailer recomputed over the doctored
+// stream, so only the range check can catch it.
+type overrunWorker struct{ inner http.Handler }
+
+func (o overrunWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	if r.Method != http.MethodPost || r.URL.Path != "/jobs" {
+		o.inner.ServeHTTP(w, r)
+		return
+	}
+	rec := httptest.NewRecorder()
+	o.inner.ServeHTTP(rec, r)
+	var lines [][]byte
+	var last Event
+	for _, line := range bytes.Split(bytes.TrimSpace(rec.Body.Bytes()), []byte("\n")) {
+		var ev Event
+		if err := json.Unmarshal(line, &ev); err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		switch ev.Type {
+		case "trailer":
+			continue
+		case "result":
+			if last.Shard != nil {
+				extra := last
+				next := *last.Shard + 1
+				extra.Shard = &next
+				blob, _ := json.Marshal(extra)
+				lines = append(lines, blob)
+			}
+		case "shard":
+			last = ev
+		}
+		lines = append(lines, line)
+	}
+	h := fnv.New64a()
+	for _, line := range lines {
+		h.Write(line)
+		h.Write([]byte{'\n'})
+	}
+	trailer, _ := json.Marshal(Event{Type: "trailer", Records: len(lines), FNV: fmt.Sprintf("%016x", h.Sum64())})
+	w.Header().Set("Content-Type", rec.Header().Get("Content-Type"))
+	w.WriteHeader(rec.Code)
+	w.Write(append(bytes.Join(append(lines, trailer), []byte("\n")), '\n'))
+}
+
+// TestDistributedWorkerOverrunsRange: a worker that streams a shard
+// past its range fails that range before the shard reaches the merge.
+// As the only worker it poisons the job with the typed error and the
+// coordinator lives on to serve the next job; beside an honest worker
+// the range moves there and the stream is the serial run's.
+func TestDistributedWorkerOverrunsRange(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs campaigns across a lying worker")
+	}
+	liar := func() string {
+		inner := newT(t, Config{Workers: 2, QueueDepth: 8})
+		hs := httptest.NewServer(overrunWorker{inner.Handler()})
+		t.Cleanup(func() {
+			hs.Close()
+			inner.Close()
+		})
+		return hs.URL
+	}
+	fast := Config{Workers: 1, QueueDepth: 4, WorkerQuarantine: 10 * time.Millisecond, ShardBackoff: time.Millisecond}
+
+	alone := fast
+	alone.WorkerNodes = []string{liar()}
+	alone.DispatchShards = harness.CampaignShards(1) // one range: the extra shard is past the whole space
+	coord, base := startTest(t, alone)
+	st := postStream(t, base, Request{Type: TypeCampaign, Seeds: 1, Parallel: 2, Verbose: true})
+	if st.ok {
+		t.Fatal("campaign succeeded on a worker that streams past its range")
+	}
+	for _, want := range []string{"poison shard quarantined", "streamed past range [0,6)"} {
+		if !strings.Contains(st.errText, want) {
+			t.Errorf("terminal error %q missing %q", st.errText, want)
+		}
+	}
+	if got := coord.metrics.JobsFailed.Load(); got != 1 {
+		t.Errorf("JobsFailed = %d, want 1", got)
+	}
+	if st := postStream(t, base, Request{Type: TypeProgramRun, Seed: 3}); !st.ok {
+		t.Fatalf("coordinator unusable after the lying worker: %s", st.errText)
+	}
+
+	const seeds = 2
+	beside := fast
+	beside.WorkerNodes = []string{startWorkers(t, 1, Config{Workers: 2, QueueDepth: 8})[0], liar()}
+	beside.DispatchShards = 3
+	_, base = startTest(t, beside)
+	st = postStream(t, base, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
+	if !st.ok {
+		t.Fatalf("campaign failed despite an honest worker: %s", st.errText)
+	}
+	if want := golden(t, TypeCampaign, seeds); st.output != want {
+		t.Errorf("stream beside a lying worker differs from the serial run\n--- distributed ---\n%s--- golden ---\n%s",
+			st.output, want)
 	}
 }
 

@@ -365,10 +365,9 @@ func (s *Server) runSweep(j *job, sw sweep.Kind) (bool, string, error) {
 	if j.req.Verbose {
 		w = progressWriter{j}
 	}
-	ctx := parallel.WithShardRunner(j.ctx, s.shardRunner(j))
-	res, err := sw.Resume(ctx, sweep.Options{
+	res, err := sw.Resume(j.ctx, sweep.Options{
 		Seeds: j.req.Seeds, Workers: j.req.Parallel, Pool: s.pool,
-		Progress: w, Every: s.cfg.CheckpointEvery,
+		Progress: w, Every: s.cfg.CheckpointEvery, Runner: s.shardRunner(j),
 	}, j.done, s.checkpoint(j))
 	if err != nil {
 		return false, "", err
@@ -376,60 +375,23 @@ func (s *Server) runSweep(j *job, sw sweep.Kind) (bool, string, error) {
 	return s.sweepVerdict(res)
 }
 
-// shardWriter turns merged shard digests into "shard" events. It sits
-// behind a parallel.OrderedWriter started at the range's first index —
-// the §8 frontier, so emits may arrive in any order and nothing is held
-// back once the frontier reaches it — and so receives each digest
-// exactly once, in ascending index order, and numbers them itself.
-type shardWriter struct {
-	j    *job
-	next int
-}
-
-func (w *shardWriter) Write(p []byte) (int, error) { return w.WriteString(string(p)) }
-
-func (w *shardWriter) WriteString(digest string) (int, error) {
-	idx := w.next
-	w.j.emit(Event{Type: "shard", ID: w.j.id, Shard: &idx, Data: json.RawMessage(digest)})
-	w.next++
-	return len(digest), nil
-}
-
 // runShardRange executes the sub-range [ShardFrom, ShardTo) of a
 // sweep's shard space — the worker half of the coordinator
 // protocol. Each shard runs through the server's shard runner at its
 // TRUE index (retry accounting, poison quarantine, and chaos plans all
 // key on the global shard index, so a re-dispatched range misbehaves
-// identically on any worker), and its digest streams back as one
-// "shard" event, strictly in ascending order. The digests are the
-// exact bytes a local run would checkpoint; the fold stays with the
-// coordinator.
+// identically on any worker), and a frontier started at ShardFrom
+// streams its digest back as one "shard" event, strictly in ascending
+// order. The digests are the exact bytes a local run would checkpoint;
+// the fold stays with the coordinator.
 func (s *Server) runShardRange(j *job, sw sweep.Kind) (bool, string, error) {
 	from, to, space := j.req.ShardFrom, j.req.ShardTo, j.req.ShardSpace()
-	runner := s.shardRunner(j)
-	em := parallel.NewOrderedWriterAt(&shardWriter{j: j, next: from}, from)
-	var firstErr error
-	var errMu sync.Mutex
-	err := parallel.ForEachCtx(j.ctx, j.req.Parallel, to-from, func(rel int) {
-		idx := from + rel
-		runner(idx, func() {
-			blob, merr := sw.RunShard(s.pool, j.req.Seeds, idx)
-			if merr != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = merr
-				}
-				errMu.Unlock()
-				return
-			}
-			em.Emit(idx, string(blob))
-		})
+	f := parallel.NewFrontier(from, to, 0, func(i int, digest json.RawMessage) {
+		j.emit(Event{Type: "shard", ID: j.id, Shard: &i, Data: digest})
+	}, nil)
+	err := f.Run(j.ctx, j.req.Parallel, s.shardRunner(j), func(i int) (json.RawMessage, error) {
+		return sw.RunShard(s.pool, j.req.Seeds, i)
 	})
-	errMu.Lock()
-	defer errMu.Unlock()
-	if firstErr != nil {
-		return false, "", firstErr
-	}
 	if err != nil {
 		return false, "", fmt.Errorf("shard range [%d,%d) aborted: %w", from, to, err)
 	}

@@ -253,8 +253,8 @@ func TestFigureSweepJob(t *testing.T) {
 // TestJobDeadline: a deadline far below the job's runtime aborts it
 // promptly; the result reports the abort and the job counts as
 // cancelled, not failed. postStream verifies the integrity trailer, so
-// this also pins that a deadline abort — later shards buffered in the
-// OrderedWriter behind cancelled earlier ones — still delivers the
+// this also pins that a deadline abort — later shards pending in the
+// merge frontier behind cancelled earlier ones — still delivers the
 // result event and a valid trailer rather than dropping the stream.
 func TestJobDeadline(t *testing.T) {
 	if testing.Short() {

@@ -52,9 +52,9 @@ func (e *ShardError) Unwrap() []error { return []error{ErrShardPoisoned, e.Err} 
 // runner panics with a typed *ShardError, which parallel.ForEachCtx
 // re-raises on the job's goroutine and execute converts into the job's
 // terminal error. When the job's context dies the runner instead
-// returns without having run the shard — the give-up the ShardRunner
-// contract allows; MapResumeCtx observes that run never executed and
-// keeps the skipped shard out of the checkpoint frontier.
+// returns without having run the shard — the give-up the
+// parallel.ShardRunner contract allows, which keeps the skipped shard
+// out of the merge frontier.
 func (s *Server) shardRunner(j *job) parallel.ShardRunner {
 	return func(i int, run func()) {
 		attempts := s.cfg.ShardAttempts

@@ -2,15 +2,16 @@
 // append-only write-ahead journal that makes admitted jobs survive a
 // process kill (DESIGN.md §12).
 //
-// The journal is NDJSON — one Record per line — with six record
+// The journal is NDJSON — one Record per line — with four record
 // kinds, written strictly append-only:
 //
 //	restart            a resumed process opened this journal
 //	accept             a job was admitted (its request spec, verbatim)
 //	shard              one merged shard's digest, in prefix order per job
 //	finish             the job's terminal verdict and summary
-//	dispatch           coordinator sent shard range [From,To) to a worker
-//	ack                that range's results were fully merged
+//
+// Replay ignores any other kind, such as the "dispatch" and "ack"
+// records older fleet coordinators wrote.
 //
 // Durability policy: accept, finish, and restart records are fsynced
 // immediately (they are the records a crash must not lose silently —
@@ -44,7 +45,7 @@ var ErrClosed = errors.New("job store closed")
 
 // Record is one journal line.
 type Record struct {
-	T       string          `json:"t"` // "restart" | "accept" | "shard" | "finish" | "dispatch" | "ack"
+	T       string          `json:"t"` // "restart" | "accept" | "shard" | "finish"
 	Job     uint64          `json:"job,omitempty"`
 	Index   int             `json:"i,omitempty"`    // shard: its index in the merged prefix
 	Req     json.RawMessage `json:"req,omitempty"`  // accept: the client's request spec
@@ -52,26 +53,17 @@ type Record struct {
 	OK      bool            `json:"ok,omitempty"`   // finish: verdict
 	Summary string          `json:"summary,omitempty"`
 	Error   string          `json:"error,omitempty"`
-	From    int             `json:"from,omitempty"`   // dispatch/ack: range start (inclusive)
-	To      int             `json:"to,omitempty"`     // dispatch/ack: range end (exclusive)
-	Node    string          `json:"node,omitempty"`   // dispatch/ack: worker base URL
 	Tenant  string          `json:"tenant,omitempty"` // accept: admission tenant
-}
-
-// ShardRange is a half-open dispatch range [From, To) of shard indices.
-type ShardRange struct {
-	From, To int
 }
 
 // PendingJob is one job the journal shows admitted but not finished:
 // exactly what a resuming server must re-run, together with the
 // durable contiguous shard prefix it can skip.
 type PendingJob struct {
-	ID      uint64
-	Req     json.RawMessage
-	Shards  []json.RawMessage // digests for shards [0, len(Shards)), in order
-	Tenant  string            // admission tenant (empty: default)
-	Unacked []ShardRange      // dispatched ranges never acked, in dispatch order
+	ID     uint64
+	Req    json.RawMessage
+	Shards []json.RawMessage // digests for shards [0, len(Shards)), in order
+	Tenant string            // admission tenant (empty: default)
 }
 
 // State is what replay recovered from the journal.
@@ -207,7 +199,6 @@ func replay(path string) (*State, bool, error) {
 		req      json.RawMessage
 		shards   []json.RawMessage
 		tenant   string
-		unacked  []ShardRange
 		finished bool
 	}
 	jobs := map[uint64]*jobState{}
@@ -255,21 +246,6 @@ func replay(path string) (*State, bool, error) {
 			if j := jobs[r.Job]; j != nil {
 				j.finished = true
 			}
-		case "dispatch":
-			if j := jobs[r.Job]; j != nil && !j.finished {
-				j.unacked = append(j.unacked, ShardRange{From: r.From, To: r.To})
-			}
-		case "ack":
-			j := jobs[r.Job]
-			if j == nil {
-				continue
-			}
-			for i, rg := range j.unacked {
-				if rg.From == r.From && rg.To == r.To {
-					j.unacked = append(j.unacked[:i], j.unacked[i+1:]...)
-					break
-				}
-			}
 		}
 	}
 	for _, id := range order {
@@ -278,10 +254,7 @@ func replay(path string) (*State, bool, error) {
 			st.FinishedJobs++
 			continue
 		}
-		st.Pending = append(st.Pending, PendingJob{
-			ID: id, Req: j.req, Shards: j.shards,
-			Tenant: j.tenant, Unacked: j.unacked,
-		})
+		st.Pending = append(st.Pending, PendingJob{ID: id, Req: j.req, Shards: j.shards, Tenant: j.tenant})
 		st.ResumedShards += len(j.shards)
 	}
 	return st, true, nil
@@ -336,22 +309,6 @@ func (s *Store) syncLocked() error {
 // the admission token — that was spent in the first life).
 func (s *Store) AcceptJob(id uint64, req json.RawMessage, tenant string) error {
 	return s.append(Record{T: "accept", Job: id, Req: req, Tenant: tenant}, true)
-}
-
-// AppendDispatch journals that the coordinator handed shard range
-// [from,to) of a job to a worker node. Batched like shard records: a
-// lost dispatch record only costs a redundant re-dispatch on resume,
-// which the duplicate-tolerant merge absorbs. Dispatch records are not
-// rewritten by compaction — a resuming coordinator re-dispatches
-// everything past its merge frontier regardless.
-func (s *Store) AppendDispatch(id uint64, from, to int, node string) error {
-	return s.append(Record{T: "dispatch", Job: id, From: from, To: to, Node: node}, false)
-}
-
-// AppendAck journals that a dispatched range's results were fully
-// merged; batched, same recovery argument as AppendDispatch.
-func (s *Store) AppendAck(id uint64, from, to int, node string) error {
-	return s.append(Record{T: "ack", Job: id, From: from, To: to, Node: node}, false)
 }
 
 // AppendShard journals one merged shard digest under the batched

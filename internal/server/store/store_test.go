@@ -244,53 +244,47 @@ func TestStaleTmpIgnored(t *testing.T) {
 	}
 }
 
-// TestDispatchAckReplay: dispatch records without a matching ack are
-// the ranges a resuming coordinator owes the fleet; acked ranges and
-// dispatches on finished jobs drop out.
-func TestDispatchAckReplay(t *testing.T) {
+// TestLegacyDispatchAckIgnored: older fleet coordinators journaled
+// "dispatch" and "ack" records around each shard range. Replay must
+// ignore them like any unknown kind — the pending jobs, their shard
+// prefixes and tenants, and the ID floor come out exactly as they did
+// when those records were understood — and compaction drops them.
+func TestLegacyDispatchAckIgnored(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openT(t, dir, Options{})
-	if err := s.AcceptJob(1, json.RawMessage(`{"type":"campaign","seeds":8}`), ""); err != nil {
+	journal := strings.Join([]string{
+		`{"t":"accept","job":1,"req":{"type":"campaign","seeds":8},"tenant":"acme"}`,
+		`{"t":"dispatch","job":1,"to":4,"node":"http://w1"}`,
+		`{"t":"dispatch","job":1,"from":4,"to":8,"node":"http://w2"}`,
+		`{"t":"shard","job":1,"data":{"d":0}}`,
+		`{"t":"shard","job":1,"i":1,"data":{"d":1}}`,
+		`{"t":"ack","job":1,"to":4,"node":"http://w1"}`,
+		`{"t":"dispatch","job":1,"from":4,"to":8,"node":"http://w1"}`,
+		`{"t":"accept","job":2,"req":{}}`,
+		`{"t":"dispatch","job":2,"to":2,"node":"http://w2"}`,
+		`{"t":"finish","job":2,"ok":true}`,
+		`{"t":"ack","job":9,"to":2,"node":"http://w2"}`,
+	}, "\n") + "\n"
+	if err := os.WriteFile(filepath.Join(dir, journalName), []byte(journal), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.AppendDispatch(1, 0, 4, "http://w1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendDispatch(1, 4, 8, "http://w2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendAck(1, 0, 4, "http://w1"); err != nil {
-		t.Fatal(err)
-	}
-	// Re-dispatch of the failed range to a survivor, still unacked.
-	if err := s.AppendDispatch(1, 4, 8, "http://w1"); err != nil {
-		t.Fatal(err)
-	}
-	// A second, finished job: its dispatches must not resurface.
-	if err := s.AcceptJob(2, json.RawMessage(`{}`), ""); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AppendDispatch(2, 0, 2, "http://w2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.FinishJob(2, true, "", ""); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	_, st := openT(t, dir, Options{})
-	if len(st.Pending) != 1 {
-		t.Fatalf("Pending = %+v, want just job 1", st.Pending)
-	}
-	got := st.Pending[0].Unacked
-	want := []ShardRange{{From: 4, To: 8}, {From: 4, To: 8}}
-	if len(got) != len(want) {
-		t.Fatalf("Unacked = %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Unacked[%d] = %+v, want %+v", i, got[i], want[i])
+	for open := 0; open < 2; open++ { // the legacy journal, then its compaction
+		s, st := openT(t, dir, Options{})
+		if len(st.Pending) != 1 || st.MaxID != 9 {
+			t.Fatalf("open %d: Pending = %+v, MaxID = %d; want just job 1, MaxID 9", open, st.Pending, st.MaxID)
 		}
+		p := st.Pending[0]
+		if p.ID != 1 || p.Tenant != "acme" || len(p.Shards) != 2 ||
+			string(p.Shards[0]) != `{"d":0}` || string(p.Shards[1]) != `{"d":1}` {
+			t.Fatalf("open %d: pending job = %+v", open, p)
+		}
+		s.Close()
+	}
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(data), `"dispatch"`) || strings.Contains(string(data), `"ack"`) {
+		t.Fatalf("compacted journal kept legacy records:\n%s", data)
 	}
 }
 

@@ -54,11 +54,12 @@ type Sweep[T any] struct {
 
 // Options sizes and wires one run of a sweep.
 type Options struct {
-	Seeds    int               // seed count; must be positive
-	Workers  int               // shard width (0: GOMAXPROCS)
-	Pool     *core.MachinePool // machine source (nil: a private pool)
-	Progress io.Writer         // one line per shard, in index order (nil: none)
-	Every    int               // checkpoint cadence in merged shards
+	Seeds    int                  // seed count; must be positive
+	Workers  int                  // shard width (0: GOMAXPROCS)
+	Pool     *core.MachinePool    // machine source (nil: a private pool)
+	Progress io.Writer            // one line per shard, in index order (nil: none)
+	Every    int                  // checkpoint cadence in merged shards
+	Runner   parallel.ShardRunner // wraps every shard execution (nil: none)
 }
 
 // Resume runs the sweep. done holds the digests of the contiguous
@@ -71,6 +72,36 @@ type Options struct {
 // aborts after at most the shards in flight; partial results are never
 // returned.
 func (s *Sweep[T]) Resume(ctx context.Context, o Options, done []T, save func(prefix []T) error) (Result, error) {
+	m, err := s.merge(o, done, save)
+	if err != nil {
+		return nil, err
+	}
+	pool := o.Pool
+	if pool == nil {
+		pool = &core.MachinePool{}
+	}
+	err = m.Run(ctx, o.Workers, o.Runner, func(i int) (T, error) { return s.Run(pool, o.Seeds, i), nil })
+	if err != nil {
+		return nil, fmt.Errorf("%s aborted: %w", s.Name, err)
+	}
+	return m.fold()
+}
+
+// shardMerge is a sweep's merge frontier plus what every path does
+// with a merged shard: keep its digest for the fold and stream its
+// progress line. A local run, a resume's replayed prefix and a fleet's
+// remote digests all go through it, so their streams are byte-identical
+// by construction.
+type shardMerge[T any] struct {
+	*parallel.Frontier[T]
+	s      *Sweep[T]
+	o      Options
+	shards []T
+}
+
+// merge validates o against done, replays done's progress lines, and
+// returns the merge with its frontier at len(done).
+func (s *Sweep[T]) merge(o Options, done []T, save func(prefix []T) error) (*shardMerge[T], error) {
 	if o.Seeds <= 0 {
 		return nil, fmt.Errorf("%s: seed count must be positive, got %d", s.Name, o.Seeds)
 	}
@@ -79,27 +110,31 @@ func (s *Sweep[T]) Resume(ctx context.Context, o Options, done []T, save func(pr
 		return nil, fmt.Errorf("%s: checkpoint has %d shards but a %d-seed sweep has only %d",
 			s.Name, len(done), o.Seeds, n)
 	}
-	pool := o.Pool
-	if pool == nil {
-		pool = &core.MachinePool{}
+	m := &shardMerge[T]{s: s, o: o, shards: make([]T, 0, n)}
+	for i, t := range done {
+		m.merged(i, t)
 	}
-	if o.Progress != nil {
-		for i, t := range done {
-			io.WriteString(o.Progress, s.Line(o.Seeds, i, t))
-		}
+	var saveAt func(prefix int) error
+	if save != nil {
+		saveAt = func(prefix int) error { return save(m.shards[:prefix]) }
 	}
-	progress := parallel.NewOrderedWriterAt(o.Progress, len(done))
-	shards, err := parallel.MapResumeCtx(ctx, o.Workers, n, done, o.Every, save, func(i int) T {
-		t := s.Run(pool, o.Seeds, i)
-		if o.Progress != nil {
-			progress.Emit(i, s.Line(o.Seeds, i, t))
-		}
-		return t
-	})
-	if err != nil {
-		return nil, fmt.Errorf("%s aborted: %w", s.Name, err)
+	m.Frontier = parallel.NewFrontier(len(done), n, o.Every, m.merged, saveAt)
+	return m, nil
+}
+
+func (m *shardMerge[T]) merged(i int, t T) {
+	m.shards = append(m.shards, t)
+	if m.o.Progress != nil {
+		io.WriteString(m.o.Progress, m.s.Line(m.o.Seeds, i, t))
 	}
-	return s.Fold(o.Seeds, shards), nil
+}
+
+// fold checkpoints the rest of the prefix and folds the complete sweep.
+func (m *shardMerge[T]) fold() (Result, error) {
+	if err := m.Finish(); err != nil {
+		return nil, err
+	}
+	return m.s.Fold(m.o.Seeds, m.shards), nil
 }
 
 // Kind is a Sweep with its digest type erased to the journal's bytes:
@@ -114,10 +149,24 @@ type Kind interface {
 	Resume(ctx context.Context, o Options, done []json.RawMessage, save func(prefix []json.RawMessage) error) (Result, error)
 	// RunShard executes shard i and returns its digest bytes.
 	RunShard(pool *core.MachinePool, seeds, i int) (json.RawMessage, error)
-	// Line renders shard i's progress line from its digest bytes.
-	Line(seeds, i int, digest json.RawMessage) (string, error)
-	// Fold merges the complete digest slice into the sweep's Result.
-	Fold(seeds int, digests []json.RawMessage) (Result, error)
+	// Merge is the sweep's merge over digests computed elsewhere — a
+	// fleet coordinator's remote shards. It replays done's progress
+	// lines to o.Progress and checkpoints through save exactly as
+	// Resume does; o.Workers, o.Pool and o.Runner are unused.
+	Merge(o Options, done []json.RawMessage, save func(prefix []json.RawMessage) error) (Merge, error)
+}
+
+// Merge folds shard digests that arrive in any order into the sweep's
+// Result, executing nothing.
+type Merge interface {
+	// Add accepts shard i's digest under the frontier's rules: any
+	// order, duplicates ignored, an index past the shard space refused.
+	// It returns a corrupt digest's error and the sticky first
+	// checkpoint error.
+	Add(i int, digest json.RawMessage) error
+	// Fold checkpoints the rest of the prefix and folds the complete
+	// sweep; it fails if a shard is missing.
+	Fold() (Result, error)
 }
 
 // Kind returns the sweep's digest-erased view.
@@ -132,43 +181,57 @@ func (k kind[T]) Resume(ctx context.Context, o Options, done []json.RawMessage, 
 	if err != nil {
 		return nil, err
 	}
-	var typedSave func(prefix []T) error
-	if save != nil {
-		// The sweep saves its typed prefix in order, growing only, so
-		// each digest is marshalled once, when it first becomes durable.
-		raw := slices.Clone(done)
-		typedSave = func(prefix []T) error {
-			for i := len(raw); i < len(prefix); i++ {
-				blob, err := json.Marshal(prefix[i])
-				if err != nil {
-					return fmt.Errorf("%s: checkpoint shard %d: %w", k.s.Name, i, err)
-				}
-				raw = append(raw, blob)
-			}
-			return save(raw)
-		}
-	}
-	return k.s.Resume(ctx, o, typed, typedSave)
+	return k.s.Resume(ctx, o, typed, k.encodeSave(done, save))
 }
 
 func (k kind[T]) RunShard(pool *core.MachinePool, seeds, i int) (json.RawMessage, error) {
 	return json.Marshal(k.s.Run(pool, seeds, i))
 }
 
-func (k kind[T]) Line(seeds, i int, digest json.RawMessage) (string, error) {
-	var t T
-	if err := json.Unmarshal(digest, &t); err != nil {
-		return "", k.corrupt(i, err)
-	}
-	return k.s.Line(seeds, i, t), nil
-}
-
-func (k kind[T]) Fold(seeds int, digests []json.RawMessage) (Result, error) {
-	typed, err := k.decode(digests)
+func (k kind[T]) Merge(o Options, done []json.RawMessage, save func(prefix []json.RawMessage) error) (Merge, error) {
+	typed, err := k.decode(done)
 	if err != nil {
 		return nil, err
 	}
-	return k.s.Fold(seeds, typed), nil
+	m, err := k.s.merge(o, typed, k.encodeSave(done, save))
+	if err != nil {
+		return nil, err
+	}
+	return digestMerge[T]{m}, nil
+}
+
+// digestMerge is a shardMerge fed digest bytes.
+type digestMerge[T any] struct{ m *shardMerge[T] }
+
+func (d digestMerge[T]) Add(i int, digest json.RawMessage) error {
+	var t T
+	if err := json.Unmarshal(digest, &t); err != nil {
+		return d.m.s.corrupt(i, err)
+	}
+	return d.m.Add(i, t)
+}
+
+func (d digestMerge[T]) Fold() (Result, error) { return d.m.fold() }
+
+// encodeSave adapts a journal save to the typed prefix a merge saves.
+// done is the prefix the journal already holds; the saved prefix only
+// grows, so each digest is marshalled once, when it first becomes
+// durable.
+func (k kind[T]) encodeSave(done []json.RawMessage, save func(prefix []json.RawMessage) error) func(prefix []T) error {
+	if save == nil {
+		return nil
+	}
+	raw := slices.Clone(done)
+	return func(prefix []T) error {
+		for i := len(raw); i < len(prefix); i++ {
+			blob, err := json.Marshal(prefix[i])
+			if err != nil {
+				return fmt.Errorf("%s: checkpoint shard %d: %w", k.s.Name, i, err)
+			}
+			raw = append(raw, blob)
+		}
+		return save(raw)
+	}
 }
 
 // decode unmarshals a journaled digest prefix back into typed shards.
@@ -179,12 +242,12 @@ func (k kind[T]) decode(raw []json.RawMessage) ([]T, error) {
 	out := make([]T, len(raw))
 	for i, blob := range raw {
 		if err := json.Unmarshal(blob, &out[i]); err != nil {
-			return nil, k.corrupt(i, err)
+			return nil, k.s.corrupt(i, err)
 		}
 	}
 	return out, nil
 }
 
-func (k kind[T]) corrupt(i int, err error) error {
-	return fmt.Errorf("%s: corrupt shard digest %d: %w", k.s.Name, i, err)
+func (s *Sweep[T]) corrupt(i int, err error) error {
+	return fmt.Errorf("%s: corrupt shard digest %d: %w", s.Name, i, err)
 }

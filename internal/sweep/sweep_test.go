@@ -184,6 +184,36 @@ func TestDigestWireFormat(t *testing.T) {
 				resumed := runSweep(t, g.kind, o, digests[:k], nil)
 				sameRun(t, "resume from the golden prefix", resumed, fresh)
 			}
+
+			// A fleet coordinator merges remote digests as they arrive —
+			// out of order, duplicated, some past the shard space — and
+			// must fold and stream what a local run does and checkpoint
+			// the very bytes the workers sent.
+			var b bytes.Buffer
+			var saved []json.RawMessage
+			m, err := g.kind.Merge(sweep.Options{Seeds: g.goldenSeeds, Progress: &b, Every: 2}, digests[:1],
+				func(prefix []json.RawMessage) error { saved = slices.Clone(prefix); return nil })
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.Add(n, digests[0]); err == nil {
+				t.Error("merge accepted a shard past the shard space")
+			}
+			for i := n - 1; i >= 0; i-- {
+				for range 2 {
+					if err := m.Add(i, digests[i]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			res, err := m.Fold()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRun(t, "merge of the golden digests", run{res, b.String()}, fresh)
+			if !slices.EqualFunc(saved, digests, func(a, b json.RawMessage) bool { return bytes.Equal(a, b) }) {
+				t.Errorf("merge checkpointed\n%s\nwant the golden digests", saved)
+			}
 		})
 	}
 	if len(lines) != 0 {
