@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"uexc/internal/cpu"
 	"uexc/internal/userrt"
 )
 
@@ -107,39 +106,26 @@ bench_resume:
 // page-protection change under the given mechanism (ablation D: the
 // three ways §2.2/§3.2.3 discuss).
 func MeasureProtChange(mech ProtMech, n int) (float64, error) {
-	var prog string
+	prog := protChangeUTLBProg(n)
+	var setup func(*Machine)
 	switch mech {
-	case ProtMechHardware, ProtMechEmulated:
-		prog = protChangeUTLBProg(n)
+	case ProtMechEmulated:
+		setup = func(m *Machine) { m.SetHardwareUTLBMod(false) }
 	case ProtMechSyscall:
 		prog = protChangeSyscallProg(n)
 	}
-	m, err := NewMachine()
+	m, tl, err := probe(prog, []string{"bench_fault", "bench_resume"}, setup)
 	if err != nil {
 		return 0, err
 	}
-	if err := m.LoadProgram(prog); err != nil {
-		return 0, err
-	}
-	if mech == ProtMechEmulated {
-		m.SetHardwareUTLBMod(false)
-	}
-	var startC uint64
-	var costs []uint64
-	watches := map[uint32]func(*cpu.CPU){
-		m.Sym("bench_fault"):  func(c *cpu.CPU) { startC = c.Cycles },
-		m.Sym("bench_resume"): func(c *cpu.CPU) { costs = append(costs, c.Cycles-startC) },
-	}
-	if err := m.RunWithWatches(60_000_000, watches); err != nil {
-		return 0, err
-	}
-	if len(costs) == 0 {
+	cost, got := span(tl, "bench_fault", "bench_resume")
+	if got == 0 {
 		return 0, fmt.Errorf("core: protection-change benchmark recorded nothing")
 	}
 	if mech == ProtMechEmulated && m.K.Stats.UTLBEmuls == 0 {
 		return 0, fmt.Errorf("core: emulated mechanism took no emulations")
 	}
-	return mean(costs) / 2, nil // two changes per iteration
+	return cost / 2, nil // two changes per iteration
 }
 
 // vectoredProg is the simple-exception benchmark with the vectored
@@ -172,11 +158,10 @@ bench_resume:
 // MeasureVectoredDispatch measures the simple-exception round trip with
 // the vector-table low-level handler (the §2.2 design point).
 func MeasureVectoredDispatch(n int) (Timing, error) {
-	t, _, err := runTimedLoop(timedLoopSpec{
+	return measure(timedLoopSpec{
 		prog:         vectoredProg(n),
 		handlerEntry: userrt.SymSkipHandler,
 		handlerExit:  userrt.SymFexcVecRet,
-		codeMask:     1 << 9,
+		codeMask:     ExcMaskBp,
 	})
-	return t, err
 }

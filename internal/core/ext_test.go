@@ -338,24 +338,14 @@ epc_after:
 // enabled, and the non-eager path takes in-handler mprotect syscalls
 // instead.
 func TestEagerStatsAccounting(t *testing.T) {
-	_, mEager, err := runTimedLoop(timedLoopSpec{
-		prog:         writeProtFastProg(5, true),
-		handlerEntry: "__null_handler",
-		handlerExit:  "__fexc_low_ret",
-		codeMask:     1 << 1,
-	})
+	mEager, _, err := probe(writeProtFastProg(5, true), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if mEager.K.Stats.EagerAmplifies < 5 {
 		t.Errorf("eager amplifies = %d, want >= 5", mEager.K.Stats.EagerAmplifies)
 	}
-	_, mPlain, err := runTimedLoop(timedLoopSpec{
-		prog:         writeProtFastProg(5, false),
-		handlerEntry: "wp_chandler",
-		handlerExit:  "__fexc_low_ret",
-		codeMask:     1 << 1,
-	})
+	mPlain, _, err := probe(writeProtFastProg(5, false), nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@
 //   - ModeHardware: the proposed Tera-style direct user vectoring (§2).
 //
 // The microbenchmark runners in measure.go reproduce the paper's
-// Table 2 quantities; the phase counters reproduce Table 3.
+// Table 2 and Table 3 quantities from one probe run each.
 package core
 
 import (
@@ -191,6 +191,12 @@ func (m *Machine) Run(maxInsts uint64) error {
 	if err := m.K.Run(maxInsts); err != nil {
 		return err
 	}
+	return m.exitErr()
+}
+
+// exitErr reports a nonzero process exit, wrapping the kill reason of
+// an escalated process.
+func (m *Machine) exitErr() error {
 	if done, status := m.K.Exited(); done && status != 0 {
 		for _, p := range m.K.Procs() {
 			if reason := p.KillReason(); reason != nil {
@@ -198,28 +204,6 @@ func (m *Machine) Run(maxInsts uint64) error {
 					status, m.K.Console(), reason)
 			}
 		}
-		return fmt.Errorf("core: process exited with status %d (console: %q)", status, m.K.Console())
-	}
-	return nil
-}
-
-// RunWithWatches single-steps the machine, invoking each watch callback
-// whenever the CPU is about to execute the watched address, until exit.
-func (m *Machine) RunWithWatches(maxInsts uint64, watches map[uint32]func(c *cpu.CPU)) error {
-	c := m.K.CPU
-	start := c.Insts
-	for !c.Halted && c.Insts-start < maxInsts {
-		if f, ok := watches[c.PC]; ok {
-			f(c)
-		}
-		if err := c.Step(); err != nil {
-			return err
-		}
-	}
-	if !c.Halted {
-		return &cpu.BudgetError{Budget: maxInsts, PC: c.PC}
-	}
-	if done, status := m.K.Exited(); done && status != 0 {
 		return fmt.Errorf("core: process exited with status %d (console: %q)", status, m.K.Console())
 	}
 	return nil

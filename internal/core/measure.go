@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"uexc/internal/arch"
 	"uexc/internal/cpu"
+	"uexc/internal/kernel"
 	"uexc/internal/userrt"
 )
 
@@ -41,165 +44,260 @@ func mean(xs []uint64) float64 {
 	return float64(s) / float64(len(xs))
 }
 
-// timedLoopSpec describes one microbenchmark to the generic harness.
+// probeBudget bounds every probe run; the measurement programs retire
+// well under a million instructions.
+const probeBudget = 30_000_000
+
+// mark is one event on a probe timeline: the CPU about to execute a
+// labelled PC (an arrival), or raising an exception in user mode (a
+// raise, with its code, labelled when it faults at a labelled PC).
+// Cycles and Insts are the CPU's counters at that instant.
+type mark struct {
+	label         string
+	raise         bool
+	code          uint32 // raises only
+	cycles, insts uint64
+}
+
+// probe loads prog on a fresh machine, applies setup (if any), and
+// single-steps it to exit, returning the timeline of arrivals at the
+// labelled PCs and of user-mode raises. Labels name user symbols, or
+// kernel symbols when the user image has no such name. Observation
+// never changes the run: the timeline is read from the CPU's counters
+// and its exception trace. Errors follow Machine.Run's chain.
+func probe(prog string, labels []string, setup func(*Machine)) (*Machine, []mark, error) {
+	m, err := NewMachine()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := m.LoadProgram(prog); err != nil {
+		return nil, nil, err
+	}
+	if setup != nil {
+		setup(m)
+	}
+	at := make(map[uint32][]string, len(labels))
+	for _, l := range labels {
+		pc, ok := m.Prog.Symbol(l)
+		if !ok {
+			if pc, ok = m.K.Image.Symbol(l); !ok {
+				return nil, nil, fmt.Errorf("core: probe label %q names no user or kernel symbol", l)
+			}
+		}
+		at[pc] = append(at[pc], l)
+	}
+	c := m.CPU()
+	var tl []mark
+	c.Trace = func(e cpu.Exception) {
+		if e.User {
+			k := mark{raise: true, code: e.Code, cycles: c.Cycles, insts: c.Insts}
+			if ls := at[e.PC]; len(ls) > 0 {
+				k.label = ls[0]
+			}
+			tl = append(tl, k)
+		}
+	}
+	start := c.Insts
+	for !c.Halted && c.Insts-start < probeBudget {
+		for _, l := range at[c.PC] {
+			tl = append(tl, mark{label: l, cycles: c.Cycles, insts: c.Insts})
+		}
+		if err := c.Step(); err != nil {
+			return nil, nil, err
+		}
+	}
+	if !c.Halted {
+		return nil, nil, &cpu.BudgetError{Budget: probeBudget, PC: c.PC}
+	}
+	return m, tl, m.exitErr()
+}
+
+// timedLoopSpec describes one Table 2 microbenchmark: a program whose
+// loop faults at bench_fault and resumes at bench_resume, and the user
+// symbols that bracket its C-level handler.
 type timedLoopSpec struct {
 	prog         string
 	handlerEntry string // user symbol of the C-level handler
 	handlerExit  string // user symbol reached right after it returns
-	faultLabel   string // defaults to bench_fault
-	resumeLabel  string // defaults to bench_resume
-	hwMask       uint32 // non-zero: enable Tera-style hardware delivery
-	codeMask     uint32 // exception codes that count as the benched fault (0 = all)
-	budget       uint64
-	tweak        func(*Machine) // optional machine configuration hook
+	codeMask     uint32 // exception codes that count as the benched fault
+	setup        func(*Machine)
 }
 
-// runTimedLoop executes a microbenchmark and extracts per-exception
-// timings via address watches plus the CPU's exception trace.
-func runTimedLoop(spec timedLoopSpec) (Timing, *Machine, error) {
-	m, err := NewMachine()
-	if err != nil {
-		return Timing{}, nil, err
-	}
-	if err := m.LoadProgram(spec.prog); err != nil {
-		return Timing{}, nil, err
-	}
-	if spec.hwMask != 0 {
-		m.EnableHardwareDelivery(spec.hwMask)
-	}
-	if spec.tweak != nil {
-		spec.tweak(m)
-	}
-	if spec.faultLabel == "" {
-		spec.faultLabel = "bench_fault"
-	}
-	if spec.resumeLabel == "" {
-		spec.resumeLabel = "bench_resume"
-	}
-	if spec.budget == 0 {
-		spec.budget = 30_000_000
-	}
-
-	c := m.CPU()
-	faultPC := m.Sym(spec.faultLabel)
-
+// timing folds a timeline into Table 2's row structure. A raise at
+// fault whose code is in mask opens a window; arrivals at entry inside
+// it time the delivery, the last arrival at exit starts the return,
+// and the arrival at resume closes the round trip. A later raise at
+// fault (a TLB refill after a protection change, say) restarts the
+// clock only if its code also matches.
+func timing(tl []mark, mask uint32, fault, entry, exit, resume string) Timing {
 	var (
-		raiseC, entryC, exitC  uint64
-		havePending            bool
+		raiseC, exitC          uint64
+		pending                bool
 		delivers, returns, rts []uint64
 	)
-	c.Trace = func(e cpu.Exception) {
-		// TLB refills at the same PC (after protection changes flush
-		// the TLB) must not reset the timestamp; filter by code.
-		if e.PC == faultPC && e.User &&
-			(spec.codeMask == 0 || spec.codeMask&(1<<e.Code) != 0) {
-			raiseC = c.Cycles
-			havePending = true
-		}
-	}
-
-	watches := map[uint32]func(*cpu.CPU){
-		m.Sym(spec.resumeLabel): func(c *cpu.CPU) {
-			if !havePending {
-				return
+	for _, k := range tl {
+		switch {
+		case k.raise:
+			if k.label == fault && mask&(1<<k.code) != 0 {
+				raiseC, pending = k.cycles, true
 			}
-			rts = append(rts, c.Cycles-raiseC)
+		case !pending:
+		case k.label == entry:
+			delivers = append(delivers, k.cycles-raiseC)
+		case k.label == exit:
+			exitC = k.cycles
+		case k.label == resume:
+			rts = append(rts, k.cycles-raiseC)
 			if exitC >= raiseC {
-				returns = append(returns, c.Cycles-exitC)
+				returns = append(returns, k.cycles-exitC)
 			}
-			havePending = false
-		},
-	}
-	if spec.handlerEntry != "" {
-		watches[m.Sym(spec.handlerEntry)] = func(c *cpu.CPU) {
-			if havePending {
-				entryC = c.Cycles
-				delivers = append(delivers, entryC-raiseC)
-			}
+			pending = false
 		}
 	}
-	if spec.handlerExit != "" {
-		watches[m.Sym(spec.handlerExit)] = func(c *cpu.CPU) {
-			if havePending {
-				exitC = c.Cycles
-			}
-		}
-	}
+	return Timing{N: len(rts), Deliver: mean(delivers), Return: mean(returns), RoundTrip: mean(rts)}
+}
 
-	if err := m.RunWithWatches(spec.budget, watches); err != nil {
-		return Timing{}, m, err
+// measure probes one timed loop and folds its timeline.
+func measure(spec timedLoopSpec) (Timing, error) {
+	_, tl, err := probe(spec.prog,
+		[]string{"bench_fault", "bench_resume", spec.handlerEntry, spec.handlerExit}, spec.setup)
+	if err != nil {
+		return Timing{}, err
 	}
-	if len(rts) == 0 {
-		return Timing{}, m, fmt.Errorf("core: benchmark recorded no exceptions")
+	t := timing(tl, spec.codeMask, "bench_fault", spec.handlerEntry, spec.handlerExit, "bench_resume")
+	if t.N == 0 {
+		return Timing{}, fmt.Errorf("core: benchmark recorded no exceptions")
 	}
-	return Timing{
-		N:         len(rts),
-		Deliver:   mean(delivers),
-		Return:    mean(returns),
-		RoundTrip: mean(rts),
-	}, m, nil
+	return t, nil
+}
+
+// span returns the mean cycles from an arrival at from to the next
+// arrival at to, over every such pair on the timeline.
+func span(tl []mark, from, to string) (float64, int) {
+	var startC uint64
+	var spans []uint64
+	for _, k := range tl {
+		switch k.label {
+		case from:
+			startC = k.cycles
+		case to:
+			spans = append(spans, k.cycles-startC)
+		}
+	}
+	return mean(spans), len(spans)
+}
+
+// simpleSpec is the breakpoint loop for one delivery mode (Table 2
+// rows 1, 4, 5; Table 1's Ultrix column; ablation A; sensitivity).
+func simpleSpec(mode Mode, n int) timedLoopSpec {
+	switch mode {
+	case ModeUltrix:
+		return timedLoopSpec{
+			prog:         simpleUltrixProg(n),
+			handlerEntry: userrt.SymSkipSigHandler,
+			handlerExit:  userrt.SymSigHandlerRet,
+			codeMask:     ExcMaskBp,
+		}
+	case ModeHardware:
+		return timedLoopSpec{
+			prog:         simpleTeraProg(n),
+			handlerEntry: userrt.SymSkipHandler,
+			handlerExit:  "tera_handler_ret",
+			codeMask:     ExcMaskBp,
+			setup:        func(m *Machine) { m.EnableHardwareDelivery(ExcMaskBp) },
+		}
+	default:
+		return timedLoopSpec{
+			prog:         simpleFastProg(n),
+			handlerEntry: userrt.SymSkipHandler,
+			handlerExit:  userrt.SymFexcLowRet,
+			codeMask:     ExcMaskBp,
+		}
+	}
 }
 
 // MeasureSimpleException measures breakpoint delivery under the given
 // mode (Table 2 rows 1, 4, 5; Table 1's Ultrix column; ablation A).
 func MeasureSimpleException(mode Mode, n int) (Timing, error) {
-	var spec timedLoopSpec
-	switch mode {
-	case ModeFast:
-		spec = timedLoopSpec{
-			prog:         simpleFastProg(n),
-			handlerEntry: userrt.SymSkipHandler,
-			handlerExit:  userrt.SymFexcLowRet,
-			codeMask:     1 << arch.ExcBp,
+	return measure(simpleSpec(mode, n))
+}
+
+// DeliveryEvents runs one breakpoint of the Table 2 simple-exception
+// loop (n=1) under mode, Ultrix or Fast, and returns its path from the
+// fault to the resumed application in cycle order: the kernel's event
+// log merged with the user-level milestones on the probe timeline
+// (Figures 1 and 2). A user milestone sorts before a kernel event at
+// the same cycle.
+func DeliveryEvents(mode Mode) ([]kernel.Event, error) {
+	if mode != ModeUltrix && mode != ModeFast {
+		return nil, fmt.Errorf("core: trace supports Ultrix and Fast")
+	}
+	spec := simpleSpec(mode, 1)
+	m, tl, err := probe(spec.prog, []string{"bench_fault", "bench_resume", spec.handlerEntry, spec.handlerExit},
+		func(m *Machine) { m.K.TraceEvents = true })
+	if err != nil {
+		return nil, err
+	}
+	var (
+		evs     []kernel.Event
+		started bool
+		fromC   uint64
+		resumeC uint64 = math.MaxUint64
+	)
+	for _, k := range tl {
+		what := ""
+		switch {
+		case k.raise && k.label == "bench_fault":
+			started, fromC = true, k.cycles
+			what = "hardware raises exception, vectors to kernel"
+		case !started:
+		case k.raise:
+			what = "hardware raises exception (handler path syscall)"
+		case k.label == spec.handlerEntry:
+			what = "user-level handler entered"
+		case k.label == spec.handlerExit:
+			what = "user-level handler returns"
+		case k.label == "bench_resume":
+			what = "application resumes after faulting instruction"
+			started, resumeC = false, k.cycles
 		}
-	case ModeUltrix:
-		spec = timedLoopSpec{
-			prog:         simpleUltrixProg(n),
-			handlerEntry: userrt.SymSkipSigHandler,
-			handlerExit:  userrt.SymSigHandlerRet,
-			codeMask:     1 << arch.ExcBp,
-		}
-	case ModeHardware:
-		spec = timedLoopSpec{
-			prog:         simpleTeraProg(n),
-			handlerEntry: userrt.SymSkipHandler,
-			handlerExit:  "tera_handler_ret",
-			hwMask:       ExcMaskBp,
-			codeMask:     1 << arch.ExcBp,
+		if what != "" {
+			evs = append(evs, kernel.Event{Cycle: k.cycles, What: what})
 		}
 	}
-	t, _, err := runTimedLoop(spec)
-	return t, err
+	for _, ke := range m.K.Events {
+		if ke.Cycle >= fromC && ke.Cycle <= resumeC {
+			evs = append(evs, ke)
+		}
+	}
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].Cycle < evs[j].Cycle })
+	return evs, nil
 }
 
 // MeasureWriteProt measures write-protection fault delivery (Table 2
 // row 2; ablation B covers eager on/off).
 func MeasureWriteProt(mode Mode, eager bool, n int) (Timing, error) {
-	var spec timedLoopSpec
 	switch mode {
 	case ModeFast:
 		entry := userrt.SymNullHandler
 		if !eager {
 			entry = "wp_chandler"
 		}
-		spec = timedLoopSpec{
+		return measure(timedLoopSpec{
 			prog:         writeProtFastProg(n, eager),
 			handlerEntry: entry,
 			handlerExit:  userrt.SymFexcLowRet,
 			codeMask:     1 << arch.ExcMod,
-		}
+		})
 	case ModeUltrix:
-		spec = timedLoopSpec{
+		return measure(timedLoopSpec{
 			prog:         writeProtUltrixProg(n),
 			handlerEntry: "wp_sig_handler",
 			handlerExit:  userrt.SymSigHandlerRet,
 			codeMask:     1 << arch.ExcMod,
-		}
-	default:
-		return Timing{}, fmt.Errorf("core: write-prot benchmark supports Ultrix and Fast modes")
+		})
 	}
-	t, _, err := runTimedLoop(spec)
-	return t, err
+	return Timing{}, fmt.Errorf("core: write-prot benchmark supports Ultrix and Fast modes")
 }
 
 // SubpageTiming extends Timing with the cost of the transparent kernel
@@ -211,121 +309,52 @@ type SubpageTiming struct {
 	EmulN     int
 }
 
-// MeasureSubpage measures both subpage cases (Table 2 row 3).
+// MeasureSubpage measures both subpage cases (Table 2 row 3) on one
+// timeline: the protected store at bench_fault, then the emulated one
+// from bench_fault2 to bench_resume2.
 func MeasureSubpage(n int) (SubpageTiming, error) {
-	spec := timedLoopSpec{
-		prog:         subpageProg(n),
-		handlerEntry: userrt.SymNullHandler,
-		handlerExit:  userrt.SymFexcLowRet,
-	}
-
-	m, err := NewMachine()
+	m, tl, err := probe(subpageProg(n), []string{"bench_fault", "bench_resume", "bench_fault2", "bench_resume2",
+		userrt.SymNullHandler, userrt.SymFexcLowRet}, nil)
 	if err != nil {
 		return SubpageTiming{}, err
 	}
-	if err := m.LoadProgram(spec.prog); err != nil {
-		return SubpageTiming{}, err
-	}
-	c := m.CPU()
-	faultPC := m.Sym("bench_fault")
-	fault2PC := m.Sym("bench_fault2")
-
-	var (
-		raiseC                 uint64
-		pendA, pendB           bool
-		delivers, rts, emulRTs []uint64
-		exitC                  uint64
-		returns                []uint64
-	)
-	c.Trace = func(e cpu.Exception) {
-		if !e.User || e.Code != arch.ExcMod {
-			return
-		}
-		switch e.PC {
-		case faultPC:
-			raiseC, pendA = c.Cycles, true
-		case fault2PC:
-			raiseC, pendB = c.Cycles, true
-		}
-	}
-	watches := map[uint32]func(*cpu.CPU){
-		m.Sym(userrt.SymNullHandler): func(c *cpu.CPU) {
-			if pendA {
-				delivers = append(delivers, c.Cycles-raiseC)
-			}
-		},
-		m.Sym(userrt.SymFexcLowRet): func(c *cpu.CPU) {
-			if pendA {
-				exitC = c.Cycles
-			}
-		},
-		m.Sym("bench_resume"): func(c *cpu.CPU) {
-			if pendA {
-				rts = append(rts, c.Cycles-raiseC)
-				returns = append(returns, c.Cycles-exitC)
-				pendA = false
-			}
-		},
-		m.Sym("bench_resume2"): func(c *cpu.CPU) {
-			if pendB {
-				emulRTs = append(emulRTs, c.Cycles-raiseC)
-				pendB = false
-			}
-		},
-	}
-	if err := m.RunWithWatches(30_000_000, watches); err != nil {
-		return SubpageTiming{}, err
-	}
-	if len(rts) == 0 || len(emulRTs) == 0 {
-		return SubpageTiming{}, fmt.Errorf("core: subpage benchmark recorded %d/%d events", len(rts), len(emulRTs))
+	const mod = 1 << arch.ExcMod
+	del := timing(tl, mod, "bench_fault", userrt.SymNullHandler, userrt.SymFexcLowRet, "bench_resume")
+	emul := timing(tl, mod, "bench_fault2", "", "", "bench_resume2")
+	if del.N == 0 || emul.N == 0 {
+		return SubpageTiming{}, fmt.Errorf("core: subpage benchmark recorded %d/%d events", del.N, emul.N)
 	}
 	// Verify the emulated stores actually landed.
 	if got := m.userWord("emul_check"); got != 1 {
 		return SubpageTiming{}, fmt.Errorf("core: emulated store verification failed: %#x", got)
 	}
-	return SubpageTiming{
-		Delivered: Timing{N: len(rts), Deliver: mean(delivers), Return: mean(returns), RoundTrip: mean(rts)},
-		EmulRT:    mean(emulRTs),
-		EmulN:     len(emulRTs),
-	}, nil
+	return SubpageTiming{Delivered: del, EmulRT: emul.RoundTrip, EmulN: emul.N}, nil
 }
 
 // MeasureUnalignedMin measures the specialized minimal handler on
 // unaligned loads: the §4.2.2 configuration whose fault + null C call
 // + return costs 6 µs.
 func MeasureUnalignedMin(n int) (Timing, error) {
-	t, _, err := runTimedLoop(timedLoopSpec{
+	return measure(timedLoopSpec{
 		prog:         unalignedMinProg(n),
 		handlerEntry: userrt.SymSkipHandler,
 		handlerExit:  userrt.SymFexcMinRet,
 		codeMask:     1 << arch.ExcAdEL,
 	})
-	return t, err
 }
 
 // MeasureNullSyscall measures the getpid round trip in cycles (the
 // paper's 12 µs comparison point).
 func MeasureNullSyscall(n int) (float64, error) {
-	m, err := NewMachine()
+	_, tl, err := probe(nullSyscallProg(n), []string{"bench_fault", "bench_resume"}, nil)
 	if err != nil {
 		return 0, err
 	}
-	if err := m.LoadProgram(nullSyscallProg(n)); err != nil {
-		return 0, err
-	}
-	var startC uint64
-	var rts []uint64
-	watches := map[uint32]func(*cpu.CPU){
-		m.Sym("bench_fault"):  func(c *cpu.CPU) { startC = c.Cycles },
-		m.Sym("bench_resume"): func(c *cpu.CPU) { rts = append(rts, c.Cycles-startC) },
-	}
-	if err := m.RunWithWatches(30_000_000, watches); err != nil {
-		return 0, err
-	}
-	if len(rts) == 0 {
+	rt, got := span(tl, "bench_fault", "bench_resume")
+	if got == 0 {
 		return 0, fmt.Errorf("core: syscall benchmark recorded nothing")
 	}
-	return mean(rts), nil
+	return rt, nil
 }
 
 // userWord reads a word-sized user global by symbol (for result
@@ -341,7 +370,7 @@ func (m *Machine) userWord(sym string) uint32 {
 
 // PhaseCounts reproduces Table 3: dynamic instruction counts of the
 // kernel fast path's six phases, measured by executing one simple
-// exception with per-PC counting enabled.
+// exception.
 type PhaseCounts struct {
 	Decode   int
 	Compat   int
@@ -356,48 +385,39 @@ func (p PhaseCounts) Total() int {
 	return p.Decode + p.Compat + p.Save + p.FPCheck + p.TLBCheck + p.Vector
 }
 
-// MeasureKernelPhases runs one fast-path breakpoint and counts executed
-// kernel instructions per phase label range.
+// phaseLabels bound Table 3's phases: each phase runs from its kernel
+// label to the next one, and the vector phase ends at the first user
+// instruction after the kernel's rfe.
+var phaseLabels = []string{"ph_decode", "ph_compat", "ph_save", "ph_fpcheck", "ph_tlbcheck", "ph_vector",
+	userrt.SymFexcLow}
+
+// MeasureKernelPhases runs one fast-path breakpoint and counts the
+// instructions retired between successive phase-label arrivals after
+// the benched fault (the warmup exception before it is excluded).
 func MeasureKernelPhases() (PhaseCounts, error) {
-	m, err := NewMachine()
+	_, tl, err := probe(simpleFastProg(1), append([]string{"bench_fault"}, phaseLabels...), nil)
 	if err != nil {
 		return PhaseCounts{}, err
 	}
-	if err := m.LoadProgram(simpleFastProg(1)); err != nil {
-		return PhaseCounts{}, err
-	}
-	c := m.CPU()
-	watches := map[uint32]func(*cpu.CPU){
-		// Start counting at the benched fault; stop at resumption so
-		// later kernel activity (exit syscall) is excluded.
-		m.Sym("bench_fault"): func(c *cpu.CPU) {
-			c.PCCounts = make(map[uint32]uint64)
-			c.CountPCs = true
-		},
-		m.Sym("bench_resume"): func(c *cpu.CPU) {
-			c.CountPCs = false
-		},
-	}
-	if err := m.RunWithWatches(10_000_000, watches); err != nil {
-		return PhaseCounts{}, err
-	}
-
-	sumRange := func(lo, hi uint32) int {
-		total := 0
-		for pc, n := range c.PCCounts {
-			if pc >= lo && pc < hi {
-				total += int(n)
-			}
+	at := make(map[string]uint64, len(phaseLabels))
+	started := false
+	for _, k := range tl {
+		if k.label == "bench_fault" {
+			started = true
+		} else if _, seen := at[k.label]; started && !k.raise && !seen {
+			at[k.label] = k.insts
 		}
-		return total
 	}
-	ks := m.KernelSym
+	if len(at) != len(phaseLabels) {
+		return PhaseCounts{}, fmt.Errorf("core: phase benchmark reached %d of %d phase labels", len(at), len(phaseLabels))
+	}
+	phase := func(i int) int { return int(at[phaseLabels[i+1]] - at[phaseLabels[i]]) }
 	return PhaseCounts{
-		Decode:   sumRange(ks("ph_decode"), ks("ph_compat")),
-		Compat:   sumRange(ks("ph_compat"), ks("ph_save")),
-		Save:     sumRange(ks("ph_save"), ks("ph_fpcheck")),
-		FPCheck:  sumRange(ks("ph_fpcheck"), ks("ph_tlbcheck")),
-		TLBCheck: sumRange(ks("ph_tlbcheck"), ks("ph_vector")),
-		Vector:   sumRange(ks("ph_vector"), ks("ph_end")),
+		Decode:   phase(0),
+		Compat:   phase(1),
+		Save:     phase(2),
+		FPCheck:  phase(3),
+		TLBCheck: phase(4),
+		Vector:   phase(5),
 	}, nil
 }

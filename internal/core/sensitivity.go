@@ -1,7 +1,5 @@
 package core
 
-import "uexc/internal/userrt"
-
 // ScaleKernelCosts multiplies every modeled "C-phase" cycle charge in
 // the kernel's cost table by f. The assembly-measured parts of the
 // system are untouched — they are executed, not modeled — so scaling
@@ -44,32 +42,22 @@ type SensitivityPoint struct {
 func MeasureSensitivity(scales []float64, n int) ([]SensitivityPoint, error) {
 	var out []SensitivityPoint
 	for _, f := range scales {
-		f := f
-		fast, _, err := runTimedLoop(timedLoopSpec{
-			prog:         simpleFastProg(n),
-			handlerEntry: userrt.SymSkipHandler,
-			handlerExit:  userrt.SymFexcLowRet,
-			codeMask:     1 << 9,
-			tweak:        func(m *Machine) { ScaleKernelCosts(m, f) },
-		})
+		scale := func(m *Machine) { ScaleKernelCosts(m, f) }
+		fast, ult := simpleSpec(ModeFast, n), simpleSpec(ModeUltrix, n)
+		fast.setup, ult.setup = scale, scale
+		fastT, err := measure(fast)
 		if err != nil {
 			return nil, err
 		}
-		ult, _, err := runTimedLoop(timedLoopSpec{
-			prog:         simpleUltrixProg(n),
-			handlerEntry: userrt.SymSkipSigHandler,
-			handlerExit:  userrt.SymSigHandlerRet,
-			codeMask:     1 << 9,
-			tweak:        func(m *Machine) { ScaleKernelCosts(m, f) },
-		})
+		ultT, err := measure(ult)
 		if err != nil {
 			return nil, err
 		}
 		out = append(out, SensitivityPoint{
 			Scale:       f,
-			FastRTMicro: fast.RoundTripMicros(),
-			UltRTMicro:  ult.RoundTripMicros(),
-			Speedup:     ult.RoundTrip / fast.RoundTrip,
+			FastRTMicro: fastT.RoundTripMicros(),
+			UltRTMicro:  ultT.RoundTripMicros(),
+			Speedup:     ultT.RoundTrip / fastT.RoundTrip,
 		})
 	}
 	return out, nil

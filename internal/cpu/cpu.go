@@ -212,11 +212,6 @@ type CPU struct {
 	// Halted stops Run; set by the kernel's exit path.
 	Halted bool
 
-	// CountPCs enables per-PC dynamic instruction counting (used to
-	// reproduce Table 3's per-phase kernel instruction counts).
-	CountPCs bool
-	PCCounts map[uint32]uint64
-
 	// ExcCounts tallies raised exceptions by code; Trace, when non-nil,
 	// receives every exception.
 	ExcCounts [32]uint64
@@ -677,12 +672,6 @@ func (c *CPU) Step() error {
 	}
 	c.Insts++
 	c.Cycles += c.Cost.Inst
-	if c.CountPCs {
-		if c.PCCounts == nil {
-			c.PCCounts = make(map[uint32]uint64)
-		}
-		c.PCCounts[instPC]++
-	}
 
 	// Default control flow: fall through to NPC; execute's branch cases
 	// redirect execNPC via branchTo.

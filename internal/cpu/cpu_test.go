@@ -622,26 +622,6 @@ pad: .word 0
 	}
 }
 
-func TestPCCounting(t *testing.T) {
-	tm := newTestMachine(t)
-	tm.c.CountPCs = true
-	p := tm.load(`
-		.org 0x80002000
-start:
-		li   t0, 3
-loop:
-		addiu t0, t0, -1
-		bnez t0, loop
-		nop
-		hcall 0
-	`)
-	tm.run(p, 100)
-	loop := p.MustSymbol("loop")
-	if tm.c.PCCounts[loop] != 3 {
-		t.Errorf("loop body count = %d, want 3", tm.c.PCCounts[loop])
-	}
-}
-
 func TestRunBudgetExhaustion(t *testing.T) {
 	tm := newTestMachine(t)
 	p := tm.load(`

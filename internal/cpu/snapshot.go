@@ -38,9 +38,6 @@ type State struct {
 
 	halted        bool
 	prevWasBranch bool
-
-	countPCs bool
-	pcCounts map[uint32]uint64 // deep copy, nil if disabled
 }
 
 // Insts returns the captured retired-instruction count (used by the
@@ -51,7 +48,7 @@ func (st *State) Insts() uint64 { return st.insts }
 // boundary (never from inside a hook), where the transient redirect and
 // pending-hook-error state is always quiescent.
 func (c *CPU) CaptureState() *State {
-	st := &State{
+	return &State{
 		gpr: c.GPR, hi: c.HI, lo: c.LO,
 		pc: c.PC, npc: c.NPC,
 		cp0: c.CP0,
@@ -66,15 +63,7 @@ func (c *CPU) CaptureState() *State {
 		jitGuardMisses: c.JITGuardMisses, jitInvalidations: c.JITInvalidations,
 		excCounts: c.ExcCounts,
 		halted:    c.Halted, prevWasBranch: c.prevWasBranch,
-		countPCs: c.CountPCs,
 	}
-	if c.PCCounts != nil {
-		st.pcCounts = make(map[uint32]uint64, len(c.PCCounts))
-		for pc, n := range c.PCCounts {
-			st.pcCounts[pc] = n
-		}
-	}
-	return st
 }
 
 // RestoreState rewrites the CPU to match the snapshot. Hooks, the
@@ -102,14 +91,6 @@ func (c *CPU) RestoreState(st *State) {
 	c.ExcCounts = st.excCounts
 	c.Halted = st.halted
 	c.prevWasBranch = st.prevWasBranch
-	c.CountPCs = st.countPCs
-	c.PCCounts = nil
-	if st.pcCounts != nil {
-		c.PCCounts = make(map[uint32]uint64, len(st.pcCounts))
-		for pc, n := range st.pcCounts {
-			c.PCCounts[pc] = n
-		}
-	}
 
 	c.OS = nil
 	c.Inject = nil

@@ -70,12 +70,11 @@ func (c *CPU) fastOff() bool { return c.Engine == EngineInterp }
 // caller falls back to one interpreter Step.
 func (c *CPU) jitStep(limit uint64) bool {
 	// A delay slot's PC/NPC pair is not the fall-through shape blocks
-	// are compiled for; CountPCs needs per-instruction PC visibility;
-	// an attached debug guard must check every fetch and data address;
-	// an armed injector must see every step unless it declared itself
-	// a no-op in kernel mode (faultinject's contract) and we are in
-	// kernel mode now.
-	if c.prevWasBranch || c.CountPCs || c.Debug != nil {
+	// are compiled for; an attached debug guard must check every fetch
+	// and data address; an armed injector must see every step unless it
+	// declared itself a no-op in kernel mode (faultinject's contract)
+	// and we are in kernel mode now.
+	if c.prevWasBranch || c.Debug != nil {
 		return false
 	}
 	if c.Inject != nil && !(c.InjectUserOnly && c.KernelMode()) {

@@ -1,6 +1,9 @@
 package harness
 
-import "uexc/internal/core"
+import (
+	"uexc/internal/core"
+	"uexc/internal/userrt"
+)
 
 // Campaign scenario programs. One hardened workload, parameterized by
 // delivery mode: it registers bounded Unix fallback handlers for the
@@ -156,62 +159,6 @@ done_msg:
 	.ascii "done\n"
 `
 
-// campaignTeraHandler mirrors the benchmark Tera handler: save the
-// exception frame, call the C handler, restore, return-exchange.
-const campaignTeraHandler = `
-tera_ret:
-	xret
-tera_handler:
-	la    k1, tera_frame
-	mfxt  k0
-	sw    k0, 0x00(k1)
-	mfxc  k0
-	sw    k0, 0x04(k1)
-	sw    zero, 0x08(k1)
-	sw    at, 0x0c(k1)
-	sw    v0, 0x10(k1)
-	sw    v1, 0x14(k1)
-	sw    a0, 0x18(k1)
-	sw    a1, 0x1c(k1)
-	sw    a2, 0x20(k1)
-	sw    a3, 0x24(k1)
-	sw    t0, 0x28(k1)
-	sw    t1, 0x2c(k1)
-	sw    t2, 0x30(k1)
-	sw    t3, 0x34(k1)
-	sw    t4, 0x3c(k1)
-	sw    t5, 0x40(k1)
-	sw    ra, 0x44(k1)
-	move  t0, k1
-	move  a0, t0
-	la    t3, __fexc_chandler
-	lw    t3, 0(t3)
-	jalr  t3
-	nop
-tera_handler_ret:
-	lw    k0, 0x00(t0)
-	mtxt  k0
-	lw    at, 0x0c(t0)
-	lw    v0, 0x10(t0)
-	lw    v1, 0x14(t0)
-	lw    a0, 0x18(t0)
-	lw    a1, 0x1c(t0)
-	lw    a2, 0x20(t0)
-	lw    a3, 0x24(t0)
-	lw    t1, 0x2c(t0)
-	lw    t2, 0x30(t0)
-	lw    t3, 0x34(t0)
-	lw    t4, 0x3c(t0)
-	lw    t5, 0x40(t0)
-	lw    ra, 0x44(t0)
-	lw    t0, 0x28(t0)
-	b     tera_ret
-	nop
-	.align 8
-tera_frame:
-	.space 128
-`
-
 // campaignProg assembles the scenario for one delivery mode.
 func campaignProg(mode core.Mode) string {
 	switch mode {
@@ -232,7 +179,7 @@ func campaignProg(mode core.Mode) string {
 	sw    t0, 0(t1)
 	la    t0, tera_handler
 	mtxt  t0
-` + campaignWorkload + campaignHandlers + campaignTeraHandler
+` + campaignWorkload + campaignHandlers + userrt.TeraHandler
 	default: // ModeUltrix: signals only
 		return campaignCommonSetup + campaignWorkload + campaignHandlers
 	}

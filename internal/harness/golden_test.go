@@ -1,9 +1,9 @@
 package harness
 
-// Golden-file tests: every table and ablation the harness can render
-// is pinned byte-for-byte under testdata/. The simulator is fully
-// deterministic, so any diff is a real change to measured behavior —
-// review it, then refresh with:
+// Golden-file tests: every table, figure series and ablation the
+// harness can render, and the delivery trace, is pinned byte-for-byte
+// under testdata/. The simulator is fully deterministic, so any diff is
+// a real change to measured behavior — review it, then refresh with:
 //
 //	go test ./internal/harness -run TestGolden -update
 
@@ -44,27 +44,36 @@ func TestGoldenExhibits(t *testing.T) {
 	if testing.Short() {
 		t.Skip("regenerates every table")
 	}
+	table := func(f func() (*report.Table, error)) func() (string, error) {
+		return func() (string, error) { return render(f()) }
+	}
 	cases := []struct {
 		name string
-		fn   func() (*report.Table, error)
+		fn   func() (string, error)
 	}{
-		{"table1", Table1},
-		{"table2", Table2},
-		{"table3", Table3},
-		{"table4", Table4},
-		{"table5", Table5},
-		{"ablation_hardware", AblationHardware},
-		{"ablation_eager", AblationEager},
-		{"ablation_subpage", AblationSubpage},
+		{"table1", table(Table1)},
+		{"table2", table(Table2)},
+		{"table3", table(Table3)},
+		{"table4", table(Table4)},
+		{"table5", table(Table5)},
+		{"figure3", func() (string, error) { return renderS(Figure3(false, 1)) }},
+		{"figure4", func() (string, error) { return renderS(Figure4(false, 1)) }},
+		{"trace", TraceDelivery},
+		{"ablation_hardware", table(AblationHardware)},
+		{"ablation_eager", table(AblationEager)},
+		{"ablation_subpage", table(AblationSubpage)},
+		{"ablation_protchange", table(AblationProtChange)},
+		{"ablation_vector", table(AblationVector)},
+		{"sensitivity", table(Sensitivity)},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			tbl, err := c.fn()
+			out, err := c.fn()
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
-			checkGolden(t, c.name, tbl.Render())
+			checkGolden(t, c.name, out)
 		})
 	}
 }

@@ -1,7 +1,7 @@
 // Package harness regenerates every table and figure of the paper's
 // evaluation from the simulator, in the layouts of the original
-// exhibits. It is shared by cmd/uexc-bench and the root benchmark
-// suite.
+// exhibits. It is shared by cmd/uexc-bench and the bench/ module's
+// paper workload.
 package harness
 
 import (

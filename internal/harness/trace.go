@@ -5,8 +5,6 @@ import (
 	"strings"
 
 	"uexc/internal/core"
-	"uexc/internal/cpu"
-	"uexc/internal/userrt"
 )
 
 // TraceDelivery renders Figures 1 and 2 as event traces: the actual
@@ -16,165 +14,24 @@ import (
 // kernel).
 func TraceDelivery() (string, error) {
 	var b strings.Builder
-
-	unix, err := traceOne(core.ModeUltrix)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("Figure 1: one breakpoint through the Unix signal machinery\n")
-	b.WriteString("==========================================================\n")
-	b.WriteString(unix)
-	b.WriteByte('\n')
-
-	fast, err := traceOne(core.ModeFast)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString("Figure 2: the same breakpoint through the fast path\n")
-	b.WriteString("===================================================\n")
-	b.WriteString(fast)
-	return b.String(), nil
-}
-
-// traceOne runs a single benched exception under the mode and collects
-// the kernel event log plus user-level milestones.
-func traceOne(mode core.Mode) (string, error) {
-	var prog, entrySym, exitSym string
-	switch mode {
-	case core.ModeUltrix:
-		prog = simpleUltrixTrace
-		entrySym = userrt.SymSkipSigHandler
-		exitSym = userrt.SymSigHandlerRet
-	case core.ModeFast:
-		prog = simpleFastTrace
-		entrySym = userrt.SymSkipHandler
-		exitSym = userrt.SymFexcLowRet
-	default:
-		return "", fmt.Errorf("harness: trace supports Ultrix and Fast")
-	}
-
-	m, err := core.NewMachine()
-	if err != nil {
-		return "", err
-	}
-	if err := m.LoadProgram(prog); err != nil {
-		return "", err
-	}
-	m.K.TraceEvents = true
-
-	type ev struct {
-		cyc  uint64
-		what string
-	}
-	var events []ev
-	var started bool
-	c := m.CPU()
-	c.Trace = func(e cpu.Exception) {
-		if e.PC == m.Sym("bench_fault") {
-			started = true
-			events = append(events, ev{c.Cycles, "hardware raises exception, vectors to kernel"})
-		} else if started && e.User {
-			events = append(events, ev{c.Cycles, "hardware raises exception (handler path syscall)"})
+	for i, fig := range []struct {
+		mode  core.Mode
+		title string
+	}{
+		{core.ModeUltrix, "Figure 1: one breakpoint through the Unix signal machinery"},
+		{core.ModeFast, "Figure 2: the same breakpoint through the fast path"},
+	} {
+		evs, err := core.DeliveryEvents(fig.mode)
+		if err != nil {
+			return "", err
 		}
-	}
-	kStart := 0
-	watches := map[uint32]func(*cpu.CPU){
-		m.Sym("bench_fault"): func(c *cpu.CPU) {
-			if !started {
-				kStart = len(m.K.Events)
-			}
-		},
-		m.Sym(entrySym): func(c *cpu.CPU) {
-			if started {
-				events = append(events, ev{c.Cycles, "user-level handler entered"})
-			}
-		},
-		m.Sym(exitSym): func(c *cpu.CPU) {
-			if started {
-				events = append(events, ev{c.Cycles, "user-level handler returns"})
-			}
-		},
-		m.Sym("bench_resume"): func(c *cpu.CPU) {
-			if started {
-				events = append(events, ev{c.Cycles, "application resumes after faulting instruction"})
-				started = false
-			}
-		},
-	}
-	if err := m.RunWithWatches(10_000_000, watches); err != nil {
-		return "", err
-	}
-
-	// Merge kernel events (from kStart) with user milestones by cycle,
-	// dropping anything after resumption (the exit syscall).
-	var resumeCyc uint64
-	for _, e := range events {
-		if strings.HasPrefix(e.what, "application resumes") {
-			resumeCyc = e.cyc
+		if i > 0 {
+			b.WriteByte('\n')
 		}
-	}
-	for _, ke := range m.K.Events[kStart:] {
-		if resumeCyc != 0 && ke.Cycle > resumeCyc {
-			continue
+		fmt.Fprintf(&b, "%s\n%s\n", fig.title, strings.Repeat("=", len(fig.title)))
+		for _, e := range evs {
+			fmt.Fprintf(&b, "  %7.2f µs  %s\n", core.Micros(e.Cycle-evs[0].Cycle), e.What)
 		}
-		events = append(events, ev{ke.Cycle, ke.What})
-	}
-	// Insertion sort by cycle (few events).
-	for i := 1; i < len(events); i++ {
-		for j := i; j > 0 && events[j].cyc < events[j-1].cyc; j-- {
-			events[j], events[j-1] = events[j-1], events[j]
-		}
-	}
-	var b strings.Builder
-	var base uint64
-	if len(events) > 0 {
-		base = events[0].cyc
-	}
-	for _, e := range events {
-		fmt.Fprintf(&b, "  %7.2f µs  %s\n", core.Micros(e.cyc-base), e.what)
 	}
 	return b.String(), nil
 }
-
-const simpleFastTrace = `
-main:
-	addiu sp, sp, -8
-	sw    ra, 0(sp)
-	la    t0, __skip_handler
-	la    t1, __fexc_chandler
-	sw    t0, 0(t1)
-	la    a0, __fexc_low
-	li    a1, 1 << 9
-	jal   __uexc_enable
-	nop
-	break
-bench_fault:
-	break
-bench_resume:
-	lw    ra, 0(sp)
-	addiu sp, sp, 8
-	li    v0, 0
-	jr    ra
-	nop
-`
-
-const simpleUltrixTrace = `
-main:
-	addiu sp, sp, -8
-	sw    ra, 0(sp)
-	li    a0, 5
-	la    a1, __skip_sig_handler
-	la    a2, __sig_trampoline
-	li    v0, SYS_sigaction
-	syscall
-	nop
-	break
-bench_fault:
-	break
-bench_resume:
-	lw    ra, 0(sp)
-	addiu sp, sp, 8
-	li    v0, 0
-	jr    ra
-	nop
-`

@@ -15,7 +15,7 @@ import "fmt"
 //
 // between entry at the general vector and the rfe into the user
 // handler. The per-phase labels (ph_*) let the harness verify these
-// counts by execution (see Table 3 in the benchmark suite).
+// counts by execution (core.MeasureKernelPhases, Table 3).
 func KernelSource() string {
 	return fmt.Sprintf(equates,
 		UAreaBase, KStackTop, PageTableBase,

@@ -315,6 +315,76 @@ __uexc_enable:
 	nop
 `
 
+// TeraHandler is the user-level handler for the proposed Tera-style
+// hardware, which vectors exceptions straight to user mode through the
+// exception-target register XT. A program that runs in that mode
+// appends this text to its own and loads XT with tera_handler. The
+// handler saves the same register set the kernel fast path's save
+// phase stores (the exception frame), calls the C-level handler
+// registered at __fexc_chandler with a0 = the frame, restores, and
+// return-exchanges to the (possibly advanced) faulting PC. Measured
+// against the software fast path, it isolates what hardware vectoring
+// removes: the kernel decode / compatibility / fp / tlb phases, the
+// mode switches, and the duplicated saves the software low-level
+// handler adds for fairness (the paper estimates 2-3x, §3). It is not
+// part of Prelude, so it leaves every other program's image unchanged.
+const TeraHandler = `
+
+# Return-exchange immediately before the handler entry: executing the
+# xret reloads XT with the handler address for the next exception.
+tera_ret:
+	xret
+tera_handler:
+	la    k1, tera_frame
+	mfxt  k0                  # faulting PC
+	sw    k0, 0x00(k1)
+	mfxc  k0                  # condition register: the cause
+	sw    k0, 0x04(k1)
+	sw    zero, 0x08(k1)
+	sw    at, 0x0c(k1)
+	sw    v0, 0x10(k1)
+	sw    v1, 0x14(k1)
+	sw    a0, 0x18(k1)
+	sw    a1, 0x1c(k1)
+	sw    a2, 0x20(k1)
+	sw    a3, 0x24(k1)
+	sw    t0, 0x28(k1)
+	sw    t1, 0x2c(k1)
+	sw    t2, 0x30(k1)
+	sw    t3, 0x34(k1)
+	sw    t4, 0x3c(k1)
+	sw    t5, 0x40(k1)
+	sw    ra, 0x44(k1)
+	move  t0, k1
+	move  a0, t0
+	la    t3, __fexc_chandler
+	lw    t3, 0(t3)
+	jalr  t3
+	nop
+tera_handler_ret:
+	lw    k0, 0x00(t0)        # resume PC (C handler may have advanced)
+	mtxt  k0
+	lw    at, 0x0c(t0)
+	lw    v0, 0x10(t0)
+	lw    v1, 0x14(t0)
+	lw    a0, 0x18(t0)
+	lw    a1, 0x1c(t0)
+	lw    a2, 0x20(t0)
+	lw    a3, 0x24(t0)
+	lw    t1, 0x2c(t0)
+	lw    t2, 0x30(t0)
+	lw    t3, 0x34(t0)
+	lw    t4, 0x3c(t0)
+	lw    t5, 0x40(t0)
+	lw    ra, 0x44(t0)
+	lw    t0, 0x28(t0)
+	b     tera_ret
+	nop
+	.align 8
+tera_frame:
+	.space 128
+`
+
 // Symbols that programs and the measurement harness rely on.
 const (
 	SymStart          = "_start"
