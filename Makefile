@@ -2,9 +2,13 @@
 #
 # `make check` is the tier-1 verification gate: static checks, the full
 # test suite under the race detector (the root module and the bench/
-# harness module), and 30-seed smoke runs of both sweeps (the
-# fault-injection campaign and the difftest oracle) across all three
-# delivery modes, each cross-checked between execution tiers.
+# harness module; the serving gauntlets — byte-identity, debug
+# sessions, the mixed burst, and the chaos and fleet kill/restart runs
+# at full scale — are tests in internal/server), 30-seed smoke runs of
+# both sweeps (the fault-injection campaign and the difftest oracle)
+# across all three delivery modes, each cross-checked between execution
+# tiers, the race-enabled soak smoke, and the coverage ratchet. Each
+# check runs once.
 #
 # Performance is measured in one place: `bash bench/run.sh` (see
 # bench/README.md). The root bench_test.go micro-benchmarks
@@ -18,7 +22,7 @@ GO ?= go
 # durably improves; never lower it to make a change pass.
 COVER_MIN ?= 86.0
 
-.PHONY: all build test vet check cover campaign soak soak-smoke serve-smoke chaos-smoke snapshot-smoke engine-crosscheck fleet-smoke fuzz clean
+.PHONY: all build test vet check cover campaign soak soak-smoke engine-crosscheck fuzz clean
 
 all: build
 
@@ -41,50 +45,7 @@ check: vet build
 	cd bench && $(GO) vet ./... && $(GO) test -race -short ./...
 	$(MAKE) engine-crosscheck
 	$(MAKE) soak-smoke
-	$(MAKE) snapshot-smoke
-	$(MAKE) serve-smoke
-	$(MAKE) chaos-smoke
-	$(MAKE) fleet-smoke
 	$(MAKE) cover
-
-# Serving smoke: spins a race-enabled uexc-serve on an ephemeral port
-# and runs the end-to-end self-test — CLI byte-identity of streamed
-# jobs, the debug-session gauntlet, a mixed 24-job burst from 8 clients
-# with exact /metrics accounting, and a graceful SIGTERM-style drain.
-serve-smoke:
-	$(GO) run -race ./cmd/uexc-serve -selftest
-
-# Snapshot/fork/debug-session gauntlet (DESIGN.md §16), race-enabled
-# and cache-busted: CoW snapshot round-trips at every layer (mem, TLB,
-# CPU, kernel, machine), the engine-toggle torture with restore points
-# and post-restore SMC, pooled-vs-booted byte-identity under all three
-# engines, record-replay exactness, and the virtual-breakpoint debug
-# sessions end to end (including the kernel trapframe-page watch).
-snapshot-smoke:
-	$(GO) test -race -count=1 ./internal/snapshot ./internal/debug
-	$(GO) test -race -count=1 -run 'Snapshot|Fork|Restore|PoolWarm|WarmPool|DefaultEngine|SMCAfterFork|TimeTravel|Debug|Session' \
-		./internal/mem ./internal/tlb ./internal/cpu ./internal/core ./internal/difftest ./internal/server
-
-# Crash-tolerance gauntlet: a 30-seed campaign through a journal-backed
-# race-enabled server that is killed and restarted 3 times mid-run
-# (plus injected worker panics, shard stalls, slow fsyncs, and client
-# disconnects); the survivor's stream must be byte-identical to an
-# undisturbed run and /metrics accounting exact (DESIGN.md §12,
-# EXPERIMENTS.md).
-chaos-smoke:
-	$(GO) run -race ./cmd/uexc-serve -chaos -chaos-seeds 30 -chaos-kills 3
-
-# Distributed gauntlet: a race-enabled coordinator with a durable
-# journal fans a 30-seed campaign out to two in-process worker nodes;
-# the harness kills one worker mid-shard-range (the stranded range must
-# re-dispatch to the survivor), then kills the coordinator itself and
-# plants a torn compaction tmp in its store directory before a
-# replacement coordinator resumes from the merge frontier with a
-# replacement worker. The resumed stream must be byte-identical to an
-# undisturbed serial run and the survivor's metrics exact
-# (DESIGN.md §13).
-fleet-smoke:
-	$(GO) run -race ./cmd/uexc-serve -fleet-smoke
 
 # Execution-tier cross-check: each 30-seed sweep (the fault campaign
 # and the difftest oracle) under the JIT and under the pure interpreter

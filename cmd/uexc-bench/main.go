@@ -9,7 +9,7 @@
 //	uexc-bench -table 2        # one table (1..5)
 //	uexc-bench -figure 3       # one figure (3 or 4)
 //	uexc-bench -trace          # Figures 1 and 2 as event traces
-//	uexc-bench -ablations      # the three ablation studies
+//	uexc-bench -ablations      # the five ablation studies (A–E)
 //	uexc-bench -validate       # also run object-store crossover validation
 //	uexc-bench -faultcampaign -seeds 100
 //	                           # deterministic fault-injection campaign:
@@ -342,14 +342,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		fmt.Fprintln(stdout, out)
 	}
 	if *ablations {
-		if err := printT(harness.AblationHardware()); err != nil {
-			return err
-		}
-		if err := printT(harness.AblationEager()); err != nil {
-			return err
-		}
-		if err := printT(harness.AblationSubpage()); err != nil {
-			return err
+		for _, ablation := range []func() (*report.Table, error){
+			harness.AblationHardware, harness.AblationEager, harness.AblationSubpage,
+			harness.AblationProtChange, harness.AblationVector,
+		} {
+			if err := printT(ablation()); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

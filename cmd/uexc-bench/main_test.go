@@ -239,3 +239,33 @@ func TestCampaignCancelled(t *testing.T) {
 		}
 	}
 }
+
+// TestAblationsPrintsAllFive: -ablations prints Ablations A–E in
+// harness.All's order, and the D and E tables equal their goldens.
+func TestAblationsPrintsAllFive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("boots measurement machines")
+	}
+	var stdout, stderr bytes.Buffer
+	if err := run(context.Background(), []string{"-ablations"}, &stdout, &stderr); err != nil {
+		t.Fatalf("-ablations: %v\n%s", err, stderr.String())
+	}
+	out := stdout.String()
+	last := -1
+	for _, title := range []string{"Ablation A:", "Ablation B:", "Ablation C:", "Ablation D:", "Ablation E:"} {
+		i := strings.Index(out, title)
+		if i <= last {
+			t.Fatalf("%q missing or out of order in -ablations output:\n%s", title, out)
+		}
+		last = i
+	}
+	for _, name := range []string{"ablation_protchange", "ablation_vector"} {
+		want, err := os.ReadFile(filepath.Join("..", "..", "internal", "harness", "testdata", name+".golden"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(out, string(want)) {
+			t.Errorf("-ablations output lacks the %s golden table:\n%s", name, want)
+		}
+	}
+}

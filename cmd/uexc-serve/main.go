@@ -1,6 +1,7 @@
 // Command uexc-serve exposes the uexc engines — fault-injection
 // campaigns, the cross-mode differential oracle, figure sweeps, and
-// single program runs — as a long-lived HTTP job service.
+// single program runs — as a long-lived HTTP job service. It only
+// serves; the serving gauntlets are the internal/server tests.
 //
 // Modes:
 //
@@ -9,11 +10,6 @@
 //	                                 jobs that survived the last crash
 //	uexc-serve -coordinator u1,u2    serve as a fleet coordinator: campaign and
 //	                                 difftest jobs fan out to these worker nodes
-//	uexc-serve -selftest             end-to-end serving smoke (spins its own server)
-//	uexc-serve -chaos                crash-tolerance gauntlet: repeated mid-campaign
-//	                                 kills must leave the final stream byte-identical
-//	uexc-serve -fleet-smoke          distributed gauntlet: coordinator + 2 workers,
-//	                                 worker kill, coordinator kill, torn journal tmp
 //
 // See README.md "Serving" and DESIGN.md §11–13.
 package main
@@ -29,7 +25,6 @@ import (
 	"syscall"
 
 	"uexc/internal/server"
-	"uexc/internal/server/chaos"
 )
 
 func main() {
@@ -46,7 +41,7 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 	fs := flag.NewFlagSet("uexc-serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		addr       = fs.String("addr", "127.0.0.1:8612", "listen address (serve mode)")
+		addr       = fs.String("addr", "127.0.0.1:8612", "listen address")
 		workers    = fs.Int("workers", 0, "jobs executing concurrently (0: 4)")
 		queue      = fs.Int("queue", 0, "admission queue depth beyond the workers (0: 16)")
 		jobTimeout = fs.Duration("job-timeout", 0, "per-job deadline cap (0: 120s)")
@@ -61,20 +56,9 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		tenantQueued   = fs.Int("tenant-queued", 0, "per-tenant max queued jobs (0: unlimited)")
 		tenantRate     = fs.Float64("tenant-seeds-per-sec", 0, "per-tenant admission rate in seed units/s (0: unlimited)")
 		tenantBurst    = fs.Float64("tenant-burst", 0, "per-tenant token-bucket burst in seed units (0: 4s of refill)")
-
-		selftest   = fs.Bool("selftest", false, "run the end-to-end serving smoke against an ephemeral server, then exit")
-		chaosMode  = fs.Bool("chaos", false, "run the crash-tolerance gauntlet on an ephemeral server, then exit")
-		chaosSeeds = fs.Int("chaos-seeds", 0, "campaign size for -chaos (0: 30)")
-		chaosKills = fs.Int("chaos-kills", 0, "kill/restart cycles for -chaos (0: 3)")
-		chaosSeed  = fs.Int64("chaos-seed", 0, "fault-plan seed for -chaos and -fleet-smoke (reproduces a failing run)")
-		fleetSmoke = fs.Bool("fleet-smoke", false, "run the distributed-coordinator gauntlet on an ephemeral fleet, then exit")
-		fleetSeeds = fs.Int("fleet-seeds", 0, "campaign size for -fleet-smoke (0: 30)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if modes := btoi(*selftest) + btoi(*chaosMode) + btoi(*fleetSmoke); modes > 1 {
-		return fmt.Errorf("-selftest, -chaos and -fleet-smoke are mutually exclusive")
 	}
 	if *resume && *storeDir == "" {
 		return fmt.Errorf("-resume requires -store-dir")
@@ -91,31 +75,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		}
 	}
 
-	switch {
-	case *chaosMode:
-		return chaos.Run(ctx, chaos.Config{
-			Seeds: *chaosSeeds, Kills: *chaosKills, Seed: *chaosSeed,
-			Workers: *workers, Out: stderr,
-		})
-
-	case *fleetSmoke:
-		return chaos.FleetRun(ctx, chaos.FleetConfig{
-			Seeds: *fleetSeeds, Seed: *chaosSeed, Out: stderr,
-		})
-
-	case *selftest:
-		return server.Smoke(ctx, stderr, server.SmokeConfig{
-			Workers: *workers, QueueDepth: *queue,
-		})
-
-	default:
-		return server.Run(ctx, server.Config{
-			Addr: *addr, Workers: *workers, QueueDepth: *queue,
-			MaxJobTimeout: *jobTimeout, MaxSeeds: *maxSeeds,
-			StoreDir: *storeDir, Resume: *resume,
-			Tenants: tenants, WorkerNodes: nodes, DispatchShards: *dispatchShards,
-		}, stderr, nil)
-	}
+	return server.Run(ctx, server.Config{
+		Addr: *addr, Workers: *workers, QueueDepth: *queue,
+		MaxJobTimeout: *jobTimeout, MaxSeeds: *maxSeeds,
+		StoreDir: *storeDir, Resume: *resume,
+		Tenants: tenants, WorkerNodes: nodes, DispatchShards: *dispatchShards,
+	}, stderr, nil)
 }
 
 // forceExitOnSecondSignal is the double-SIGTERM escape hatch: the
@@ -128,11 +93,4 @@ func forceExitOnSecondSignal(ctx context.Context, restore func()) {
 		<-ctx.Done()
 		restore()
 	}()
-}
-
-func btoi(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

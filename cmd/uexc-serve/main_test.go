@@ -14,8 +14,6 @@ import (
 func TestFlagErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-bogus"},
-		{"-selftest", "-chaos"},
-		{"-chaos", "-fleet-smoke"},
 		{"-resume"}, // without -store-dir
 	} {
 		if err := run(context.Background(), args, io.Discard); err == nil {
@@ -41,24 +39,6 @@ func TestForceExitOnSecondSignal(t *testing.T) {
 	case <-restored:
 	case <-time.After(10 * time.Second):
 		t.Fatal("signal handling never restored after the first signal")
-	}
-}
-
-// TestChaosMode runs the crash-tolerance gauntlet through the CLI at
-// small scale.
-func TestChaosMode(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs campaigns across kills")
-	}
-	var stderr bytes.Buffer
-	err := run(context.Background(), []string{
-		"-chaos", "-chaos-seeds", "4", "-chaos-kills", "2", "-chaos-seed", "3",
-	}, &stderr)
-	if err != nil {
-		t.Fatalf("-chaos: %v\n%s", err, stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "chaos: ok") {
-		t.Errorf("chaos transcript:\n%s", stderr.String())
 	}
 }
 

@@ -41,43 +41,14 @@ import (
 // Budget is the legacy flat run bound, kept as the floor of the scaled
 // per-program budget (BudgetFor): small generated programs converge
 // orders of magnitude below it, so exhausting it is itself a failure.
-const Budget = 3_000_000
+const Budget = progen.BudgetFloor
 
-// budgetBase is the fixed per-run allowance of a scaled budget — the
-// launch stub, runtime prologue, and kernel overheads that do not grow
-// with program size.
-const budgetBase = 250_000
-
-// budgetPerInst is the per-mode multiplier of the scaled budget: the
-// worst-case cost of one emitted instruction, assuming every one of
-// them faults and takes a full delivery round trip. The Unix path runs
-// the most kernel instructions per fault (trap decode, sendsig copyout,
-// trampoline, sigreturn copyin), the kernel fast path far fewer, and
-// Tera-style hardware delivery fewer still — so the multipliers are
-// ordered Ultrix > FastExc > Hardware (asserted by test).
-func budgetPerInst(mode core.Mode) uint64 {
-	switch mode {
-	case core.ModeFast:
-		return 500
-	case core.ModeHardware:
-		return 300
-	default: // ModeUltrix
-		return 1200
-	}
-}
-
-// BudgetFor computes a program's instruction budget for one mode:
-// instructions emitted × the mode's worst-case delivery multiplier,
-// plus the fixed base, floored at the legacy flat Budget so the bound
-// never shrinks for the seed corpus that already converges under it. A
-// budget above the floor marks the run's verdict BudgetScaled — growth
-// is visible, never silent (DESIGN.md §14).
+// BudgetFor computes a program's instruction budget for one mode with
+// the one scaled formula, progen.RunBudget, over the program's emitted
+// instruction count. A budget above the floor marks the run's verdict
+// BudgetScaled — growth is visible, never silent (DESIGN.md §14).
 func BudgetFor(p *progen.Program, mode core.Mode) uint64 {
-	scaled := budgetBase + uint64(p.EmittedInsts(mode))*budgetPerInst(mode)
-	if scaled < Budget {
-		return Budget
-	}
-	return scaled
+	return progen.RunBudget(p.EmittedInsts(mode), mode)
 }
 
 // Modes is the comparison set, Ultrix first: the Unix path is the

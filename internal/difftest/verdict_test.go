@@ -24,11 +24,6 @@ func bigProgram() *progen.Program {
 func TestBudgetForFloor(t *testing.T) {
 	p := progen.Generate(0)
 	for _, mode := range Modes {
-		scaled := budgetBase + uint64(p.EmittedInsts(mode))*budgetPerInst(mode)
-		if scaled >= Budget {
-			t.Fatalf("mode %s: test assumption broken — seed 0 scales to %d, above the %d floor",
-				mode, scaled, Budget)
-		}
 		if got := BudgetFor(p, mode); got != Budget {
 			t.Errorf("mode %s: BudgetFor = %d, want floor %d", mode, got, Budget)
 		}
@@ -36,18 +31,18 @@ func TestBudgetForFloor(t *testing.T) {
 }
 
 // TestBudgetForScalesAboveFloor: a program large enough to outgrow the
-// floor gets exactly base + insts×multiplier, and the per-mode
-// multipliers order the way delivery cost does: the full Unix signal
-// round trip outweighs the kernel fast path, which outweighs hardware
-// vectoring.
+// floor gets the scaled formula over its emitted instructions, and the
+// per-mode multipliers order the way delivery cost does: the full Unix
+// signal round trip outweighs the kernel fast path, which outweighs
+// hardware vectoring.
 func TestBudgetForScalesAboveFloor(t *testing.T) {
 	p := bigProgram()
 	for _, mode := range Modes {
-		want := budgetBase + uint64(p.EmittedInsts(mode))*budgetPerInst(mode)
-		if want <= Budget {
-			t.Fatalf("mode %s: test program too small (%d)", mode, want)
+		got := BudgetFor(p, mode)
+		if got <= Budget {
+			t.Fatalf("mode %s: test program too small (%d)", mode, got)
 		}
-		if got := BudgetFor(p, mode); got != want {
+		if want := progen.RunBudget(p.EmittedInsts(mode), mode); got != want {
 			t.Errorf("mode %s: BudgetFor = %d, want %d", mode, got, want)
 		}
 	}

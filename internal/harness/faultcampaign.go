@@ -16,32 +16,15 @@ import (
 	"uexc/internal/verdict"
 )
 
-// campaignBudgetFloor is the legacy flat run bound: the bounded
-// in-program handlers and the watchdog make every uncorrupted fault
-// path converge far below it, so reaching the budget means either an
-// engine bug or an injected corruption that defeated the program's own
-// runaway bound — the verdict layer tells the two apart.
-const campaignBudgetFloor = 3_000_000
-
-// campaignBudgetFor scales the run bound with the campaign program's
-// size, mirroring difftest.BudgetFor: instructions emitted × a
-// per-mode worst-case delivery multiplier plus a fixed base, floored
-// at the legacy flat bound so no existing seed's bound shrinks. The
-// fixed campaign program is small, so the floor dominates today; the
-// formula keeps the bound honest if the program grows.
+// campaignBudgetFor is the campaign program's run bound: the one
+// scaled formula, progen.RunBudget, over the program's instruction
+// count. Reaching it means either an engine bug or an injected
+// corruption that defeated the program's own runaway bound — the
+// verdict layer tells the two apart. The fixed campaign program is
+// small, so the floor dominates today; the formula keeps the bound
+// honest if the program grows.
 func campaignBudgetFor(mode core.Mode) uint64 {
-	mult := uint64(1200) // ModeUltrix: full signal round trip per fault
-	switch mode {
-	case core.ModeFast:
-		mult = 500
-	case core.ModeHardware:
-		mult = 300
-	}
-	scaled := 250_000 + uint64(progen.CountInsts(campaignProg(mode)))*mult
-	if scaled < campaignBudgetFloor {
-		return campaignBudgetFloor
-	}
-	return scaled
+	return progen.RunBudget(progen.CountInsts(campaignProg(mode)), mode)
 }
 
 // RequiredCoverage lists the event/behaviour categories a campaign

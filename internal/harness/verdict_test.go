@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uexc/internal/core"
+	"uexc/internal/progen"
 	"uexc/internal/verdict"
 )
 
@@ -117,8 +118,8 @@ func TestRecoverAndClassifyPanic(t *testing.T) {
 // floor the Ultrix bound grows fastest.
 func TestCampaignBudgetScalesWithProgram(t *testing.T) {
 	for _, mode := range campaignModes {
-		if got := campaignBudgetFor(mode); got < campaignBudgetFloor {
-			t.Errorf("mode %s: budget %d below floor %d", mode, got, campaignBudgetFloor)
+		if got := campaignBudgetFor(mode); got < progen.BudgetFloor {
+			t.Errorf("mode %s: budget %d below floor %d", mode, got, progen.BudgetFloor)
 		}
 	}
 }

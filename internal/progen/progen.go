@@ -233,7 +233,7 @@ func (p *Program) Source(mode core.Mode, mutate bool) string {
 // that are not blank, not comments, not labels, and not directives.
 // Pseudo-instructions (li, la) count as one even when the assembler
 // expands them to two — the count is a deterministic program-size
-// proxy for budget scaling (difftest.BudgetFor), not an exact word
+// proxy for budget scaling (RunBudget), not an exact word
 // count, and it must be cheap enough to run per shard.
 func CountInsts(src string) int {
 	n := 0
@@ -248,6 +248,43 @@ func CountInsts(src string) int {
 		n++
 	}
 	return n
+}
+
+// BudgetFloor is the legacy flat run bound, the floor of every scaled
+// run budget (RunBudget): the programs run today converge orders of
+// magnitude below it, so exhausting it is itself a failure.
+const BudgetFloor = 3_000_000
+
+// budgetBase is the fixed per-run allowance of a scaled budget — the
+// launch stub, runtime prologue, and kernel overheads that do not grow
+// with program size.
+const budgetBase = 250_000
+
+// budgetPerInst is the per-mode multiplier of the scaled budget: the
+// worst-case cost of one emitted instruction, assuming every one of
+// them faults and takes a full delivery round trip. The Unix path runs
+// the most kernel instructions per fault (trap decode, sendsig copyout,
+// trampoline, sigreturn copyin), the kernel fast path far fewer, and
+// Tera-style hardware delivery fewer still — so the multipliers are
+// ordered Ultrix > FastExc > Hardware (asserted by test).
+func budgetPerInst(mode core.Mode) uint64 {
+	switch mode {
+	case core.ModeFast:
+		return 500
+	case core.ModeHardware:
+		return 300
+	default: // ModeUltrix
+		return 1200
+	}
+}
+
+// RunBudget is the one run-budget formula, for generated and fixed
+// programs alike: insts instruction lines (CountInsts) × the mode's
+// worst-case delivery multiplier, plus the fixed base, floored at
+// BudgetFloor so the bound never shrinks for programs that already
+// converge under it.
+func RunBudget(insts int, mode core.Mode) uint64 {
+	return max(budgetBase+uint64(insts)*budgetPerInst(mode), BudgetFloor)
 }
 
 // EmittedInsts is the instruction-line count of the program's full

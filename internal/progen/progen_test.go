@@ -142,3 +142,25 @@ func itoa(i int) string {
 	}
 	return string(b)
 }
+
+// TestRunBudget pins the one scaled run-budget formula: small programs
+// get exactly the floor, large ones exactly base + insts × the mode's
+// multiplier, and the multipliers order the way delivery cost does —
+// Ultrix > FastExc > Hardware.
+func TestRunBudget(t *testing.T) {
+	const big = 20_000
+	var scaled []uint64
+	for _, mode := range allModes {
+		if got := RunBudget(100, mode); got != BudgetFloor {
+			t.Errorf("mode %s: RunBudget(100) = %d, want floor %d", mode, got, BudgetFloor)
+		}
+		got := RunBudget(big, mode)
+		if want := budgetBase + big*budgetPerInst(mode); got != want || got <= BudgetFloor {
+			t.Errorf("mode %s: RunBudget(%d) = %d, want %d above the floor", mode, big, got, want)
+		}
+		scaled = append(scaled, got)
+	}
+	if !(scaled[0] > scaled[1] && scaled[1] > scaled[2]) {
+		t.Errorf("multiplier ordering violated: ultrix=%d fast=%d hardware=%d", scaled[0], scaled[1], scaled[2])
+	}
+}

@@ -13,12 +13,9 @@
 package server
 
 import (
-	"bufio"
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"net/http"
 	"strings"
@@ -39,19 +36,15 @@ type fleet struct {
 func newFleet(s *Server, urls []string) *fleet {
 	f := &fleet{s: s}
 	for _, u := range urls {
-		f.nodes = append(f.nodes, &fleetNode{
-			url:    strings.TrimRight(u, "/"),
-			client: &http.Client{},
-		})
+		f.nodes = append(f.nodes, &fleetNode{url: strings.TrimRight(u, "/")})
 	}
 	return f
 }
 
-// fleetNode is one worker: its base URL, a reusable client, and the
-// failure state that drives backoff and quarantine.
+// fleetNode is one worker: its base URL and the failure state that
+// drives backoff and quarantine.
 type fleetNode struct {
-	url    string
-	client *http.Client
+	url string
 
 	mu         sync.Mutex
 	failures   int       // consecutive dispatch failures
@@ -246,10 +239,10 @@ func (f *fleet) dispatcher(fj *fleetJob, n *fleetNode) {
 }
 
 // dispatch sends one shard range to one worker as an ordinary job and
-// consumes its NDJSON stream, merging shard digests as they arrive.
-// The range is acked only if every index of [from, to) arrived in
-// order and none past it, the result verdict was ok, and the integrity
-// trailer verified; anything less is a failed dispatch whose
+// reads its stream through ReadEvents, merging shard digests as they
+// arrive. The range is acked only if every index of [from, to) arrived
+// in order and none past it, the result verdict was ok, and the
+// integrity trailer verified; anything less is a failed dispatch whose
 // already-merged shards the duplicate-tolerant frontier keeps for
 // free.
 func (f *fleet) dispatch(fj *fleetJob, n *fleetNode, rg fleetRange) error {
@@ -260,20 +253,9 @@ func (f *fleet) dispatch(fj *fleetJob, n *fleetNode, rg fleetRange) error {
 	req.Verbose = false
 	req.ShardFrom, req.ShardTo = rg.from, rg.to
 	req.TimeoutMS = int64(s.cfg.DispatchTimeout / time.Millisecond)
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-
 	ctx, cancel := context.WithTimeout(fj.ctx, s.cfg.DispatchTimeout)
 	defer cancel()
-	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, n.url+"/jobs", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set("X-Tenant", fj.j.tenant)
-	resp, err := n.client.Do(hreq)
+	resp, err := PostJob(ctx, n.url, fj.j.tenant, req)
 	if err != nil {
 		return fmt.Errorf("worker %s: %w", n.url, err)
 	}
@@ -284,41 +266,18 @@ func (f *fleet) dispatch(fj *fleetJob, n *fleetNode, rg fleetRange) error {
 	}
 
 	want := rg.from
-	h := fnv.New64a()
-	records := 0
-	var sawResult, resultOK, sawTrailer bool
-	var resultErr string
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		line := sc.Bytes()
-		var ev Event
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return fmt.Errorf("worker %s: malformed event: %w", n.url, err)
-		}
-		if ev.Type == "trailer" {
-			if ev.Records != records {
-				return fmt.Errorf("worker %s: trailer counts %d records, saw %d", n.url, ev.Records, records)
-			}
-			if fp := fmt.Sprintf("%016x", h.Sum64()); ev.FNV != fp {
-				return fmt.Errorf("worker %s: stream fingerprint mismatch (trailer %s, computed %s)", n.url, ev.FNV, fp)
-			}
-			sawTrailer = true
-			break
-		}
-		h.Write(line)
-		h.Write([]byte{'\n'})
-		records++
+	var result Event
+	err = ReadEvents(resp.Body, func(ev Event) error {
 		switch ev.Type {
 		case "shard":
 			if ev.Shard == nil || len(ev.Data) == 0 {
-				return fmt.Errorf("worker %s: shard event without index or digest", n.url)
+				return errors.New("shard event without index or digest")
 			}
 			if *ev.Shard != want {
-				return fmt.Errorf("worker %s: shard events out of order (got %d, want %d)", n.url, *ev.Shard, want)
+				return fmt.Errorf("shard events out of order (got %d, want %d)", *ev.Shard, want)
 			}
 			if want >= rg.to {
-				return fmt.Errorf("worker %s: shard %d streamed past range [%d,%d)", n.url, want, rg.from, rg.to)
+				return fmt.Errorf("shard %d streamed past range [%d,%d)", want, rg.from, rg.to)
 			}
 			if err := fj.merge.Add(want, ev.Data); err != nil {
 				// A corrupt digest or a failed checkpoint is the job's
@@ -328,21 +287,15 @@ func (f *fleet) dispatch(fj *fleetJob, n *fleetNode, rg fleetRange) error {
 			}
 			want++
 		case "result":
-			sawResult = true
-			if ev.OK != nil {
-				resultOK = *ev.OK
-			}
-			resultErr = ev.Error
+			result = ev
 		}
+		return nil
+	})
+	if err != nil {
+		return fmt.Errorf("worker %s: %w", n.url, err)
 	}
-	if err := sc.Err(); err != nil {
-		return fmt.Errorf("worker %s: stream: %w", n.url, err)
-	}
-	if !sawTrailer {
-		return fmt.Errorf("worker %s: stream ended without an integrity trailer", n.url)
-	}
-	if !sawResult || !resultOK {
-		return fmt.Errorf("worker %s: range [%d,%d) failed: %s", n.url, rg.from, rg.to, resultErr)
+	if result.OK == nil || !*result.OK {
+		return fmt.Errorf("worker %s: range [%d,%d) failed: %s", n.url, rg.from, rg.to, result.Error)
 	}
 	if want != rg.to {
 		return fmt.Errorf("worker %s: range [%d,%d) delivered only [%d,%d)", n.url, rg.from, rg.to, rg.from, want)

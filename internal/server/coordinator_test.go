@@ -332,25 +332,21 @@ func TestDistributedCoordinatorKillResume(t *testing.T) {
 	})
 
 	dir := t.TempDir()
-	s1 := newT(t, Config{
+	s1, base1, kill1 := crashable(t, Config{
 		Workers: 1, QueueDepth: 4,
 		StoreDir: dir, CheckpointEvery: 1, StoreSyncEvery: 1,
 		WorkerNodes: workers, DispatchShards: 3,
 	})
-	in1, err := Serve(s1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
 	posted := make(chan struct{})
 	go func() {
 		defer close(posted)
-		tryPost(in1.URL, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
+		tryPost(base1, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
 	}()
 
 	waitMetric(t, "durable fleet progress before kill", func() bool {
 		return s1.metrics.Checkpoints.Load() >= 2 && s1.metrics.FleetAcks.Load() >= 1
 	})
-	in1.Kill()
+	kill1()
 	<-posted
 	stall.Store(false)
 

@@ -1,9 +1,6 @@
 package server
 
 import (
-	"bufio"
-	"context"
-	"net/http"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -100,7 +97,7 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 	// Incarnation A: checkpoint every shard, stall a late shard to pin
 	// the campaign mid-flight, then kill.
 	stallShard := harness.CampaignShards(seeds) - 2
-	s1 := newT(t, Config{
+	s1, base1, kill1 := crashable(t, Config{
 		Workers: 1, QueueDepth: 2,
 		StoreDir: dir, CheckpointEvery: 1, StoreSyncEvery: 1,
 		ShardFault: func(job uint64, shard, attempt int) ShardFault {
@@ -110,17 +107,13 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 			return ShardFault{}
 		},
 	})
-	in1, err := Serve(s1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
 	posted := make(chan struct{})
 	go func() {
 		defer close(posted)
-		tryPost(in1.URL, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
+		tryPost(base1, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
 	}()
 	waitMetric(t, "checkpoints before kill", func() bool { return s1.metrics.Checkpoints.Load() >= 3 })
-	in1.Kill()
+	kill1()
 	<-posted
 
 	// Incarnation B: resume, with every live shard slowed so the
@@ -137,17 +130,7 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 	}
 
 	// Attach, sip two replayed events, and hang up mid-replay.
-	ctx, cancel := context.WithCancel(context.Background())
-	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, base2+"/jobs/1", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(resp.Body)
-	for i := 0; i < 2 && sc.Scan(); i++ {
-	}
-	cancel()
-	resp.Body.Close()
+	abandon(t, attach(t, base2, 1), 2)
 
 	// The job must still run to completion, undisturbed.
 	waitMetric(t, "job completes after disconnect", func() bool { return s2.metrics.JobsOK.Load() == 1 })

@@ -34,7 +34,7 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 	// Incarnation A: checkpoint every merged shard, and stall one late
 	// shard so the campaign reliably outlives the kill trigger.
 	stallShard := harness.CampaignShards(seeds) - 3
-	s1 := newT(t, Config{
+	s1, base1, kill1 := crashable(t, Config{
 		Workers: 1, QueueDepth: 4,
 		StoreDir: dir, CheckpointEvery: 1, StoreSyncEvery: 1,
 		ShardFault: func(job uint64, shard, attempt int) ShardFault {
@@ -44,14 +44,10 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 			return ShardFault{}
 		},
 	})
-	in1, err := Serve(s1, "")
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	clientDone := make(chan streamed, 1)
 	go func() {
-		st, _ := tryPost(in1.URL, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
+		st, _ := tryPost(base1, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
 		clientDone <- st
 	}()
 
@@ -60,7 +56,7 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 	waitMetric(t, "checkpoints before kill", func() bool {
 		return s1.metrics.Checkpoints.Load() >= 5 && s1.metrics.ShardStalls.Load() >= 1
 	})
-	in1.Kill()
+	kill1()
 	// The job must have died unfinished — and the journal must carry no
 	// finish record (proven below by the replay).
 	if st := <-clientDone; st.ok {

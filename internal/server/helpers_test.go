@@ -1,15 +1,17 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"uexc/internal/sweep"
 )
 
 // newT builds a Server, failing the test on a store error.
@@ -37,6 +39,23 @@ func serve(t *testing.T, s *Server) string {
 		}
 	})
 	return in.URL
+}
+
+// crashable serves a fresh Server that the test means to crash: kill
+// is Instance.Kill, run at most once, and also registered as cleanup,
+// so a failing test leaves no live incarnation behind.
+func crashable(t *testing.T, cfg Config) (s *Server, base string, kill func()) {
+	t.Helper()
+	s = newT(t, cfg)
+	in, err := Serve(s, "")
+	if err != nil {
+		s.Close()
+		t.Fatalf("Serve: %v", err)
+	}
+	var once sync.Once
+	kill = func() { once.Do(in.Kill) }
+	t.Cleanup(kill)
+	return s, in.URL, kill
 }
 
 // startTest serves a fresh Server and tears it down with the test.
@@ -134,20 +153,49 @@ func postStream(t *testing.T, base string, req Request) streamed {
 	return st
 }
 
-// reattach re-attaches to job id's stream via GET /jobs/{id} and
-// consumes it.
-func reattach(t *testing.T, base string, id uint64) streamed {
+// attach re-attaches to job id's stream via GET /jobs/{id} and returns
+// the unread response.
+func attach(t *testing.T, base string, id uint64) *http.Response {
 	t.Helper()
 	resp, err := http.Get(fmt.Sprintf("%s/jobs/%d", base, id))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return read(resp)
+	return resp
 }
 
-// postEvents posts a job and returns every raw event in the stream —
-// for tests that inspect event kinds postStream's reconstruction hides
-// (shard-range digests).
+// reattach re-attaches to job id's stream and consumes it.
+func reattach(t *testing.T, base string, id uint64) streamed {
+	t.Helper()
+	return read(attach(t, base, id))
+}
+
+// abandon reads up to n events of a 200 job stream and hangs up — the
+// mid-stream client disconnect — returning the first event.
+func abandon(t *testing.T, resp *http.Response, n int) Event {
+	t.Helper()
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("status %d: %s", resp.StatusCode, msg)
+	}
+	var first Event
+	dec := json.NewDecoder(resp.Body)
+	for i := 0; i < n; i++ {
+		var ev Event
+		if dec.Decode(&ev) != nil {
+			break
+		}
+		if i == 0 {
+			first = ev
+		}
+	}
+	return first
+}
+
+// postEvents posts a job and returns every event before its verified
+// trailer — for tests that inspect event kinds postStream's
+// reconstruction hides (shard-range digests).
 func postEvents(t *testing.T, base string, req Request) []Event {
 	t.Helper()
 	resp := post(t, base, "", req)
@@ -157,14 +205,11 @@ func postEvents(t *testing.T, base string, req Request) []Event {
 		t.Fatalf("POST /jobs: status %d: %s", resp.StatusCode, msg)
 	}
 	var evs []Event
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		var ev Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("malformed event %q: %v", sc.Bytes(), err)
-		}
+	if err := ReadEvents(resp.Body, func(ev Event) error {
 		evs = append(evs, ev)
+		return nil
+	}); err != nil {
+		t.Fatalf("POST /jobs: %v", err)
 	}
 	return evs
 }
@@ -182,12 +227,59 @@ func waitMetric(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-// golden is Golden for the test goroutine.
+// golden is what `uexc-bench -faultcampaign|-difftest -seeds N -v`
+// prints at width 1 — the progress stream followed by the summary —
+// for a campaign or difftest job of the given size. It defines the
+// serving layer's byte-identity contract: StreamResult's
+// reconstruction of that job's stream must equal it at any shard
+// width, across kills and resumes, and through a fleet coordinator.
 func golden(t *testing.T, typ Type, seeds int) string {
 	t.Helper()
-	g, err := Golden(context.Background(), typ, seeds)
+	var b strings.Builder
+	res, err := sweeps[typ].Resume(context.Background(), sweep.Options{Seeds: seeds, Workers: 1, Progress: &b}, nil, nil)
+	if err != nil {
+		t.Fatalf("%s golden: %v", typ, err)
+	}
+	b.WriteString(res.Summary())
+	return b.String()
+}
+
+// fetchMetrics reads one /metrics snapshot over HTTP, exactly as an
+// operator's scraper sees it.
+func fetchMetrics(t *testing.T, base string) Snapshot {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics?format=json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	defer resp.Body.Close()
+	var snap Snapshot
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("metrics JSON: %v", err)
+	}
+	return snap
+}
+
+// checkGauges asserts the gauge invariants: no gauge — global or
+// per-tenant — may ever read negative, and once the instance is quiet
+// they must all have returned to exactly zero. A nonzero residue here
+// means a transition was double-counted or skipped somewhere in the
+// admit/dequeue/finish path.
+func checkGauges(s Snapshot, drained bool) error {
+	if s.InFlight < 0 || s.QueueDepth < 0 {
+		return fmt.Errorf("negative gauge: inflight=%d queue=%d", s.InFlight, s.QueueDepth)
+	}
+	for name, ts := range s.Tenants {
+		if ts.Queued < 0 || ts.Running < 0 {
+			return fmt.Errorf("tenant %q gauge negative: queued=%d running=%d", name, ts.Queued, ts.Running)
+		}
+		if drained && (ts.Queued != 0 || ts.Running != 0) {
+			return fmt.Errorf("tenant %q gauges queued=%d running=%d after drain, want 0/0",
+				name, ts.Queued, ts.Running)
+		}
+	}
+	if drained && (s.InFlight != 0 || s.QueueDepth != 0) {
+		return fmt.Errorf("gauges inflight=%d queue=%d after drain, want 0/0", s.InFlight, s.QueueDepth)
+	}
+	return nil
 }

@@ -8,8 +8,8 @@ import (
 )
 
 // Instance is a Server serving its Handler on a TCP listener in this
-// process: the one way the CLI, the self-test, the chaos and fleet
-// gauntlets, and the tests bring a server up and take it down.
+// process: the one way Run and the tests (the chaos and fleet
+// gauntlets among them) bring a server up and take it down.
 type Instance struct {
 	// URL is the base URL clients address, e.g. "http://127.0.0.1:8612".
 	URL string
@@ -45,20 +45,6 @@ func Serve(s *Server, addr string) (*Instance, error) {
 		defer close(in.done)
 		in.serveErr = in.hs.Serve(ln)
 	}()
-	return in, nil
-}
-
-// Start builds a Server from cfg and serves it on an ephemeral port.
-func Start(cfg Config) (*Instance, error) {
-	s, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	in, err := Serve(s, "")
-	if err != nil {
-		s.Close()
-		return nil, err
-	}
 	return in, nil
 }
 

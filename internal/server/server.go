@@ -64,8 +64,8 @@ import (
 
 // Config sizes the service.
 type Config struct {
-	// Addr is the listen address for Run ("" picks 127.0.0.1:0, the
-	// ephemeral-port form the self-test uses).
+	// Addr is the listen address for Run ("" picks 127.0.0.1:0, an
+	// ephemeral port).
 	Addr string
 	// Workers is the number of jobs executing concurrently (<=0: 4).
 	Workers int

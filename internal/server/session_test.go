@@ -12,7 +12,8 @@ import (
 )
 
 // sessionScript is the canonical debug-session gauntlet: watch the
-// kernel trapframe page, hit it, inspect, step, and resume to exit.
+// kernel trapframe page, hit it, inspect, step, inspect again, and
+// resume to exit.
 func sessionScript() []debug.Command {
 	tf := uint32(kernel.KStackTop - kernel.TrapframeSize)
 	return []debug.Command{
@@ -21,6 +22,7 @@ func sessionScript() []debug.Command {
 		{Op: "inspect", Addr: tf, N: 8},
 		{Op: "regs"},
 		{Op: "step", N: 4},
+		{Op: "inspect", Addr: tf, N: 8},
 		{Op: "clear", Addr: tf},
 		{Op: "continue"},
 	}
