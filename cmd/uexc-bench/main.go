@@ -41,10 +41,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sync/atomic"
 	"syscall"
 
-	"uexc/internal/core"
 	"uexc/internal/cpu"
 	dt "uexc/internal/difftest"
 	"uexc/internal/harness"
@@ -77,37 +75,6 @@ func writeSeriesCSV(dir, name string, s *report.Series) (string, error) {
 		return "", err
 	}
 	return path, nil
-}
-
-// jitDiag accumulates translation-tier counters from every machine a
-// campaign returns to its pool, the same way the serving layer's
-// /metrics harvest does. -v prints them as a trailing stderr
-// diagnostics line; stdout summaries never include them, so campaign
-// output stays byte-identical across engines and parallel widths.
-// The counters themselves are diagnostics, not fingerprint material:
-// invalidation counts depend on how runs interleave onto pooled
-// machines, so they vary with -parallel width.
-type jitDiag struct {
-	blocks, execs, guardMisses, invalidations atomic.Uint64
-}
-
-// pool returns a machine pool whose Harvest hook folds each run's
-// counters into d. Harvest runs on the campaign worker goroutines,
-// hence the atomics.
-func (d *jitDiag) pool() *core.MachinePool {
-	return &core.MachinePool{Harvest: func(m *core.Machine) {
-		c := m.CPU()
-		d.blocks.Add(c.JITBlocks)
-		d.execs.Add(c.JITExecs)
-		d.guardMisses.Add(c.JITGuardMisses)
-		d.invalidations.Add(c.JITInvalidations)
-	}}
-}
-
-// report writes the one-line translation-tier summary.
-func (d *jitDiag) report(w io.Writer) {
-	fmt.Fprintf(w, "jit: %d blocks compiled, %d block execs, %d guard misses, %d invalidations\n",
-		d.blocks.Load(), d.execs.Load(), d.guardMisses.Load(), d.invalidations.Load())
 }
 
 // run is the testable body of main: parses args, regenerates the
@@ -241,17 +208,13 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		if *difftest {
 			sw = dt.Oracle.Kind()
 		}
-		var diag jitDiag
 		res, err := sw.Resume(ctx, sweep.Options{
-			Seeds: *seeds, Workers: *workers, Pool: diag.pool(), Progress: progress,
+			Seeds: *seeds, Workers: *workers, Progress: progress,
 		}, nil, nil)
 		if err != nil {
 			return err
 		}
 		fmt.Fprint(stdout, res.Summary())
-		if *verbose {
-			diag.report(stderr)
-		}
 		return res.Err()
 	}
 

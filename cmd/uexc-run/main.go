@@ -28,7 +28,7 @@ func main() {
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: uexc-run [-hw mask] [-max n] prog.s")
+		fmt.Fprintln(os.Stderr, "usage: uexc-run [-hw mask] [-max n] [-stats] prog.s")
 		os.Exit(2)
 	}
 	src, err := os.ReadFile(flag.Arg(0))

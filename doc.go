@@ -20,9 +20,10 @@
 //     user vectoring via an exception-target register, and a per-TLB-
 //     entry U bit for user-level protection updates;
 //   - the paper's applications: a generational GC with three write-
-//     barrier implementations, a swizzling persistent store, lazy
-//     unbounded streams, and full/empty-bit synchronization
-//     (internal/apps/...);
+//     barrier implementations and a swizzling persistent store
+//     (internal/apps/...), plus lazy unbounded streams, full/empty-bit
+//     synchronization, futures and conditional watchpoints as assembly
+//     programs that run on the machine (examples/programs);
 //   - a benchmark harness regenerating every table and figure of the
 //     evaluation (internal/harness, cmd/uexc-bench).
 //

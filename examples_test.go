@@ -1,11 +1,19 @@
 package uexc
 
-// Smoke tests for everything under examples/: each assembly program
-// must assemble against the user runtime, run to a clean exit with its
-// expected console output, and behave identically on a fresh and a
-// recycled machine; each Go example must build and run to completion.
+// Golden tests for everything under examples/: each assembly program
+// must assemble against the user runtime, run to a clean exit, and
+// print exactly its golden output — the console, then one line per
+// exception cause the CPU took — on a fresh and on a recycled machine;
+// each Go example must run to a zero exit and print exactly its golden
+// stdout. The simulator is deterministic, so any diff is a real change
+// in behaviour — review it, then refresh with:
+//
+//	go test . -run 'TestExample' -update
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -13,22 +21,39 @@ import (
 	"strings"
 	"testing"
 
+	"uexc/internal/arch"
 	"uexc/internal/core"
 )
 
-func readFile(path string) (string, error) {
-	data, err := os.ReadFile(path)
-	return string(data), err
+var update = flag.Bool("update", false, "rewrite golden files with current output")
+
+// checkGolden compares got against testdata/<name>.golden, or rewrites
+// that file under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name+".golden")
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with -update to create): %v", err)
+	}
+	if got != string(want) {
+		t.Errorf("%s drifted from golden file.\n--- got ---\n%s--- want ---\n%s"+
+			"(if the change is intentional, refresh with -update)", name, got, want)
+	}
 }
 
-// consoleWant pins a recognizable fragment of each example program's
-// output; programs not listed only need a clean exit.
-var consoleWant = map[string]string{
-	"hello.s":    "hello, world!\n",
-	"fib.s":      "144\n",
-	"trapdemo.s": "handled 9 traps at user level\n",
-}
-
+// runExampleSource runs src to a clean exit on m and returns its
+// console followed by an "exceptions: <name> <count>" line for every
+// cause the CPU took, named as uexc-run -stats names them.
 func runExampleSource(t *testing.T, m *core.Machine, src string) string {
 	t.Helper()
 	if err := m.LoadProgram(src); err != nil {
@@ -37,13 +62,20 @@ func runExampleSource(t *testing.T, m *core.Machine, src string) string {
 	if err := m.Run(10_000_000); err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return m.K.Console()
+	var b strings.Builder
+	b.WriteString(m.K.Console())
+	for code, n := range m.CPU().ExcCounts {
+		if n > 0 {
+			fmt.Fprintf(&b, "exceptions: %s %d\n", arch.ExcName(uint32(code)), n)
+		}
+	}
+	return b.String()
 }
 
-// TestExamplePrograms: every .s file under examples/programs runs to a
-// clean exit with its pinned console fragment, and the console is
-// byte-identical when the machine is recycled through the pool — the
-// same restore contract the sharded campaigns rely on.
+// TestExamplePrograms: every .s file under examples/programs prints
+// exactly its golden output, and the output is byte-identical when the
+// machine is recycled through the pool — the same restore contract the
+// sharded campaigns rely on.
 func TestExamplePrograms(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("examples", "programs", "*.s"))
 	if err != nil {
@@ -55,8 +87,9 @@ func TestExamplePrograms(t *testing.T) {
 	sort.Strings(files)
 	pool := &core.MachinePool{}
 	for _, file := range files {
-		t.Run(filepath.Base(file), func(t *testing.T) {
-			data, err := readFile(file)
+		name := filepath.Base(file)
+		t.Run(name, func(t *testing.T) {
+			data, err := os.ReadFile(file)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -64,19 +97,17 @@ func TestExamplePrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			first := runExampleSource(t, m1, data)
+			first := runExampleSource(t, m1, string(data))
 			pool.Put(m1)
-			if want := consoleWant[filepath.Base(file)]; want != "" && !strings.Contains(first, want) {
-				t.Errorf("console %q missing %q", first, want)
-			}
+			checkGolden(t, filepath.Join("programs", strings.TrimSuffix(name, ".s")), first)
 			m2, err := pool.Get()
 			if err != nil {
 				t.Fatal(err)
 			}
-			second := runExampleSource(t, m2, data)
+			second := runExampleSource(t, m2, string(data))
 			pool.Put(m2)
 			if first != second {
-				t.Errorf("console differs between fresh and recycled machine:\n--- fresh ---\n%s--- recycled ---\n%s",
+				t.Errorf("output differs between fresh and recycled machine:\n--- fresh ---\n%s--- recycled ---\n%s",
 					first, second)
 			}
 		})
@@ -84,8 +115,9 @@ func TestExamplePrograms(t *testing.T) {
 }
 
 // TestExampleGoMains: every Go example under examples/ runs to a zero
-// exit. These boot full machines (some compare all three delivery
-// modes), so they are skipped in -short mode.
+// exit and prints exactly its golden stdout. These boot full machines
+// (some compare all three delivery modes), so they are skipped in
+// -short mode.
 func TestExampleGoMains(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs every Go example end to end")
@@ -100,15 +132,17 @@ func TestExampleGoMains(t *testing.T) {
 	sort.Strings(dirs)
 	for _, main := range dirs {
 		dir := filepath.Dir(main)
-		t.Run(filepath.Base(dir), func(t *testing.T) {
+		name := filepath.Base(dir)
+		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			out, err := exec.Command("go", "run", "./"+dir).CombinedOutput()
+			var stderr bytes.Buffer
+			cmd := exec.Command("go", "run", "./"+dir)
+			cmd.Stderr = &stderr
+			out, err := cmd.Output()
 			if err != nil {
-				t.Fatalf("go run ./%s: %v\n%s", dir, err, out)
+				t.Fatalf("go run ./%s: %v\n%s", dir, err, stderr.Bytes())
 			}
-			if len(out) == 0 {
-				t.Errorf("go run ./%s produced no output", dir)
-			}
+			checkGolden(t, filepath.Join("examples", name), string(out))
 		})
 	}
 }
