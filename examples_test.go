@@ -3,10 +3,12 @@ package uexc
 // Golden tests for everything under examples/: each assembly program
 // must assemble against the user runtime, run to a clean exit, and
 // print exactly its golden output — the console, then one line per
-// exception cause the CPU took — on a fresh and on a recycled machine;
-// each Go example must run to a zero exit and print exactly its golden
-// stdout. The simulator is deterministic, so any diff is a real change
-// in behaviour — review it, then refresh with:
+// exception cause the CPU took — and each configuration line an app
+// program prints must carry the values its Go reference gives; each Go
+// example must run to a zero exit and print exactly its golden stdout.
+// That a recycled machine prints the same is checked in internal/core.
+// The simulator is deterministic, so any diff is a real change in
+// behaviour — review it, then refresh with:
 //
 //	go test . -run 'TestExample' -update
 
@@ -72,10 +74,98 @@ func runExampleSource(t *testing.T, m *core.Machine, src string) string {
 	return b.String()
 }
 
+// configLine is one configuration line an app program prints: the
+// line that starts with prefix must carry each field in want.
+type configLine struct {
+	name   string // subtest name
+	prefix string
+	want   map[string]string
+}
+
+// fibSum is the sum of the first n Fibonacci numbers (1, 1, 2, ...)
+// with 32-bit wraparound, as the guest computes it.
+func fibSum(n int) uint32 {
+	a, b := uint32(1), uint32(1)
+	var sum uint32
+	for i := 0; i < n; i++ {
+		sum += a
+		a, b = b, a+b
+	}
+	return sum
+}
+
+func streamLine(n int) configLine {
+	sum := fmt.Sprint(fibSum(n))
+	// The head is evaluated statically, so one materialization fault per
+	// further element; the second traversal takes none.
+	return configLine{fmt.Sprintf("n_%d", n), fmt.Sprintf("stream n=%d", n),
+		map[string]string{"sum": sum, "second": sum, "faults": fmt.Sprint(n - 1)}}
+}
+
+func fullemptyLine(n int) configLine {
+	// Round i produces 10*i; every consume empties the cell, so every
+	// read faults exactly once.
+	return configLine{fmt.Sprintf("n_%d", n), fmt.Sprintf("fullempty n=%d", n),
+		map[string]string{"sum": fmt.Sprint(10 * n * (n + 1) / 2), "faults": fmt.Sprint(n)}}
+}
+
+func futureLine(n, touches int) configLine {
+	// One fault per future however often it is touched.
+	return configLine{fmt.Sprintf("n_%d_touches_%d", n, touches),
+		fmt.Sprintf("future n=%d touches=%d", n, touches),
+		map[string]string{"sum": fmt.Sprint(fibSum(n) * uint32(touches)),
+			"faults": fmt.Sprint(n), "resolved": fmt.Sprint(n)}}
+}
+
+func watchpointLine(n, threshold int) configLine {
+	// The program stores 3, 6, ..., 3n; the watchpoint stays armed, so
+	// every store is seen, and the condition is new > threshold.
+	matches := 0
+	for v := 3; v <= 3*n; v += 3 {
+		if v > threshold {
+			matches++
+		}
+	}
+	return configLine{fmt.Sprintf("n_%d_threshold_%d", n, threshold),
+		fmt.Sprintf("watchpoint n=%d threshold=%d", n, threshold),
+		map[string]string{"hits": fmt.Sprint(n), "matches": fmt.Sprint(matches),
+			"last": fmt.Sprintf("%d->%d", 3*(n-1), 3*n), "final": fmt.Sprint(3 * n)}}
+}
+
+// appConfigs lists, per app program, the configuration lines it prints.
+var appConfigs = map[string][]configLine{
+	"stream.s":     {streamLine(1), streamLine(30), streamLine(500)},
+	"fullempty.s":  {fullemptyLine(1), fullemptyLine(25), fullemptyLine(1000)},
+	"future.s":     {futureLine(10, 5), futureLine(1, 100)},
+	"watchpoint.s": {watchpointLine(20, 0), watchpointLine(10, 15), watchpointLine(100, 0)},
+}
+
+// checkConfigLine finds c's line in out and checks its fields.
+func checkConfigLine(t *testing.T, out string, c configLine) {
+	t.Helper()
+	for _, line := range strings.Split(out, "\n") {
+		if !strings.HasPrefix(line, c.prefix+" ") {
+			continue
+		}
+		got := map[string]string{}
+		for _, f := range strings.Fields(strings.TrimPrefix(line, c.prefix)) {
+			if k, v, ok := strings.Cut(f, "="); ok {
+				got[k] = v
+			}
+		}
+		for k, v := range c.want {
+			if got[k] != v {
+				t.Errorf("%s: %s = %q, want %q", c.prefix, k, got[k], v)
+			}
+		}
+		return
+	}
+	t.Errorf("no line starting %q in output:\n%s", c.prefix, out)
+}
+
 // TestExamplePrograms: every .s file under examples/programs prints
-// exactly its golden output, and the output is byte-identical when the
-// machine is recycled through the pool — the same restore contract the
-// sharded campaigns rely on.
+// exactly its golden output, and every configuration line of an app
+// program carries the values computed here from its Go reference.
 func TestExamplePrograms(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("examples", "programs", "*.s"))
 	if err != nil {
@@ -85,7 +175,6 @@ func TestExamplePrograms(t *testing.T) {
 		t.Fatal("no example programs found — glob rooted wrong?")
 	}
 	sort.Strings(files)
-	pool := &core.MachinePool{}
 	for _, file := range files {
 		name := filepath.Base(file)
 		t.Run(name, func(t *testing.T) {
@@ -93,22 +182,14 @@ func TestExamplePrograms(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m1, err := pool.Get()
+			m, err := core.NewMachine()
 			if err != nil {
 				t.Fatal(err)
 			}
-			first := runExampleSource(t, m1, string(data))
-			pool.Put(m1)
-			checkGolden(t, filepath.Join("programs", strings.TrimSuffix(name, ".s")), first)
-			m2, err := pool.Get()
-			if err != nil {
-				t.Fatal(err)
-			}
-			second := runExampleSource(t, m2, string(data))
-			pool.Put(m2)
-			if first != second {
-				t.Errorf("output differs between fresh and recycled machine:\n--- fresh ---\n%s--- recycled ---\n%s",
-					first, second)
+			out := runExampleSource(t, m, string(data))
+			checkGolden(t, filepath.Join("programs", strings.TrimSuffix(name, ".s")), out)
+			for _, c := range appConfigs[name] {
+				t.Run(c.name, func(t *testing.T) { checkConfigLine(t, out, c) })
 			}
 		})
 	}

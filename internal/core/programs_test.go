@@ -3,41 +3,72 @@ package core
 import (
 	"os"
 	"path/filepath"
-	"strings"
+	"sort"
 	"testing"
 )
 
 // TestShippedExamplePrograms runs every .s program under
-// examples/programs (the uexc-run samples) and checks their output.
+// examples/programs (the uexc-run samples) on a freshly booted machine
+// and again on one recycled through a MachinePool, and requires the same
+// console and the same per-cause exception counts from both: the restore
+// contract the sharded campaigns rely on, exercised by whole programs.
+// What each program must print is pinned by the root package's golden
+// test.
 func TestShippedExamplePrograms(t *testing.T) {
-	cases := []struct {
-		file string
-		want string
-	}{
-		{"hello.s", "hello, world!\n"},
-		{"fib.s", "1\n1\n2\n3\n5\n8\n13\n21\n34\n55\n89\n144\n"},
-		{"trapdemo.s", "handled 9 traps at user level\n"},
+	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "programs", "*.s"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	dir := filepath.Join("..", "..", "examples", "programs")
-	for _, c := range cases {
-		t.Run(c.file, func(t *testing.T) {
-			src, err := os.ReadFile(filepath.Join(dir, c.file))
+	if len(files) == 0 {
+		t.Fatal("no example programs found — glob rooted wrong?")
+	}
+	sort.Strings(files)
+	for _, file := range files {
+		t.Run(filepath.Base(file), func(t *testing.T) {
+			src, err := os.ReadFile(file)
 			if err != nil {
 				t.Fatal(err)
 			}
-			m, err := NewMachine()
+			run := func(m *Machine) (string, [32]uint64) {
+				t.Helper()
+				if err := m.LoadProgram(string(src)); err != nil {
+					t.Fatalf("load: %v", err)
+				}
+				if err := m.Run(10_000_000); err != nil {
+					t.Fatalf("run: %v", err)
+				}
+				return m.K.Console(), m.CPU().ExcCounts
+			}
+			fresh, err := NewMachine()
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := m.LoadProgram(string(src)); err != nil {
+			console, counts := run(fresh)
+			if console == "" {
+				t.Error("program printed nothing")
+			}
+			pool := &MachinePool{}
+			used, err := pool.Get()
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := m.Run(50_000_000); err != nil {
+			run(used)
+			pool.Put(used)
+			recycled, err := pool.Get()
+			if err != nil {
 				t.Fatal(err)
 			}
-			got := m.K.Console()
-			if !strings.HasPrefix(got, c.want) && got != c.want {
-				t.Errorf("console = %q, want %q", got, c.want)
+			if recycled != used {
+				t.Fatal("pool did not hand back the machine it was given")
+			}
+			rConsole, rCounts := run(recycled)
+			if rConsole != console {
+				t.Errorf("console differs on a recycled machine:\n--- fresh ---\n%s--- recycled ---\n%s",
+					console, rConsole)
+			}
+			if rCounts != counts {
+				t.Errorf("exception counts differ on a recycled machine:\nfresh    %v\nrecycled %v",
+					counts, rCounts)
 			}
 		})
 	}
