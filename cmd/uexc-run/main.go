@@ -62,20 +62,19 @@ func main() {
 	}
 
 	if *stats {
-		c := m.CPU()
+		c := m.Counters()
 		fmt.Fprintf(os.Stderr, "\n--- machine statistics ---\n")
 		fmt.Fprintf(os.Stderr, "instructions: %d\n", c.Insts)
 		fmt.Fprintf(os.Stderr, "cycles:       %d (%.2f ms simulated at 25 MHz)\n",
 			c.Cycles, core.Micros(c.Cycles)/1000)
-		fmt.Fprintf(os.Stderr, "tlb:          %d hits, %d misses\n", m.K.TLB.Hits, m.K.TLB.Misses)
+		fmt.Fprintf(os.Stderr, "tlb:          %d hits, %d misses\n", c.TLBHits, c.TLBMisses)
 		for code, n := range c.ExcCounts {
 			if n > 0 {
 				fmt.Fprintf(os.Stderr, "exceptions:   %-5s %d\n", arch.ExcName(uint32(code)), n)
 			}
 		}
-		s := m.K.Stats
 		fmt.Fprintf(os.Stderr, "kernel:       %d syscalls, %d page faults, %d unix signals, %d fast prot deliveries, %d subpage emulations\n",
-			s.Syscalls, s.PageFaults, s.UnixDeliveries, s.ProtFaultsToUser, s.SubpageEmuls)
+			c.Syscalls, c.PageFaults, c.UnixDeliveries, c.ProtFaultsToUser, c.SubpageEmuls)
 	}
 	if runErr != nil {
 		os.Exit(1)

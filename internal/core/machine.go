@@ -56,9 +56,9 @@ type Machine struct {
 // BootSnapshot returns the process-wide boot snapshot: the kernel is
 // booted once per process (kernel.New) and captured immutably, and
 // every Machine is a fork or a restore of that image. The boot is
-// verified to leave zero simulator counters — an image with baked-in
-// counts would be re-harvested into /metrics totals on every
-// fork-run-put cycle (see TestPoolWarmHarvestTotals).
+// verified to leave every simulator counter (Machine.Counters) at zero
+// — an image with baked-in counts would be re-harvested into /metrics
+// totals on every fork-run-put cycle (see TestPoolWarmHarvestTotals).
 func BootSnapshot() (*Snapshot, error) { return bootSnapshot() }
 
 var bootSnapshot = sync.OnceValues(func() (*Snapshot, error) {
@@ -66,12 +66,11 @@ var bootSnapshot = sync.OnceValues(func() (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := k.CPU
-	if c.Insts != 0 || c.Cycles != 0 || c.TLB.Hits != 0 || c.TLB.Misses != 0 ||
-		c.FastHits != 0 || (k.Stats != kernel.Stats{}) {
+	m := &Machine{K: k}
+	if m.Counters() != (Counters{}) {
 		return nil, fmt.Errorf("core: post-boot machine has nonzero counters; refusing boot snapshot")
 	}
-	return (&Machine{K: k}).Snapshot(), nil
+	return m.Snapshot(), nil
 })
 
 // fromBoot re-applies the process-wide engine choice to a machine just
@@ -166,6 +165,20 @@ func (m *Machine) KernelSym(name string) uint32 { return m.K.Symbol(name) }
 
 // CPU exposes the processor for statistics.
 func (m *Machine) CPU() *cpu.CPU { return m.K.CPU }
+
+// Counters is every simulator counter of one machine, read as one
+// value: the CPU's statistics, the TLB's lookup outcomes, and the
+// kernel's delivery and fault tallies.
+type Counters struct {
+	cpu.Counters
+	kernel.Stats
+	TLBHits, TLBMisses uint64
+}
+
+// Counters reads the machine's simulator counters.
+func (m *Machine) Counters() Counters {
+	return Counters{Counters: m.K.CPU.Counters, Stats: m.K.Stats, TLBHits: m.K.TLB.Hits, TLBMisses: m.K.TLB.Misses}
+}
 
 // EnableHardwareDelivery turns on the proposed Tera-style hardware:
 // exceptions whose codes are set in mask vector directly to user mode

@@ -101,6 +101,45 @@ type InjectedFault struct {
 	HasBV    bool
 }
 
+// Counters is the CPU's statistics, embedded in CPU (so c.Insts reads
+// through) and captured and restored as one value by State.
+type Counters struct {
+	Cycles uint64
+	Insts  uint64
+
+	// MemWrites counts successful data stores; the watchdog uses it as a
+	// cheap progress signal (a machine that stores is not livelocked by
+	// pure register cycling alone).
+	MemWrites uint64
+
+	// FastHits counts accesses served entirely by the fast path (a
+	// micro-TLB hit, counted or direct-mapped). Purely statistical —
+	// never part of a determinism fingerprint — it feeds the serving
+	// layer's metrics surface.
+	FastHits uint64
+
+	// Translation-tier statistics (translate.go), harvested into the
+	// serving layer's metrics. Like FastHits these are purely
+	// diagnostic — never part of a determinism fingerprint (block
+	// shapes depend on pool reuse and engine selection).
+	JITBlocks        uint64 // blocks compiled (including recompiles)
+	JITExecs         uint64 // block executions that retired >= 1 inst
+	JITGuardMisses   uint64 // entry guard mismatches (vpn/mode/counted)
+	JITInvalidations uint64 // page-generation invalidations observed
+
+	// ExcCounts tallies raised exceptions by code.
+	ExcCounts [32]uint64
+}
+
+// Exceptions is the number of exceptions raised, of every cause.
+func (c *Counters) Exceptions() uint64 {
+	var n uint64
+	for _, k := range c.ExcCounts {
+		n += k
+	}
+	return n
+}
+
 // CPU is the machine state. Construct with New.
 type CPU struct {
 	GPR [32]uint32
@@ -169,29 +208,8 @@ type CPU struct {
 	lastIPfn  uint32 // instsFor memo: pfn+1 (0 = empty)
 	lastIPi   *pageInsts
 
-	Cost   CostModel
-	Cycles uint64
-	Insts  uint64
-
-	// FastHits counts accesses served entirely by the fast path (a
-	// micro-TLB hit, counted or direct-mapped). Purely statistical —
-	// never part of a determinism fingerprint — it feeds the serving
-	// layer's metrics surface.
-	FastHits uint64
-
-	// Translation-tier statistics (translate.go), harvested into the
-	// serving layer's metrics. Like FastHits these are purely
-	// diagnostic — never part of a determinism fingerprint (block
-	// shapes depend on pool reuse and engine selection).
-	JITBlocks        uint64 // blocks compiled (including recompiles)
-	JITExecs         uint64 // block executions that retired >= 1 inst
-	JITGuardMisses   uint64 // entry guard mismatches (vpn/mode/counted)
-	JITInvalidations uint64 // page-generation invalidations observed
-
-	// MemWrites counts successful data stores; the watchdog uses it as a
-	// cheap progress signal (a machine that stores is not livelocked by
-	// pure register cycling alone).
-	MemWrites uint64
+	Cost CostModel
+	Counters
 
 	// OS receives the kernel upcalls (HCALL and the two Tera-mode UEX
 	// notifications); nil makes HCALL a reserved instruction. One
@@ -212,10 +230,8 @@ type CPU struct {
 	// Halted stops Run; set by the kernel's exit path.
 	Halted bool
 
-	// ExcCounts tallies raised exceptions by code; Trace, when non-nil,
-	// receives every exception.
-	ExcCounts [32]uint64
-	Trace     func(Exception)
+	// Trace, when non-nil, receives every exception.
+	Trace func(Exception)
 
 	// Debug, when non-nil, attaches a virtual-breakpoint guard table
 	// (debug.go): Step pauses the CPU (Halted, Debug.Hit) before any

@@ -26,15 +26,8 @@ type State struct {
 	engine         Engine
 	injectUserOnly bool
 
-	cost CostModel
-
-	cycles, insts, memWrites uint64
-	fastHits                 uint64
-	jitBlocks                uint64
-	jitExecs                 uint64
-	jitGuardMisses           uint64
-	jitInvalidations         uint64
-	excCounts                [32]uint64
+	cost     CostModel
+	counters Counters
 
 	halted        bool
 	prevWasBranch bool
@@ -42,7 +35,7 @@ type State struct {
 
 // Insts returns the captured retired-instruction count (used by the
 // record-replay driver to index snapshots by position in the stream).
-func (st *State) Insts() uint64 { return st.insts }
+func (st *State) Insts() uint64 { return st.counters.Insts }
 
 // CaptureState snapshots the CPU. It must be called at a Step/Run
 // boundary (never from inside a hook), where the transient redirect and
@@ -56,13 +49,8 @@ func (c *CPU) CaptureState() *State {
 		teraMode: c.TeraMode, userVector: c.UserVector, fixedVector: c.FixedVector,
 		hwUTLBMod: c.HWUTLBMod,
 		engine:    c.Engine, injectUserOnly: c.InjectUserOnly,
-		cost:   c.Cost,
-		cycles: c.Cycles, insts: c.Insts, memWrites: c.MemWrites,
-		fastHits:  c.FastHits,
-		jitBlocks: c.JITBlocks, jitExecs: c.JITExecs,
-		jitGuardMisses: c.JITGuardMisses, jitInvalidations: c.JITInvalidations,
-		excCounts: c.ExcCounts,
-		halted:    c.Halted, prevWasBranch: c.prevWasBranch,
+		cost: c.Cost, counters: c.Counters,
+		halted: c.Halted, prevWasBranch: c.prevWasBranch,
 	}
 }
 
@@ -84,11 +72,7 @@ func (c *CPU) RestoreState(st *State) {
 	c.Engine = st.engine
 	c.InjectUserOnly = st.injectUserOnly
 	c.Cost = st.cost
-	c.Cycles, c.Insts, c.MemWrites = st.cycles, st.insts, st.memWrites
-	c.FastHits = st.fastHits
-	c.JITBlocks, c.JITExecs = st.jitBlocks, st.jitExecs
-	c.JITGuardMisses, c.JITInvalidations = st.jitGuardMisses, st.jitInvalidations
-	c.ExcCounts = st.excCounts
+	c.Counters = st.counters
 	c.Halted = st.halted
 	c.prevWasBranch = st.prevWasBranch
 

@@ -357,12 +357,12 @@ func runFleet(t *testing.T, seeds int, p faultPlan) {
 	// coordinator kill must already be satisfied by pre-kill work, not
 	// depend on the brake expiring.
 	waitMetric(t, "worker 0 holds a live range", func() bool {
-		return coordA.metrics.FleetDispatches.Load() >= 2 && coordA.metrics.FleetAcks.Load() >= 1 &&
-			w0.metrics.InFlight.Load() >= 1
+		return coordA.snapshot().FleetDispatches >= 2 && coordA.snapshot().FleetAcks >= 1 &&
+			w0.snapshot().InFlight >= 1
 	})
 	killW0()
 	waitMetric(t, "stranded range re-dispatched to the survivor", func() bool {
-		return coordA.metrics.FleetRedispatches.Load() >= 1
+		return coordA.snapshot().FleetRedispatches >= 1
 	})
 
 	// Fault 2: kill the coordinator once this life's merge progress is

@@ -69,7 +69,7 @@ func (n *fleetNode) fail(base, quarantine time.Duration, m *metrics, jobID uint6
 	d := retryBackoff(base, n.failures, jobID, 0)
 	if n.failures >= 2 {
 		d = quarantine
-		m.WorkersQuarantined.Add(1)
+		m.add(func(m *metrics) { m.WorkersQuarantined++ })
 	}
 	n.quietUntil = time.Now().Add(d)
 }
@@ -232,7 +232,7 @@ func (f *fleet) dispatcher(fj *fleetJob, n *fleetNode) {
 				fj.fatal(&ShardError{Job: fj.j.id, Shard: rg.from, Attempts: rg.attempt, Err: err})
 				return
 			}
-			f.s.metrics.FleetRedispatches.Add(1)
+			f.s.metrics.add(func(m *metrics) { m.FleetRedispatches++ })
 			fj.work <- rg
 		}
 	}
@@ -247,7 +247,7 @@ func (f *fleet) dispatcher(fj *fleetJob, n *fleetNode) {
 // free.
 func (f *fleet) dispatch(fj *fleetJob, n *fleetNode, rg fleetRange) error {
 	s := f.s
-	s.metrics.FleetDispatches.Add(1)
+	s.metrics.add(func(m *metrics) { m.FleetDispatches++ })
 
 	req := fj.j.req
 	req.Verbose = false
@@ -300,6 +300,6 @@ func (f *fleet) dispatch(fj *fleetJob, n *fleetNode, rg fleetRange) error {
 	if want != rg.to {
 		return fmt.Errorf("worker %s: range [%d,%d) delivered only [%d,%d)", n.url, rg.from, rg.to, rg.from, want)
 	}
-	s.metrics.FleetAcks.Add(1)
+	s.metrics.add(func(m *metrics) { m.FleetAcks++ })
 	return nil
 }

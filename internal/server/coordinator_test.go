@@ -54,18 +54,18 @@ func TestDistributedByteIdentity(t *testing.T) {
 		})
 	}
 
-	if got := coord.metrics.FleetDispatches.Load(); got < 2 {
+	if got := coord.snapshot().FleetDispatches; got < 2 {
 		t.Errorf("FleetDispatches = %d, want >= 2", got)
 	}
-	if d, a := coord.metrics.FleetDispatches.Load(), coord.metrics.FleetAcks.Load(); d != a {
+	if d, a := coord.snapshot().FleetDispatches, coord.snapshot().FleetAcks; d != a {
 		t.Errorf("FleetDispatches = %d but FleetAcks = %d; healthy dispatches must all ack", d, a)
 	}
 	// Point jobs stay local: no dispatch for a program-run.
-	before := coord.metrics.FleetDispatches.Load()
+	before := coord.snapshot().FleetDispatches
 	if st := postStream(t, base, Request{Type: TypeProgramRun, Seed: 3}); !st.ok {
 		t.Fatalf("program-run on coordinator failed: %s", st.errText)
 	}
-	if got := coord.metrics.FleetDispatches.Load(); got != before {
+	if got := coord.snapshot().FleetDispatches; got != before {
 		t.Errorf("program-run was dispatched to the fleet (dispatches %d -> %d)", before, got)
 	}
 }
@@ -151,7 +151,7 @@ func TestDistributedWorkerKillMidRange(t *testing.T) {
 		t.Errorf("stream across a worker kill differs from the serial run\n--- distributed ---\n%s--- golden ---\n%s",
 			st.output, want)
 	}
-	if got := coord.metrics.FleetRedispatches.Load(); got < 1 {
+	if got := coord.snapshot().FleetRedispatches; got < 1 {
 		t.Errorf("FleetRedispatches = %d, want >= 1 (the victim's range had to move)", got)
 	}
 	if !dw.dead.Load() {
@@ -240,7 +240,7 @@ func TestDistributedWorkerOverrunsRange(t *testing.T) {
 			t.Errorf("terminal error %q missing %q", st.errText, want)
 		}
 	}
-	if got := coord.metrics.JobsFailed.Load(); got != 1 {
+	if got := coord.snapshot().JobsFailed; got != 1 {
 		t.Errorf("JobsFailed = %d, want 1", got)
 	}
 	if st := postStream(t, base, Request{Type: TypeProgramRun, Seed: 3}); !st.ok {
@@ -296,10 +296,10 @@ func TestDistributedAllWorkersPoisoned(t *testing.T) {
 			t.Errorf("terminal error %q missing %q", st.errText, want)
 		}
 	}
-	if got := coord.metrics.JobsFailed.Load(); got != 1 {
+	if got := coord.snapshot().JobsFailed; got != 1 {
 		t.Errorf("coordinator JobsFailed = %d, want 1", got)
 	}
-	if got := coord.metrics.FleetRedispatches.Load(); got < 2 {
+	if got := coord.snapshot().FleetRedispatches; got < 2 {
 		t.Errorf("FleetRedispatches = %d, want >= 2 (the poisoned range must burn its budget)", got)
 	}
 }
@@ -344,7 +344,7 @@ func TestDistributedCoordinatorKillResume(t *testing.T) {
 	}()
 
 	waitMetric(t, "durable fleet progress before kill", func() bool {
-		return s1.metrics.Checkpoints.Load() >= 2 && s1.metrics.FleetAcks.Load() >= 1
+		return s1.snapshot().Checkpoints >= 2 && s1.snapshot().FleetAcks >= 1
 	})
 	kill1()
 	<-posted
@@ -356,10 +356,10 @@ func TestDistributedCoordinatorKillResume(t *testing.T) {
 		WorkerNodes: workers, DispatchShards: 3,
 	})
 
-	if got := s2.metrics.ReplayedJobs.Load(); got != 1 {
+	if got := s2.snapshot().ReplayedJobs; got != 1 {
 		t.Fatalf("ReplayedJobs = %d, want 1", got)
 	}
-	resumed := s2.metrics.ResumedShards.Load()
+	resumed := s2.snapshot().ResumedShards
 	if resumed == 0 {
 		t.Error("ResumedShards = 0; the coordinator lost its merge frontier")
 	}
@@ -377,7 +377,7 @@ func TestDistributedCoordinatorKillResume(t *testing.T) {
 	}
 	// The second incarnation dispatched only past the frontier.
 	maxRanges := (space-int(resumed))/3 + 1
-	if got := s2.metrics.FleetDispatches.Load(); got > uint64(maxRanges) {
+	if got := s2.snapshot().FleetDispatches; got > uint64(maxRanges) {
 		t.Errorf("incarnation B FleetDispatches = %d, want <= %d (must not re-run the durable prefix)",
 			got, maxRanges)
 	}

@@ -50,7 +50,7 @@ func TestDrainWaitsForMidCheckpointJob(t *testing.T) {
 		clientDone <- st
 	}()
 
-	waitMetric(t, "first checkpoint", func() bool { return s.metrics.Checkpoints.Load() >= 1 })
+	waitMetric(t, "first checkpoint", func() bool { return s.snapshot().Checkpoints >= 1 })
 	armed.Store(true)
 	<-entered // a checkpoint fsync is now parked
 
@@ -77,7 +77,7 @@ func TestDrainWaitsForMidCheckpointJob(t *testing.T) {
 		t.Errorf("stream differs from the undisturbed run\n--- got ---\n%s--- golden ---\n%s",
 			st.output, want)
 	}
-	if got := s.metrics.JobsOK.Load(); got != 1 {
+	if got := s.snapshot().JobsOK; got != 1 {
 		t.Errorf("JobsOK = %d, want 1", got)
 	}
 }
@@ -112,7 +112,7 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 		defer close(posted)
 		tryPost(base1, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
 	}()
-	waitMetric(t, "checkpoints before kill", func() bool { return s1.metrics.Checkpoints.Load() >= 3 })
+	waitMetric(t, "checkpoints before kill", func() bool { return s1.snapshot().Checkpoints >= 3 })
 	kill1()
 	<-posted
 
@@ -125,7 +125,7 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 			return ShardFault{Stall: 5 * time.Millisecond}
 		},
 	})
-	if got := s2.metrics.ReplayedJobs.Load(); got != 1 {
+	if got := s2.snapshot().ReplayedJobs; got != 1 {
 		t.Fatalf("ReplayedJobs = %d, want 1", got)
 	}
 
@@ -133,8 +133,8 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 	abandon(t, attach(t, base2, 1), 2)
 
 	// The job must still run to completion, undisturbed.
-	waitMetric(t, "job completes after disconnect", func() bool { return s2.metrics.JobsOK.Load() == 1 })
-	if got := s2.metrics.JobsCancelled.Load(); got != 0 {
+	waitMetric(t, "job completes after disconnect", func() bool { return s2.snapshot().JobsOK == 1 })
+	if got := s2.snapshot().JobsCancelled; got != 0 {
 		t.Errorf("JobsCancelled = %d, want 0", got)
 	}
 

@@ -54,7 +54,7 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 	// Kill only after real progress is durable: several checkpoints
 	// fsynced, while the stalled shard pins the job mid-flight.
 	waitMetric(t, "checkpoints before kill", func() bool {
-		return s1.metrics.Checkpoints.Load() >= 5 && s1.metrics.ShardStalls.Load() >= 1
+		return s1.snapshot().Checkpoints >= 5 && s1.snapshot().ShardStalls >= 1
 	})
 	kill1()
 	// The job must have died unfinished — and the journal must carry no
@@ -62,23 +62,23 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 	if st := <-clientDone; st.ok {
 		t.Fatalf("job finished ok across a kill: %+v", st)
 	}
-	if got := s1.metrics.JobsCancelled.Load(); got != 1 {
+	if got := s1.snapshot().JobsCancelled; got != 1 {
 		t.Errorf("incarnation A JobsCancelled = %d, want 1", got)
 	}
 
 	// Incarnation B: same store, resume on. No faults this time.
 	s2, base2 := startTest(t, Config{Workers: 1, QueueDepth: 4, StoreDir: dir, Resume: true, CheckpointEvery: 1})
 
-	if got := s2.metrics.Restarts.Load(); got != 1 {
+	if got := s2.snapshot().Restarts; got != 1 {
 		t.Errorf("Restarts = %d, want 1", got)
 	}
-	if got := s2.metrics.ReplayedJobs.Load(); got != 1 {
+	if got := s2.snapshot().ReplayedJobs; got != 1 {
 		t.Fatalf("ReplayedJobs = %d, want 1", got)
 	}
-	if got := s2.metrics.ResumedShards.Load(); got == 0 {
+	if got := s2.snapshot().ResumedShards; got == 0 {
 		t.Error("ResumedShards = 0; the durable prefix was lost")
 	}
-	if got := s2.metrics.ResumedShards.Load(); got > uint64(stallShard) {
+	if got := s2.snapshot().ResumedShards; got > uint64(stallShard) {
 		t.Errorf("ResumedShards = %d, beyond the stalled shard %d", got, stallShard)
 	}
 
@@ -92,7 +92,7 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 		t.Errorf("resumed stream differs from the undisturbed run\n--- resumed ---\n%s--- golden ---\n%s",
 			st.output, want)
 	}
-	if got := s2.metrics.JobsOK.Load(); got != 1 {
+	if got := s2.snapshot().JobsOK; got != 1 {
 		t.Errorf("incarnation B JobsOK = %d, want 1", got)
 	}
 }
@@ -108,24 +108,24 @@ func TestDurableClientDisconnectDoesNotCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	waitMetric(t, "job in flight", func() bool { return s.metrics.InFlight.Load() == 1 })
+	waitMetric(t, "job in flight", func() bool { return s.snapshot().InFlight == 1 })
 	cancel() // client walks away
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 
 	// The job must still be running: only release ends it.
 	time.Sleep(20 * time.Millisecond)
-	if got := s.metrics.InFlight.Load(); got != 1 {
+	if got := s.snapshot().InFlight; got != 1 {
 		t.Fatalf("InFlight = %d after disconnect; a durable job must not be cancelled by its client", got)
 	}
 	release()
-	waitMetric(t, "job finished", func() bool { return s.metrics.JobsOK.Load() == 1 })
+	waitMetric(t, "job finished", func() bool { return s.snapshot().JobsOK == 1 })
 
 	// Recover the full stream by re-attaching.
 	if st := reattach(t, base, 1); !st.complete || !st.ok || st.output != heldOutput {
 		t.Errorf("re-attached stream: %+v", st)
 	}
-	if got := s.metrics.JobsCancelled.Load(); got != 0 {
+	if got := s.snapshot().JobsCancelled; got != 0 {
 		t.Errorf("JobsCancelled = %d, want 0", got)
 	}
 }
@@ -206,10 +206,10 @@ func TestTransientShardPanicRetriedByteIdentical(t *testing.T) {
 		t.Errorf("retried stream differs from the undisturbed run\n--- retried ---\n%s--- golden ---\n%s",
 			st.output, want)
 	}
-	if got := s.metrics.ShardRetries.Load(); got != 1 {
+	if got := s.snapshot().ShardRetries; got != 1 {
 		t.Errorf("ShardRetries = %d, want 1", got)
 	}
-	if got := s.metrics.ShardsPoisoned.Load(); got != 0 {
+	if got := s.snapshot().ShardsPoisoned; got != 0 {
 		t.Errorf("ShardsPoisoned = %d, want 0", got)
 	}
 }

@@ -298,7 +298,7 @@ func (s *Server) checkpoint(j *job) func(prefix []json.RawMessage) error {
 		if err := save(prefix); err != nil {
 			return err
 		}
-		s.metrics.Checkpoints.Add(1)
+		s.metrics.add(func(m *metrics) { m.Checkpoints++ })
 		return nil
 	}
 }
@@ -306,7 +306,12 @@ func (s *Server) checkpoint(j *job) func(prefix []json.RawMessage) error {
 // sweepVerdict turns a folded sweep into a job verdict, counting its
 // typed verdicts in /metrics.
 func (s *Server) sweepVerdict(res sweep.Result) (bool, string, error) {
-	s.metrics.addVerdicts(res.Counts())
+	counts := res.Counts()
+	s.metrics.add(func(m *metrics) {
+		for k, n := range counts {
+			m.verdicts[k] += n
+		}
+	})
 	if err := res.Err(); err != nil {
 		return false, res.Summary(), err
 	}
@@ -438,13 +443,9 @@ func (s *Server) runProgram(j *job) (bool, string, error) {
 	}
 	fmt.Fprintf(&b, "episodes: %s\n", strings.Join(episodes, " "))
 	fmt.Fprintf(&b, "console: %q\n", m.K.Console())
-	c := m.CPU()
-	var exc uint64
-	for _, n := range c.ExcCounts {
-		exc += n
-	}
+	c := m.Counters()
 	fmt.Fprintf(&b, "insts=%d cycles=%d exceptions=%d fast=%d unix=%d\n",
-		c.Insts, c.Cycles, exc, m.K.Stats.FastDeliveries, m.K.Stats.UnixDeliveries)
+		c.Insts, c.Cycles, c.Exceptions(), c.FastDeliveries, c.UnixDeliveries)
 	if runErr != nil {
 		fmt.Fprintf(&b, "run error: %s\n", runErr)
 		return false, b.String(), fmt.Errorf("program-run: %w", runErr)

@@ -1,148 +1,135 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
+	"strconv"
+	"strings"
+	"sync"
 
 	"uexc/internal/core"
 	"uexc/internal/verdict"
 )
 
-// metrics is the server's observability surface: admission and
-// completion counters, the in-flight gauge, and the simulator's own
-// counters accumulated from every pooled machine as it is returned
-// after a run (core.MachinePool.Harvest). All fields are atomics; the
-// struct is safe for concurrent update from workers and handlers.
-type metrics struct {
-	Admitted         atomic.Uint64 // jobs accepted into the queue
-	RejectedFull     atomic.Uint64 // 429: queue at capacity
-	RejectedDraining atomic.Uint64 // 503: drain in progress
-	RejectedTenant   atomic.Uint64 // 429: a tenant quota said no
-	BadRequests      atomic.Uint64 // 4xx: malformed or invalid job specs or X-Tenant headers
+// Counters is every monotonic server counter, declared once: each
+// field's JSON tag is its /metrics name, and the text exposition
+// derives from that encoding (renderText). A new scalar counter is one
+// field here.
+type Counters struct {
+	Admitted         uint64 `json:"jobs_admitted_total"`          // jobs accepted into the queue
+	RejectedFull     uint64 `json:"jobs_rejected_full_total"`     // 429: queue at capacity
+	RejectedDraining uint64 `json:"jobs_rejected_draining_total"` // 503: drain in progress
+	RejectedTenant   uint64 `json:"jobs_rejected_tenant_total"`   // 429: a tenant quota said no
+	BadRequests      uint64 `json:"bad_requests_total"`           // 4xx: malformed or invalid job specs or X-Tenant headers
 
-	JobsOK        atomic.Uint64 // completed with ok=true
-	JobsFailed    atomic.Uint64 // completed with ok=false (engine failure)
-	JobsCancelled atomic.Uint64 // aborted by deadline or client disconnect
-	JobsEvicted   atomic.Uint64 // finished jobs dropped after the retention window
+	JobsOK        uint64 `json:"jobs_ok_total"`        // completed with ok=true
+	JobsFailed    uint64 `json:"jobs_failed_total"`    // completed with ok=false (engine failure)
+	JobsCancelled uint64 `json:"jobs_cancelled_total"` // aborted by deadline or client disconnect
+	JobsEvicted   uint64 `json:"jobs_evicted_total"`   // finished jobs dropped after the retention window
 
 	// Debug-session lifecycle (DESIGN.md §16): started sessions, and
 	// finished session records dropped after the retention window — the
 	// same eviction rule finished jobs follow.
-	SessionsStarted atomic.Uint64
-	SessionsEvicted atomic.Uint64
-
-	InFlight atomic.Int64 // jobs currently executing on a worker
-
-	// Durability counters (DESIGN.md §12).
-	Restarts       atomic.Uint64 // journal restart records (process incarnations)
-	ReplayedJobs   atomic.Uint64 // pending jobs re-admitted from the journal
-	ResumedShards  atomic.Uint64 // durable shards skipped on resume
-	Checkpoints    atomic.Uint64 // shard-prefix checkpoints fsynced
-	ShardRetries   atomic.Uint64 // shard attempts after a failure
-	ShardsPoisoned atomic.Uint64 // shards quarantined after the last retry
-	ShardStalls    atomic.Uint64 // injected shard stalls observed
-	ShardTimeouts  atomic.Uint64 // shard attempts at or past the deadline
+	SessionsStarted uint64 `json:"sessions_started_total"`
+	SessionsEvicted uint64 `json:"sessions_evicted_total"`
 
 	// Fleet counters (coordinator mode, DESIGN.md §13).
-	FleetDispatches    atomic.Uint64 // shard ranges sent to workers
-	FleetRedispatches  atomic.Uint64 // ranges re-sent after a worker failure
-	FleetAcks          atomic.Uint64 // ranges fully merged into the frontier
-	WorkersQuarantined atomic.Uint64 // worker quarantine episodes
+	FleetDispatches    uint64 `json:"fleet_dispatches_total"`          // shard ranges sent to workers
+	FleetRedispatches  uint64 `json:"fleet_redispatches_total"`        // ranges re-sent after a worker failure
+	FleetAcks          uint64 `json:"fleet_acks_total"`                // ranges fully merged into the frontier
+	WorkersQuarantined uint64 `json:"fleet_workers_quarantined_total"` // worker quarantine episodes
 
-	// Verdicts counts campaign runs by typed classification
-	// (DESIGN.md §14), folded from every completed campaign/difftest
-	// job's result.
-	Verdicts [verdict.NumKinds]atomic.Uint64
-
-	byType map[Type]*atomic.Uint64 // admitted jobs by type
+	// Durability counters (DESIGN.md §12). The journal's own three are
+	// the store's (store.Stats), copied in by snapshot.
+	Restarts       uint64 `json:"restarts_total"`        // journal restart records (process incarnations)
+	ReplayedJobs   uint64 `json:"jobs_replayed_total"`   // pending jobs re-admitted from the journal
+	ResumedShards  uint64 `json:"shards_resumed_total"`  // durable shards skipped on resume
+	Checkpoints    uint64 `json:"checkpoints_total"`     // shard-prefix checkpoints fsynced
+	ShardRetries   uint64 `json:"shard_retries_total"`   // shard attempts after a failure
+	ShardsPoisoned uint64 `json:"shards_poisoned_total"` // shards quarantined after the last retry
+	ShardStalls    uint64 `json:"shard_stalls_total"`    // injected shard stalls observed
+	ShardTimeouts  uint64 `json:"shard_timeouts_total"`  // shard attempts at or past the deadline
+	JournalAppends uint64 `json:"journal_appends_total"`
+	JournalSyncs   uint64 `json:"journal_syncs_total"`
+	JournalLost    uint64 `json:"journal_lost_total"`
 
 	// Simulator counters, harvested at machine Put time.
-	SimFastDeliveries atomic.Uint64 // exceptions vectored to user handlers by the fast path
-	SimUnixDeliveries atomic.Uint64 // signals delivered via the Ultrix path
-	SimExceptions     atomic.Uint64 // every exception the CPU raised (all causes)
-	SimTLBHits        atomic.Uint64
-	SimTLBMisses      atomic.Uint64
-	SimFastPathHits   atomic.Uint64 // interpreter micro-TLB fast-path hits
-	SimInsts          atomic.Uint64
-	SimCycles         atomic.Uint64
+	SimFastDeliveries uint64 `json:"sim_fast_deliveries_total"` // exceptions vectored to user handlers by the fast path
+	SimUnixDeliveries uint64 `json:"sim_unix_deliveries_total"` // signals delivered via the Ultrix path
+	SimExceptions     uint64 `json:"sim_exceptions_total"`      // every exception the CPU raised (all causes)
+	SimTLBHits        uint64 `json:"sim_tlb_hits_total"`
+	SimTLBMisses      uint64 `json:"sim_tlb_misses_total"`
+	SimFastPathHits   uint64 `json:"sim_fastpath_hits_total"` // interpreter micro-TLB fast-path hits
+	SimInsts          uint64 `json:"sim_insts_total"`
+	SimCycles         uint64 `json:"sim_cycles_total"`
 
 	// Translation-tier counters (cpu/translate.go). Like the fast-path
 	// hits they are purely diagnostic — never part of a run fingerprint.
-	SimJITBlocks        atomic.Uint64 // basic blocks compiled
-	SimJITExecs         atomic.Uint64 // block entries that retired at least one instruction
-	SimJITGuardMisses   atomic.Uint64 // block entries rejected by a non-generation guard
-	SimJITInvalidations atomic.Uint64 // block entries rejected by a moved page generation
+	SimJITBlocks        uint64 `json:"sim_jit_blocks_compiled_total"` // basic blocks compiled
+	SimJITExecs         uint64 `json:"sim_jit_block_execs_total"`     // block entries that retired at least one instruction
+	SimJITGuardMisses   uint64 `json:"sim_jit_guard_misses_total"`    // block entries rejected by a non-generation guard
+	SimJITInvalidations uint64 `json:"sim_jit_invalidations_total"`   // block entries rejected by a moved page generation
 }
 
-// newMetrics builds a metrics with one per-type admission counter for
-// every known job type.
-func newMetrics() *metrics {
-	m := &metrics{byType: make(map[Type]*atomic.Uint64, len(Types))}
-	for _, t := range Types {
-		m.byType[t] = &atomic.Uint64{}
-	}
-	return m
+// metrics is the server's counter state — the Counters, the in-flight
+// gauge, admissions by job type, and the run-verdict tally — behind one
+// leaf mutex, so a snapshot reads it as one consistent cut.
+type metrics struct {
+	mu sync.Mutex
+	Counters
+	inFlight int64           // jobs currently executing on a worker
+	byType   map[Type]uint64 // admitted jobs by type
+	// verdicts counts campaign runs by typed classification
+	// (DESIGN.md §14), folded from every completed campaign/difftest
+	// job's result.
+	verdicts verdict.Counts
 }
 
-// addVerdicts folds one completed sweep's verdict tally into the
-// counters.
-func (m *metrics) addVerdicts(c verdict.Counts) {
-	for k := verdict.Kind(0); k < verdict.NumKinds; k++ {
-		if c[k] > 0 {
-			m.Verdicts[k].Add(uint64(c[k]))
-		}
-	}
+// add applies one update under the lock. f must not take another lock:
+// the metrics lock is a leaf.
+func (m *metrics) add(f func(m *metrics)) {
+	m.mu.Lock()
+	f(m)
+	m.mu.Unlock()
 }
 
 // harvest accumulates one finished run's simulator counters. Installed
 // as the machine pool's Harvest hook, so it observes the machine after
 // the run and before the next checkout's restore wipes it.
 func (m *metrics) harvest(mach *core.Machine) {
-	st := mach.K.Stats
-	m.SimFastDeliveries.Add(st.FastDeliveries)
-	m.SimUnixDeliveries.Add(st.UnixDeliveries)
-	c := mach.CPU()
-	var exc uint64
-	for _, n := range c.ExcCounts {
-		exc += n
-	}
-	m.SimExceptions.Add(exc)
-	m.SimTLBHits.Add(mach.K.TLB.Hits)
-	m.SimTLBMisses.Add(mach.K.TLB.Misses)
-	m.SimFastPathHits.Add(c.FastHits)
-	m.SimInsts.Add(c.Insts)
-	m.SimCycles.Add(c.Cycles)
-	m.SimJITBlocks.Add(c.JITBlocks)
-	m.SimJITExecs.Add(c.JITExecs)
-	m.SimJITGuardMisses.Add(c.JITGuardMisses)
-	m.SimJITInvalidations.Add(c.JITInvalidations)
+	mc := mach.Counters()
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.SimFastDeliveries += mc.FastDeliveries
+	m.SimUnixDeliveries += mc.UnixDeliveries
+	m.SimExceptions += mc.Exceptions()
+	m.SimTLBHits += mc.TLBHits
+	m.SimTLBMisses += mc.TLBMisses
+	m.SimFastPathHits += mc.FastHits
+	m.SimInsts += mc.Insts
+	m.SimCycles += mc.Cycles
+	m.SimJITBlocks += mc.JITBlocks
+	m.SimJITExecs += mc.JITExecs
+	m.SimJITGuardMisses += mc.JITGuardMisses
+	m.SimJITInvalidations += mc.JITInvalidations
 }
 
-// Snapshot is a consistent-enough (each field individually atomic)
-// copy of the metrics for rendering and for client-side verification.
+// Snapshot is what /metrics renders and clients decode: the Counters
+// as one consistent cut, plus the gauges and the labelled families.
 type Snapshot struct {
-	QueueDepth    int   `json:"queue_depth"`
-	QueueCapacity int   `json:"queue_capacity"`
-	InFlight      int64 `json:"inflight_jobs"`
-	Draining      bool  `json:"draining"`
+	QueueDepth     int   `json:"queue_depth"`
+	QueueCapacity  int   `json:"queue_capacity"`
+	InFlight       int64 `json:"inflight_jobs"`
+	Draining       bool  `json:"draining"`
+	SessionsActive int   `json:"sessions_active"`
+	FleetEnabled   bool  `json:"fleet_enabled"`
+	FleetWorkers   int   `json:"fleet_workers"`
+	StoreEnabled   bool  `json:"store_enabled"`
 
-	Admitted         uint64 `json:"jobs_admitted_total"`
-	RejectedFull     uint64 `json:"jobs_rejected_full_total"`
-	RejectedDraining uint64 `json:"jobs_rejected_draining_total"`
-	RejectedTenant   uint64 `json:"jobs_rejected_tenant_total"`
-	BadRequests      uint64 `json:"bad_requests_total"`
-
-	JobsOK        uint64 `json:"jobs_ok_total"`
-	JobsFailed    uint64 `json:"jobs_failed_total"`
-	JobsCancelled uint64 `json:"jobs_cancelled_total"`
-	JobsEvicted   uint64 `json:"jobs_evicted_total"`
-
-	SessionsStarted uint64 `json:"sessions_started_total"`
-	SessionsActive  int    `json:"sessions_active"`
-	SessionsEvicted uint64 `json:"sessions_evicted_total"`
+	Counters
 
 	JobsByType map[string]uint64 `json:"jobs_by_type"`
 
@@ -154,118 +141,38 @@ type Snapshot struct {
 	// been seen.
 	Tenants map[string]TenantSnapshot `json:"tenants,omitempty"`
 
-	FleetEnabled       bool   `json:"fleet_enabled"`
-	FleetWorkers       int    `json:"fleet_workers"`
-	FleetDispatches    uint64 `json:"fleet_dispatches_total"`
-	FleetRedispatches  uint64 `json:"fleet_redispatches_total"`
-	FleetAcks          uint64 `json:"fleet_acks_total"`
-	WorkersQuarantined uint64 `json:"fleet_workers_quarantined_total"`
-
-	StoreEnabled   bool   `json:"store_enabled"`
-	Restarts       uint64 `json:"restarts_total"`
-	ReplayedJobs   uint64 `json:"jobs_replayed_total"`
-	ResumedShards  uint64 `json:"shards_resumed_total"`
-	Checkpoints    uint64 `json:"checkpoints_total"`
-	ShardRetries   uint64 `json:"shard_retries_total"`
-	ShardsPoisoned uint64 `json:"shards_poisoned_total"`
-	ShardStalls    uint64 `json:"shard_stalls_total"`
-	ShardTimeouts  uint64 `json:"shard_timeouts_total"`
-	JournalAppends uint64 `json:"journal_appends_total"`
-	JournalSyncs   uint64 `json:"journal_syncs_total"`
-	JournalLost    uint64 `json:"journal_lost_total"`
-
 	Pool        core.PoolStats `json:"machine_pool"`
 	PoolHitRate float64        `json:"machine_pool_hit_rate"`
-
-	SimFastDeliveries uint64 `json:"sim_fast_deliveries_total"`
-	SimUnixDeliveries uint64 `json:"sim_unix_deliveries_total"`
-	SimExceptions     uint64 `json:"sim_exceptions_total"`
-	SimTLBHits        uint64 `json:"sim_tlb_hits_total"`
-	SimTLBMisses      uint64 `json:"sim_tlb_misses_total"`
-	SimFastPathHits   uint64 `json:"sim_fastpath_hits_total"`
-	SimInsts          uint64 `json:"sim_insts_total"`
-	SimCycles         uint64 `json:"sim_cycles_total"`
-
-	SimJITBlocks        uint64 `json:"sim_jit_blocks_compiled_total"`
-	SimJITExecs         uint64 `json:"sim_jit_block_execs_total"`
-	SimJITGuardMisses   uint64 `json:"sim_jit_guard_misses_total"`
-	SimJITInvalidations uint64 `json:"sim_jit_invalidations_total"`
 }
 
-// snapshot gathers the current counter values plus queue/pool state
-// owned by the server.
+// snapshot copies the counters under their lock, then fills in the
+// gauges and the queue, pool, tenant and journal state the server owns.
 func (s *Server) snapshot() Snapshot {
 	m := s.metrics
 	snap := Snapshot{
-		QueueDepth:    len(s.queue),
-		QueueCapacity: cap(s.queue),
-		InFlight:      m.InFlight.Load(),
-		Draining:      s.isDraining(),
-
-		Admitted:         m.Admitted.Load(),
-		RejectedFull:     m.RejectedFull.Load(),
-		RejectedDraining: m.RejectedDraining.Load(),
-		RejectedTenant:   m.RejectedTenant.Load(),
-		BadRequests:      m.BadRequests.Load(),
-
-		Tenants: s.tenants.snapshot(),
-
-		FleetEnabled:       s.fleet != nil,
-		FleetWorkers:       len(s.cfg.WorkerNodes),
-		FleetDispatches:    m.FleetDispatches.Load(),
-		FleetRedispatches:  m.FleetRedispatches.Load(),
-		FleetAcks:          m.FleetAcks.Load(),
-		WorkersQuarantined: m.WorkersQuarantined.Load(),
-
-		JobsOK:        m.JobsOK.Load(),
-		JobsFailed:    m.JobsFailed.Load(),
-		JobsCancelled: m.JobsCancelled.Load(),
-		JobsEvicted:   m.JobsEvicted.Load(),
-
-		SessionsStarted: m.SessionsStarted.Load(),
-		SessionsActive:  s.sessionCount(),
-		SessionsEvicted: m.SessionsEvicted.Load(),
-
-		JobsByType: make(map[string]uint64, len(m.byType)),
+		JobsByType: make(map[string]uint64, len(Types)),
 		Verdicts:   make(map[string]uint64, verdict.NumKinds),
-
-		StoreEnabled:   s.store != nil,
-		Restarts:       m.Restarts.Load(),
-		ReplayedJobs:   m.ReplayedJobs.Load(),
-		ResumedShards:  m.ResumedShards.Load(),
-		Checkpoints:    m.Checkpoints.Load(),
-		ShardRetries:   m.ShardRetries.Load(),
-		ShardsPoisoned: m.ShardsPoisoned.Load(),
-		ShardStalls:    m.ShardStalls.Load(),
-		ShardTimeouts:  m.ShardTimeouts.Load(),
-
-		Pool: s.pool.Stats(),
-
-		SimFastDeliveries: m.SimFastDeliveries.Load(),
-		SimUnixDeliveries: m.SimUnixDeliveries.Load(),
-		SimExceptions:     m.SimExceptions.Load(),
-		SimTLBHits:        m.SimTLBHits.Load(),
-		SimTLBMisses:      m.SimTLBMisses.Load(),
-		SimFastPathHits:   m.SimFastPathHits.Load(),
-		SimInsts:          m.SimInsts.Load(),
-		SimCycles:         m.SimCycles.Load(),
-
-		SimJITBlocks:        m.SimJITBlocks.Load(),
-		SimJITExecs:         m.SimJITExecs.Load(),
-		SimJITGuardMisses:   m.SimJITGuardMisses.Load(),
-		SimJITInvalidations: m.SimJITInvalidations.Load(),
 	}
+	m.mu.Lock()
+	snap.Counters, snap.InFlight = m.Counters, m.inFlight
+	for _, t := range Types {
+		snap.JobsByType[string(t)] = m.byType[t]
+	}
+	for k, n := range m.verdicts {
+		snap.Verdicts[verdict.Kind(k).String()] = uint64(n)
+	}
+	m.mu.Unlock()
+
+	snap.QueueDepth, snap.QueueCapacity = len(s.queue), cap(s.queue)
+	snap.Draining = s.isDraining()
+	snap.SessionsActive = s.sessionCount()
+	snap.FleetEnabled, snap.FleetWorkers = s.fleet != nil, len(s.cfg.WorkerNodes)
+	snap.StoreEnabled = s.store != nil
+	snap.Tenants = s.tenants.snapshot()
+	snap.Pool = s.pool.Stats()
 	if s.store != nil {
 		jst := s.store.Stats()
-		snap.JournalAppends = jst.Appends
-		snap.JournalSyncs = jst.Syncs
-		snap.JournalLost = jst.Lost
-	}
-	for t, c := range m.byType {
-		snap.JobsByType[string(t)] = c.Load()
-	}
-	for k := verdict.Kind(0); k < verdict.NumKinds; k++ {
-		snap.Verdicts[k.String()] = m.Verdicts[k].Load()
+		snap.JournalAppends, snap.JournalSyncs, snap.JournalLost = jst.Appends, jst.Syncs, jst.Lost
 	}
 	if snap.Pool.Gets > 0 {
 		// A checkout served by restoring a pooled machine is a hit; a
@@ -275,81 +182,78 @@ func (s *Server) snapshot() Snapshot {
 	return snap
 }
 
+// families names the text lines of the structured top-level JSON keys:
+// each maps one leaf under its key (the leaf's path below the key and
+// its rendered value) to a line, or to "" to leave the leaf out. A new
+// labelled family is one Snapshot field plus one row.
+var families = map[string]func(path []string, v string) (name, value string){
+	"machine_pool": func(p []string, v string) (string, string) {
+		return "uexc_pool_" + strings.ToLower(p[0]) + "_total", v
+	},
+	"machine_pool_hit_rate": func(_ []string, v string) (string, string) {
+		r, _ := strconv.ParseFloat(v, 64)
+		return "uexc_pool_hit_rate", fmt.Sprintf("%.4f", r)
+	},
+	"jobs_by_type": func(p []string, v string) (string, string) {
+		return fmt.Sprintf("uexc_jobs_admitted_by_type_total{type=%q}", p[0]), v
+	},
+	"run_verdicts": func(p []string, v string) (string, string) {
+		return fmt.Sprintf("uexc_run_verdicts_total{verdict=%q}", p[0]), v
+	},
+	"tenants": func(p []string, v string) (string, string) {
+		if p[1] == "tokens" { // a time-dependent balance, JSON only
+			return "", ""
+		}
+		return fmt.Sprintf("uexc_tenant_%s{tenant=%q}", p[1], p[0]), v
+	},
+}
+
 // renderText writes the snapshot in the flat `name value` exposition
-// format (Prometheus-style, one counter per line, keys sorted).
-func (snap Snapshot) renderText(w io.Writer) {
-	lines := map[string]string{
-		"uexc_queue_depth":                     fmt.Sprint(snap.QueueDepth),
-		"uexc_queue_capacity":                  fmt.Sprint(snap.QueueCapacity),
-		"uexc_inflight_jobs":                   fmt.Sprint(snap.InFlight),
-		"uexc_draining":                        fmt.Sprint(boolToInt(snap.Draining)),
-		"uexc_jobs_admitted_total":             fmt.Sprint(snap.Admitted),
-		"uexc_jobs_rejected_full_total":        fmt.Sprint(snap.RejectedFull),
-		"uexc_jobs_rejected_draining_total":    fmt.Sprint(snap.RejectedDraining),
-		"uexc_jobs_rejected_tenant_total":      fmt.Sprint(snap.RejectedTenant),
-		"uexc_fleet_enabled":                   fmt.Sprint(boolToInt(snap.FleetEnabled)),
-		"uexc_fleet_workers":                   fmt.Sprint(snap.FleetWorkers),
-		"uexc_fleet_dispatches_total":          fmt.Sprint(snap.FleetDispatches),
-		"uexc_fleet_redispatches_total":        fmt.Sprint(snap.FleetRedispatches),
-		"uexc_fleet_acks_total":                fmt.Sprint(snap.FleetAcks),
-		"uexc_fleet_workers_quarantined_total": fmt.Sprint(snap.WorkersQuarantined),
-		"uexc_bad_requests_total":              fmt.Sprint(snap.BadRequests),
-		"uexc_jobs_ok_total":                   fmt.Sprint(snap.JobsOK),
-		"uexc_jobs_failed_total":               fmt.Sprint(snap.JobsFailed),
-		"uexc_jobs_cancelled_total":            fmt.Sprint(snap.JobsCancelled),
-		"uexc_jobs_evicted_total":              fmt.Sprint(snap.JobsEvicted),
-		"uexc_sessions_started_total":          fmt.Sprint(snap.SessionsStarted),
-		"uexc_sessions_active":                 fmt.Sprint(snap.SessionsActive),
-		"uexc_sessions_evicted_total":          fmt.Sprint(snap.SessionsEvicted),
-		"uexc_store_enabled":                   fmt.Sprint(boolToInt(snap.StoreEnabled)),
-		"uexc_restarts_total":                  fmt.Sprint(snap.Restarts),
-		"uexc_jobs_replayed_total":             fmt.Sprint(snap.ReplayedJobs),
-		"uexc_shards_resumed_total":            fmt.Sprint(snap.ResumedShards),
-		"uexc_checkpoints_total":               fmt.Sprint(snap.Checkpoints),
-		"uexc_shard_retries_total":             fmt.Sprint(snap.ShardRetries),
-		"uexc_shards_poisoned_total":           fmt.Sprint(snap.ShardsPoisoned),
-		"uexc_shard_stalls_total":              fmt.Sprint(snap.ShardStalls),
-		"uexc_shard_timeouts_total":            fmt.Sprint(snap.ShardTimeouts),
-		"uexc_journal_appends_total":           fmt.Sprint(snap.JournalAppends),
-		"uexc_journal_syncs_total":             fmt.Sprint(snap.JournalSyncs),
-		"uexc_journal_lost_total":              fmt.Sprint(snap.JournalLost),
-		"uexc_pool_gets_total":                 fmt.Sprint(snap.Pool.Gets),
-		"uexc_pool_puts_total":                 fmt.Sprint(snap.Pool.Puts),
-		"uexc_pool_forks_total":                fmt.Sprint(snap.Pool.Forks),
-		"uexc_pool_restores_total":             fmt.Sprint(snap.Pool.Restores),
-		"uexc_pool_hit_rate":                   fmt.Sprintf("%.4f", snap.PoolHitRate),
-		"uexc_sim_fast_deliveries_total":       fmt.Sprint(snap.SimFastDeliveries),
-		"uexc_sim_unix_deliveries_total":       fmt.Sprint(snap.SimUnixDeliveries),
-		"uexc_sim_exceptions_total":            fmt.Sprint(snap.SimExceptions),
-		"uexc_sim_tlb_hits_total":              fmt.Sprint(snap.SimTLBHits),
-		"uexc_sim_tlb_misses_total":            fmt.Sprint(snap.SimTLBMisses),
-		"uexc_sim_fastpath_hits_total":         fmt.Sprint(snap.SimFastPathHits),
-		"uexc_sim_insts_total":                 fmt.Sprint(snap.SimInsts),
-		"uexc_sim_cycles_total":                fmt.Sprint(snap.SimCycles),
-		"uexc_sim_jit_blocks_compiled_total":   fmt.Sprint(snap.SimJITBlocks),
-		"uexc_sim_jit_block_execs_total":       fmt.Sprint(snap.SimJITExecs),
-		"uexc_sim_jit_guard_misses_total":      fmt.Sprint(snap.SimJITGuardMisses),
-		"uexc_sim_jit_invalidations_total":     fmt.Sprint(snap.SimJITInvalidations),
+// format (Prometheus-style, one line per value, names sorted), derived
+// from the JSON encoding: every scalar top-level key k renders as
+// uexc_k, booleans as 0/1, and the structured keys through families.
+func (snap Snapshot) renderText(w io.Writer) error {
+	b, err := json.Marshal(snap)
+	if err != nil {
+		return err
 	}
-	for t, n := range snap.JobsByType {
-		lines[fmt.Sprintf("uexc_jobs_admitted_by_type_total{type=%q}", t)] = fmt.Sprint(n)
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.UseNumber()
+	var tree map[string]any
+	if err := dec.Decode(&tree); err != nil {
+		return err
 	}
-	for v, n := range snap.Verdicts {
-		lines[fmt.Sprintf("uexc_run_verdicts_total{verdict=%q}", v)] = fmt.Sprint(n)
+	var lines []string
+	for key, v := range tree {
+		family := families[key]
+		if family == nil {
+			family = func(_ []string, v string) (string, string) { return "uexc_" + key, v }
+		}
+		leaves(nil, v, func(path []string, v string) {
+			if name, value := family(path, v); name != "" {
+				lines = append(lines, name+" "+value)
+			}
+		})
 	}
-	for name, t := range snap.Tenants {
-		lines[fmt.Sprintf("uexc_tenant_queued{tenant=%q}", name)] = fmt.Sprint(t.Queued)
-		lines[fmt.Sprintf("uexc_tenant_running{tenant=%q}", name)] = fmt.Sprint(t.Running)
-		lines[fmt.Sprintf("uexc_tenant_admitted_total{tenant=%q}", name)] = fmt.Sprint(t.Admitted)
-		lines[fmt.Sprintf("uexc_tenant_rejected_total{tenant=%q}", name)] = fmt.Sprint(t.Rejected)
-	}
-	keys := make([]string, 0, len(lines))
-	for k := range lines {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Fprintf(w, "%s %s\n", k, lines[k])
+	// A space sorts below every name byte, so sorting the lines sorts
+	// them by name.
+	sort.Strings(lines)
+	_, err = io.WriteString(w, strings.Join(lines, "\n")+"\n")
+	return err
+}
+
+// leaves calls f with the path and text of every scalar under a
+// decoded JSON value, booleans as 0/1.
+func leaves(path []string, v any, f func(path []string, v string)) {
+	switch v := v.(type) {
+	case map[string]any:
+		for k, sub := range v {
+			leaves(append(path[:len(path):len(path)], k), sub, f)
+		}
+	case bool:
+		f(path, map[bool]string{false: "0", true: "1"}[v])
+	default:
+		f(path, fmt.Sprint(v))
 	}
 }
 
@@ -358,11 +262,4 @@ func (snap Snapshot) renderJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(snap)
-}
-
-func boolToInt(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -230,7 +230,7 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:      cfg,
 		pool:     &core.MachinePool{},
-		metrics:  newMetrics(),
+		metrics:  &metrics{byType: make(map[Type]uint64, len(Types))},
 		tenants:  newTenantRegistry(cfg.Tenants),
 		stop:     make(chan struct{}),
 		jobs:     make(map[uint64]*job),
@@ -257,7 +257,7 @@ func New(cfg Config) (*Server, error) {
 		}
 		s.store = st
 		s.nextID.Store(state.MaxID)
-		s.metrics.Restarts.Store(state.Restarts)
+		s.metrics.add(func(m *metrics) { m.Restarts = state.Restarts })
 		if cfg.Resume {
 			pending = state.Pending
 		}
@@ -279,8 +279,10 @@ func New(cfg Config) (*Server, error) {
 		s.jobWG.Add(1)
 		s.tenants.adopt(j.tenant)
 		s.queue <- j
-		s.metrics.ReplayedJobs.Add(1)
-		s.metrics.ResumedShards.Add(uint64(len(p.Shards)))
+		s.metrics.add(func(m *metrics) {
+			m.ReplayedJobs++
+			m.ResumedShards += uint64(len(p.Shards))
+		})
 	}
 
 	s.mux = http.NewServeMux()
@@ -434,18 +436,18 @@ func (s *Server) admit(j *job) (status, retryAfter int, msg string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
-		s.metrics.RejectedDraining.Add(1)
+		s.metrics.add(func(m *metrics) { m.RejectedDraining++ })
 		return http.StatusServiceUnavailable, retryAfterSeconds, "server draining, not admitting jobs"
 	}
 	if len(s.queue) == cap(s.queue) {
-		s.metrics.RejectedFull.Add(1)
+		s.metrics.add(func(m *metrics) { m.RejectedFull++ })
 		return http.StatusTooManyRequests, retryAfterSeconds, "queue full, retry later"
 	}
 	// Tenant quotas come after the shared-capacity checks (a full queue
 	// is everyone's problem first) and before the journal: a rejected
 	// tenant must leave no durable trace.
 	if wait, err := s.tenants.admit(j.tenant, admissionCost(&j.req)); err != nil {
-		s.metrics.RejectedTenant.Add(1)
+		s.metrics.add(func(m *metrics) { m.RejectedTenant++ })
 		return http.StatusTooManyRequests, wait, err.Error()
 	}
 	if s.store != nil {
@@ -463,8 +465,10 @@ func (s *Server) admit(j *job) (status, retryAfter int, msg string) {
 	// above and only admit sends, only under this lock.
 	s.jobs[j.id] = j
 	s.jobWG.Add(1)
-	s.metrics.Admitted.Add(1)
-	s.metrics.byType[j.req.Type].Add(1)
+	s.metrics.add(func(m *metrics) {
+		m.Admitted++
+		m.byType[j.req.Type]++
+	})
 	j.emit(Event{Type: "accepted", ID: j.id, Job: string(j.req.Type)})
 	s.queue <- j
 	return http.StatusOK, 0, ""
@@ -520,7 +524,7 @@ func (s *Server) worker() {
 func (s *Server) execute(j *job) {
 	defer s.jobWG.Done()
 	defer j.cancel()
-	s.metrics.InFlight.Add(1)
+	s.metrics.add(func(m *metrics) { m.inFlight++ })
 	s.tenants.start(j.tenant)
 
 	start := time.Now()
@@ -549,21 +553,21 @@ func (s *Server) execute(j *job) {
 	// Settle the running gauges before anything that marks the job
 	// finished: a reader who has seen the terminal counter or the
 	// result event must not still read the job as in flight.
-	s.metrics.InFlight.Add(-1)
+	s.metrics.add(func(m *metrics) { m.inFlight-- })
 	s.tenants.done(j.tenant)
 
 	var se *ShardError
 	switch {
 	case ok:
-		s.metrics.JobsOK.Add(1)
+		s.metrics.add(func(m *metrics) { m.JobsOK++ })
 	case errors.As(err, &se):
 		// Poison quarantine is a job failure even though the quarantine
 		// cancelled the rest of the sweep.
-		s.metrics.JobsFailed.Add(1)
+		s.metrics.add(func(m *metrics) { m.JobsFailed++ })
 	case j.ctx.Err() != nil:
-		s.metrics.JobsCancelled.Add(1)
+		s.metrics.add(func(m *metrics) { m.JobsCancelled++ })
 	default:
-		s.metrics.JobsFailed.Add(1)
+		s.metrics.add(func(m *metrics) { m.JobsFailed++ })
 	}
 
 	if s.store != nil && s.baseCtx.Err() == nil {
@@ -592,7 +596,7 @@ func (s *Server) execute(j *job) {
 		s.mu.Lock()
 		if _, live := s.jobs[j.id]; live {
 			delete(s.jobs, j.id)
-			s.metrics.JobsEvicted.Add(1)
+			s.metrics.add(func(m *metrics) { m.JobsEvicted++ })
 		}
 		s.mu.Unlock()
 	})
@@ -610,19 +614,19 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	tenant := r.Header.Get("X-Tenant")
 	if !validTenant(tenant) {
-		s.metrics.BadRequests.Add(1)
+		s.metrics.add(func(m *metrics) { m.BadRequests++ })
 		http.Error(w, fmt.Sprintf("invalid X-Tenant: want at most %d bytes of [A-Za-z0-9._-]", maxTenantLen), http.StatusBadRequest)
 		return
 	}
 	var req Request
 	body := http.MaxBytesReader(w, r.Body, 1<<16)
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		s.metrics.BadRequests.Add(1)
+		s.metrics.add(func(m *metrics) { m.BadRequests++ })
 		http.Error(w, "malformed job: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	if err := req.Validate(s.cfg.MaxSeeds); err != nil {
-		s.metrics.BadRequests.Add(1)
+		s.metrics.add(func(m *metrics) { m.BadRequests++ })
 		http.Error(w, "invalid job: "+err.Error(), http.StatusBadRequest)
 		return
 	}
@@ -744,7 +748,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	snap.renderText(w)
+	_ = snap.renderText(w)
 }
 
 // handleHealthz reports readiness: 200 while admitting, 503 while
@@ -776,8 +780,9 @@ func Run(ctx context.Context, cfg Config, logw io.Writer, ready chan<- string) e
 		fmt.Fprintf(logw, "uexc-serve: listening on %s (workers %d, queue %d)\n",
 			in.addr, s.cfg.Workers, s.cfg.QueueDepth)
 		if s.store != nil {
+			snap := s.snapshot()
 			fmt.Fprintf(logw, "uexc-serve: journal %s: restart #%d, %d jobs replayed (%d durable shards)\n",
-				cfg.StoreDir, s.metrics.Restarts.Load(), s.metrics.ReplayedJobs.Load(), s.metrics.ResumedShards.Load())
+				cfg.StoreDir, snap.Restarts, snap.ReplayedJobs, snap.ResumedShards)
 		}
 	}
 	if ready != nil {

@@ -81,7 +81,7 @@ func TestQueueFull429(t *testing.T) {
 	}
 	// Deterministic saturation: 2 in flight, 2 queued.
 	waitMetric(t, "saturation", func() bool {
-		return s.metrics.InFlight.Load() == 2 && len(s.queue) == 2
+		return s.snapshot().InFlight == 2 && len(s.queue) == 2
 	})
 
 	st := postStream(t, base, Request{Type: TypeProgramRun, Seed: 99})
@@ -118,7 +118,7 @@ func TestDrainFinishesAdmittedRejectsNew(t *testing.T) {
 			results <- err == nil && st.ok && st.status == http.StatusOK && st.output == heldOutput
 		}(i)
 	}
-	waitMetric(t, "jobs admitted", func() bool { return s.metrics.Admitted.Load() == 2 })
+	waitMetric(t, "jobs admitted", func() bool { return s.snapshot().Admitted == 2 })
 
 	drained := make(chan struct{})
 	go func() {
@@ -225,10 +225,10 @@ func TestProgramRunJob(t *testing.T) {
 			t.Errorf("mode %s: summary not deterministic:\n%s\nvs\n%s", mode, st.output, again.output)
 		}
 	}
-	if s.metrics.SimInsts.Load() == 0 || s.metrics.SimExceptions.Load() == 0 {
+	if s.snapshot().SimInsts == 0 || s.snapshot().SimExceptions == 0 {
 		t.Error("simulator counters were not harvested from pooled machines")
 	}
-	if s.metrics.SimUnixDeliveries.Load() == 0 || s.metrics.SimFastDeliveries.Load() == 0 {
+	if s.snapshot().SimUnixDeliveries == 0 || s.snapshot().SimFastDeliveries == 0 {
 		t.Error("delivery counters not harvested across modes")
 	}
 }
@@ -272,10 +272,10 @@ func TestJobDeadline(t *testing.T) {
 	if !strings.Contains(st.errText, "aborted") {
 		t.Errorf("result error %q does not mention the abort", st.errText)
 	}
-	if got := s.metrics.JobsCancelled.Load(); got != 1 {
+	if got := s.snapshot().JobsCancelled; got != 1 {
 		t.Errorf("JobsCancelled = %d, want 1", got)
 	}
-	if got := s.metrics.JobsFailed.Load(); got != 0 {
+	if got := s.snapshot().JobsFailed; got != 0 {
 		t.Errorf("JobsFailed = %d, want 0 (deadline is a cancellation)", got)
 	}
 }
@@ -376,7 +376,7 @@ func TestBadRequests(t *testing.T) {
 			t.Errorf("POST %q, X-Tenant %.20q (%d bytes): status %d, want 400", c.body, c.tenant, len(c.tenant), resp.StatusCode)
 		}
 	}
-	if got := s.metrics.BadRequests.Load(); got != uint64(len(cases)) {
+	if got := s.snapshot().BadRequests; got != uint64(len(cases)) {
 		t.Errorf("BadRequests = %d, want %d", got, len(cases))
 	}
 	resp, err := http.Get(base + "/jobs")
@@ -449,11 +449,11 @@ func TestClientDisconnectCancelsJob(t *testing.T) {
 
 	// The running gauges settle before the terminal counter, so once
 	// the cancellation is counted the worker must already read free.
-	waitMetric(t, "job cancelled after client disconnect", func() bool { return s.metrics.JobsCancelled.Load() >= 1 })
-	if got := s.metrics.JobsCancelled.Load(); got != 1 {
+	waitMetric(t, "job cancelled after client disconnect", func() bool { return s.snapshot().JobsCancelled >= 1 })
+	if got := s.snapshot().JobsCancelled; got != 1 {
 		t.Errorf("JobsCancelled = %d, want 1", got)
 	}
-	if got := s.metrics.InFlight.Load(); got != 0 {
+	if got := s.snapshot().InFlight; got != 0 {
 		t.Errorf("InFlight = %d after the cancellation was counted, want 0", got)
 	}
 }

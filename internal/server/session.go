@@ -37,7 +37,7 @@ func (s *Server) registerSession(j *job) *session {
 	s.mu.Lock()
 	s.sessions[j.id] = rec
 	s.mu.Unlock()
-	s.metrics.SessionsStarted.Add(1)
+	s.metrics.add(func(m *metrics) { m.SessionsStarted++ })
 	return rec
 }
 
@@ -52,7 +52,7 @@ func (s *Server) finishSession(rec *session) {
 		s.mu.Lock()
 		if _, live := s.sessions[rec.id]; live {
 			delete(s.sessions, rec.id)
-			s.metrics.SessionsEvicted.Add(1)
+			s.metrics.add(func(m *metrics) { m.SessionsEvicted++ })
 		}
 		s.mu.Unlock()
 	})

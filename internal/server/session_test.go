@@ -96,7 +96,7 @@ func TestDebugSessionJob(t *testing.T) {
 		t.Errorf("session transcript = %q", body)
 	}
 
-	if got := s.metrics.SessionsStarted.Load(); got != 2 {
+	if got := s.snapshot().SessionsStarted; got != 2 {
 		t.Errorf("sessions_started_total = %d, want 2", got)
 	}
 	if got := s.sessionCount(); got != 2 {
@@ -132,7 +132,7 @@ func TestSessionEviction(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	if got := s.metrics.SessionsEvicted.Load(); got != 1 {
+	if got := s.snapshot().SessionsEvicted; got != 1 {
 		t.Errorf("sessions_evicted_total = %d, want 1", got)
 	}
 	resp, err := http.Get(base + "/sessions/1")

@@ -61,7 +61,7 @@ func (s *Server) shardRunner(j *job) parallel.ShardRunner {
 		var lastErr error
 		for a := 0; a < attempts; a++ {
 			if a > 0 {
-				s.metrics.ShardRetries.Add(1)
+				s.metrics.add(func(m *metrics) { m.ShardRetries++ })
 				sleepOrCancel(j.ctx, retryBackoff(s.cfg.ShardBackoff, a, j.id, i))
 			}
 			if j.ctx.Err() != nil {
@@ -78,7 +78,7 @@ func (s *Server) shardRunner(j *job) parallel.ShardRunner {
 				return
 			}
 		}
-		s.metrics.ShardsPoisoned.Add(1)
+		s.metrics.add(func(m *metrics) { m.ShardsPoisoned++ })
 		panic(&ShardError{Job: j.id, Shard: i, Attempts: attempts, Err: lastErr})
 	}
 }
@@ -93,11 +93,11 @@ func (s *Server) attemptShard(j *job, shard, attempt int, run func()) (err error
 	}
 	deadline := s.cfg.ShardDeadline
 	if fault.Stall > 0 {
-		s.metrics.ShardStalls.Add(1)
+		s.metrics.add(func(m *metrics) { m.ShardStalls++ })
 		if fault.Stall >= deadline {
 			// The stall would outlive the shard deadline: fail the
 			// attempt now instead of sleeping the full hang out.
-			s.metrics.ShardTimeouts.Add(1)
+			s.metrics.add(func(m *metrics) { m.ShardTimeouts++ })
 			return fmt.Errorf("shard %d attempt %d: stalled past the %v deadline", shard, attempt, deadline)
 		}
 		sleepOrCancel(j.ctx, fault.Stall)
@@ -121,7 +121,7 @@ func (s *Server) attemptShard(j *job, shard, attempt int, run func()) (err error
 	if time.Since(start) > deadline {
 		// Cooperative deadline: the interpreter cannot be killed
 		// mid-run, so an overlong shard is counted, not aborted.
-		s.metrics.ShardTimeouts.Add(1)
+		s.metrics.add(func(m *metrics) { m.ShardTimeouts++ })
 	}
 	return nil
 }

@@ -45,7 +45,7 @@ func TestTenantInFlightQuota(t *testing.T) {
 	// globex's quota is its own: admitted despite acme's rejection.
 	admit("globex", 3)
 
-	if got := s.metrics.RejectedTenant.Load(); got != 1 {
+	if got := s.snapshot().RejectedTenant; got != 1 {
 		t.Errorf("RejectedTenant = %d, want 1", got)
 	}
 	// While the held jobs run, no gauge — global or per-tenant — may
@@ -59,7 +59,7 @@ func TestTenantInFlightQuota(t *testing.T) {
 			t.Errorf("held tenant job did not finish cleanly: %+v", st)
 		}
 	}
-	waitMetric(t, "jobs drained", func() bool { return s.metrics.JobsOK.Load() == 2 })
+	waitMetric(t, "jobs drained", func() bool { return s.snapshot().JobsOK == 2 })
 	// Every gauge, global and per-tenant, back at exactly zero.
 	if err := checkGauges(s.snapshot(), true); err != nil {
 		t.Error(err)
@@ -173,7 +173,7 @@ func TestTenantResumeDoesNotRecharge(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("initial admission: status %d", resp.StatusCode)
 	}
-	waitMetric(t, "job running", func() bool { return s1.metrics.InFlight.Load() == 1 })
+	waitMetric(t, "job running", func() bool { return s1.snapshot().InFlight == 1 })
 	s1.Kill()
 	close(stall)
 	read(resp)
@@ -182,7 +182,7 @@ func TestTenantResumeDoesNotRecharge(t *testing.T) {
 	// could never pass (0.001 seeds/s, empty after any spend), but the
 	// resumed job must run regardless.
 	s2, base2 := startTest(t, Config{Workers: 1, QueueDepth: 2, StoreDir: dir, Resume: true, Tenants: limits})
-	waitMetric(t, "resumed job finished", func() bool { return s2.metrics.JobsOK.Load() == 1 })
+	waitMetric(t, "resumed job finished", func() bool { return s2.snapshot().JobsOK == 1 })
 
 	snap := s2.tenants.snapshot()["acme"]
 	if snap.Admitted != 1 || snap.Rejected != 0 {
