@@ -87,11 +87,14 @@ soak-smoke:
 	$(GO) run -race ./cmd/uexc-bench -soak -seeds 2500 -parallel 0
 
 # Short coverage-guided fuzzing burst on the decoder, the assembler,
-# and the sweep merge frontier (adversarial arrival orders).
+# the sweep merge frontier (adversarial arrival orders), and the
+# cross-mode oracle (arbitrary progen seeds, with and without the SMC
+# stanza).
 fuzz:
 	$(GO) test ./internal/arch/ -fuzz FuzzDecodeEncode -fuzztime 30s
 	$(GO) test ./internal/asm/ -fuzz FuzzAssemble -fuzztime 30s
 	$(GO) test ./internal/parallel/ -fuzz FuzzFrontier -fuzztime 30s
+	$(GO) test ./internal/difftest/ -fuzz FuzzDiffModes -fuzztime 30s
 
 clean:
 	$(GO) clean ./...

@@ -376,12 +376,9 @@ func TestRecursionDepthKill(t *testing.T) {
 	}
 }
 
-// TestRecursionKillIsolatesSibling: the escalation kill must be
-// process-local. A sibling holding values in every callee-saved
-// register across the victim's entire death spiral must observe them
-// intact and run to completion.
-func TestRecursionKillIsolatesSibling(t *testing.T) {
-	survivor := `
+// siblingSurvivorProg holds values in every callee-saved register
+// across eight yields, then prints "ok" if they are intact.
+const siblingSurvivorProg = `
 main:
 	addiu sp, sp, -12
 	sw    ra, 0(sp)
@@ -451,11 +448,17 @@ out:
 okmsg:	.asciiz "ok\n"
 badmsg:	.asciiz "BAD\n"
 `
+
+// TestRecursionKillIsolatesSibling: the escalation kill must be
+// process-local. A sibling holding values in every callee-saved
+// register across the victim's entire death spiral must observe them
+// intact and run to completion.
+func TestRecursionKillIsolatesSibling(t *testing.T) {
 	m, err := NewMachine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.LoadProgram(survivor); err != nil {
+	if err := m.LoadProgram(siblingSurvivorProg); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := m.SpawnProgram(recursionKillProg); err != nil {

@@ -25,10 +25,6 @@ type Snapshot struct {
 	prog *asm.Program
 }
 
-// Insts returns the retired-instruction count at capture time (the
-// record-replay driver indexes snapshots by it).
-func (s *Snapshot) Insts() uint64 { return s.st.Insts() }
-
 // Pages returns the number of memory pages the snapshot records.
 func (s *Snapshot) Pages() int { return s.st.MemPages() }
 

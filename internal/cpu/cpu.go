@@ -101,8 +101,8 @@ type InjectedFault struct {
 	HasBV    bool
 }
 
-// Counters is the CPU's statistics, embedded in CPU (so c.Insts reads
-// through) and captured and restored as one value by State.
+// Counters is the CPU's statistics, embedded in State (so c.Insts reads
+// through) and so captured and restored with it.
 type Counters struct {
 	Cycles uint64
 	Insts  uint64
@@ -140,8 +140,14 @@ func (c *Counters) Exceptions() uint64 {
 	return n
 }
 
-// CPU is the machine state. Construct with New.
-type CPU struct {
+// State is the CPU's architectural and statistical state: every field
+// a snapshot carries. CPU embeds it, so c.GPR and c.Insts read through,
+// and CaptureState/RestoreState copy it as one value. A field belongs
+// here exactly when a restored machine must see it; host-side
+// acceleration (micro-TLBs, the predecode cache and its translated
+// blocks) and run wiring (hooks, watchdog, debug guard) live in CPU
+// outside it, so the type alone decides what a snapshot captures.
+type State struct {
 	GPR [32]uint32
 	HI  uint32
 	LO  uint32
@@ -181,9 +187,6 @@ type CPU struct {
 	// variant of §3.2.3. New machines have the hardware (true).
 	HWUTLBMod bool
 
-	Mem *mem.Memory
-	TLB *tlb.TLB
-
 	// Engine is the three-way execution-tier switch (translate.go):
 	// translated basic blocks (EngineJIT, the default), the fast-path
 	// interpreter (EngineFast), or the uncached reference interpreter
@@ -198,18 +201,19 @@ type CPU struct {
 	// that observes kernel-mode steps must leave it false.
 	InjectUserOnly bool
 
-	// Micro-TLBs and the predecoded instruction cache (fastpath.go).
-	itlb      [microEntries]utlbEntry
-	dtlb      [microEntries]utlbEntry
-	itlbClock uint8
-	dtlbClock uint8
-	microGen  uint64 // TLB.Gen the micro-TLBs were last synced to
-	ipages    map[uint32]*pageInsts
-	lastIPfn  uint32 // instsFor memo: pfn+1 (0 = empty)
-	lastIPi   *pageInsts
-
 	Cost CostModel
 	Counters
+
+	// Halted stops Run; set by the kernel's exit path.
+	Halted bool
+
+	prevWasBranch bool // previous executed instruction was a branch/jump
+}
+
+// CPU is the machine: its State plus the hooks of the current run,
+// the buses, and the host-side acceleration caches. Construct with New.
+type CPU struct {
+	State
 
 	// OS receives the kernel upcalls (HCALL and the two Tera-mode UEX
 	// notifications); nil makes HCALL a reserved instruction. One
@@ -227,9 +231,6 @@ type CPU struct {
 	// Watchdog, when non-nil, monitors Run for livelock.
 	Watchdog *Watchdog
 
-	// Halted stops Run; set by the kernel's exit path.
-	Halted bool
-
 	// Trace, when non-nil, receives every exception.
 	Trace func(Exception)
 
@@ -239,8 +240,6 @@ type CPU struct {
 	// zero architectural effect and zero accounting. While attached the
 	// JIT tier stands down so every instruction is checked.
 	Debug *DebugGuard
-
-	prevWasBranch bool // previous executed instruction was a branch/jump
 
 	// redirect marks that execute() replaced PC/NPC itself (XRET, RFE
 	// return paths that must bypass the fall-through update).
@@ -252,6 +251,19 @@ type CPU struct {
 	execBranch bool
 	// pendingHookErr carries an HCALL hook failure out of execute().
 	pendingHookErr error
+
+	Mem *mem.Memory
+	TLB *tlb.TLB
+
+	// Micro-TLBs and the predecoded instruction cache (fastpath.go).
+	itlb      [microEntries]utlbEntry
+	dtlb      [microEntries]utlbEntry
+	itlbClock uint8
+	dtlbClock uint8
+	microGen  uint64 // TLB.Gen the micro-TLBs were last synced to
+	ipages    map[uint32]*pageInsts
+	lastIPfn  uint32 // instsFor memo: pfn+1 (0 = empty)
+	lastIPi   *pageInsts
 }
 
 // New creates a CPU attached to the given memory and TLB, with PC at the

@@ -55,19 +55,29 @@ type Kernel struct {
 	// Proc is the CURRENT process (whose u-area is switched in).
 	Proc  *Proc
 	procs []*Proc
-	curr  int
 
+	hostState
+
+	Events  []Event
+	console bytes.Buffer
+}
+
+// hostState is the kernel's scalar host-side state: every Kernel field
+// a snapshot carries by value. Kernel embeds it, and
+// CaptureState/RestoreState copy it as one value. The reference-typed
+// state (procs, Events, the console buffer) stays outside it, because
+// a snapshot must deep-copy it.
+type hostState struct {
+	curr      int    // index of Proc in procs
 	nextFrame uint32 // kernel-wide physical frame allocator
 
 	Costs Costs
+	Stats Stats
 
-	Stats  Stats
-	Events []Event
 	// TraceEvents enables Event recording (used for the Figure 1/2
 	// renderings; off by default to keep long runs lean).
 	TraceEvents bool
 
-	console  bytes.Buffer
 	exited   bool
 	exitCode uint32
 
@@ -133,7 +143,7 @@ func New() (*Kernel, error) {
 	t := &tlb.TLB{}
 	c := cpu.New(m, t)
 
-	k := &Kernel{CPU: c, Mem: m, TLB: t, Image: img, Costs: DefaultCosts()}
+	k := &Kernel{CPU: c, Mem: m, TLB: t, Image: img, hostState: hostState{Costs: DefaultCosts()}}
 	k.wireCPUHooks()
 	for _, ch := range img.Chunks {
 		if err := m.Write(arch.KSegPhys(ch.Addr), ch.Data); err != nil {

@@ -24,7 +24,30 @@ type pcb struct {
 // state, and Unix signal state.
 type Proc struct {
 	k *Kernel
+	procState
 
+	// ptScanGen memoizes SelfCheck's page-table scan: entry i holds
+	// 1 + the Page.Gen under which page-table page i last passed, or 0
+	// for never-validated. A page whose generation is unchanged has
+	// identical PTEs, and the frame-pool bound only grows, so a pass
+	// verdict stays valid until the page is written again. Allocated
+	// lazily by SelfCheck; nil after process setup.
+	//
+	// It is deliberately outside procState, so never captured: its
+	// entries memoize page generations observed at validation time,
+	// which on a different machine could alias a restored page's
+	// advanced generation while holding different content. Restored
+	// processes start with a cold memo and re-verify their page tables
+	// on the next SelfCheck.
+	ptScanGen []uint64
+}
+
+// procState is the host-side half of one process: every Proc field a
+// kernel snapshot carries. Proc embeds it, and the kernel's
+// CaptureState/RestoreState copy it as one value, deep-copying the one
+// reference-typed field (subpages) so neither side can mutate the
+// other's.
+type procState struct {
 	asid   uint8
 	ptBase uint32 // kseg0 base of this process's linear page table
 
@@ -48,29 +71,20 @@ type Proc struct {
 
 	// Recursion-escalation state (see escalate.go).
 	recursions uint32 // faults taken while a user handler was in progress
-
-	// ptScanGen memoizes SelfCheck's page-table scan: entry i holds
-	// 1 + the Page.Gen under which page-table page i last passed, or 0
-	// for never-validated. A page whose generation is unchanged has
-	// identical PTEs, and the frame-pool bound only grows, so a pass
-	// verdict stays valid until the page is written again. Allocated
-	// lazily by SelfCheck; nil after process setup.
-	ptScanGen  []uint64
-	forceKill  bool  // next postSignal must terminate regardless of handlers
-	killReason error // *MachineError cause chain when escalation killed us
+	forceKill  bool   // next postSignal must terminate regardless of handlers
+	killReason error  // *MachineError cause chain when escalation killed us
 
 	// Subpage protection: per-vpn bitmap of protected 1 KB subpages.
 	subpages map[uint32]uint8 // bit i set = subpage i protected
 }
 
 func newProc(k *Kernel, asid uint8) *Proc {
-	return &Proc{
-		k:        k,
+	return &Proc{k: k, procState: procState{
 		asid:     asid,
 		ptBase:   PageTableBase + uint32(asid)*PTStride,
 		brk:      UserDataBase,
 		subpages: make(map[uint32]uint8),
-	}
+	}}
 }
 
 // ASID returns the process's address-space identifier.

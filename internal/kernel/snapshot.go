@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"maps"
+
 	"uexc/internal/cpu"
 	"uexc/internal/mem"
 	"uexc/internal/tlb"
@@ -15,75 +17,42 @@ import (
 // The simulated-memory snapshot transitively covers everything the
 // kernel keeps IN the machine: page tables, trapframes, and the u-area
 // all live at kseg0 physical addresses, so restoring memory restores
-// them. Only genuinely host-side state needs explicit fields here.
+// them. The host-side half is the state values Kernel and Proc embed
+// (hostState, and one procState per process) plus the reference-typed
+// state (events, console, each process's subpages), which is
+// deep-copied both ways: one snapshot is shared by every fork in the
+// process, so aliasing any of it would be a data race.
 type State struct {
 	cpu *cpu.State
 	tlb *tlb.State
 	mem *mem.MemState
 
-	costs     Costs
-	stats     Stats
-	events    []Event
-	traceEv   bool
-	console   []byte
-	exited    bool
-	exitCode  uint32
-	mcheck    error
-	nextFrame uint32
-	curr      int
-	procs     []procState
+	host    hostState
+	events  []Event
+	console []byte
+	procs   []procState
 }
-
-// procState is the host-side half of one process, deep-copied so later
-// mutation of the live Proc can never leak into the snapshot.
-type procState struct {
-	asid        uint8
-	ptBase      uint32
-	exited      bool
-	exitCode    uint32
-	ctx         pcb
-	brk         uint32
-	fexcMask    uint32
-	fexcHandler uint32
-	frameVA     uint32
-	framePhys   uint32
-	eager       bool
-	watchMode   bool
-	sigHandlers [32]uint32
-	trampoline  uint32
-	recursions  uint32
-	forceKill   bool
-	killReason  error
-	subpages    map[uint32]uint8
-
-	// ptScanGen is deliberately NOT captured: its entries memoize page
-	// generations observed at validation time, which on a different
-	// machine could alias a restored page's advanced generation while
-	// holding different content. Restored processes start with a cold
-	// memo and re-verify their page tables on the next SelfCheck.
-}
-
-// Insts returns the retired-instruction count at capture time.
-func (st *State) Insts() uint64 { return st.cpu.Insts() }
 
 // MemPages returns the number of memory pages recorded in the snapshot.
 func (st *State) MemPages() int { return st.mem.Pages() }
+
+// cloneSubpages deep-copies a process's subpage map. An empty map
+// becomes nil: SubpageProtect allocates on first use.
+func cloneSubpages(m map[uint32]uint8) map[uint32]uint8 {
+	if len(m) == 0 {
+		return nil
+	}
+	return maps.Clone(m)
+}
 
 // CaptureState snapshots the kernel and its hardware. Call it only at a
 // run boundary (between Run/Step calls, never from inside an hcall).
 func (k *Kernel) CaptureState() *State {
 	st := &State{
-		cpu:       k.CPU.CaptureState(),
-		tlb:       k.TLB.CaptureState(),
-		mem:       k.Mem.CaptureState(),
-		costs:     k.Costs,
-		stats:     k.Stats,
-		traceEv:   k.TraceEvents,
-		exited:    k.exited,
-		exitCode:  k.exitCode,
-		mcheck:    k.mcheck,
-		nextFrame: k.nextFrame,
-		curr:      k.curr,
+		cpu:  k.CPU.CaptureState(),
+		tlb:  k.TLB.CaptureState(),
+		mem:  k.Mem.CaptureState(),
+		host: k.hostState,
 	}
 	if k.Events != nil {
 		st.events = append([]Event(nil), k.Events...)
@@ -93,24 +62,8 @@ func (k *Kernel) CaptureState() *State {
 	}
 	st.procs = make([]procState, len(k.procs))
 	for i, p := range k.procs {
-		ps := procState{
-			asid: p.asid, ptBase: p.ptBase,
-			exited: p.exited, exitCode: p.exitCode,
-			ctx: p.ctx, brk: p.brk,
-			fexcMask: p.fexcMask, fexcHandler: p.fexcHandler,
-			frameVA: p.frameVA, framePhys: p.framePhys,
-			eager: p.eager, watchMode: p.watchMode,
-			sigHandlers: p.sigHandlers, trampoline: p.trampolineVA,
-			recursions: p.recursions,
-			forceKill:  p.forceKill, killReason: p.killReason,
-		}
-		if len(p.subpages) > 0 {
-			ps.subpages = make(map[uint32]uint8, len(p.subpages))
-			for vpn, bits := range p.subpages {
-				ps.subpages[vpn] = bits
-			}
-		}
-		st.procs[i] = ps
+		st.procs[i] = p.procState
+		st.procs[i].subpages = cloneSubpages(p.subpages)
 	}
 	return st
 }
@@ -129,64 +82,31 @@ func (k *Kernel) RestoreState(st *State) (int, error) {
 	}
 	k.TLB.RestoreState(st.tlb)
 	k.TLB.InjectMiss = nil // TLB.RestoreState keeps the hook; the run boundary must not
-	c := k.CPU
-	c.RestoreState(st.cpu)
+	k.CPU.RestoreState(st.cpu)
 	k.wireCPUHooks()
 
-	k.Costs = st.costs
-	k.Stats = st.stats
+	k.hostState = st.host
 	k.Events = nil
 	if st.events != nil {
 		k.Events = append([]Event(nil), st.events...)
 	}
-	k.TraceEvents = st.traceEv
 	k.console.Reset()
 	k.console.Write(st.console)
-	k.exited, k.exitCode = st.exited, st.exitCode
-	k.mcheck = st.mcheck
-	k.nextFrame = st.nextFrame
-	k.curr = st.curr
 
 	// Reuse the existing Proc allocations when the shapes line up (the
 	// pool's restore-in-place path); the wholesale overwrite also
-	// drops each proc's ptScanGen memo, per procState's capture rule.
+	// drops each proc's ptScanGen memo, which is never captured.
 	if len(k.procs) != len(st.procs) {
 		k.procs = make([]*Proc, len(st.procs))
 	}
 	for i := range st.procs {
-		ps := &st.procs[i]
 		p := k.procs[i]
 		if p == nil {
 			p = new(Proc)
 			k.procs[i] = p
 		}
-		*p = Proc{
-			k:            k,
-			asid:         ps.asid,
-			ptBase:       ps.ptBase,
-			exited:       ps.exited,
-			exitCode:     ps.exitCode,
-			ctx:          ps.ctx,
-			brk:          ps.brk,
-			fexcMask:     ps.fexcMask,
-			fexcHandler:  ps.fexcHandler,
-			frameVA:      ps.frameVA,
-			framePhys:    ps.framePhys,
-			eager:        ps.eager,
-			watchMode:    ps.watchMode,
-			sigHandlers:  ps.sigHandlers,
-			trampolineVA: ps.trampoline,
-			recursions:   ps.recursions,
-			forceKill:    ps.forceKill,
-			killReason:   ps.killReason,
-		}
-		if len(ps.subpages) > 0 {
-			p.subpages = make(map[uint32]uint8, len(ps.subpages))
-			for vpn, bits := range ps.subpages {
-				p.subpages[vpn] = bits
-			}
-		}
-		k.procs[i] = p
+		*p = Proc{k: k, procState: st.procs[i]}
+		p.subpages = cloneSubpages(p.subpages)
 	}
 	k.Proc = k.procs[k.curr]
 	return dirty, nil

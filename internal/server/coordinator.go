@@ -252,8 +252,10 @@ func (f *fleet) dispatch(fj *fleetJob, n *fleetNode, rg fleetRange) error {
 	req := fj.j.req
 	req.Verbose = false
 	req.ShardFrom, req.ShardTo = rg.from, rg.to
-	req.TimeoutMS = int64(s.cfg.DispatchTimeout / time.Millisecond)
-	ctx, cancel := context.WithTimeout(fj.ctx, s.cfg.DispatchTimeout)
+	// One range dispatch is bounded end to end by the job timeout, so a
+	// hung worker cannot wedge the merge.
+	req.TimeoutMS = int64(s.cfg.MaxJobTimeout / time.Millisecond)
+	ctx, cancel := context.WithTimeout(fj.ctx, s.cfg.MaxJobTimeout)
 	defer cancel()
 	resp, err := PostJob(ctx, n.url, fj.j.tenant, req)
 	if err != nil {

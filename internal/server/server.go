@@ -143,9 +143,6 @@ type Config struct {
 	// WorkerQuarantine is the cooldown before a worker that kept
 	// failing is retried (<=0: 2s).
 	WorkerQuarantine time.Duration
-	// DispatchTimeout bounds one range dispatch end to end, so a hung
-	// worker cannot wedge the merge (<=0: MaxJobTimeout).
-	DispatchTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -181,9 +178,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WorkerQuarantine <= 0 {
 		c.WorkerQuarantine = 2 * time.Second
-	}
-	if c.DispatchTimeout <= 0 {
-		c.DispatchTimeout = c.MaxJobTimeout
 	}
 	return c
 }

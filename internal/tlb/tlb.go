@@ -92,10 +92,29 @@ func MakeLo(pfn uint32, flags uint32) uint32 {
 	return pfn<<arch.PageShift | flags&^LoPFNMask
 }
 
+// State is a TLB's architectural contents plus its statistics: every
+// field a snapshot carries. TLB embeds it, and CaptureState/RestoreState
+// copy it as one value; the mutation generation, the VPN index, the
+// memo, and the InjectMiss hook are derived or host-side state and live
+// outside it.
+type State struct {
+	slots [Entries]Entry
+	// rand drives WriteRandom victim selection deterministically; real
+	// hardware decrements Random once per cycle, which is
+	// indistinguishable from any other well-spread sequence for
+	// replacement purposes.
+	rand uint32
+
+	// Hits and Misses count Lookup outcomes for statistics.
+	Hits   uint64
+	Misses uint64
+}
+
 // TLB is the translation buffer. The zero value is an empty TLB with all
 // entries invalid.
 type TLB struct {
-	slots [Entries]Entry
+	State
+
 	// index maps the VPN of every live (non-empty) entry to a bitmask
 	// of the slots holding it. Built lazily so the zero value stays
 	// usable; nil means "not built yet".
@@ -105,11 +124,6 @@ type TLB struct {
 	// decide whether their cached translations are still current; it is
 	// never rewound so a recycled TLB can't alias a stale cache.
 	gen uint64
-	// rand drives WriteRandom victim selection deterministically; real
-	// hardware decrements Random once per cycle, which is
-	// indistinguishable from any other well-spread sequence for
-	// replacement purposes.
-	rand uint32
 
 	// memo is a direct-mapped cache in front of index for Lookup's hot
 	// path: memoVPN holds vpn+1 (0 = empty) and memoMask the slot
@@ -120,10 +134,6 @@ type TLB struct {
 	memoGen  uint64
 	memoVPN  [64]uint32
 	memoMask [64]uint64
-
-	// Hits and Misses count Lookup outcomes for statistics.
-	Hits   uint64
-	Misses uint64
 
 	// InjectMiss, when non-nil, is consulted on every Lookup; returning
 	// true forces a refill miss even if a matching entry exists,
