@@ -97,7 +97,7 @@ func NewMachine() (*Machine, error) {
 		return nil, err
 	}
 	m.fromBoot()
-	m.K.CPU.Watchdog = cpu.NewWatchdog(0)
+	m.K.CPU.Watchdog = cpu.NewWatchdog()
 	return m, nil
 }
 
@@ -199,7 +199,7 @@ func (m *Machine) Run(maxInsts uint64) error {
 	// not, execution is identical (Observe only reads machine state);
 	// only livelock classification needs the detector.
 	if m.K.CPU.Watchdog == nil {
-		m.K.CPU.Watchdog = cpu.NewWatchdog(0)
+		m.K.CPU.Watchdog = cpu.NewWatchdog()
 	}
 	if err := m.K.Run(maxInsts); err != nil {
 		return err

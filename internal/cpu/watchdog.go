@@ -51,11 +51,6 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudget }
 // never flagged; it runs until the instruction budget types it as a
 // *BudgetError instead.
 type Watchdog struct {
-	// Window is the number of quiet instructions (no new PC, no store)
-	// required before snapshot comparison begins, and the minimum
-	// spacing between comparisons.
-	Window uint64
-
 	seen map[uint32]struct{}
 	// seenMemo is a direct-mapped membership cache in front of seen: a
 	// slot holding pc|1 proves pc is in the map (word-aligned PCs make
@@ -70,21 +65,14 @@ type Watchdog struct {
 	snapValid  bool
 }
 
-// NewWatchdog returns a watchdog with the given quiet window (0 selects
-// the default of 50k instructions).
-func NewWatchdog(window uint64) *Watchdog {
-	if window == 0 {
-		window = 50_000
-	}
-	return &Watchdog{Window: window, seen: make(map[uint32]struct{})}
-}
+// watchdogWindow is the number of quiet instructions (no new PC, no
+// store) required before snapshot comparison begins, and the minimum
+// spacing between comparisons.
+const watchdogWindow = 50_000
 
-// Reset forgets all coverage and snapshot state.
-func (w *Watchdog) Reset() {
-	w.seen = make(map[uint32]struct{})
-	w.seenMemo = [1024]uint32{}
-	w.quietSince, w.lastWrites, w.lastCmp = 0, 0, 0
-	w.snapValid = false
+// NewWatchdog returns a watchdog with no coverage or snapshot state.
+func NewWatchdog() *Watchdog {
+	return &Watchdog{seen: make(map[uint32]struct{})}
 }
 
 // Observe is called after every retired instruction (or taken
@@ -107,18 +95,18 @@ func (w *Watchdog) Observe(c *CPU) error {
 		w.snapValid = false
 		return nil
 	}
-	if c.Insts-w.quietSince < w.Window {
+	if c.Insts-w.quietSince < watchdogWindow {
 		return nil
 	}
 	// Quiet: no new PC and no store for a full window. Compare full
 	// state snapshots at a fixed anchor PC, at most once per window.
-	if c.Insts-w.lastCmp < w.Window && w.snapValid {
+	if c.Insts-w.lastCmp < watchdogWindow && w.snapValid {
 		if pc != w.anchor {
 			return nil
 		}
 		s := w.hash(c)
 		if s == w.snap {
-			return &LivelockError{PC: pc, Insts: c.Insts, Window: w.Window}
+			return &LivelockError{PC: pc, Insts: c.Insts, Window: watchdogWindow}
 		}
 		w.snap = s
 		w.lastCmp = c.Insts

@@ -83,19 +83,14 @@ type Event struct {
 	Detail string
 }
 
-// Config tunes an Injector. The zero value selects defaults.
-type Config struct {
-	// Gap is the mean instruction spacing between scheduled events
-	// (default 900).
-	Gap int
-	// Warmup delays the first event until this many instructions have
-	// retired, letting boot and scenario setup finish (default 2000).
-	Warmup uint64
-	// DisarmHandlerFault suppresses the handler-fault trigger (which
-	// otherwise fires once, on the first user-mode instruction observed
-	// with the UEX recursion bit set).
-	DisarmHandlerFault bool
-}
+// The injection schedule: the first event lands in [warmup,
+// warmup+gap) retired instructions, letting boot and scenario setup
+// finish, and later events are spaced uniformly in [1, 2·gap], so gap
+// is their mean spacing.
+const (
+	gap    = 900
+	warmup = 2000
+)
 
 // Injector drives a fault plan against one machine. Attach installs
 // its hooks; every injected event runs the invariant Checker and files
@@ -103,7 +98,6 @@ type Config struct {
 type Injector struct {
 	k   *kernel.Kernel
 	rng *rand.Rand
-	cfg Config
 
 	queue  []Kind // guaranteed one-of-each kinds, shuffled, consumed first
 	nextAt uint64 // instruction count of the next scheduled event
@@ -123,19 +117,14 @@ type Injector struct {
 }
 
 // Attach seeds an injector and installs its hooks on the machine's CPU
-// and TLB. Call Detach to remove them.
-func Attach(k *kernel.Kernel, seed int64, cfg Config) *Injector {
-	if cfg.Gap <= 0 {
-		cfg.Gap = 900
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = 2000
-	}
+// and TLB. Call Detach to remove them. The handler-fault trigger is
+// armed: it fires once, on the first user-mode instruction observed
+// with the UEX recursion bit set.
+func Attach(k *kernel.Kernel, seed int64) *Injector {
 	inj := &Injector{
 		k:       k,
 		rng:     rand.New(rand.NewSource(seed)),
-		cfg:     cfg,
-		armed:   !cfg.DisarmHandlerFault,
+		armed:   true,
 		Checker: NewChecker(k),
 	}
 	// Guarantee at least one attempt of every schedulable kind per run,
@@ -144,7 +133,7 @@ func Attach(k *kernel.Kernel, seed int64, cfg Config) *Injector {
 	for _, i := range inj.rng.Perm(len(base)) {
 		inj.queue = append(inj.queue, base[i])
 	}
-	inj.nextAt = cfg.Warmup + uint64(inj.rng.Intn(cfg.Gap))
+	inj.nextAt = warmup + uint64(inj.rng.Intn(gap))
 	k.CPU.Inject = inj.step
 	// step's first action is an unconditional kernel-mode early-out with
 	// no side effects (no RNG draw, no counter), so the CPU may skip the
@@ -200,7 +189,7 @@ func (inj *Injector) step(c *cpu.CPU) *cpu.InjectedFault {
 	if c.Insts < inj.nextAt {
 		return nil
 	}
-	inj.nextAt = c.Insts + uint64(1+inj.rng.Intn(2*inj.cfg.Gap))
+	inj.nextAt = c.Insts + uint64(1+inj.rng.Intn(2*gap))
 	kind := inj.pick()
 	switch kind {
 	case TLBFlip:

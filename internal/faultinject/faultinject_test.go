@@ -38,7 +38,7 @@ func injectedRun(t *testing.T, seed int64) *faultinject.Injector {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.Attach(m.K, seed, faultinject.Config{})
+	inj := faultinject.Attach(m.K, seed)
 	if err := m.LoadProgram(victimProg); err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestDetach(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inj := faultinject.Attach(m.K, 7, faultinject.Config{})
+	inj := faultinject.Attach(m.K, 7)
 	if m.K.CPU.Inject == nil || m.K.TLB.InjectMiss == nil {
 		t.Fatal("Attach did not install hooks")
 	}

@@ -299,10 +299,11 @@ func fold(seeds int, tasks []CampaignShard) sweep.Result {
 	return res
 }
 
-// testHookPostLoad, when non-nil, runs after each campaign run's
-// program loads — the test seam for the recover-and-classify contract:
-// a hook that panics must surface as a recovered EngineBug verdict,
-// never take the process down.
+// testHookPostLoad, when non-nil, runs after the program loads in each
+// campaign run and livelock probe — the test seam for the
+// recover-and-classify contract: a hook that panics must surface as a
+// recovered failure (an EngineBug verdict for a run), never take the
+// process down.
 var testHookPostLoad func(m *core.Machine)
 
 // campaignRun executes one seeded, injected scenario and digests it.
@@ -345,7 +346,7 @@ func campaignRun(pool *core.MachinePool, seed int64, mode core.Mode) (rep RunDig
 		return rep
 	}
 	healthy = true
-	inj := faultinject.Attach(m.K, seed, faultinject.Config{})
+	inj := faultinject.Attach(m.K, seed)
 	if err := m.LoadProgram(campaignProg(mode)); err != nil {
 		rep.Failures = append(rep.Failures, "load: "+err.Error())
 		return rep
@@ -434,14 +435,25 @@ func corruptionWitness(ex [faultinject.NumKinds]uint64) string {
 
 // livelockProbe runs the deliberate-livelock program with no injector
 // and expects the CPU watchdog to stop it with a typed LivelockError.
+// As in campaignRun, a Go panic becomes a failure and the machine that
+// panicked is dropped rather than returned to pool.
 func livelockProbe(pool *core.MachinePool, mode core.Mode) (outcome, failure string) {
 	m, err := pool.Get()
 	if err != nil {
 		return "error", "boot: " + err.Error()
 	}
-	defer pool.Put(m)
+	defer func() {
+		if r := recover(); r != nil {
+			outcome, failure = "panic", fmt.Sprintf("panic: %v", r)
+			return // drop the machine: its state is untrustworthy
+		}
+		pool.Put(m)
+	}()
 	if err := m.LoadProgram(livelockProg()); err != nil {
 		return "error", "load: " + err.Error()
+	}
+	if testHookPostLoad != nil {
+		testHookPostLoad(m)
 	}
 	if mode == core.ModeHardware {
 		m.EnableHardwareDelivery(1 << arch.ExcMod)

@@ -1,6 +1,8 @@
 package harness
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -75,16 +77,18 @@ func TestSeed2227HardwareIsKnownDivergent(t *testing.T) {
 }
 
 // TestRecoverAndClassifyPanic: a Go panic anywhere inside a campaign
-// run — in any mode — must surface as a recovered EngineBug verdict
-// and a campaign failure, never a process crash. This is the seam the
-// soak gate relies on: unclassified means a bug report, not a dead
-// sweep.
+// run or a livelock probe — in any mode — must surface as a recovered
+// failure (an EngineBug verdict for a run) and a campaign failure,
+// never a process crash, and the machine that panicked must never go
+// back to the pool. This is the seam the soak gate relies on:
+// unclassified means a bug report, not a dead sweep.
 func TestRecoverAndClassifyPanic(t *testing.T) {
 	testHookPostLoad = func(m *core.Machine) { panic("injected test panic") }
 	defer func() { testHookPostLoad = nil }()
 
 	for _, mode := range campaignModes {
-		rep := campaignRun(&core.MachinePool{}, 0, mode)
+		pool := &core.MachinePool{}
+		rep := campaignRun(pool, 0, mode)
 		if rep.Outcome != "panic" {
 			t.Errorf("mode %s: outcome = %q, want panic", mode, rep.Outcome)
 		}
@@ -93,6 +97,13 @@ func TestRecoverAndClassifyPanic(t *testing.T) {
 		}
 		if len(rep.Failures) == 0 || !strings.Contains(rep.Failures[0], "injected test panic") {
 			t.Errorf("mode %s: failures = %v", mode, rep.Failures)
+		}
+		outcome, fail := livelockProbe(pool, mode)
+		if outcome != "panic" || fail != "panic: injected test panic" {
+			t.Errorf("mode %s: probe = %q, %q; want panic, \"panic: injected test panic\"", mode, outcome, fail)
+		}
+		if puts := pool.Stats().Puts; puts != 0 {
+			t.Errorf("mode %s: %d panicked machines returned to the pool", mode, puts)
 		}
 	}
 
@@ -105,6 +116,12 @@ func TestRecoverAndClassifyPanic(t *testing.T) {
 	}
 	if res.Err() == nil {
 		t.Error("campaign with panicking runs passed")
+	}
+	for _, mode := range campaignModes {
+		want := fmt.Sprintf("livelock probe mode %s: panic: injected test panic", mode)
+		if !slices.Contains(res.Failures, want) {
+			t.Errorf("failures missing %q:\n%s", want, res.Summary())
+		}
 	}
 	if !strings.Contains(res.Summary(), "engine-bug") {
 		t.Errorf("summary missing verdict tally:\n%s", res.Summary())

@@ -37,11 +37,11 @@ func TestMapOrderAndCoverage(t *testing.T) {
 }
 
 // TestForEachExactlyOnce uses a per-index counter to catch both missed
-// and doubled indices under heavy stealing.
+// and doubled indices under heavy contention for the shared counter.
 func TestForEachExactlyOnce(t *testing.T) {
 	const n = 5000
 	counts := make([]atomic.Int32, n)
-	ForEach(16, n, func(i int) { counts[i].Add(1) })
+	ForEachCtx(context.Background(), 16, n, func(i int) { counts[i].Add(1) })
 	for i := range counts {
 		if c := counts[i].Load(); c != 1 {
 			t.Fatalf("index %d ran %d times", i, c)
@@ -50,16 +50,17 @@ func TestForEachExactlyOnce(t *testing.T) {
 }
 
 // TestStealingSkewed gives the first indices almost all the work; the
-// run only finishes promptly if idle workers steal from the loaded
-// span. The assertion is completion plus exactly-once coverage (the
-// timing is bounded by the test timeout, not a flaky wall-clock check).
+// run only finishes promptly if idle workers keep taking indices while
+// the loaded ones are busy. The assertion is completion plus
+// exactly-once coverage (the timing is bounded by the test timeout,
+// not a flaky wall-clock check).
 func TestStealingSkewed(t *testing.T) {
 	const n = 64
 	var slow atomic.Int64
 	counts := make([]atomic.Int32, n)
-	ForEach(8, n, func(i int) {
+	ForEachCtx(context.Background(), 8, n, func(i int) {
 		counts[i].Add(1)
-		if i < 8 { // all heavy work in the first span
+		if i < 8 { // all heavy work in the first indices
 			slow.Add(1)
 			time.Sleep(2 * time.Millisecond)
 		}
@@ -94,12 +95,12 @@ func TestPanicPropagates(t *testing.T) {
 			t.Fatalf("recovered %v, want \"boom\"", r)
 		}
 	}()
-	ForEach(4, 100, func(i int) {
+	ForEachCtx(context.Background(), 4, 100, func(i int) {
 		if i == 37 {
 			panic("boom")
 		}
 	})
-	t.Fatal("ForEach returned after panic")
+	t.Fatal("ForEachCtx returned after panic")
 }
 
 // TestWorkers: the normalization rule.
@@ -115,24 +116,27 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-// TestSpanStealHalves pins the steal split rule: the thief takes the
-// upper half, the victim keeps the lower.
-func TestSpanStealHalves(t *testing.T) {
-	var s span
-	s.v.Store(pack(10, 20))
-	lo, hi, ok := s.steal()
-	if !ok || lo != 15 || hi != 20 {
-		t.Fatalf("steal = [%d,%d) ok=%v, want [15,20) true", lo, hi, ok)
-	}
-	if vlo, vhi := unpack(s.v.Load()); vlo != 10 || vhi != 15 {
-		t.Fatalf("victim span = [%d,%d), want [10,15)", vlo, vhi)
-	}
-	s.v.Store(pack(5, 6))
-	if lo, hi, ok = s.steal(); !ok || lo != 5 || hi != 6 {
-		t.Fatalf("steal of singleton = [%d,%d) ok=%v, want [5,6) true", lo, hi, ok)
-	}
-	if _, _, ok = s.steal(); ok {
-		t.Fatal("steal of empty span succeeded")
+// TestInOrderDispensing pins the dispensing rule: indices are handed
+// out in ascending order from one counter, so when fn(i) starts, every
+// earlier index has been taken, and at most the other W-1 workers can
+// hold one they have not yet started. At least i-(W-1) earlier calls
+// have therefore started. This is the order the merge frontier
+// consumes results in, which keeps its pending set near W entries.
+func TestInOrderDispensing(t *testing.T) {
+	const n = 2000
+	for _, workers := range []int{1, 2, 4, 8} {
+		var started, outOfOrder atomic.Int64
+		ForEachCtx(context.Background(), workers, n, func(i int) {
+			if earlier := started.Add(1) - 1; earlier < int64(i-(workers-1)) {
+				outOfOrder.Add(1)
+			}
+			if i%7 == 0 {
+				runtime.Gosched()
+			}
+		})
+		if got := outOfOrder.Load(); got != 0 {
+			t.Errorf("workers=%d: %d of %d calls started with fewer than i-(W-1) earlier calls started", workers, got, n)
+		}
 	}
 }
 

@@ -143,11 +143,11 @@ func (s *slowSync) delay() {
 // brake caps an incarnation's progress at a fixed shard-index limit:
 // shards below the limit run normally, shards at or above it stall
 // until the kill lands. Because the limit is on the *index* — not on
-// how many shards happened to start — every allowed shard sits ahead
-// of the braked tail in its worker's contiguous span and is guaranteed
-// to complete no matter how the work-stealing schedule interleaves, so
-// the merge frontier deterministically reaches the limit and the
-// campaign can never finish before its scheduled crash. The long stall
+// how many shards happened to start — and workers take indices in
+// ascending order, every allowed shard is handed out before any braked
+// one and is guaranteed to complete no matter how the workers
+// interleave, so the merge frontier deterministically reaches the
+// limit and the campaign can never finish before its scheduled crash. The long stall
 // stays under the shard deadline and aborts on job-context
 // cancellation, so braked shards die with the incarnation instead of
 // timing out.

@@ -54,7 +54,7 @@ type Request struct {
 	// Mode selects the delivery mechanism for program-run jobs:
 	// "ultrix", "fast"/"fastexc", or "hardware" (case-insensitive).
 	Mode string `json:"mode,omitempty"`
-	// Parallel is the intra-job shard width handed to the work-stealing
+	// Parallel is the intra-job shard width handed to the parallel
 	// engine (0 = all CPUs), exactly uexc-bench's -parallel flag. The
 	// streamed output is byte-identical at any width.
 	Parallel int `json:"parallel,omitempty"`
@@ -432,7 +432,7 @@ func (s *Server) runProgram(j *job) (bool, string, error) {
 	if mode == core.ModeHardware {
 		m.EnableHardwareDelivery(progen.HWVector)
 	}
-	runErr := m.Run(dt.Budget)
+	runErr := m.Run(dt.BudgetFor(p, mode))
 	healthy = true
 
 	var b strings.Builder

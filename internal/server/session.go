@@ -99,7 +99,7 @@ func (s *Server) runDebugSession(j *job) (bool, string, error) {
 		m.EnableHardwareDelivery(progen.HWVector)
 	}
 
-	sess := debug.New(m, dt.Budget)
+	sess := debug.New(m, dt.BudgetFor(p, mode))
 	defer sess.Detach()
 
 	var b strings.Builder
