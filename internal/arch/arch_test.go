@@ -164,8 +164,40 @@ func TestBranchTargetRoundTrip(t *testing.T) {
 		off, ok := BranchOffset(pc, target)
 		return ok && off == uint16(d)
 	}
+	// The signed and unsigned wrap points, drawn every time: quick's
+	// random pcs almost never land next to them.
+	for _, pc := range []uint32{0x7FFFFFFC, 0x80000000, 0xFFFFFFFC} {
+		for _, d := range []int16{-32768, -1, 0, 1, 32767} {
+			if !f(pc, d) {
+				t.Errorf("pc %#x displacement %d does not round-trip", pc, d)
+			}
+		}
+	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestBranchOffsetAcrossWrap: branches whose displacement crosses the
+// signed (0x80000000) or unsigned (0x100000000) wrap point encode, and
+// the field decodes back to the same target.
+func TestBranchOffsetAcrossWrap(t *testing.T) {
+	cases := []struct{ pc, target uint32 }{
+		{0x7FFFFFF0, 0x80000004},
+		{0x7FFFFFF0, 0x7FFFFFF0 + 4 + 32767<<2},
+		{0x7FFFFFFC, 0x7FFFFFF0}, // backward; pc+4 passes 0x80000000
+		{0x80000000, 0x7FFFFFF0},
+		{0xFFFFFFF8, 0x0},
+	}
+	for _, c := range cases {
+		off, ok := BranchOffset(c.pc, c.target)
+		if !ok {
+			t.Errorf("BranchOffset(%#x, %#x) refused", c.pc, c.target)
+			continue
+		}
+		if got := BranchTarget(c.pc, off); got != c.target {
+			t.Errorf("BranchOffset(%#x, %#x) = %#x, which decodes to %#x", c.pc, c.target, off, got)
+		}
 	}
 }
 

@@ -67,9 +67,11 @@ func BranchTarget(pc uint32, off uint16) uint32 {
 }
 
 // BranchOffset computes the 16-bit offset field encoding a branch from
-// pc to target. ok is false if the displacement does not fit.
+// pc to target. ok is false if the displacement does not fit. The
+// displacement is taken modulo 2^32, as BranchTarget adds it, so
+// branches across 0x80000000 and 0xFFFFFFFF encode like any other.
 func BranchOffset(pc, target uint32) (off uint16, ok bool) {
-	d := int64(int32(target)) - int64(int32(pc)+4)
+	d := int32(target - (pc + 4))
 	if d&3 != 0 {
 		return 0, false
 	}

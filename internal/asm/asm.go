@@ -16,7 +16,7 @@
 //	        .org  0x80000080    ; set location counter
 //	        .word expr, expr    ; 32-bit data (also .half, .byte)
 //	        .asciiz "text"      ; NUL-terminated string (also .ascii)
-//	        .align 4            ; pad to 2^n... no: pad to n-byte boundary
+//	        .align 4            ; zero-pad to a 4-byte boundary
 //	        .space 64           ; reserve zeroed bytes
 //	        .equ  name, expr    ; define a constant
 //	        addu  v0, a0, a1    ; registers with or without '$'
@@ -28,8 +28,10 @@
 package asm
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"uexc/internal/arch"
@@ -68,21 +70,13 @@ func (p *Program) MustSymbol(name string) uint32 {
 }
 
 // Extent returns the lowest address and the total end address of the
-// image (end of the highest chunk).
+// image (end of the highest chunk; chunks ascend).
 func (p *Program) Extent() (lo, end uint32) {
 	if len(p.Chunks) == 0 {
 		return 0, 0
 	}
-	lo = p.Chunks[0].Addr
-	for _, c := range p.Chunks {
-		if c.Addr < lo {
-			lo = c.Addr
-		}
-		if e := c.Addr + uint32(len(c.Data)); e > end {
-			end = e
-		}
-	}
-	return lo, end
+	last := p.Chunks[len(p.Chunks)-1]
+	return p.Chunks[0].Addr, last.Addr + uint32(len(last.Data))
 }
 
 // Error is an assembly diagnostic carrying the source line number.
@@ -100,13 +94,17 @@ type stmt struct {
 	size     uint32
 	mnemonic string   // instruction or directive (with '.')
 	ops      []string // raw operand texts
+	out      []byte   // the statement's size bytes in its chunk (layout)
 }
 
 // Assemble assembles source text with the location counter initially at
 // origin (overridable by .org).
 func Assemble(src string, origin uint32) (*Program, error) {
-	p, _, err := AssembleWithListing(src, origin)
-	return p, err
+	a, err := assemble(src, origin)
+	if err != nil {
+		return nil, err
+	}
+	return &Program{Chunks: a.chunks, Symbols: a.syms}, nil
 }
 
 // ListEntry describes one assembled statement for listings.
@@ -120,14 +118,8 @@ type ListEntry struct {
 // AssembleWithListing assembles and additionally returns a per-statement
 // listing (address, size, and canonical text, in source order).
 func AssembleWithListing(src string, origin uint32) (*Program, []ListEntry, error) {
-	a := &assembler{
-		syms:   make(map[string]uint32),
-		origin: origin,
-	}
-	if err := a.pass1(src); err != nil {
-		return nil, nil, err
-	}
-	if err := a.pass2(); err != nil {
+	a, err := assemble(src, origin)
+	if err != nil {
 		return nil, nil, err
 	}
 	listing := make([]ListEntry, 0, len(a.stmts))
@@ -138,16 +130,24 @@ func AssembleWithListing(src string, origin uint32) (*Program, []ListEntry, erro
 		}
 		listing = append(listing, ListEntry{Line: st.line, Addr: st.addr, Size: st.size, Text: text})
 	}
-	return &Program{Chunks: a.finishChunks(), Symbols: a.syms}, listing, nil
+	return &Program{Chunks: a.chunks, Symbols: a.syms}, listing, nil
+}
+
+// assemble runs pass 1, lays the image out, and runs pass 2.
+func assemble(src string, origin uint32) (*assembler, error) {
+	a := &assembler{syms: make(map[string]uint32), origin: origin}
+	if err := a.pass1(src); err != nil {
+		return nil, err
+	}
+	a.layout()
+	return a, a.pass2()
 }
 
 type assembler struct {
 	syms   map[string]uint32
 	origin uint32
 	stmts  []stmt
-
-	// pass-2 output: per-address bytes, merged into chunks at the end.
-	bytes map[uint32]byte
+	chunks []Chunk // the image, laid out after pass 1 and filled by pass 2
 }
 
 func errf(line int, format string, args ...any) error {
@@ -187,6 +187,9 @@ func (a *assembler) pass1(src string) error {
 		size, err := a.stmtSize(&s, &pc)
 		if err != nil {
 			return err
+		}
+		if uint64(pc)+uint64(size) > 1<<32 {
+			return errf(s.line, "%s at %#x runs past 0xffffffff", mn, pc)
 		}
 		s.size = size
 		if size > 0 || mn == ".space" || mn == ".align" {
@@ -315,16 +318,42 @@ func (a *assembler) lookup(name string) (uint32, bool) {
 	return v, ok
 }
 
-func (a *assembler) emitWord(addr, w uint32) {
-	a.bytes[addr] = byte(w)
-	a.bytes[addr+1] = byte(w >> 8)
-	a.bytes[addr+2] = byte(w >> 16)
-	a.bytes[addr+3] = byte(w >> 24)
+// putWord stores w little-endian at byte offset off of s's window.
+func (s *stmt) putWord(off uint32, w uint32) { binary.LittleEndian.PutUint32(s.out[off:], w) }
+
+// layout builds the image's chunks once, from pass 1's addresses and
+// sizes: statements whose [addr, addr+size) ranges touch or overlap
+// share one chunk, chunks ascend by address, and each statement gets
+// its window into its chunk. Pass 2 encodes in source order straight
+// into those windows, so where statements overlap the later one wins.
+func (a *assembler) layout() {
+	order := make([]int32, 0, len(a.stmts))
+	for i := range a.stmts {
+		if a.stmts[i].size > 0 {
+			order = append(order, int32(i))
+		}
+	}
+	slices.SortFunc(order, func(i, j int32) int { return cmp.Compare(a.stmts[i].addr, a.stmts[j].addr) })
+	end := func(i int32) uint64 { return uint64(a.stmts[i].addr) + uint64(a.stmts[i].size) }
+	for first := 0; first < len(order); {
+		lo, hi := a.stmts[order[first]].addr, end(order[first])
+		next := first + 1
+		for ; next < len(order) && uint64(a.stmts[order[next]].addr) <= hi; next++ {
+			hi = max(hi, end(order[next]))
+		}
+		data := make([]byte, hi-uint64(lo))
+		for _, i := range order[first:next] {
+			s := &a.stmts[i]
+			off := s.addr - lo
+			s.out = data[off : off+s.size : off+s.size]
+		}
+		a.chunks = append(a.chunks, Chunk{Addr: lo, Data: data})
+		first = next
+	}
 }
 
 // pass2 encodes all statements now that every symbol is known.
 func (a *assembler) pass2() error {
-	a.bytes = make(map[uint32]byte)
 	for i := range a.stmts {
 		if err := a.encodeStmt(&a.stmts[i]); err != nil {
 			return err
@@ -341,7 +370,7 @@ func (a *assembler) encodeStmt(s *stmt) error {
 			if err != nil {
 				return errf(s.line, "%v", err)
 			}
-			a.emitWord(s.addr+4*uint32(i), v)
+			s.putWord(4*uint32(i), v)
 		}
 		return nil
 	case ".half":
@@ -353,9 +382,7 @@ func (a *assembler) encodeStmt(s *stmt) error {
 			if v > 0xffff {
 				return errf(s.line, ".half value %#x too large", v)
 			}
-			addr := s.addr + 2*uint32(i)
-			a.bytes[addr] = byte(v)
-			a.bytes[addr+1] = byte(v >> 8)
+			binary.LittleEndian.PutUint16(s.out[2*i:], uint16(v))
 		}
 		return nil
 	case ".byte":
@@ -367,7 +394,7 @@ func (a *assembler) encodeStmt(s *stmt) error {
 			if v > 0xff {
 				return errf(s.line, ".byte value %#x too large", v)
 			}
-			a.bytes[s.addr+uint32(i)] = byte(v)
+			s.out[i] = byte(v)
 		}
 		return nil
 	case ".ascii", ".asciiz":
@@ -375,48 +402,17 @@ func (a *assembler) encodeStmt(s *stmt) error {
 		if err != nil {
 			return errf(s.line, "%v", err)
 		}
-		for i := 0; i < len(str); i++ {
-			a.bytes[s.addr+uint32(i)] = str[i]
-		}
+		copy(s.out, str)
 		if s.mnemonic == ".asciiz" {
-			a.bytes[s.addr+uint32(len(str))] = 0
+			s.out[len(str)] = 0
 		}
 		return nil
 	case ".align", ".space":
-		// Zero fill was implicit (unwritten bytes read as zero), but
-		// materialize the span so chunk extents cover it.
-		size, err := evalExpr(s.ops[0], a.lookup)
-		if err != nil {
-			return errf(s.line, "%v", err)
-		}
-		if s.mnemonic == ".align" {
-			size = (size - s.addr%size) % size
-		}
-		for i := uint32(0); i < size; i++ {
-			a.bytes[s.addr+i] = 0
-		}
+		// Zero the window: an earlier statement may have written here.
+		clear(s.out)
 		return nil
 	}
 	return a.encodeInst(s)
-}
-
-// finishChunks merges the byte map into sorted contiguous chunks.
-func (a *assembler) finishChunks() []Chunk {
-	addrs := make([]uint32, 0, len(a.bytes))
-	for addr := range a.bytes {
-		addrs = append(addrs, addr)
-	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	var chunks []Chunk
-	for _, addr := range addrs {
-		n := len(chunks)
-		if n > 0 && chunks[n-1].Addr+uint32(len(chunks[n-1].Data)) == addr {
-			chunks[n-1].Data = append(chunks[n-1].Data, a.bytes[addr])
-		} else {
-			chunks = append(chunks, Chunk{Addr: addr, Data: []byte{a.bytes[addr]}})
-		}
-	}
-	return chunks
 }
 
 // --- line scanning helpers ---

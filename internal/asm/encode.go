@@ -117,7 +117,7 @@ func (a *assembler) encodeInst(s *stmt) error {
 	// Pseudo-instructions first.
 	switch s.mnemonic {
 	case "nop":
-		a.emitWord(s.addr, 0)
+		s.putWord(0, 0)
 		return nil
 	case "move":
 		if err := a.need(s, 2); err != nil {
@@ -131,7 +131,7 @@ func (a *assembler) encodeInst(s *stmt) error {
 		if err != nil {
 			return err
 		}
-		a.emitWord(s.addr, arch.Encode(arch.Inst{Mn: arch.MnADDU, Rd: rd, Rs: rs}))
+		s.putWord(0, arch.Encode(arch.Inst{Mn: arch.MnADDU, Rd: rd, Rs: rs}))
 		return nil
 	case "not":
 		if err := a.need(s, 2); err != nil {
@@ -145,7 +145,7 @@ func (a *assembler) encodeInst(s *stmt) error {
 		if err != nil {
 			return err
 		}
-		a.emitWord(s.addr, arch.Encode(arch.Inst{Mn: arch.MnNOR, Rd: rd, Rs: rs}))
+		s.putWord(0, arch.Encode(arch.Inst{Mn: arch.MnNOR, Rd: rd, Rs: rs}))
 		return nil
 	case "neg":
 		if err := a.need(s, 2); err != nil {
@@ -159,7 +159,7 @@ func (a *assembler) encodeInst(s *stmt) error {
 		if err != nil {
 			return err
 		}
-		a.emitWord(s.addr, arch.Encode(arch.Inst{Mn: arch.MnSUBU, Rd: rd, Rt: rt}))
+		s.putWord(0, arch.Encode(arch.Inst{Mn: arch.MnSUBU, Rd: rd, Rt: rt}))
 		return nil
 	case "li", "la":
 		if err := a.need(s, 2); err != nil {
@@ -173,8 +173,8 @@ func (a *assembler) encodeInst(s *stmt) error {
 		if err != nil {
 			return err
 		}
-		a.emitWord(s.addr, arch.Encode(arch.Inst{Mn: arch.MnLUI, Rt: rt, Imm: uint16(v >> 16)}))
-		a.emitWord(s.addr+4, arch.Encode(arch.Inst{Mn: arch.MnORI, Rt: rt, Rs: rt, Imm: uint16(v)}))
+		s.putWord(0, arch.Encode(arch.Inst{Mn: arch.MnLUI, Rt: rt, Imm: uint16(v >> 16)}))
+		s.putWord(4, arch.Encode(arch.Inst{Mn: arch.MnORI, Rt: rt, Rs: rt, Imm: uint16(v)}))
 		return nil
 	case "b":
 		if err := a.need(s, 1); err != nil {
@@ -184,7 +184,7 @@ func (a *assembler) encodeInst(s *stmt) error {
 		if err != nil {
 			return err
 		}
-		a.emitWord(s.addr, arch.Encode(arch.Inst{Mn: arch.MnBEQ, Imm: off}))
+		s.putWord(0, arch.Encode(arch.Inst{Mn: arch.MnBEQ, Imm: off}))
 		return nil
 	case "beqz", "bnez":
 		if err := a.need(s, 2); err != nil {
@@ -202,7 +202,7 @@ func (a *assembler) encodeInst(s *stmt) error {
 		if s.mnemonic == "bnez" {
 			mn = arch.MnBNE
 		}
-		a.emitWord(s.addr, arch.Encode(arch.Inst{Mn: mn, Rs: rs, Imm: off}))
+		s.putWord(0, arch.Encode(arch.Inst{Mn: mn, Rs: rs, Imm: off}))
 		return nil
 	}
 
@@ -405,6 +405,6 @@ func (a *assembler) encodeInst(s *stmt) error {
 		inst.C0Reg = c0
 	}
 
-	a.emitWord(s.addr, arch.Encode(inst))
+	s.putWord(0, arch.Encode(inst))
 	return nil
 }

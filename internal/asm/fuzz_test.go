@@ -10,7 +10,8 @@ import (
 // FuzzAssemble feeds arbitrary source text to the assembler: it must
 // never panic, and every rejection must be a typed *Error carrying a
 // plausible source line — the diagnostic contract the kernel build and
-// the test harness rely on. Seed corpus under testdata/fuzz/FuzzAssemble.
+// the test harness rely on. Every success must hold the layout
+// invariants (checkLayout). Seed corpus under testdata/fuzz/FuzzAssemble.
 func FuzzAssemble(f *testing.F) {
 	f.Add("")
 	f.Add("nop\n")
@@ -22,8 +23,9 @@ func FuzzAssemble(f *testing.F) {
 	f.Add("\t.word 0x\n")
 	f.Add("loop:\tb loop\n")
 	f.Fuzz(func(t *testing.T, src string) {
-		_, err := Assemble(src, 0x00400000)
+		p, listing, err := AssembleWithListing(src, 0x00400000)
 		if err == nil {
+			checkLayout(t, p, listing)
 			return
 		}
 		var ae *Error
@@ -34,6 +36,38 @@ func FuzzAssemble(f *testing.F) {
 			t.Fatalf("diagnostic with bad line %d: %v", ae.Line, ae)
 		}
 	})
+}
+
+// checkLayout asserts the image layout invariants: chunks are
+// non-empty, ascend, and neither overlap nor abut (abutting regions are
+// one chunk), and every statement that emits bytes lies inside one
+// chunk.
+func checkLayout(t *testing.T, p *Program, listing []ListEntry) {
+	t.Helper()
+	end := func(c Chunk) uint64 { return uint64(c.Addr) + uint64(len(c.Data)) }
+	for i, c := range p.Chunks {
+		if len(c.Data) == 0 {
+			t.Fatalf("chunk %d at %#x is empty", i, c.Addr)
+		}
+		if i > 0 && uint64(c.Addr) <= end(p.Chunks[i-1]) {
+			t.Fatalf("chunk %d at %#x overlaps or abuts chunk %d ending at %#x", i, c.Addr, i-1, end(p.Chunks[i-1]))
+		}
+	}
+	for _, e := range listing {
+		if e.Size == 0 {
+			continue
+		}
+		inside := false
+		for _, c := range p.Chunks {
+			if e.Addr >= c.Addr && uint64(e.Addr)+uint64(e.Size) <= end(c) {
+				inside = true
+				break
+			}
+		}
+		if !inside {
+			t.Fatalf("line %d (%s) at %#x+%d lies in no one chunk", e.Line, e.Text, e.Addr, e.Size)
+		}
+	}
 }
 
 // TestAssemblerNeverPanics: arbitrary garbage must produce an error or

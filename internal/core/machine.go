@@ -101,43 +101,42 @@ func NewMachine() (*Machine, error) {
 	return m, nil
 }
 
-// progCache caches assembled user images by source text. Programs are
-// immutable after assembly (loading copies chunk bytes into simulated
-// memory), so one *asm.Program is safely shared across machines and
-// workers; campaign runs load the same three mode programs thousands
-// of times and pay the assembler only once each.
-var progCache sync.Map // full source string -> *asm.Program
+// progCache caches assembled user images by program text (the
+// prelude is the same for every program, so it is not part of the key).
+// Programs are immutable after assembly (loading copies chunk bytes
+// into simulated memory), so one *asm.Program is safely shared across
+// machines and workers; campaign runs load the same three mode programs
+// thousands of times and pay the assembler only once each.
+var progCache sync.Map // program text -> *asm.Program
 
 func assembleUser(src string) (*asm.Program, error) {
-	full := userrt.Prelude() + src
-	if p, ok := progCache.Load(full); ok {
+	if p, ok := progCache.Load(src); ok {
 		return p.(*asm.Program), nil
 	}
+	full := userrt.Prelude() + src
 	p, err := asm.Assemble(full, kernel.UserTextBase)
 	if err != nil {
 		return nil, err
 	}
-	cached, _ := progCache.LoadOrStore(full, p)
+	// The image's symbol names are substrings of full, which keeps it
+	// live; keying by its tail stores the program text only once.
+	cached, _ := progCache.LoadOrStore(full[len(full)-len(src):], p)
 	return cached.(*asm.Program), nil
 }
 
 // LoadProgram assembles the user runtime plus the given program text
 // (which must define "main"), loads it, and points the CPU at process
-// startup.
+// startup, userrt.SymStart, which the prelude defines in every image.
 func (m *Machine) LoadProgram(src string) error {
 	p, err := assembleUser(src)
 	if err != nil {
 		return fmt.Errorf("core: assembling user program: %w", err)
 	}
-	if err := m.K.LoadUserProgram(p); err != nil {
+	if err := m.K.Proc.Load(p); err != nil {
 		return err
 	}
-	entry, ok := p.Symbol(userrt.SymStart)
-	if !ok {
-		return fmt.Errorf("core: user image missing %q", userrt.SymStart)
-	}
 	m.Prog = p
-	m.K.LaunchUser(entry, kernel.UserStackTop-16)
+	m.K.LaunchUser(p.MustSymbol(userrt.SymStart), kernel.UserStackTop-16)
 	return nil
 }
 
@@ -150,11 +149,7 @@ func (m *Machine) SpawnProgram(src string) (*kernel.Proc, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: assembling spawned program: %w", err)
 	}
-	entry, ok := p.Symbol(userrt.SymStart)
-	if !ok {
-		return nil, fmt.Errorf("core: spawned image missing %q", userrt.SymStart)
-	}
-	return m.K.SpawnUser(p, entry, kernel.UserStackTop-16)
+	return m.K.SpawnUser(p, p.MustSymbol(userrt.SymStart), kernel.UserStackTop-16)
 }
 
 // Sym resolves a user-program symbol.

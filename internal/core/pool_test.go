@@ -219,6 +219,30 @@ func TestAssembleUserCache(t *testing.T) {
 	}
 }
 
+// TestLoadProgramCachedAllocs gates the load path: once a source is
+// cached and a recycled machine already holds the pages its image
+// touches, a checkout, LoadProgram and return allocate at most
+// loadAllocsMax times — no prelude render, no source concatenation,
+// no per-byte work.
+func TestLoadProgramCachedAllocs(t *testing.T) {
+	const loadAllocsMax = 1
+	src := simpleFastProg(10)
+	var pool MachinePool
+	allocs := testing.AllocsPerRun(20, func() {
+		m, err := pool.Get()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.LoadProgram(src); err != nil {
+			t.Fatal(err)
+		}
+		pool.Put(m)
+	})
+	if allocs > loadAllocsMax {
+		t.Errorf("cached LoadProgram on a pooled machine: %.1f allocs, want at most %d", allocs, loadAllocsMax)
+	}
+}
+
 // TestMachinePoolConcurrent hammers Get/Put from many goroutines (run
 // under -race by make check): the pool must never hand the same
 // machine to two holders at once, every recycled machine must pass the

@@ -28,6 +28,7 @@ package difftest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -49,6 +50,17 @@ const Budget = progen.BudgetFloor
 // BudgetScaled — growth is visible, never silent (DESIGN.md §14).
 func BudgetFor(p *progen.Program, mode core.Mode) uint64 {
 	return progen.RunBudget(p.EmittedInsts(mode), mode)
+}
+
+// SourceBudget is BudgetFor of the program whose source a run already
+// rendered as p.Source(mode, mutate), so no run renders its source
+// twice. A mutated source keeps the budget of the program it mutates.
+func SourceBudget(src string, mutate bool, mode core.Mode) uint64 {
+	n := progen.CountInsts(src)
+	if mutate {
+		n -= progen.MutationInsts
+	}
+	return progen.RunBudget(n, mode)
 }
 
 // Modes is the comparison set, Ultrix first: the Unix path is the
@@ -78,6 +90,7 @@ type ModeRun struct {
 	Log     []Entry
 	Data    []uint32 // oracle data page, word granular
 	Arena   []uint32 // fault arena
+	Budget  uint64   // the run's bound (SourceBudget): per mode, so not compared
 }
 
 // Machines is where the oracle checks its machines out: a
@@ -93,6 +106,8 @@ type Machines interface {
 func runMode(pool Machines, p *progen.Program, mode core.Mode, mutate bool) (r ModeRun) {
 	r.Mode = mode
 	r.Counts = map[uint32]uint64{}
+	src := p.Source(mode, mutate)
+	r.Budget = SourceBudget(src, mutate, mode)
 
 	var m *core.Machine
 	healthy := false
@@ -113,14 +128,14 @@ func runMode(pool Machines, p *progen.Program, mode core.Mode, mutate bool) (r M
 	}
 	healthy = true
 
-	if err := m.LoadProgram(p.Source(mode, mutate)); err != nil {
+	if err := m.LoadProgram(src); err != nil {
 		r.Err = "load: " + err.Error()
 		return r
 	}
 	if mode == core.ModeHardware {
 		m.EnableHardwareDelivery(progen.HWVector)
 	}
-	if err := m.Run(BudgetFor(p, mode)); err != nil {
+	if err := m.Run(r.Budget); err != nil {
 		r.Err = err.Error()
 	}
 
@@ -212,29 +227,27 @@ func diff(base, other *ModeRun) []string {
 	return out
 }
 
-// CheckSeed generates seed's program, runs it under every mode, and
-// returns the equivalence violations against the Ultrix baseline
-// (empty = the modes agree) plus the baseline's handler-policy
-// invocation count. Mode errors surface as violations too: a program
-// that fails anywhere cannot witness equivalence.
-func CheckSeed(pool Machines, seed int64) (divergences []string, entries uint64) {
-	return CheckProgram(pool, progen.Generate(seed))
-}
-
-// CheckProgram is CheckSeed for a caller-built program — the fuzzer
-// uses it to graft extra stanzas (the SMC probe) onto generated seeds.
-func CheckProgram(pool Machines, p *progen.Program) (divergences []string, entries uint64) {
+// CheckProgram runs p under every mode and returns its digest: the
+// equivalence violations against the Ultrix baseline (empty = the
+// modes agree), the baseline's handler-policy invocation count, and
+// the typed verdict. Mode errors surface as violations too: a program
+// that fails anywhere cannot witness equivalence. The fuzzer passes
+// caller-built programs (the SMC probe grafted onto generated seeds).
+func CheckProgram(pool Machines, p *progen.Program) Shard {
+	var t Shard
 	runs := make([]ModeRun, len(Modes))
 	for i, mode := range Modes {
 		runs[i] = runMode(pool, p, mode, false)
 	}
 	if runs[0].Err != "" {
-		divergences = append(divergences, fmt.Sprintf("[%s] run error: %s", runs[0].Mode, runs[0].Err))
+		t.Divergences = append(t.Divergences, fmt.Sprintf("[%s] run error: %s", runs[0].Mode, runs[0].Err))
 	}
 	for i := 1; i < len(runs); i++ {
-		divergences = append(divergences, diff(&runs[0], &runs[i])...)
+		t.Divergences = append(t.Divergences, diff(&runs[0], &runs[i])...)
 	}
-	return divergences, uint64(runs[0].Entries)
+	t.Entries = uint64(runs[0].Entries)
+	classify(runs, &t)
+	return t
 }
 
 // Result aggregates a differential campaign.
@@ -331,27 +344,16 @@ func ShardLine(i int, t Shard) string {
 // run error, which diff folds into the divergence list — is an
 // EngineBug by definition: the three modes must agree on every
 // generated program. A clean shard whose scaled budget exceeded the
-// legacy floor in any mode is BudgetScaled.
-func classify(p *progen.Program, t *Shard) {
+// legacy floor in any mode's run is BudgetScaled.
+func classify(runs []ModeRun, t *Shard) {
 	switch {
 	case len(t.Divergences) > 0:
 		t.Verdict = verdict.EngineBug
-	case budgetScaled(p):
+	case slices.ContainsFunc(runs, func(r ModeRun) bool { return r.Budget > Budget }):
 		t.Verdict = verdict.BudgetScaled
 	default:
 		t.Verdict = verdict.Clean
 	}
-}
-
-// budgetScaled reports whether any mode's scaled budget for p exceeds
-// the legacy flat floor.
-func budgetScaled(p *progen.Program) bool {
-	for _, mode := range Modes {
-		if BudgetFor(p, mode) > Budget {
-			return true
-		}
-	}
-	return false
 }
 
 // RunShard runs seed i's three-mode comparison on a pooled machine and
@@ -359,11 +361,7 @@ func budgetScaled(p *progen.Program) bool {
 // Oracle sweep and the serving layer's shard-range jobs, so remote and
 // local digests are byte-identical.
 func RunShard(pool Machines, i int) Shard {
-	var t Shard
-	p := progen.Generate(int64(i))
-	t.Divergences, t.Entries = CheckProgram(pool, p)
-	classify(p, &t)
-	return t
+	return CheckProgram(pool, progen.Generate(int64(i)))
 }
 
 // Oracle is the differential campaign as a sweep: one shard per seed

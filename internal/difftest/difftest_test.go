@@ -16,11 +16,11 @@ func TestZeroDivergences(t *testing.T) {
 	pool := &core.MachinePool{}
 	var total uint64
 	for seed := int64(0); seed < 40; seed++ {
-		divs, entries := CheckSeed(pool, seed)
-		for _, d := range divs {
+		shard := RunShard(pool, int(seed))
+		for _, d := range shard.Divergences {
 			t.Errorf("seed %d: %s", seed, d)
 		}
-		total += entries
+		total += shard.Entries
 	}
 	if total == 0 {
 		t.Fatal("no handler-policy invocations across 40 seeds — generator is not faulting")
@@ -84,8 +84,7 @@ func FuzzDiffModes(f *testing.F) {
 		if smc {
 			p.Extra = progen.SMCStanza
 		}
-		divs, _ := CheckProgram(pool, p)
-		for _, d := range divs {
+		for _, d := range CheckProgram(pool, p).Divergences {
 			t.Errorf("seed %d (smc=%v): %s", seed, smc, d)
 		}
 	})

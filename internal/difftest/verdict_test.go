@@ -54,12 +54,54 @@ func TestBudgetForScalesAboveFloor(t *testing.T) {
 	}
 }
 
+// TestRunBudgetsFromRenderedSource pins every budget a run uses to the
+// one formula over the program's unmutated source, now that runs count
+// the source they already rendered: seeds 0–199 in every mode, plain
+// and mutated, and a padded program whose budget is above the floor,
+// where one miscounted line would move it. The mutated source runs one
+// instruction line more than it is budgeted for.
+func TestRunBudgetsFromRenderedSource(t *testing.T) {
+	progs := []*progen.Program{bigProgram()}
+	for seed := int64(0); seed < 200; seed++ {
+		progs = append(progs, progen.Generate(seed))
+	}
+	for _, p := range progs {
+		for _, mode := range Modes {
+			want := progen.RunBudget(progen.CountInsts(p.Source(mode, false)), mode)
+			for _, mutate := range []bool{false, true} {
+				if got := SourceBudget(p.Source(mode, mutate), mutate, mode); got != want {
+					t.Fatalf("seed %d mode %s mutate=%v: budget %d, want %d", p.Seed, mode, mutate, got, want)
+				}
+			}
+		}
+	}
+	p := progs[0]
+	if got, want := progen.CountInsts(p.Source(core.ModeFast, true)), p.EmittedInsts(core.ModeFast)+1; got != want {
+		t.Errorf("mutated source has %d instruction lines, want %d", got, want)
+	}
+	pool := &core.MachinePool{}
+	for _, mutate := range []bool{false, true} {
+		r := runMode(pool, p, core.ModeFast, mutate)
+		if want := BudgetFor(p, core.ModeFast); r.Budget != want {
+			t.Errorf("mutate=%v: run budget %d, want %d", mutate, r.Budget, want)
+		}
+	}
+}
+
 // TestClassifyVerdicts pins the shard taxonomy: divergences are always
 // EngineBug (the oracle has no injector, so nothing is attributable),
 // a clean shard above the budget floor is BudgetScaled — visible,
 // never silent — and everything else is Clean.
 func TestClassifyVerdicts(t *testing.T) {
-	small, big := progen.Generate(0), bigProgram()
+	// The runs carry just the budgets classify reads.
+	budgets := func(p *progen.Program) []ModeRun {
+		var runs []ModeRun
+		for _, mode := range Modes {
+			runs = append(runs, ModeRun{Mode: mode, Budget: BudgetFor(p, mode)})
+		}
+		return runs
+	}
+	small, big := budgets(progen.Generate(0)), budgets(bigProgram())
 
 	s := Shard{Divergences: []string{"gpr[3] differs"}}
 	classify(small, &s)
@@ -82,16 +124,19 @@ func TestClassifyVerdicts(t *testing.T) {
 
 // TestBudgetScaledRunsClean: a program whose scaled budget exceeds the
 // floor must still run to architectural agreement in every mode — the
-// scaled bound is what keeps it from being silently truncated at 3M.
+// scaled bound is what keeps it from being silently truncated at 3M —
+// and its shard is classified from the budgets those runs used.
 func TestBudgetScaledRunsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a 12k-instruction pad in all three modes")
 	}
 	pool := &core.MachinePool{}
-	p := bigProgram()
-	divs, _ := CheckProgram(pool, p)
-	for _, d := range divs {
+	shard := CheckProgram(pool, bigProgram())
+	for _, d := range shard.Divergences {
 		t.Errorf("divergence: %s", d)
+	}
+	if shard.Verdict != verdict.BudgetScaled {
+		t.Errorf("verdict = %s, want budget-scaled from the runs' budgets", shard.Verdict)
 	}
 }
 

@@ -220,19 +220,9 @@ func (k *Kernel) loadKernelWord(kva uint32) uint32 {
 	return v
 }
 
-// translateUser translates a user VA through the page table (host-side,
-// no fault side effects). ok is false if unmapped or unallocated.
-func (k *Kernel) translateUser(va uint32) (uint32, bool) {
-	pte, ok := k.Proc.pte(va >> arch.PageShift)
-	if !ok || pte&tlb.LoV == 0 || pte&pteAlloc == 0 {
-		return 0, false
-	}
-	return pte&tlb.LoPFNMask | va&(arch.PageSize-1), true
-}
-
 // loadUserWord reads a word from user space via the page table.
 func (k *Kernel) loadUserWord(va uint32) (uint32, bool) {
-	pa, ok := k.translateUser(va)
+	pa, ok := k.Proc.translate(va)
 	if !ok {
 		return 0, false
 	}
@@ -244,7 +234,7 @@ func (k *Kernel) loadUserWord(va uint32) (uint32, bool) {
 // ignoring page protection (the kernel has implicit access, as the
 // paper notes for subpage emulation).
 func (k *Kernel) storeUserWord(va, v uint32) bool {
-	pa, ok := k.translateUser(va)
+	pa, ok := k.Proc.translate(va)
 	if !ok {
 		return false
 	}
@@ -253,7 +243,7 @@ func (k *Kernel) storeUserWord(va, v uint32) bool {
 
 // loadUserByte / storeUserByte are byte-granularity variants.
 func (k *Kernel) loadUserByte(va uint32) (uint8, bool) {
-	pa, ok := k.translateUser(va)
+	pa, ok := k.Proc.translate(va)
 	if !ok {
 		return 0, false
 	}
@@ -262,7 +252,7 @@ func (k *Kernel) loadUserByte(va uint32) (uint8, bool) {
 }
 
 func (k *Kernel) storeUserByte(va uint32, v uint8) bool {
-	pa, ok := k.translateUser(va)
+	pa, ok := k.Proc.translate(va)
 	if !ok {
 		return false
 	}
@@ -312,38 +302,6 @@ func (k *Kernel) dispatchHCall(c *cpu.CPU, code uint32) error {
 		}
 	}
 	return fmt.Errorf("kernel: unknown hcall %d", code)
-}
-
-// LoadUserProgram maps and copies an assembled user image into the
-// process address space (impure: all pages writable), and pre-maps a
-// few stack pages so startup takes no demand faults.
-func (k *Kernel) LoadUserProgram(p *asm.Program) error {
-	for _, ch := range p.Chunks {
-		if ch.Addr >= arch.KSeg0Base || ch.Addr+uint32(len(ch.Data)) > UserVATop {
-			return fmt.Errorf("kernel: user chunk at %#x outside user space", ch.Addr)
-		}
-		first := ch.Addr >> arch.PageShift
-		last := (ch.Addr + uint32(len(ch.Data)) - 1) >> arch.PageShift
-		for vpn := first; vpn <= last; vpn++ {
-			pte, _ := k.Proc.pte(vpn)
-			if pte&pteAlloc == 0 {
-				if err := k.Proc.MapPage(vpn<<arch.PageShift, true, true); err != nil {
-					return err
-				}
-			}
-		}
-		for i, b := range ch.Data {
-			if !k.storeUserByte(ch.Addr+uint32(i), b) {
-				return fmt.Errorf("kernel: loading user byte at %#x", ch.Addr+uint32(i))
-			}
-		}
-	}
-	for i := uint32(1); i <= 4; i++ {
-		if err := k.Proc.MapPage(UserStackTop-i*arch.PageSize, true, true); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // LaunchUser starts the user process at entry with the given initial

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"uexc/internal/arch"
+	"uexc/internal/asm"
 	"uexc/internal/tlb"
 )
 
@@ -118,6 +119,51 @@ func (p *Proc) setPTE(vpn, pte uint32) {
 		return
 	}
 	p.k.storeKernelWord(p.pteAddr(vpn), pte)
+}
+
+// translate translates a user VA through this process's page table
+// (host-side, no fault side effects). ok is false if unmapped or
+// unallocated.
+func (p *Proc) translate(va uint32) (uint32, bool) {
+	pte, ok := p.pte(va >> arch.PageShift)
+	if !ok || pte&tlb.LoV == 0 || pte&pteAlloc == 0 {
+		return 0, false
+	}
+	return pte&tlb.LoPFNMask | va&(arch.PageSize-1), true
+}
+
+// Load maps and copies an assembled user image into this process's
+// address space (impure: all pages writable), one page-table lookup and
+// one physical write per page, and pre-maps a few stack pages so
+// startup takes no demand faults.
+func (p *Proc) Load(img *asm.Program) error {
+	for _, ch := range img.Chunks {
+		if ch.Addr >= arch.KSeg0Base || uint64(ch.Addr)+uint64(len(ch.Data)) > UserVATop {
+			return fmt.Errorf("kernel: user chunk at %#x outside user space", ch.Addr)
+		}
+		for va, data := ch.Addr, ch.Data; len(data) > 0; {
+			if pte, _ := p.pte(va >> arch.PageShift); pte&pteAlloc == 0 {
+				if err := p.MapPage(va, true, true); err != nil {
+					return err
+				}
+			}
+			pa, ok := p.translate(va)
+			if !ok {
+				return fmt.Errorf("kernel: loading user page at %#x", va)
+			}
+			n := min(uint32(len(data)), arch.PageSize-va%arch.PageSize)
+			if err := p.k.Mem.Write(pa, data[:n]); err != nil {
+				return fmt.Errorf("kernel: loading user page at %#x: %w", va, err)
+			}
+			va, data = va+n, data[n:]
+		}
+	}
+	for i := uint32(1); i <= 4; i++ {
+		if err := p.MapPage(UserStackTop-i*arch.PageSize, true, true); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // allocFrame returns the PFN of a fresh zeroed physical frame from the

@@ -26,23 +26,13 @@ func (k *Kernel) SpawnUser(prog *asm.Program, entry, sp uint32) (*Proc, error) {
 	}
 	p := newProc(k, uint8(len(k.procs)))
 	k.procs = append(k.procs, p)
-	if err := k.LoadUserProgramFor(p, prog); err != nil {
+	if err := p.Load(prog); err != nil {
 		return nil, err
 	}
 	p.ctx.pc = entry
 	p.ctx.gpr[arch.RegSP] = sp
 	p.ctx.status = arch.SrKUp // resume pops to user mode
 	return p, nil
-}
-
-// LoadUserProgramFor maps and copies an image into the given process's
-// address space (the host-side helpers operate on the current process,
-// so it is switched in for the duration of the load).
-func (k *Kernel) LoadUserProgramFor(p *Proc, prog *asm.Program) error {
-	prev := k.Proc
-	k.Proc = p
-	defer func() { k.Proc = prev }()
-	return k.LoadUserProgram(prog)
 }
 
 // nextRunnable returns the index of the next non-exited process after

@@ -337,7 +337,7 @@ func (k *Kernel) sendsig(handler, sig, code, badva uint32) error {
 			}
 			memoVPN = ^uint32(0) // fall through to the uncached path
 		}
-		if pa, ok := k.translateUser(va); ok && k.Mem.StoreWord(pa, v) == nil {
+		if pa, ok := k.Proc.translate(va); ok && k.Mem.StoreWord(pa, v) == nil {
 			memoVPN, memoBase = va>>arch.PageShift, pa&^(arch.PageSize-1)
 			continue
 		}
@@ -402,7 +402,7 @@ func (k *Kernel) sigreturn(scp uint32) error {
 			}
 		}
 		if !ok {
-			if pa, transOK := k.translateUser(va); transOK {
+			if pa, transOK := k.Proc.translate(va); transOK {
 				if w, err := k.Mem.LoadWord(pa); err == nil {
 					v, ok = w, true
 					memoVPN, memoBase = va>>arch.PageShift, pa&^(arch.PageSize-1)

@@ -217,8 +217,7 @@ func (p *Program) Source(mode core.Mode, mutate bool) string {
 	b.WriteString(p.Extra)
 	b.WriteString(epilogue)
 	if mutate {
-		b.WriteString(strings.Replace(policyText, "dt_log_store_cause:\n\tsw    a0, 0(t4)",
-			"dt_log_store_cause:\n\taddiu t5, a0, 32\n\tsw    t5, 0(t4)", 1))
+		b.WriteString(mutatedPolicy)
 	} else {
 		b.WriteString(policyText)
 	}
@@ -632,6 +631,15 @@ dt_ep%d_join:
 		fmt.Fprintf(b, "\tsll   s2, s1, %d\n\taddu  s3, s3, s2\n", 1+r.Intn(7))
 	}
 }
+
+// mutatedPolicy is policyText with the logged cause codes offset by
+// 32: the deliberately wrong handler of Source's mutate variant, which
+// is MutationInsts instruction lines longer.
+var (
+	mutatedPolicy = strings.Replace(policyText, "dt_log_store_cause:\n\tsw    a0, 0(t4)",
+		"dt_log_store_cause:\n\taddiu t5, a0, 32\n\tsw    t5, 0(t4)", 1)
+	MutationInsts = CountInsts(mutatedPolicy) - CountInsts(policyText)
+)
 
 // policyText is the shared handler stack: dt_chandler receives the
 // fast/hardware exception frame (a0), dt_sighandler the Unix triple

@@ -426,13 +426,14 @@ func (s *Server) runProgram(j *job) (bool, string, error) {
 			s.pool.Put(m)
 		}
 	}()
-	if err := m.LoadProgram(p.Source(mode, false)); err != nil {
+	src := p.Source(mode, false)
+	if err := m.LoadProgram(src); err != nil {
 		return false, "", fmt.Errorf("load: %w", err)
 	}
 	if mode == core.ModeHardware {
 		m.EnableHardwareDelivery(progen.HWVector)
 	}
-	runErr := m.Run(dt.BudgetFor(p, mode))
+	runErr := m.Run(dt.SourceBudget(src, false, mode))
 	healthy = true
 
 	var b strings.Builder

@@ -92,14 +92,15 @@ func (s *Server) runDebugSession(j *job) (bool, string, error) {
 			s.pool.Put(m)
 		}
 	}()
-	if err := m.LoadProgram(p.Source(mode, false)); err != nil {
+	src := p.Source(mode, false)
+	if err := m.LoadProgram(src); err != nil {
 		return false, "", fmt.Errorf("load: %w", err)
 	}
 	if mode == core.ModeHardware {
 		m.EnableHardwareDelivery(progen.HWVector)
 	}
 
-	sess := debug.New(m, dt.BudgetFor(p, mode))
+	sess := debug.New(m, dt.SourceBudget(src, false, mode))
 	defer sess.Detach()
 
 	var b strings.Builder

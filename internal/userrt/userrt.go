@@ -24,9 +24,11 @@ import (
 )
 
 // Prelude returns the runtime assembly, to be prepended to user
-// program text and assembled at kernel.UserTextBase.
-func Prelude() string {
-	return fmt.Sprintf(`
+// program text and assembled at kernel.UserTextBase. It is rendered
+// once per process: its equates are constants.
+func Prelude() string { return prelude }
+
+var prelude = fmt.Sprintf(`
 	.equ SYS_exit,        %d
 	.equ SYS_write,       %d
 	.equ SYS_getpid,      %d
@@ -44,12 +46,11 @@ func Prelude() string {
 	.equ SYS_getasid,     %d
 	.equ FRAMEPAGE,       %#x
 `, kernel.SysExit, kernel.SysWrite, kernel.SysGetpid, kernel.SysSbrk,
-		kernel.SysSigaction, kernel.SysSigreturn, kernel.SysMprotect,
-		kernel.SysCycles, kernel.SysUexcEnable, kernel.SysUexcEager,
-		kernel.SysSubpageProt, kernel.SysSetUBit, kernel.SysUexcWatch,
-		kernel.SysYield, kernel.SysGetAsid,
-		kernel.UserFrameVA) + preludeAsm
-}
+	kernel.SysSigaction, kernel.SysSigreturn, kernel.SysMprotect,
+	kernel.SysCycles, kernel.SysUexcEnable, kernel.SysUexcEager,
+	kernel.SysSubpageProt, kernel.SysSetUBit, kernel.SysUexcWatch,
+	kernel.SysYield, kernel.SysGetAsid,
+	kernel.UserFrameVA) + preludeAsm
 
 const preludeAsm = `
 # ----------------------------------------------------------------------
