@@ -74,9 +74,9 @@ campaign:
 	$(GO) run ./cmd/uexc-bench -faultcampaign -seeds 100 -parallel 0
 
 # Seed-space triage sweep (DESIGN.md §14): both campaign engines over
-# seeds 0..10,000 with typed verdicts, checkpointed through the §12
-# durable job store under .soak/ — kill it at any point and rerun; it
-# resumes from the journal byte-identically. Fails on any unclassified
+# seeds 0..10,000 with typed verdicts, each merged shard journaled to
+# the §12 durable job store under .soak/ — kill it at any point and
+# rerun; it resumes from the journal byte-identically. Fails on any unclassified
 # (engine-bug) verdict.
 soak:
 	$(GO) run ./cmd/uexc-bench -soak -seeds 10000 -parallel 0 -soakdir .soak

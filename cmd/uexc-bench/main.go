@@ -23,7 +23,7 @@
 //	                           # architectural equivalence
 //	uexc-bench -soak -seeds 10000 -soakdir /tmp/soak
 //	                           # seed-space triage sweep: both campaigns
-//	                           # with typed verdicts, checkpointed to the
+//	                           # with typed verdicts, journaled to the
 //	                           # durable job store so a killed sweep
 //	                           # resumes byte-identically
 //	uexc-bench -parallel 4     # shard independent runs over 4 workers
@@ -94,7 +94,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		campaign  = fs.Bool("faultcampaign", false, "run the deterministic fault-injection campaign")
 		difftest  = fs.Bool("difftest", false, "run the cross-mode differential-testing campaign")
 		soak      = fs.Bool("soak", false, "run the seed-space triage sweep: both campaigns with typed verdicts, failing on any unclassified run")
-		soakDir   = fs.String("soakdir", "", "durable checkpoint directory for -soak (empty: run without resume)")
+		soakDir   = fs.String("soakdir", "", "durable journal directory for -soak (empty: run without resume)")
 		seeds     = fs.Int("seeds", 30, "number of campaign seeds")
 		workers   = fs.Int("parallel", runtime.NumCPU(), "worker goroutines for sharded runs (0 = all CPUs)")
 		verbose   = fs.Bool("v", false, "per-run fault-campaign progress")

@@ -34,6 +34,7 @@ import (
 
 	"uexc/internal/arch"
 	"uexc/internal/core"
+	"uexc/internal/mem"
 	"uexc/internal/progen"
 	"uexc/internal/sweep"
 	"uexc/internal/verdict"
@@ -148,28 +149,35 @@ func runMode(pool Machines, p *progen.Program, mode core.Mode, mutate bool) (r M
 		r.Counts[code] = c.ExcCounts[code]
 	}
 
-	word := func(va uint32) uint32 {
-		v, _ := m.K.ReadUserWord(va)
-		return v
-	}
-	r.Entries = word(progen.DataBase + progen.OffCount)
-	logged := word(progen.DataBase + progen.OffLogLen)
-	if logged > progen.LogCap {
-		logged = progen.LogCap
-	}
+	r.Data = userWords(m, progen.DataBase, 1)
+	r.Arena = userWords(m, progen.ArenaBase, progen.ArenaPages)
+	r.Entries = r.Data[progen.OffCount/4]
+	logged := min(r.Data[progen.OffLogLen/4], progen.LogCap)
 	for i := uint32(0); i < logged; i++ {
 		r.Log = append(r.Log, Entry{
-			Cause: word(progen.DataBase + progen.OffLog + i*8),
-			BadVA: word(progen.DataBase + progen.OffLog + i*8 + 4),
+			Cause: r.Data[(progen.OffLog+i*8)/4],
+			BadVA: r.Data[(progen.OffLog+i*8+4)/4],
 		})
 	}
-	for off := uint32(0); off < arch.PageSize; off += 4 {
-		r.Data = append(r.Data, word(progen.DataBase+off))
-	}
-	for off := uint32(0); off < progen.ArenaPages*arch.PageSize; off += 4 {
-		r.Arena = append(r.Arena, word(progen.ArenaBase+off))
-	}
 	return r
+}
+
+// userWords reads the given number of user pages at page-aligned va as
+// words, with one page-table walk and one page lookup per page; a page
+// that is unmapped or has no backing reads as zeros.
+func userWords(m *core.Machine, va uint32, pages int) []uint32 {
+	out := make([]uint32, pages*arch.PageSize/4)
+	var page *mem.Page
+	for i := range out {
+		off := uint32(i) * 4
+		if off%arch.PageSize == 0 {
+			page = m.K.UserPage(va + off)
+		}
+		if page != nil {
+			out[i] = page.Word(off)
+		}
+	}
+	return out
 }
 
 // diff lists the equivalence violations between a baseline run and
@@ -314,7 +322,7 @@ func (r *Result) Summary() string {
 
 // Shard is one shard: a seed's three-mode comparison digest. Fields
 // are exported and JSON-tagged because the serving layer journals
-// shards at checkpoint boundaries and replays them on resume
+// each merged shard and replays the journaled prefix on resume
 // (DESIGN.md §12); a shard is a deterministic function of its seed.
 type Shard struct {
 	Divergences []string     `json:"divergences,omitempty"`
@@ -323,7 +331,7 @@ type Shard struct {
 }
 
 // ShardLine renders seed i's progress line from its digest — the one
-// formatting point shared by live shards, checkpoint replays, and the
+// formatting point shared by live shards, journal replays, and the
 // fleet coordinator's remote-shard merge (DESIGN.md §13), so all three
 // streams are byte-identical by construction. Non-clean verdicts are
 // tagged; the common (clean) line is unchanged from the pre-verdict

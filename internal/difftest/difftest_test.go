@@ -1,9 +1,11 @@
 package difftest
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"uexc/internal/arch"
 	"uexc/internal/core"
 	"uexc/internal/progen"
 )
@@ -112,6 +114,62 @@ func TestSMCStanzaObservesPatch(t *testing.T) {
 		const s1 = 17
 		if got := rs.GPR[s1] - rb.GPR[s1]; got != 7+1234 {
 			t.Errorf("[%s] smc accumulator delta = %d, want %d (stale decode?)", mode, got, 7+1234)
+		}
+	}
+}
+
+// wordReads records, as each machine is returned, its data page and
+// fault arena read the word-at-a-time way runMode once did: one
+// ReadUserWord per word.
+type wordReads struct {
+	pool        *core.MachinePool
+	data, arena []uint32
+}
+
+func (w *wordReads) Get() (*core.Machine, error) { return w.pool.Get() }
+
+func (w *wordReads) Put(m *core.Machine) {
+	word := func(va uint32) uint32 {
+		v, _ := m.K.ReadUserWord(va)
+		return v
+	}
+	w.data, w.arena = nil, nil
+	for off := uint32(0); off < arch.PageSize; off += 4 {
+		w.data = append(w.data, word(progen.DataBase+off))
+	}
+	for off := uint32(0); off < progen.ArenaPages*arch.PageSize; off += 4 {
+		w.arena = append(w.arena, word(progen.ArenaBase+off))
+	}
+	w.pool.Put(m)
+}
+
+// TestUserWordsMatchWordReads: reading the data page and the fault
+// arena a page at a time yields exactly the words ReadUserWord reads
+// one at a time, and the entry count and handler log taken from the
+// data page match, for seeds 0–199 under every mode.
+func TestUserWordsMatchWordReads(t *testing.T) {
+	w := &wordReads{pool: &core.MachinePool{}}
+	for seed := int64(0); seed < 200; seed++ {
+		p := progen.Generate(seed)
+		for _, mode := range Modes {
+			r := runMode(w, p, mode, false)
+			if r.Err != "" && strings.HasPrefix(r.Err, "panic") {
+				t.Fatalf("seed %d mode %s: %s", seed, mode, r.Err)
+			}
+			if !slices.Equal(r.Data, w.data) || !slices.Equal(r.Arena, w.arena) {
+				t.Fatalf("seed %d mode %s: page reads differ from word reads", seed, mode)
+			}
+			logged := min(w.data[progen.OffLogLen/4], progen.LogCap)
+			if r.Entries != w.data[progen.OffCount/4] || len(r.Log) != int(logged) {
+				t.Fatalf("seed %d mode %s: entries/log = %d/%d, want %d/%d",
+					seed, mode, r.Entries, len(r.Log), w.data[progen.OffCount/4], logged)
+			}
+			for i, e := range r.Log {
+				off := (progen.OffLog + uint32(i)*8) / 4
+				if e != (Entry{Cause: w.data[off], BadVA: w.data[off+1]}) {
+					t.Fatalf("seed %d mode %s: log entry %d = %+v", seed, mode, i, e)
+				}
+			}
 		}
 	}
 }

@@ -139,8 +139,8 @@ func (r *CampaignResult) Summary() string {
 }
 
 // RunDigest is one run's digest. Every field is exported and
-// JSON-tagged because shards are journaled verbatim by the serving
-// layer's checkpoint path (DESIGN.md §12): a digest written by one
+// JSON-tagged because shards are journaled verbatim by the durable
+// job store (DESIGN.md §12): a digest written by one
 // process must fold identically when replayed by the next.
 type RunDigest struct {
 	Fingerprint string                       `json:"fp"`
@@ -199,7 +199,7 @@ func CampaignShards(seeds int) int {
 }
 
 // ShardLine renders shard i's progress line from its digest — the
-// single formatting point for live shards, checkpointed shards
+// single formatting point for live shards, journaled shards
 // replayed on resume, and shards merged from remote workers by the
 // fleet coordinator (DESIGN.md §13), so all three are byte-identical
 // by construction.

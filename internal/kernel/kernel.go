@@ -264,6 +264,16 @@ func (k *Kernel) storeUserByte(va uint32, v uint8) bool {
 // application-level simulation layer.
 func (k *Kernel) ReadUserWord(va uint32) (uint32, bool) { return k.loadUserWord(va) }
 
+// UserPage returns the physical page backing user VA va's page through
+// the page table, or nil for a page that reads as zeros: unmapped,
+// unallocated, or never touched.
+func (k *Kernel) UserPage(va uint32) *mem.Page {
+	if pa, ok := k.Proc.translate(va); ok {
+		return k.Mem.PageRef(pa)
+	}
+	return nil
+}
+
 // WriteUserWord writes a word into the user address space through the
 // page table, ignoring page protection (kernel privilege).
 func (k *Kernel) WriteUserWord(va, v uint32) bool { return k.storeUserWord(va, v) }

@@ -13,8 +13,8 @@ import (
 // a typed error to quarantine a shard that keeps failing, or — only
 // when the sweep's context is already dead — returns without ever
 // calling run. A shard whose run never executed never reaches the
-// frontier, so a give-up cannot advance the merged prefix (or a
-// checkpoint of it) over a result that was never computed. Runners are
+// frontier, so a give-up cannot advance the merged prefix (or the
+// journal's copy of it) over a result that was never computed. Runners are
 // how the serving layer attaches per-shard deadlines, bounded retries,
 // and chaos-injected faults without the engines knowing: the engine
 // sees only "the shard ran".
@@ -27,32 +27,22 @@ type ShardRunner func(i int, run func())
 // to the merged callback, in order, never concurrently. Results that
 // arrive early wait in a pending set until the prefix reaches them.
 //
-// With a save callback the frontier also checkpoints: save(prefix)
-// runs whenever the prefix has advanced at least `every` indices past
-// the last save, and once more from Finish, strictly in order and
-// under the frontier's lock. The first save error sticks: every later
-// Add and Finish returns it.
+// The first error merged returns sticks: the prefix stops below the
+// index that failed, and every later Add and Finish returns the error.
 type Frontier[T any] struct {
-	mu        sync.Mutex
-	next      int // first index not yet merged
-	n         int
-	pending   map[int]T
-	merged    func(i int, t T)
-	every     int
-	lastSaved int
-	save      func(prefix int) error
-	err       error
+	mu      sync.Mutex
+	next    int // first index not yet merged
+	n       int
+	pending map[int]T
+	merged  func(i int, t T) error
+	err     error
 }
 
 // NewFrontier returns a frontier whose prefix already covers [0,
 // start) — a resumed run's durable prefix, or the shards below a
-// sub-range — and ends at n. every <= 0 checkpoints on every advance;
-// a nil save never checkpoints.
-func NewFrontier[T any](start, n, every int, merged func(i int, t T), save func(prefix int) error) *Frontier[T] {
-	return &Frontier[T]{
-		next: start, n: n, pending: map[int]T{}, merged: merged,
-		every: max(every, 1), lastSaved: start, save: save,
-	}
+// sub-range — and ends at n.
+func NewFrontier[T any](start, n int, merged func(i int, t T) error) *Frontier[T] {
+	return &Frontier[T]{next: start, n: n, pending: map[int]T{}, merged: merged}
 }
 
 // Add accepts index i's result. An index below the frontier was
@@ -71,43 +61,27 @@ func (f *Frontier[T]) Add(i int, t T) error {
 	if _, dup := f.pending[i]; !dup {
 		f.pending[i] = t
 	}
-	for {
+	for f.err == nil {
 		t, ok := f.pending[f.next]
 		if !ok {
 			break
 		}
 		delete(f.pending, f.next)
-		f.merged(f.next, t)
-		f.next++
-	}
-	if f.next-f.lastSaved >= f.every {
-		f.saveLocked()
+		if f.err = f.merged(f.next, t); f.err == nil {
+			f.next++
+		}
 	}
 	return f.err
 }
 
-// Finish saves the rest of the prefix and fails if the prefix does not
-// cover every index below n.
+// Finish fails if the prefix does not cover every index below n.
 func (f *Frontier[T]) Finish() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.err == nil && f.next < f.n {
 		return fmt.Errorf("merge frontier stopped at shard %d of %d", f.next, f.n)
 	}
-	if f.lastSaved < f.next {
-		f.saveLocked()
-	}
 	return f.err
-}
-
-// saveLocked checkpoints the prefix; callers hold f.mu.
-func (f *Frontier[T]) saveLocked() {
-	if f.err != nil || f.save == nil {
-		return
-	}
-	if f.err = f.save(f.next); f.err == nil {
-		f.lastSaved = f.next
-	}
 }
 
 // fail records err as the frontier's sticky error unless one is set.
@@ -129,7 +103,7 @@ func (f *Frontier[T]) stuck() error {
 // Run is the sweep driver. It executes every shard the frontier still
 // lacks across workers (normalized via Workers), each through runner
 // (nil calls it directly), Adds each result, and Finishes. The first
-// shard or save error cancels the sweep and is returned; otherwise a
+// shard or merge error cancels the sweep and is returned; otherwise a
 // cut-short sweep returns ctx's error. Any non-nil error means the
 // merged prefix is all that is valid.
 func (f *Frontier[T]) Run(ctx context.Context, workers int, runner ShardRunner, shard func(i int) (T, error)) error {

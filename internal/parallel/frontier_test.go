@@ -11,12 +11,12 @@ import (
 	"time"
 )
 
-// frontierCase is one row of TestFrontier: a frontier over [start, n)
-// checkpointing every `every` advances, fed either directly (adds, in
-// arrival order) or by the driver (drive, once per width).
+// frontierCase is one row of TestFrontier: a frontier over [start, n),
+// fed either directly (adds, in arrival order) or by the driver (drive,
+// once per width).
 type frontierCase struct {
-	name            string
-	start, n, every int
+	name     string
+	start, n int
 	// adds is the direct arrival order. The first copy of index i
 	// carries the serial result i+1; any later copy carries -(i+1), so a
 	// duplicate that leaks into the merged stream is caught.
@@ -24,7 +24,7 @@ type frontierCase struct {
 	// drive feeds the frontier through Run at the given width.
 	drive  func(t *testing.T, f *Frontier[int], workers int) error
 	widths []int // drive widths (nil: 1 and 4)
-	// failAt makes every save of a prefix >= failAt fail (0: never).
+	// failAt makes the merged call of index failAt fail (0: never).
 	failAt int
 	// wantNext is where the merged prefix must end (-1: scheduling-
 	// dependent, unchecked).
@@ -57,17 +57,17 @@ var frontierCases = []frontierCase{
 			})
 		},
 	},
-	{name: "checkpoint-cadence", n: 17, every: 4, wantNext: 17, drive: runPlain},
-	{name: "resume-equivalence", start: 7, n: 12, every: 2, wantNext: 12, drive: runPlain},
+	{name: "every-index-merged", n: 17, wantNext: 17, drive: runPlain},
+	{name: "resume-equivalence", start: 7, n: 12, wantNext: 12, drive: runPlain},
 	{
-		// The disk fills once the prefix reaches half the sweep: how many
-		// saves precede that depends on scheduling, but some save always
-		// covers it, so the failure is certain.
-		name: "save-error-aborts", n: 100, every: 1, failAt: 50, wantNext: -1, wantErr: "disk full",
+		// The disk fills when the prefix reaches half the sweep: the
+		// journal call of index 50 fails, so the prefix stops there at
+		// every width, and the error sticks.
+		name: "save-error-aborts", n: 100, failAt: 50, wantNext: 50, wantErr: "disk full",
 		drive: func(t *testing.T, f *Frontier[int], workers int) error {
 			err := runPlain(t, f, workers)
 			if aerr := f.Add(99, 100); !errors.Is(aerr, errDiskFull) {
-				t.Errorf("Add after a failed save = %v, want the sticky %v", aerr, errDiskFull)
+				t.Errorf("Add after a failed merge = %v, want the sticky %v", aerr, errDiskFull)
 			}
 			return err
 		},
@@ -75,8 +75,8 @@ var frontierCases = []frontierCase{
 	{
 		// A runner that gives up without calling run (its only legal
 		// reason: the sweep's context is dead) must not advance the
-		// frontier, so no save can cover a shard that never ran.
-		name: "give-up-not-checkpointed", n: 12, every: 1, wantNext: -1, wantErr: "context canceled",
+		// frontier, so no journal record can cover a shard that never ran.
+		name: "give-up-not-checkpointed", n: 12, wantNext: -1, wantErr: "context canceled",
 		drive: func(t *testing.T, f *Frontier[int], workers int) error {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
@@ -96,7 +96,7 @@ var frontierCases = []frontierCase{
 		// stalls; the sweep is then cancelled and shard 1's runner gives
 		// up. The driver must not deadlock, and only the prefix below the
 		// stall may be merged — never a pending later shard.
-		name: "cancel-buffered-ahead-of-stall", n: 8, every: 1, widths: []int{2, 4},
+		name: "cancel-buffered-ahead-of-stall", n: 8, widths: []int{2, 4},
 		wantNext: 1, wantErr: "context canceled",
 		drive: func(t *testing.T, f *Frontier[int], workers int) error {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -142,11 +142,11 @@ var frontierCases = []frontierCase{
 		},
 	},
 	{name: "start-ignores-below", start: 2, n: 5, adds: []int{3, 0, 2, 1, 4}, wantNext: 5},
-	{name: "out-of-order", n: 6, every: 2, adds: []int{5, 3, 1, 0, 4, 2}, wantNext: 6},
+	{name: "out-of-order", n: 6, adds: []int{5, 3, 1, 0, 4, 2}, wantNext: 6},
 	{name: "dup-below-frontier", n: 3, adds: []int{0, 1, 0, 1, 2}, wantNext: 3},
-	{name: "dup-pending", n: 4, every: 2, adds: []int{2, 3, 2, 1, 0, 3}, wantNext: 4},
+	{name: "dup-pending", n: 4, adds: []int{2, 3, 2, 1, 0, 3}, wantNext: 4},
 	{name: "past-end-refused", n: 3, adds: []int{3, 0, 7, 1, 2}, wantNext: 3, wantErr: "past the end"},
-	{name: "finish-incomplete", n: 3, every: 5, adds: []int{0, 2}, wantNext: 1, wantErr: "stopped at shard 1 of 3"},
+	{name: "finish-incomplete", n: 3, adds: []int{0, 2}, wantNext: 1, wantErr: "stopped at shard 1 of 3"},
 }
 
 // frontierRecord is what a frontier under test emitted.
@@ -154,32 +154,25 @@ type frontierRecord struct {
 	mu     sync.Mutex
 	merged []int // indices, in merge order
 	vals   []int
-	saves  []int
 }
 
 func (r *frontierRecord) frontier(c frontierCase) *Frontier[int] {
-	return NewFrontier(c.start, c.n, c.every, func(i, v int) {
+	return NewFrontier(c.start, c.n, func(i, v int) error {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		r.merged = append(r.merged, i)
-		r.vals = append(r.vals, v)
-	}, func(prefix int) error {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if c.failAt > 0 && prefix >= c.failAt {
+		if c.failAt > 0 && i == c.failAt {
 			return errDiskFull
 		}
-		r.saves = append(r.saves, prefix)
+		r.merged = append(r.merged, i)
+		r.vals = append(r.vals, v)
 		return nil
 	})
 }
 
 // TestFrontier runs every frontierCase and holds each to the contract:
 // the merged stream is the serial results of start, start+1, ... in
-// order, each exactly once; saves grow strictly, never past the merged
-// prefix, at the cadence (only the final, completing save may be
-// shorter), and a completed frontier's last save is the full prefix
-// and it holds nothing pending.
+// order, each exactly once, and a completed frontier holds nothing
+// pending.
 func TestFrontier(t *testing.T) {
 	for _, c := range frontierCases {
 		t.Run(c.name, func(t *testing.T) {
@@ -240,17 +233,6 @@ func (r *frontierRecord) check(t *testing.T, c frontierCase, what string, err er
 	if c.wantNext >= 0 && next != c.wantNext {
 		t.Fatalf("%s: merged prefix ends at %d, want %d", what, next, c.wantNext)
 	}
-	last := c.start
-	for k, p := range r.saves {
-		final := k == len(r.saves)-1 && p == c.n
-		if p <= last || p > next || (p-last < max(c.every, 1) && !final) {
-			t.Fatalf("%s: saves %v break the cadence of %d from %d (merged to %d)", what, r.saves, c.every, c.start, next)
-		}
-		last = p
-	}
-	if err == nil && c.n > c.start && last != c.n {
-		t.Fatalf("%s: completed frontier saved only %v, never the full prefix %d", what, r.saves, c.n)
-	}
 }
 
 // TestShardRunnerWrapsEveryShard: the driver's runner sees every live
@@ -262,7 +244,7 @@ func TestShardRunnerWrapsEveryShard(t *testing.T) {
 		var wrapped sync.Map
 		var retried, calls atomic.Int32
 		var merged []int
-		f := NewFrontier(2, 8, 0, func(i, v int) { merged = append(merged, v) }, nil)
+		f := NewFrontier(2, 8, func(i, v int) error { merged = append(merged, v); return nil })
 		err := f.Run(context.Background(), workers, func(i int, run func()) {
 			if _, dup := wrapped.LoadOrStore(i, true); dup {
 				t.Errorf("workers %d: shard %d wrapped twice", workers, i)
@@ -303,32 +285,33 @@ func TestShardRunnerWrapsEveryShard(t *testing.T) {
 
 // FuzzFrontier feeds the frontier adversarial arrival orders — any
 // permutation, duplicates, indices below the start and past the end —
-// at every cadence and start offset, as a fleet of misbehaving nodes
-// could. The fuzzed arrivals are followed by [start, n) in order, so
-// every run completes.
+// at every start offset, as a fleet of misbehaving nodes could, with
+// the merged call of one fuzzed index (or none) failing. The fuzzed
+// arrivals are followed by [start, n) in order, so every run without a
+// failure completes, and a run with one stops at the failed index with
+// the error stuck to every later Add and to Finish.
 func FuzzFrontier(f *testing.F) {
-	f.Fuzz(func(t *testing.T, nb, startb, everyb uint8, order []byte) {
+	f.Fuzz(func(t *testing.T, nb, startb, failb uint8, order []byte) {
 		n := int(nb)%32 + 1
 		start := int(startb) % (n + 1)
-		every := int(everyb)%n + 1
-		var merged, saves []int
-		fr := NewFrontier(start, n, every, func(i, v int) {
+		failAt := int(failb) % (n + 1) // n: no merged call fails
+		if failAt < start {
+			failAt = n // indices below start are never merged
+		}
+		var merged []int
+		failed := false
+		fr := NewFrontier(start, n, func(i, v int) error {
+			if failed {
+				t.Fatalf("index %d merged after the failure at %d", i, failAt)
+			}
 			if v != i+1 {
 				t.Fatalf("index %d merged value %d, want the serial %d", i, v, i+1)
 			}
+			if i == failAt {
+				failed = true
+				return errDiskFull
+			}
 			merged = append(merged, i)
-		}, func(prefix int) error {
-			last := start
-			if len(saves) > 0 {
-				last = saves[len(saves)-1]
-			}
-			if prefix <= last || prefix != start+len(merged) {
-				t.Fatalf("save(%d) after saves %v with merged prefix %d", prefix, saves, start+len(merged))
-			}
-			if prefix-last < every && prefix != n {
-				t.Fatalf("save(%d) only %d past save %d, cadence %d", prefix, prefix-last, last, every)
-			}
-			saves = append(saves, prefix)
 			return nil
 		})
 		arrivals := make([]int, 0, len(order)+n)
@@ -340,26 +323,37 @@ func FuzzFrontier(f *testing.F) {
 		}
 		for _, i := range arrivals {
 			err := fr.Add(i, i+1)
-			if (i >= n) != (err != nil) {
+			switch {
+			case i >= n:
+				if err == nil {
+					t.Fatalf("Add(%d) of %d accepted", i, n)
+				}
+			case failed:
+				if !errors.Is(err, errDiskFull) {
+					t.Fatalf("Add(%d) after the failure at %d = %v, want the sticky %v", i, failAt, err, errDiskFull)
+				}
+			case err != nil:
 				t.Fatalf("Add(%d) of %d = %v", i, n, err)
 			}
 		}
-		if err := fr.Finish(); err != nil {
+		want := n
+		if err := fr.Finish(); failAt < n {
+			want = failAt
+			if !errors.Is(err, errDiskFull) {
+				t.Fatalf("Finish after the failure at %d = %v, want the sticky %v", failAt, err, errDiskFull)
+			}
+		} else if err != nil {
 			t.Fatal(err)
-		}
-		if len(fr.pending) != 0 {
+		} else if len(fr.pending) != 0 {
 			t.Fatalf("completed frontier still holds %v", fr.pending)
 		}
 		for k, i := range merged {
 			if i != start+k {
-				t.Fatalf("merged %v, want %d..%d once each in order", merged, start, n-1)
+				t.Fatalf("merged %v, want %d..%d once each in order", merged, start, want-1)
 			}
 		}
-		if start+len(merged) != n {
-			t.Fatalf("merged %v, want %d..%d", merged, start, n-1)
-		}
-		if n > start && (len(saves) == 0 || saves[len(saves)-1] != n) {
-			t.Fatalf("saves %v never reached the full prefix %d", saves, n)
+		if start+len(merged) != want {
+			t.Fatalf("merged %v, want %d..%d", merged, start, want-1)
 		}
 	})
 }

@@ -16,8 +16,9 @@
 // Shards therefore finish close to index order, which is the order the
 // merge frontier (Frontier) consumes them in: with no more workers than
 // CPUs its pending set holds about as many results as there are shards
-// in flight, and checkpoints and progress advance steadily. Load balance comes from the same rule
-// — a worker stuck on a slow shard simply takes no more indices.
+// in flight, and the journal and progress advance steadily. Load
+// balance comes from the same rule — a worker stuck on a slow shard
+// simply takes no more indices.
 package parallel
 
 import (

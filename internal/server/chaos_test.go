@@ -178,21 +178,22 @@ func admitAndAbandon(t *testing.T, base string, req Request) uint64 {
 	return ev.ID
 }
 
-// waitJournalQuiesce waits until s has landed at least one checkpoint
-// and its journal append counter has then held still for a stretch of
-// consecutive polls, and returns the settled count — the shards that
-// finished ahead of the brake have all been journaled, so a kill
-// cannot erase the life's durable progress.
+// waitJournalQuiesce waits until s has made at least one shard digest
+// durable and its journal append counter has then held still, with
+// every appended record fsynced, for a stretch of consecutive polls,
+// and returns the settled count — the shards that finished ahead of
+// the brake are all durable, so a kill cannot erase the life's
+// progress.
 func waitJournalQuiesce(t *testing.T, s *Server) uint64 {
 	t.Helper()
 	var last uint64
 	stable := 0
 	waitMetric(t, "journal quiesce", func() bool {
-		snap := s.snapshot()
-		if snap.Checkpoints >= 1 && snap.JournalAppends == last {
+		st := s.store.Stats()
+		if st.Checkpoints >= 1 && st.Synced == st.Appends && st.Appends == last {
 			stable++
 		} else {
-			last, stable = snap.JournalAppends, 0
+			last, stable = st.Appends, 0
 		}
 		return stable >= 40
 	})
@@ -218,10 +219,9 @@ func runChaos(t *testing.T, seeds, kills int, p faultPlan) {
 		return Config{
 			Workers: 2, QueueDepth: 4,
 			StoreDir: dir, Resume: resume,
-			CheckpointEvery: 2, StoreSyncEvery: 4,
-			StoreSyncDelay: (&slowSync{plan: p}).delay,
+			storeSyncDelay: (&slowSync{plan: p}).delay,
 			ShardAttempts:  3, ShardBackoff: time.Millisecond,
-			ShardFault: fault,
+			shardFault: fault,
 		}
 	}
 	// A restarted incarnation must have replayed exactly our job, from
@@ -247,9 +247,9 @@ func runChaos(t *testing.T, seeds, kills int, p faultPlan) {
 			abandon(t, attach(t, base, id), 3)
 		}
 		// Wait for the brake to engage — a shard beyond this life's
-		// limit has been reached and stalled — then for a checkpoint to
-		// land and the journal to quiesce, so the kill lands at a point
-		// whose durable prefix is the checkpoints this life earned.
+		// limit has been reached and stalled — then for the journal to
+		// quiesce, so the kill lands at a point whose durable prefix is
+		// every shard this life merged.
 		select {
 		case <-br.engaged:
 		case <-time.After(60 * time.Second):
@@ -305,7 +305,7 @@ func runChaos(t *testing.T, seeds, kills int, p faultPlan) {
 //     must re-dispatch to the survivor (duplicate shard deliveries
 //     reach the merge frontier and are discarded);
 //  2. the coordinator itself is killed mid-fan-out, after ranges have
-//     acked and merge checkpoints are durable, and a garbage
+//     acked and merged digests are durable, and a garbage
 //     journal.ndjson.tmp is planted in its store directory — the torn
 //     leftover of a compaction interrupted at the worst moment;
 //  3. a replacement coordinator reopens the journal (clobbering the
@@ -328,7 +328,7 @@ func runFleet(t *testing.T, seeds int, p faultPlan) {
 	workerCfg := Config{
 		Workers: 2, QueueDepth: 8,
 		ShardAttempts: 3, ShardBackoff: time.Millisecond,
-		ShardFault: func(job uint64, shard, attempt int) ShardFault {
+		shardFault: func(job uint64, shard, attempt int) ShardFault {
 			if int64(shard) >= gate.Load() {
 				return ShardFault{Stall: 30 * time.Second}
 			}
@@ -341,7 +341,6 @@ func runFleet(t *testing.T, seeds int, p faultPlan) {
 		return Config{
 			Workers: 1, QueueDepth: 4,
 			StoreDir: dir, Resume: resume,
-			CheckpointEvery: 2, StoreSyncEvery: 2,
 			WorkerNodes: nodes, DispatchShards: 6,
 			WorkerQuarantine: 100 * time.Millisecond,
 			ShardBackoff:     time.Millisecond,
@@ -366,7 +365,7 @@ func runFleet(t *testing.T, seeds int, p faultPlan) {
 	})
 
 	// Fault 2: kill the coordinator once this life's merge progress is
-	// checkpointed, then plant a torn compaction tmp next to the
+	// durable, then plant a torn compaction tmp next to the
 	// journal — reopening must clobber it, not replay it.
 	waitJournalQuiesce(t, coordA)
 	killA()

@@ -7,9 +7,9 @@
 // summary, and fingerprints are byte-identical to a serial single-node
 // run. Failure handling rides the §12 machinery: a failed range is
 // requeued immediately for any surviving worker (the failing node
-// backs off, then quarantines), merged digests checkpoint through the
-// durable store under the usual cadence, and a killed coordinator
-// resumes from its merge frontier.
+// backs off, then quarantines), each merged digest is journaled to the
+// durable store as the merge reaches it, and a killed coordinator
+// resumes from its journaled prefix.
 package server
 
 import (
@@ -134,8 +134,8 @@ func (fj *fleetJob) rangeDone() {
 
 // runDistributed executes a sweep job across the fleet: dispatch
 // phase (ranges stream back and merge into the sweep's frontier, which
-// renders the progress lines and checkpoints exactly as a local run
-// does), then the merge's Fold over the complete digest prefix, which
+// renders the progress lines and journals each shard exactly as a
+// local run does), then the merge's Fold over the complete digest prefix, which
 // re-derives the summary and result exactly as a local run would,
 // executing nothing.
 func (s *Server) runDistributed(j *job, sw sweep.Kind) (bool, string, error) {
@@ -145,8 +145,7 @@ func (s *Server) runDistributed(j *job, sw sweep.Kind) (bool, string, error) {
 	}
 	// The merge replays the durable prefix's progress lines, exactly as
 	// a local resume does, so the resumed stream stays byte-identical.
-	m, err := sw.Merge(sweep.Options{Seeds: j.req.Seeds, Progress: w, Every: s.cfg.CheckpointEvery},
-		j.done, s.checkpoint(j))
+	m, err := sw.Merge(sweep.Options{Seeds: j.req.Seeds, Progress: w}, j.done, s.journal(j))
 	if err != nil {
 		return false, "", err
 	}
@@ -282,8 +281,8 @@ func (f *fleet) dispatch(fj *fleetJob, n *fleetNode, rg fleetRange) error {
 				return fmt.Errorf("shard %d streamed past range [%d,%d)", want, rg.from, rg.to)
 			}
 			if err := fj.merge.Add(want, ev.Data); err != nil {
-				// A corrupt digest or a failed checkpoint is the job's
-				// failure, not the delivering worker's.
+				// A corrupt digest or a failed journal append is the
+				// job's failure, not the delivering worker's.
 				fj.fatal(err)
 				return err
 			}

@@ -274,7 +274,7 @@ func TestDistributedAllWorkersPoisoned(t *testing.T) {
 	poison := Config{
 		Workers: 2, QueueDepth: 8,
 		ShardAttempts: 1,
-		ShardFault: func(job uint64, shard, attempt int) ShardFault {
+		shardFault: func(job uint64, shard, attempt int) ShardFault {
 			return ShardFault{Panic: shard == 5}
 		},
 	}
@@ -305,7 +305,7 @@ func TestDistributedAllWorkersPoisoned(t *testing.T) {
 }
 
 // TestDistributedCoordinatorKillResume: a durable coordinator is killed
-// mid-fan-out after checkpointing merged digests; its next incarnation
+// mid-fan-out after journaling merged digests; its next incarnation
 // re-admits the job, replays the durable prefix, dispatches only the
 // remainder, and the re-attached stream equals the undisturbed serial
 // run byte for byte.
@@ -323,7 +323,7 @@ func TestDistributedCoordinatorKillResume(t *testing.T) {
 	workers := startWorkers(t, 2, Config{
 		Workers: 2, QueueDepth: 8,
 		ShardDeadline: time.Minute,
-		ShardFault: func(job uint64, shard, attempt int) ShardFault {
+		shardFault: func(job uint64, shard, attempt int) ShardFault {
 			if stall.Load() {
 				return ShardFault{Stall: 40 * time.Millisecond}
 			}
@@ -334,7 +334,7 @@ func TestDistributedCoordinatorKillResume(t *testing.T) {
 	dir := t.TempDir()
 	s1, base1, kill1 := crashable(t, Config{
 		Workers: 1, QueueDepth: 4,
-		StoreDir: dir, CheckpointEvery: 1, StoreSyncEvery: 1,
+		StoreDir:    dir,
 		WorkerNodes: workers, DispatchShards: 3,
 	})
 	posted := make(chan struct{})
@@ -344,7 +344,7 @@ func TestDistributedCoordinatorKillResume(t *testing.T) {
 	}()
 
 	waitMetric(t, "durable fleet progress before kill", func() bool {
-		return s1.snapshot().Checkpoints >= 2 && s1.snapshot().FleetAcks >= 1
+		return durableShards(s1) >= 2 && s1.snapshot().FleetAcks >= 1
 	})
 	kill1()
 	<-posted
@@ -352,7 +352,7 @@ func TestDistributedCoordinatorKillResume(t *testing.T) {
 
 	s2, base2 := startTest(t, Config{
 		Workers: 1, QueueDepth: 4,
-		StoreDir: dir, Resume: true, CheckpointEvery: 1,
+		StoreDir: dir, Resume: true,
 		WorkerNodes: workers, DispatchShards: 3,
 	})
 

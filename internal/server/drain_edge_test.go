@@ -8,10 +8,11 @@ import (
 	"uexc/internal/harness"
 )
 
-// TestDrainWaitsForMidCheckpointJob: SIGTERM arriving while a job is
-// mid-checkpoint — blocked inside the journal fsync — must not tear
-// the checkpoint or the job: Drain waits, the checkpoint lands, the
-// job finishes, and the client still gets the complete stream.
+// TestDrainWaitsForMidCheckpointJob: SIGTERM arriving while a job's
+// journal fsync is parked must not tear the journal or the job: the
+// job's finish record waits for the disk, Drain waits for the job, the
+// fsync lands, the job finishes, and the client still gets the
+// complete stream.
 func TestDrainWaitsForMidCheckpointJob(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a campaign")
@@ -24,10 +25,10 @@ func TestDrainWaitsForMidCheckpointJob(t *testing.T) {
 	release := make(chan struct{})
 	s, base := startTest(t, Config{
 		Workers: 1, QueueDepth: 2,
-		StoreDir: t.TempDir(), CheckpointEvery: 1, StoreSyncEvery: 1,
-		// Once armed, the next checkpoint fsync parks until released —
-		// the drain signal lands exactly mid-checkpoint.
-		StoreSyncDelay: func() {
+		StoreDir: t.TempDir(),
+		// Once armed, the next journal fsync parks until released — the
+		// drain signal lands exactly mid-fsync.
+		storeSyncDelay: func() {
 			if !armed.Load() {
 				return
 			}
@@ -37,9 +38,9 @@ func TestDrainWaitsForMidCheckpointJob(t *testing.T) {
 			}
 			<-release
 		},
-		// Slow every shard slightly so checkpoints keep coming while the
-		// test arms the trap.
-		ShardFault: func(job uint64, shard, attempt int) ShardFault {
+		// Slow every shard slightly so fsyncs keep coming while the test
+		// arms the trap.
+		shardFault: func(job uint64, shard, attempt int) ShardFault {
 			return ShardFault{Stall: 5 * time.Millisecond}
 		},
 	})
@@ -52,13 +53,13 @@ func TestDrainWaitsForMidCheckpointJob(t *testing.T) {
 
 	waitMetric(t, "first checkpoint", func() bool { return s.snapshot().Checkpoints >= 1 })
 	armed.Store(true)
-	<-entered // a checkpoint fsync is now parked
+	<-entered // a journal fsync is now parked
 
 	drained := make(chan struct{})
 	go func() { s.Drain(); close(drained) }()
 	select {
 	case <-drained:
-		t.Fatal("Drain returned while a checkpoint fsync was still parked")
+		t.Fatal("Drain returned while a journal fsync was still parked")
 	case <-time.After(20 * time.Millisecond):
 	}
 
@@ -67,11 +68,11 @@ func TestDrainWaitsForMidCheckpointJob(t *testing.T) {
 	select {
 	case <-drained:
 	case <-time.After(30 * time.Second):
-		t.Fatal("Drain never returned after the checkpoint was released")
+		t.Fatal("Drain never returned after the fsync was released")
 	}
 	st := <-clientDone
 	if !st.complete || !st.ok {
-		t.Fatalf("job across a mid-checkpoint drain: %+v", st)
+		t.Fatalf("job across a mid-fsync drain: %+v", st)
 	}
 	if st.output != want {
 		t.Errorf("stream differs from the undisturbed run\n--- got ---\n%s--- golden ---\n%s",
@@ -94,13 +95,13 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 	dir := t.TempDir()
 	want := golden(t, TypeCampaign, seeds)
 
-	// Incarnation A: checkpoint every shard, stall a late shard to pin
-	// the campaign mid-flight, then kill.
+	// Incarnation A: stall a late shard to pin the campaign mid-flight,
+	// then kill once some shards are durable.
 	stallShard := harness.CampaignShards(seeds) - 2
 	s1, base1, kill1 := crashable(t, Config{
 		Workers: 1, QueueDepth: 2,
-		StoreDir: dir, CheckpointEvery: 1, StoreSyncEvery: 1,
-		ShardFault: func(job uint64, shard, attempt int) ShardFault {
+		StoreDir: dir,
+		shardFault: func(job uint64, shard, attempt int) ShardFault {
 			if shard == stallShard {
 				return ShardFault{Stall: 30 * time.Second}
 			}
@@ -112,7 +113,7 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 		defer close(posted)
 		tryPost(base1, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
 	}()
-	waitMetric(t, "checkpoints before kill", func() bool { return s1.snapshot().Checkpoints >= 3 })
+	waitMetric(t, "durable shards before kill", func() bool { return durableShards(s1) >= 3 })
 	kill1()
 	<-posted
 
@@ -120,8 +121,8 @@ func TestClientDisconnectDuringReplayStream(t *testing.T) {
 	// replayed prefix streams while the job is still running.
 	s2, base2 := startTest(t, Config{
 		Workers: 1, QueueDepth: 2,
-		StoreDir: dir, Resume: true, CheckpointEvery: 1,
-		ShardFault: func(job uint64, shard, attempt int) ShardFault {
+		StoreDir: dir, Resume: true,
+		shardFault: func(job uint64, shard, attempt int) ShardFault {
 			return ShardFault{Stall: 5 * time.Millisecond}
 		},
 	})

@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -31,13 +32,13 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 
 	want := golden(t, TypeCampaign, seeds)
 
-	// Incarnation A: checkpoint every merged shard, and stall one late
-	// shard so the campaign reliably outlives the kill trigger.
+	// Incarnation A: stall one late shard so the campaign reliably
+	// outlives the kill trigger.
 	stallShard := harness.CampaignShards(seeds) - 3
 	s1, base1, kill1 := crashable(t, Config{
 		Workers: 1, QueueDepth: 4,
-		StoreDir: dir, CheckpointEvery: 1, StoreSyncEvery: 1,
-		ShardFault: func(job uint64, shard, attempt int) ShardFault {
+		StoreDir: dir,
+		shardFault: func(job uint64, shard, attempt int) ShardFault {
 			if shard == stallShard {
 				return ShardFault{Stall: 30 * time.Second}
 			}
@@ -51,10 +52,10 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 		clientDone <- st
 	}()
 
-	// Kill only after real progress is durable: several checkpoints
+	// Kill only after real progress is durable: several shard digests
 	// fsynced, while the stalled shard pins the job mid-flight.
-	waitMetric(t, "checkpoints before kill", func() bool {
-		return s1.snapshot().Checkpoints >= 5 && s1.snapshot().ShardStalls >= 1
+	waitMetric(t, "durable shards before kill", func() bool {
+		return durableShards(s1) >= 5 && s1.snapshot().ShardStalls >= 1
 	})
 	kill1()
 	// The job must have died unfinished — and the journal must carry no
@@ -67,7 +68,7 @@ func TestDurableJobSurvivesKillAndResumes(t *testing.T) {
 	}
 
 	// Incarnation B: same store, resume on. No faults this time.
-	s2, base2 := startTest(t, Config{Workers: 1, QueueDepth: 4, StoreDir: dir, Resume: true, CheckpointEvery: 1})
+	s2, base2 := startTest(t, Config{Workers: 1, QueueDepth: 4, StoreDir: dir, Resume: true})
 
 	if got := s2.snapshot().Restarts; got != 1 {
 		t.Errorf("Restarts = %d, want 1", got)
@@ -133,7 +134,7 @@ func TestDurableClientDisconnectDoesNotCancel(t *testing.T) {
 // TestPoisonShardQuarantine: a shard that fails every attempt is
 // quarantined after ShardAttempts tries, failing the job with the
 // typed *ShardError chain instead of wedging the service — on an
-// ephemeral server and on a journal-backed one checkpointing every
+// ephemeral server and on a journal-backed one journaling every
 // shard.
 func TestPoisonShardQuarantine(t *testing.T) {
 	if testing.Short() {
@@ -148,12 +149,12 @@ func TestPoisonShardQuarantine(t *testing.T) {
 			cfg := Config{
 				Workers: 1, QueueDepth: 2,
 				ShardAttempts: 2, ShardBackoff: time.Millisecond,
-				ShardFault: func(job uint64, shard, attempt int) ShardFault {
+				shardFault: func(job uint64, shard, attempt int) ShardFault {
 					return ShardFault{Panic: shard == 3}
 				},
 			}
 			if tc.store {
-				cfg.StoreDir, cfg.CheckpointEvery = t.TempDir(), 1
+				cfg.StoreDir = t.TempDir()
 			}
 			s, base := startTest(t, cfg)
 			st := postStream(t, base, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 1})
@@ -194,7 +195,7 @@ func TestTransientShardPanicRetriedByteIdentical(t *testing.T) {
 	s, base := startTest(t, Config{
 		Workers: 1, QueueDepth: 2,
 		ShardAttempts: 3, ShardBackoff: time.Millisecond,
-		ShardFault: func(job uint64, shard, attempt int) ShardFault {
+		shardFault: func(job uint64, shard, attempt int) ShardFault {
 			return ShardFault{Panic: shard == 2 && attempt == 0}
 		},
 	})
@@ -366,3 +367,79 @@ func TestStreamResultTrailerIntegrity(t *testing.T) {
 type failingReader struct{ err error }
 
 func (r failingReader) Read([]byte) (int, error) { return 0, r.err }
+
+// TestNoWorkerWaitsOnFsync: merging a shard never waits on the disk.
+// With every journal fsync after the admission's parked, a durable
+// Parallel: 1 campaign still merges all of its shards — its progress
+// stream is complete — and only its finish record waits, holding the
+// job's result until the disk comes back.
+func TestNoWorkerWaitsOnFsync(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a campaign")
+	}
+	const seeds = 2
+	want := golden(t, TypeCampaign, seeds)
+	var syncs atomic.Int32
+	release := make(chan struct{})
+	s, base := startTest(t, Config{
+		Workers: 1, QueueDepth: 2, StoreDir: t.TempDir(),
+		storeSyncDelay: func() {
+			if syncs.Add(1) > 1 { // the admission's fsync passes
+				<-release
+			}
+		},
+	})
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	clientDone := make(chan streamed, 1)
+	go func() {
+		st, _ := tryPost(base, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 1, Verbose: true})
+		clientDone <- st
+	}()
+	shards := harness.CampaignShards(seeds)
+	waitMetric(t, "every shard merged with the disk parked", func() bool {
+		return progressEvents(s, 1) == shards
+	})
+	waitMetric(t, "finish record appended", func() bool { return s.store.Stats().Appends == uint64(2+shards) })
+	time.Sleep(20 * time.Millisecond)
+	select {
+	case st := <-clientDone:
+		t.Fatalf("job stream ended before its finish record was durable: %+v", st)
+	default:
+	}
+	if st := s.store.Stats(); st.Syncs != 1 || st.Synced != 1 {
+		t.Fatalf("journal stats = %+v, want only the admission durable", st)
+	}
+
+	close(release)
+	st := <-clientDone
+	if !st.complete || !st.ok || st.output != want {
+		t.Fatalf("job after the disk came back: ok=%v complete=%v\n--- got ---\n%s--- golden ---\n%s",
+			st.ok, st.complete, st.output, want)
+	}
+}
+
+// progressEvents counts job id's progress events so far.
+func progressEvents(s *Server, id uint64) int {
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil {
+		return 0
+	}
+	j.log.mu.Lock()
+	defer j.log.mu.Unlock()
+	n := 0
+	for _, ev := range j.log.events {
+		if ev.Type == "progress" {
+			n++
+		}
+	}
+	return n
+}

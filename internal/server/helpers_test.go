@@ -227,6 +227,13 @@ func waitMetric(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// durableShards is how many shard digests of s's only job an fsync
+// covers: every synced record past the job's accept. It holds for an
+// incarnation that admitted or replayed exactly one job.
+func durableShards(s *Server) uint64 {
+	return max(s.store.Stats().Synced, 1) - 1
+}
+
 // golden is what `uexc-bench -faultcampaign|-difftest -seeds N -v`
 // prints at width 1 — the progress stream followed by the summary —
 // for a campaign or difftest job of the given size. It defines the

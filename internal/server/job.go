@@ -192,7 +192,7 @@ type Event struct {
 	// Shard-range fields: one "shard" event per merged index of a
 	// ShardFrom/ShardTo job, carrying the true shard index (a pointer so
 	// index 0 survives omitempty) and the engine digest — the same bytes
-	// a local run would checkpoint, which is what makes the
+	// a local run would journal, which is what makes the
 	// coordinator's merge byte-identical to local execution.
 	Shard *int            `json:"shard,omitempty"`
 	Data  json.RawMessage `json:"data,omitempty"`
@@ -256,8 +256,8 @@ func (l *eventLog) next(ctx context.Context, from int) ([]Event, bool) {
 // job is one admitted request in flight. ctx bounds execution: for an
 // ephemeral job (no store) it also dies with the client connection;
 // for a durable job it derives from the server's base context alone,
-// because a journaled job must keep running — and checkpointing —
-// after its client disconnects. The event log replaces a channel so
+// because a journaled job must keep running — and journaling — after
+// its client disconnects. The event log replaces a channel so
 // streams can re-attach.
 type job struct {
 	id      uint64
@@ -286,21 +286,14 @@ func (w progressWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// checkpoint is a durable job's sweep checkpoint callback: the
-// store's, counted in /metrics. Without a store there is nothing to
-// persist and the sweep skips checkpointing entirely.
-func (s *Server) checkpoint(j *job) func(prefix []json.RawMessage) error {
+// journal is a durable job's per-shard journal callback. Without a
+// store there is nothing to persist, and a nil callback spares the
+// sweep marshalling its digests.
+func (s *Server) journal(j *job) func(i int, digest json.RawMessage) error {
 	if s.store == nil {
 		return nil
 	}
-	save := s.store.Checkpoint(j.id, j.resumed)
-	return func(prefix []json.RawMessage) error {
-		if err := save(prefix); err != nil {
-			return err
-		}
-		s.metrics.add(func(m *metrics) { m.Checkpoints++ })
-		return nil
-	}
+	return func(i int, d json.RawMessage) error { return s.store.AppendShard(j.id, i, d) }
 }
 
 // sweepVerdict turns a folded sweep into a job verdict, counting its
@@ -354,9 +347,8 @@ func (s *Server) runJob(j *job) (ok bool, summary string, err error) {
 // the shard space for a coordinator; in coordinator mode the sweep fans
 // out to the worker fleet. Otherwise it runs locally under the
 // server's shard runner (per-shard retry, deadline, chaos injection)
-// and, when a store is configured, checkpoints every CheckpointEvery
-// merged shards and skips the durable prefix recovered from the
-// journal on resume.
+// and, when a store is configured, journals every merged shard and
+// skips the durable prefix recovered from the journal on resume.
 func (s *Server) runSweep(j *job, sw sweep.Kind) (bool, string, error) {
 	if j.req.ShardTo > 0 {
 		return s.runShardRange(j, sw)
@@ -372,8 +364,8 @@ func (s *Server) runSweep(j *job, sw sweep.Kind) (bool, string, error) {
 	}
 	res, err := sw.Resume(j.ctx, sweep.Options{
 		Seeds: j.req.Seeds, Workers: j.req.Parallel, Pool: s.pool,
-		Progress: w, Every: s.cfg.CheckpointEvery, Runner: s.shardRunner(j),
-	}, j.done, s.checkpoint(j))
+		Progress: w, Runner: s.shardRunner(j),
+	}, j.done, s.journal(j))
 	if err != nil {
 		return false, "", err
 	}
@@ -387,13 +379,14 @@ func (s *Server) runSweep(j *job, sw sweep.Kind) (bool, string, error) {
 // key on the global shard index, so a re-dispatched range misbehaves
 // identically on any worker), and a frontier started at ShardFrom
 // streams its digest back as one "shard" event, strictly in ascending
-// order. The digests are the exact bytes a local run would checkpoint;
+// order. The digests are the exact bytes a local run would journal;
 // the fold stays with the coordinator.
 func (s *Server) runShardRange(j *job, sw sweep.Kind) (bool, string, error) {
 	from, to, space := j.req.ShardFrom, j.req.ShardTo, j.req.ShardSpace()
-	f := parallel.NewFrontier(from, to, 0, func(i int, digest json.RawMessage) {
+	f := parallel.NewFrontier(from, to, func(i int, digest json.RawMessage) error {
 		j.emit(Event{Type: "shard", ID: j.id, Shard: &i, Data: digest})
-	}, nil)
+		return nil
+	})
 	err := f.Run(j.ctx, j.req.Parallel, s.shardRunner(j), func(i int) (json.RawMessage, error) {
 		return sw.RunShard(s.pool, j.req.Seeds, i)
 	})

@@ -42,12 +42,12 @@ type Counters struct {
 	FleetAcks          uint64 `json:"fleet_acks_total"`                // ranges fully merged into the frontier
 	WorkersQuarantined uint64 `json:"fleet_workers_quarantined_total"` // worker quarantine episodes
 
-	// Durability counters (DESIGN.md §12). The journal's own three are
+	// Durability counters (DESIGN.md §12). The journal's own four are
 	// the store's (store.Stats), copied in by snapshot.
 	Restarts       uint64 `json:"restarts_total"`        // journal restart records (process incarnations)
 	ReplayedJobs   uint64 `json:"jobs_replayed_total"`   // pending jobs re-admitted from the journal
 	ResumedShards  uint64 `json:"shards_resumed_total"`  // durable shards skipped on resume
-	Checkpoints    uint64 `json:"checkpoints_total"`     // shard-prefix checkpoints fsynced
+	Checkpoints    uint64 `json:"checkpoints_total"`     // journal fsyncs that made a shard digest durable
 	ShardRetries   uint64 `json:"shard_retries_total"`   // shard attempts after a failure
 	ShardsPoisoned uint64 `json:"shards_poisoned_total"` // shards quarantined after the last retry
 	ShardStalls    uint64 `json:"shard_stalls_total"`    // injected shard stalls observed
@@ -173,6 +173,7 @@ func (s *Server) snapshot() Snapshot {
 	if s.store != nil {
 		jst := s.store.Stats()
 		snap.JournalAppends, snap.JournalSyncs, snap.JournalLost = jst.Appends, jst.Syncs, jst.Lost
+		snap.Checkpoints = jst.Checkpoints
 	}
 	if snap.Pool.Gets > 0 {
 		// A checkout served by restoring a pooled machine is a hit; a

@@ -22,7 +22,7 @@
 //     re-attach via GET /jobs/{id} after a disconnect or a restart;
 //     finished jobs stay re-attachable for JobRetention and are then
 //     evicted so the log store does not grow without bound.
-//   - Durability. With StoreDir set, admissions, shard checkpoints,
+//   - Durability. With StoreDir set, admissions, merged shard digests,
 //     and terminal verdicts go through a write-ahead journal
 //     (internal/server/store). A killed server restarted with Resume
 //     re-admits the journal's pending jobs and resumes each from its
@@ -94,8 +94,8 @@ type Config struct {
 
 	// StoreDir, when set, enables the durable job store: a write-ahead
 	// NDJSON journal under this directory records every admission,
-	// shard checkpoint, and terminal verdict, so admitted jobs survive
-	// a process kill. Durable jobs are decoupled from their client
+	// merged shard digest, and terminal verdict, so admitted jobs
+	// survive a process kill. Durable jobs are decoupled from their client
 	// connection (a disconnect no longer cancels them).
 	StoreDir string
 	// Resume re-admits the journal's pending jobs at startup, each
@@ -103,16 +103,9 @@ type Config struct {
 	// existing journal is kept (and keeps growing) but pending jobs
 	// are left for a later -resume incarnation.
 	Resume bool
-	// CheckpointEvery is the checkpoint cadence: a durable campaign or
-	// difftest job journals its merged shard digests every this many
-	// prefix shards (<=0: 8).
-	CheckpointEvery int
-	// StoreSyncEvery is the journal's shard-record fsync batch size,
-	// forwarded to store.Options (<=0: 8).
-	StoreSyncEvery int
-	// StoreSyncDelay, when non-nil, runs before every journal fsync —
+	// storeSyncDelay, when non-nil, runs before every journal fsync —
 	// the chaos harness's slow-fsync injection point.
-	StoreSyncDelay func()
+	storeSyncDelay func()
 
 	// ShardAttempts bounds how many times one campaign/difftest shard
 	// is executed before it is quarantined as poison (<=0: 3).
@@ -124,9 +117,9 @@ type Config struct {
 	// at or past it fail the attempt, and organically slower shards
 	// are counted as timeouts (<=0: 60s).
 	ShardDeadline time.Duration
-	// ShardFault, when non-nil, is consulted before every shard
+	// shardFault, when non-nil, is consulted before every shard
 	// attempt — the chaos harness's fault-injection point.
-	ShardFault func(job uint64, shard, attempt int) ShardFault
+	shardFault func(job uint64, shard, attempt int) ShardFault
 
 	// Tenants caps each X-Tenant key's admission (in-flight jobs,
 	// queued jobs, seeds/s token bucket). Zero value: unlimited.
@@ -160,9 +153,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.JobRetention <= 0 {
 		c.JobRetention = 5 * time.Minute
-	}
-	if c.CheckpointEvery <= 0 {
-		c.CheckpointEvery = 8
 	}
 	if c.ShardAttempts <= 0 {
 		c.ShardAttempts = 3
@@ -243,9 +233,7 @@ func New(cfg Config) (*Server, error) {
 
 	var pending []store.PendingJob
 	if cfg.StoreDir != "" {
-		st, state, err := store.Open(cfg.StoreDir, store.Options{
-			SyncEvery: cfg.StoreSyncEvery, SyncDelay: cfg.StoreSyncDelay,
-		})
+		st, state, err := store.Open(cfg.StoreDir, store.Options{SyncDelay: cfg.storeSyncDelay})
 		if err != nil {
 			return nil, err
 		}
@@ -390,7 +378,7 @@ func (s *Server) Kill() {
 	// Abandon the journal BEFORE cancelling the jobs: once the base
 	// context is dead, shard runners start giving up without running
 	// their shards, and no window may exist in which such a skipped
-	// shard's checkpoint could still reach the journal — a durable
+	// shard's digest could still reach the journal — a durable
 	// zero-value digest would corrupt the resumable prefix.
 	if s.store != nil {
 		s.store.Abandon()

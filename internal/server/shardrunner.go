@@ -88,8 +88,8 @@ func (s *Server) shardRunner(j *job) parallel.ShardRunner {
 // error the retry loop can count.
 func (s *Server) attemptShard(j *job, shard, attempt int, run func()) (err error) {
 	var fault ShardFault
-	if s.cfg.ShardFault != nil {
-		fault = s.cfg.ShardFault(j.id, shard, attempt)
+	if s.cfg.shardFault != nil {
+		fault = s.cfg.shardFault(j.id, shard, attempt)
 	}
 	deadline := s.cfg.ShardDeadline
 	if fault.Stall > 0 {

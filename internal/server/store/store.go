@@ -13,12 +13,14 @@
 // Replay ignores any other kind, such as the "dispatch" and "ack"
 // records older fleet coordinators wrote.
 //
-// Durability policy: accept, finish, and restart records are fsynced
-// immediately (they are the records a crash must not lose silently —
-// an acknowledged admission or completion). Shard records are batched:
-// the file is fsynced after every SyncEvery appended records, so a
-// kill loses at most the last batch of shard digests — which resume
-// simply recomputes, since shards are deterministic.
+// Durability is group commit (DESIGN.md §12): an append only buffers,
+// and one sync loop per open store flushes under the store's lock and
+// fsyncs outside it, so one fsync covers every record appended before
+// it and no appender waits on the disk. AcceptJob and FinishJob return
+// once an fsync covers their record; a shard digest is durable with the
+// next round, and losing it to a kill costs only its recomputation.
+// Records are appended in merge order, so every durable prefix of the
+// file holds a contiguous shard prefix per job.
 //
 // Replay tolerates a torn tail (a partial last line from a mid-write
 // kill) by dropping it, and compacts on open: finished jobs' records
@@ -78,30 +80,33 @@ type State struct {
 
 // Options tunes durability.
 type Options struct {
-	// SyncEvery is the shard-record fsync batch size (<=0: 8).
-	SyncEvery int
-	// SyncDelay, when non-nil, runs before every fsync — the chaos
-	// harness's slow-fsync injection point.
+	// SyncDelay, when non-nil, runs before every fsync, outside the
+	// store's lock — the chaos harness's slow-fsync injection point.
 	SyncDelay func()
 }
 
 // Stats counts journal traffic for /metrics.
 type Stats struct {
-	Appends uint64 // records appended
-	Syncs   uint64 // fsync batches issued
-	Lost    uint64 // appends dropped because the store was closed
+	Appends     uint64 // records appended
+	Syncs       uint64 // fsyncs completed
+	Checkpoints uint64 // fsyncs that made at least one shard digest durable
+	Lost        uint64 // appends dropped because the store was closed
+	Synced      uint64 // appended records the last completed fsync covers
 }
 
 // Store is an open journal. All methods are safe for concurrent use.
 type Store struct {
-	mu       sync.Mutex
-	f        *os.File
-	w        *bufio.Writer
-	dir      string
-	opts     Options
-	unsynced int
-	closed   bool
-	stats    Stats
+	mu        sync.Mutex
+	cond      sync.Cond // on mu: wakes the sync loop and the callers waiting on it
+	f         *os.File
+	w         *bufio.Writer
+	opts      Options
+	shards    bool  // a shard record was appended since the last flush
+	closed    bool  // no more appends
+	abandoned bool  // the buffer is dropped, the loop stops
+	err       error // the first flush or fsync error, sticky
+	stats     Stats
+	loopDone  chan struct{}
 }
 
 // Open opens (creating if needed) the journal under dir, replays it,
@@ -109,9 +114,6 @@ type Store struct {
 // recovered state. If the journal already existed, a restart record is
 // appended — the store's own count of process incarnations.
 func Open(dir string, opts Options) (*Store, *State, error) {
-	if opts.SyncEvery <= 0 {
-		opts.SyncEvery = 8
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("job store: %w", err)
 	}
@@ -125,53 +127,7 @@ func Open(dir string, opts Options) (*Store, *State, error) {
 		st.Restarts++
 	}
 
-	// Compact: rewrite only the live records (plus the accumulated
-	// restart count) into a fresh journal, atomically.
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("job store: %w", err)
-	}
-	w := bufio.NewWriter(f)
-	enc := json.NewEncoder(w)
-	for i := uint64(0); i < st.Restarts; i++ {
-		// The first restart record carries the highest job ID the old
-		// journal ever allocated: compaction drops finished jobs, and
-		// without this the ID floor would regress on reopen and a fresh
-		// job could reuse a finished job's ID.
-		r := Record{T: "restart"}
-		if i == 0 {
-			r.Job = st.MaxID
-		}
-		if err := enc.Encode(r); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("job store: compact: %w", err)
-		}
-	}
-	for _, p := range st.Pending {
-		if err := enc.Encode(Record{T: "accept", Job: p.ID, Req: p.Req, Tenant: p.Tenant}); err != nil {
-			f.Close()
-			return nil, nil, fmt.Errorf("job store: compact: %w", err)
-		}
-		for i, d := range p.Shards {
-			if err := enc.Encode(Record{T: "shard", Job: p.ID, Index: i, Data: d}); err != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("job store: compact: %w", err)
-			}
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("job store: compact: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("job store: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return nil, nil, fmt.Errorf("job store: compact: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := compact(path, st); err != nil {
 		return nil, nil, fmt.Errorf("job store: compact: %w", err)
 	}
 	syncDir(dir)
@@ -180,8 +136,57 @@ func Open(dir string, opts Options) (*Store, *State, error) {
 	if err != nil {
 		return nil, nil, fmt.Errorf("job store: %w", err)
 	}
-	s := &Store{f: jf, w: bufio.NewWriter(jf), dir: dir, opts: opts}
+	s := &Store{f: jf, w: bufio.NewWriter(jf), opts: opts, loopDone: make(chan struct{})}
+	s.cond.L = &s.mu
+	go s.syncLoop()
 	return s, st, nil
+}
+
+// compact rewrites the journal at path down to st's live records (plus
+// the accumulated restart count), atomically: a fresh file is written,
+// fsynced and renamed over the old one.
+func compact(path string, st *State) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	if err != nil {
+		return err
+	}
+	w := bufio.NewWriter(f)
+	enc := json.NewEncoder(w)
+	for i := uint64(0); i < st.Restarts && err == nil; i++ {
+		// The first restart record carries the highest job ID the old
+		// journal ever allocated: compaction drops finished jobs, and
+		// without this the ID floor would regress on reopen and a fresh
+		// job could reuse a finished job's ID.
+		r := Record{T: "restart"}
+		if i == 0 {
+			r.Job = st.MaxID
+		}
+		err = enc.Encode(r)
+	}
+	for _, p := range st.Pending {
+		if err == nil {
+			err = enc.Encode(Record{T: "accept", Job: p.ID, Req: p.Req, Tenant: p.Tenant})
+		}
+		for i, d := range p.Shards {
+			if err == nil {
+				err = enc.Encode(Record{T: "shard", Job: p.ID, Index: i, Data: d})
+			}
+		}
+	}
+	if err == nil {
+		err = w.Flush()
+	}
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	return err
 }
 
 // replay reads the journal at path and reconstructs the live state.
@@ -260,94 +265,118 @@ func replay(path string) (*State, bool, error) {
 	return st, true, nil
 }
 
-// append writes one record; sync forces an immediate fsync, otherwise
-// the batched policy applies.
-func (s *Store) append(r Record, sync bool) error {
+// append buffers one record and returns its sequence number, counting
+// from the store's open.
+func (s *Store) append(r Record) (uint64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		s.stats.Lost++
-		return ErrClosed
+		return 0, ErrClosed
+	}
+	if s.err != nil {
+		return 0, s.err
 	}
 	line, err := json.Marshal(r)
 	if err != nil {
-		return fmt.Errorf("job store: %w", err)
+		return 0, fmt.Errorf("job store: %w", err)
 	}
 	if _, err := s.w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("job store: append: %w", err)
+		s.err = fmt.Errorf("job store: append: %w", err)
+		return 0, s.err
 	}
 	s.stats.Appends++
-	s.unsynced++
-	if sync || s.unsynced >= s.opts.SyncEvery {
-		return s.syncLocked()
-	}
-	return nil
+	s.shards = s.shards || r.T == "shard"
+	s.cond.Broadcast()
+	return s.stats.Appends, nil
 }
 
-// syncLocked flushes and fsyncs; callers hold s.mu.
-func (s *Store) syncLocked() error {
-	if s.unsynced == 0 {
+// appendDurable appends one record and waits for an fsync that covers
+// it.
+func (s *Store) appendDurable(r Record) error {
+	seq, err := s.append(r)
+	if err != nil {
+		return err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for s.stats.Synced < seq && s.err == nil && !s.abandoned {
+		s.cond.Wait()
+	}
+	switch {
+	case s.stats.Synced >= seq:
 		return nil
+	case s.err != nil:
+		return s.err
 	}
-	if s.opts.SyncDelay != nil {
-		s.opts.SyncDelay()
-	}
-	if err := s.w.Flush(); err != nil {
-		return fmt.Errorf("job store: flush: %w", err)
-	}
-	if err := s.f.Sync(); err != nil {
-		return fmt.Errorf("job store: fsync: %w", err)
-	}
-	s.unsynced = 0
-	s.stats.Syncs++
-	return nil
+	return ErrClosed
 }
 
-// AcceptJob journals an admission durably (synced before returning):
-// an acknowledged job must survive a kill. The tenant rides along so a
+// syncLoop is the store's only flusher and fsync issuer. Each round
+// flushes every buffered record under s.mu and fsyncs outside it, so
+// appends go on while the disk works and the next round covers them
+// all. It exits on Abandon, on the first error, or once Close has
+// nothing left to sync.
+func (s *Store) syncLoop() {
+	defer close(s.loopDone)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for {
+		for !s.closed && s.err == nil && s.stats.Synced == s.stats.Appends {
+			s.cond.Wait()
+		}
+		if s.abandoned || s.err != nil || s.stats.Synced == s.stats.Appends {
+			return
+		}
+		upTo, shards := s.stats.Appends, s.shards
+		s.shards = false
+		err := s.w.Flush()
+		s.mu.Unlock()
+		if err == nil {
+			if s.opts.SyncDelay != nil {
+				s.opts.SyncDelay()
+			}
+			err = s.f.Sync()
+		}
+		s.mu.Lock()
+		if s.abandoned {
+			return
+		}
+		if err != nil {
+			s.err = fmt.Errorf("job store: sync: %w", err)
+			s.cond.Broadcast()
+			return
+		}
+		s.stats.Synced = upTo
+		s.stats.Syncs++
+		if shards {
+			s.stats.Checkpoints++
+		}
+		s.cond.Broadcast()
+	}
+}
+
+// AcceptJob journals an admission and returns once it is durable: an
+// acknowledged job must survive a kill. The tenant rides along so a
 // resumed job stays attributed to its quota owner (without re-charging
 // the admission token — that was spent in the first life).
 func (s *Store) AcceptJob(id uint64, req json.RawMessage, tenant string) error {
-	return s.append(Record{T: "accept", Job: id, Req: req, Tenant: tenant}, true)
+	return s.appendDurable(Record{T: "accept", Job: id, Req: req, Tenant: tenant})
 }
 
-// AppendShard journals one merged shard digest under the batched
-// fsync policy; losing the tail of a batch only costs recomputation.
+// AppendShard journals one merged shard digest. It only buffers: the
+// sync loop makes the digest durable with its next round, and losing
+// it to a kill first only costs recomputation. Each job's shards must
+// be appended in index order.
 func (s *Store) AppendShard(id uint64, index int, data json.RawMessage) error {
-	return s.append(Record{T: "shard", Job: id, Index: index, Data: data}, false)
+	_, err := s.append(Record{T: "shard", Job: id, Index: index, Data: data})
+	return err
 }
 
-// Checkpoint returns job id's checkpoint callback, whose shards
-// [0, durable) are already journaled: each call appends the digests of
-// prefix past the durable cursor, then Syncs — the §12 checkpoint
-// boundary, so the journal's durable frontier is always a contiguous
-// shard prefix. A sweep calls it serially in prefix order, so the
-// cursor needs no lock.
-func (s *Store) Checkpoint(id uint64, durable int) func(prefix []json.RawMessage) error {
-	return func(prefix []json.RawMessage) error {
-		for ; durable < len(prefix); durable++ {
-			if err := s.AppendShard(id, durable, prefix[durable]); err != nil {
-				return err
-			}
-		}
-		return s.Sync()
-	}
-}
-
-// FinishJob journals the terminal verdict durably.
+// FinishJob journals the terminal verdict and returns once it is
+// durable.
 func (s *Store) FinishJob(id uint64, ok bool, summary, errText string) error {
-	return s.append(Record{T: "finish", Job: id, OK: ok, Summary: summary, Error: errText}, true)
-}
-
-// Sync forces any batched shard records to disk — the checkpoint
-// boundary the engines call at every K merged shards.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return ErrClosed
-	}
-	return s.syncLocked()
+	return s.appendDurable(Record{T: "finish", Job: id, OK: ok, Summary: summary, Error: errText})
 }
 
 // Stats snapshots journal traffic counters.
@@ -357,15 +386,21 @@ func (s *Store) Stats() Stats {
 	return s.stats
 }
 
-// Close flushes, fsyncs, and closes the journal (the graceful path).
+// Close waits for the sync loop's last round, then closes the journal
+// (the graceful path). It returns the store's sticky error, if any.
 func (s *Store) Close() error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.closed {
+		s.mu.Unlock()
 		return nil
 	}
-	err := s.syncLocked()
 	s.closed = true
+	s.cond.Broadcast()
+	s.mu.Unlock()
+	<-s.loopDone
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	err := s.err
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
@@ -375,14 +410,16 @@ func (s *Store) Close() error {
 // Abandon closes the journal WITHOUT flushing the buffered tail —
 // exactly what SIGKILL does to the real process. The chaos harness
 // uses it to make in-process kills lose the same writes a real kill
-// would; subsequent appends fail with ErrClosed and count as Lost.
+// would; subsequent appends fail with ErrClosed and count as Lost, and
+// callers waiting on an fsync get ErrClosed.
 func (s *Store) Abandon() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return
 	}
-	s.closed = true
+	s.closed, s.abandoned = true, true
+	s.cond.Broadcast()
 	_ = s.f.Close()
 }
 

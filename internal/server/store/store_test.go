@@ -6,7 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func openT(t *testing.T, dir string, opts Options) (*Store, *State) {
@@ -17,6 +20,42 @@ func openT(t *testing.T, dir string, opts Options) (*Store, *State) {
 	}
 	return s, st
 }
+
+// waitSynced waits until an fsync covers every record appended to s.
+func waitSynced(t *testing.T, s *Store) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for st := s.Stats(); st.Synced != st.Appends; st = s.Stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("sync loop stalled: %+v", st)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// parkable is a SyncDelay hook that, once armed, parks every call
+// until release, announcing it on parked.
+type parkable struct {
+	armed   atomic.Bool
+	parked  chan struct{}
+	release chan struct{}
+	once    sync.Once
+}
+
+func newParkable(armed bool) *parkable {
+	p := &parkable{parked: make(chan struct{}, 16), release: make(chan struct{})}
+	p.armed.Store(armed)
+	return p
+}
+
+func (p *parkable) delay() {
+	if p.armed.Load() {
+		p.parked <- struct{}{}
+		<-p.release
+	}
+}
+
+func (p *parkable) unpark() { p.once.Do(func() { close(p.release) }) }
 
 // TestRoundTrip: accepted jobs with shard prefixes survive a close and
 // replay exactly; finished jobs are compacted away.
@@ -97,9 +136,7 @@ func TestTornTailDropped(t *testing.T) {
 	if err := s.AppendShard(7, 0, json.RawMessage(`{"x":1}`)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
+	waitSynced(t, s)
 	s.Abandon()
 
 	// Simulate the torn write a kill leaves behind.
@@ -123,32 +160,108 @@ func TestTornTailDropped(t *testing.T) {
 	}
 }
 
-// TestAbandonLosesUnsyncedBatch: shard records buffered past the last
-// fsync batch vanish on Abandon, exactly like a real SIGKILL — and the
-// survivors are still a contiguous prefix.
+// TestAbandonLosesUnsyncedBatch: shard records still buffered when the
+// store is abandoned vanish, exactly like a real SIGKILL — and the
+// survivors are still a contiguous prefix. The sync loop is parked in
+// the round that flushed shard 3; shards 4 and 5 are appended behind it
+// and never leave the buffer.
 func TestAbandonLosesUnsyncedBatch(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openT(t, dir, Options{SyncEvery: 4})
-	if err := s.AcceptJob(1, json.RawMessage(`{}`), ""); err != nil { // synced
+	p := newParkable(false)
+	defer p.unpark()
+	s, _ := openT(t, dir, Options{SyncDelay: p.delay})
+	if err := s.AcceptJob(1, json.RawMessage(`{}`), ""); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ { // batch of 4 syncs at i=3 (4 records); 2 left buffered
+	shard := func(i int) {
 		if err := s.AppendShard(1, i, json.RawMessage(`{"i":true}`)); err != nil {
 			t.Fatal(err)
 		}
 	}
+	for i := 0; i < 3; i++ {
+		shard(i)
+	}
+	waitSynced(t, s)
+	p.armed.Store(true)
+	shard(3)
+	<-p.parked // this round flushed shard 3 and waits on the disk
+	shard(4)
+	shard(5)
 	s.Abandon()
 	if err := s.AppendShard(1, 6, json.RawMessage(`{}`)); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after abandon: %v, want ErrClosed", err)
 	}
 
 	_, st := openT(t, dir, Options{})
-	got := len(st.Pending[0].Shards)
-	if got >= 6 {
-		t.Fatalf("abandon lost nothing (%d shards survive); unsynced tail should vanish", got)
+	if got := len(st.Pending[0].Shards); got != 4 {
+		t.Fatalf("%d shards survive, want the synced 3 plus the flushed shard 3", got)
 	}
-	if got < 3 {
-		t.Fatalf("synced batch lost: only %d shards survive", got)
+}
+
+// TestGroupCommit: appends never wait on the disk, and one fsync covers
+// every record appended before it. With the sync loop parked in its
+// first round, shard appends return at once and K admissions queue up;
+// releasing the loop finishes them all with one more round.
+func TestGroupCommit(t *testing.T) {
+	const k = 8
+	p := newParkable(true)
+	s, _ := openT(t, t.TempDir(), Options{SyncDelay: p.delay})
+	defer func() {
+		p.unpark() // before Close, which waits for the parked round
+		s.Close()
+	}()
+
+	errs := make(chan error, k+1)
+	go func() { errs <- s.AcceptJob(1, json.RawMessage(`{}`), "") }()
+	<-p.parked // round 1 covers job 1's accept and waits on the disk
+	for i := 0; i < 4; i++ {
+		if err := s.AppendShard(1, i, json.RawMessage(`{}`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for id := uint64(2); id < k+2; id++ {
+		go func() { errs <- s.AcceptJob(id, json.RawMessage(`{}`), "") }()
+	}
+	for s.Stats().Appends != 1+4+k {
+		time.Sleep(time.Millisecond)
+	}
+	if st := s.Stats(); st.Syncs != 0 || st.Synced != 0 {
+		t.Fatalf("a round completed while the disk was parked: %+v", st)
+	}
+	p.unpark()
+	for range k + 1 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Stats()
+	if st.Syncs > 2 || st.Checkpoints != 1 || st.Synced != st.Appends {
+		t.Fatalf("stats = %+v, want every record durable in at most 2 fsyncs, 1 of them with shards", st)
+	}
+}
+
+// TestSyncErrorSticky: the first flush or fsync error sticks — the
+// admission waiting on it, every later append, and Close return it.
+func TestSyncErrorSticky(t *testing.T) {
+	s, _ := openT(t, t.TempDir(), Options{})
+	if err := s.AcceptJob(1, json.RawMessage(`{}`), ""); err != nil {
+		t.Fatal(err)
+	}
+	s.mu.Lock()
+	s.f.Close() // the disk goes away under the store
+	s.mu.Unlock()
+	first := s.AcceptJob(2, json.RawMessage(`{}`), "")
+	if first == nil {
+		t.Fatal("admission durable on a closed file")
+	}
+	if err := s.AppendShard(1, 0, json.RawMessage(`{}`)); err != first {
+		t.Errorf("append after the failure = %v, want the sticky %v", err, first)
+	}
+	if err := s.FinishJob(1, true, "", ""); err != first {
+		t.Errorf("finish after the failure = %v, want the sticky %v", err, first)
+	}
+	if err := s.Close(); err != first {
+		t.Errorf("Close = %v, want the sticky %v", err, first)
 	}
 }
 
@@ -288,14 +401,19 @@ func TestLegacyDispatchAckIgnored(t *testing.T) {
 	}
 }
 
-// TestStats: appends, syncs, and post-close losses are counted.
+// TestStats: appends, syncs, shard-carrying syncs, and post-close
+// losses are counted.
 func TestStats(t *testing.T) {
 	dir := t.TempDir()
-	s, _ := openT(t, dir, Options{SyncEvery: 100})
+	s, _ := openT(t, dir, Options{})
 	_ = s.AcceptJob(1, json.RawMessage(`{}`), "")
+	if st := s.Stats(); st.Syncs != 1 || st.Checkpoints != 0 {
+		t.Errorf("after the accept: stats = %+v, want 1 sync, no checkpoint", st)
+	}
 	_ = s.AppendShard(1, 0, json.RawMessage(`{}`))
+	waitSynced(t, s)
 	st := s.Stats()
-	if st.Appends != 2 || st.Syncs == 0 {
+	if st.Appends != 2 || st.Syncs != 2 || st.Checkpoints != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 	s.Abandon()

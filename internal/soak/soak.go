@@ -5,9 +5,9 @@
 // (EngineBug) verdict.
 //
 // The sweep rides the §12 durable job store: each phase is journaled
-// as one job whose merged shard prefix is appended at the engines'
-// checkpoint cadence, so a killed soak resumes from its last synced
-// prefix and — because shards are deterministic and the merge is
+// as one job whose merged shards are appended as the merge reaches
+// them, so a killed soak resumes from the shard prefix the journal
+// kept and — because shards are deterministic and the merge is
 // index-ordered — produces a progress stream, summary, and result
 // byte-identical to an undisturbed run at any -parallel width and any
 // kill point.
@@ -38,8 +38,6 @@ type Options struct {
 	// Dir, when non-empty, holds the §12 journal; empty runs without
 	// durability (no resume).
 	Dir string
-	// Every is the checkpoint cadence in merged shards (<=0: 64).
-	Every int
 }
 
 // Result aggregates the phases, one per sweep in run order: the fault
@@ -109,17 +107,14 @@ func openPhase(st *store.Store, state *store.State, name string, seeds int) (id 
 // Run executes the sweep: each phase in turn, streaming per-shard
 // progress to progress (nil: silent) and every summary plus the merged
 // verdict tally to out. With opts.Dir set, each phase is one journaled
-// job whose merged shard prefix is checkpointed at opts.Every and
-// recovered on resume. The returned Result is complete even when
-// Gate() fails; the error is non-nil only when a sweep aborted (context
-// cancelled, store I/O failure) — the caller applies Gate separately so
-// a failing sweep still reports.
+// job whose merged shards are appended as they merge and whose
+// journaled prefix is recovered on resume. The returned Result is
+// complete even when Gate() fails; the error is non-nil only when a
+// sweep aborted (context cancelled, store I/O failure) — the caller
+// applies Gate separately so a failing sweep still reports.
 func Run(ctx context.Context, opts Options, progress, out io.Writer) (*Result, error) {
 	if opts.Seeds <= 0 {
 		opts.Seeds = 10_000
-	}
-	if opts.Every <= 0 {
-		opts.Every = 64
 	}
 
 	var (
@@ -137,23 +132,24 @@ func Run(ctx context.Context, opts Options, progress, out io.Writer) (*Result, e
 
 	o := sweep.Options{
 		Seeds: opts.Seeds, Workers: opts.Workers, Pool: &core.MachinePool{},
-		Progress: progress, Every: opts.Every,
+		Progress: progress,
 	}
 	res := &Result{}
 	ids := make([]uint64, len(phases))
 	for i, ph := range phases {
 		var (
-			done []json.RawMessage
-			save func(prefix []json.RawMessage) error
+			done    []json.RawMessage
+			journal func(i int, digest json.RawMessage) error
 		)
 		if st != nil {
 			var err error
 			if ids[i], done, err = openPhase(st, state, ph.name, opts.Seeds); err != nil {
 				return nil, err
 			}
-			save = st.Checkpoint(ids[i], len(done))
+			id := ids[i]
+			journal = func(shard int, d json.RawMessage) error { return st.AppendShard(id, shard, d) }
 		}
-		r, err := ph.kind.Resume(ctx, o, done, save)
+		r, err := ph.kind.Resume(ctx, o, done, journal)
 		if err != nil {
 			return nil, err
 		}

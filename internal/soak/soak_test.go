@@ -44,7 +44,7 @@ func TestSoakResumeByteIdentical(t *testing.T) {
 	ctx := context.Background()
 
 	var wantProgress, wantOut bytes.Buffer
-	want, err := Run(ctx, Options{Seeds: seeds, Workers: 1, Every: 2}, &wantProgress, &wantOut)
+	want, err := Run(ctx, Options{Seeds: seeds, Workers: 1}, &wantProgress, &wantOut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestSoakResumeByteIdentical(t *testing.T) {
 			cctx, cancel := context.WithCancel(ctx)
 			defer cancel()
 			w := &cancelAfter{left: killAt, cancel: cancel}
-			_, err := Run(cctx, Options{Seeds: seeds, Workers: 2, Dir: dir, Every: 2}, w, io.Discard)
+			_, err := Run(cctx, Options{Seeds: seeds, Workers: 2, Dir: dir}, w, io.Discard)
 			if err == nil {
 				t.Fatal("interrupted sweep did not abort")
 			}
@@ -68,7 +68,7 @@ func TestSoakResumeByteIdentical(t *testing.T) {
 			}
 
 			var gotProgress, gotOut bytes.Buffer
-			got, err := Run(ctx, Options{Seeds: seeds, Workers: 3, Dir: dir, Every: 2}, &gotProgress, &gotOut)
+			got, err := Run(ctx, Options{Seeds: seeds, Workers: 3, Dir: dir}, &gotProgress, &gotOut)
 			if err != nil {
 				t.Fatalf("resume: %v", err)
 			}
@@ -96,10 +96,10 @@ func TestSoakDurableRunMatchesEphemeral(t *testing.T) {
 	const seeds = 4
 	ctx := context.Background()
 	var p1, o1, p2, o2 bytes.Buffer
-	if _, err := Run(ctx, Options{Seeds: seeds, Workers: 2, Every: 3}, &p1, &o1); err != nil {
+	if _, err := Run(ctx, Options{Seeds: seeds, Workers: 2}, &p1, &o1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(ctx, Options{Seeds: seeds, Workers: 2, Dir: t.TempDir(), Every: 3}, &p2, &o2); err != nil {
+	if _, err := Run(ctx, Options{Seeds: seeds, Workers: 2, Dir: t.TempDir()}, &p2, &o2); err != nil {
 		t.Fatal(err)
 	}
 	if p1.String() != p2.String() || o1.String() != o2.String() {

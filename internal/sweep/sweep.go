@@ -5,9 +5,12 @@
 // owns everything they share. Shards are deterministic and the merge
 // is strictly index-ordered, so a sweep's result, summary and progress
 // stream are byte-identical at any worker count and from any resume
-// point. Kind erases the digest type to the json.RawMessage bytes the
-// journal and the fleet protocol carry; every caller outside the two
-// sweeps drives them through it.
+// point. A durable caller passes a journal callback that receives each
+// live shard's digest as the merge reaches it, in index order, so what
+// the journal holds is always a contiguous shard prefix; durability
+// itself is the journal's job. Kind erases the digest type to the
+// json.RawMessage bytes the journal and the fleet protocol carry; every
+// caller outside the two sweeps drives them through it.
 package sweep
 
 import (
@@ -15,7 +18,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"slices"
 
 	"uexc/internal/core"
 	"uexc/internal/parallel"
@@ -58,21 +60,20 @@ type Options struct {
 	Workers  int                  // shard width (0: GOMAXPROCS)
 	Pool     *core.MachinePool    // machine source (nil: a private pool)
 	Progress io.Writer            // one line per shard, in index order (nil: none)
-	Every    int                  // checkpoint cadence in merged shards
 	Runner   parallel.ShardRunner // wraps every shard execution (nil: none)
 }
 
 // Resume runs the sweep. done holds the digests of the contiguous
-// shard prefix recovered from a durable checkpoint (nil for a fresh
-// run); those shards are replayed into the progress stream and folded,
-// never re-executed. save, when non-nil, is called with the grown
-// contiguous prefix every o.Every merged shards and at completion,
-// strictly in order, never concurrently — the §12 checkpoint cadence —
-// and a save error aborts the sweep with that error. Cancelling ctx
-// aborts after at most the shards in flight; partial results are never
+// shard prefix recovered from the journal (nil for a fresh run); those
+// shards are replayed into the progress stream and folded, never
+// re-executed. journal, when non-nil, is called with every live shard's
+// digest bytes as the merge reaches it — strictly in index order, never
+// concurrently, never for a shard of done — and a journal error aborts
+// the sweep with that error (DESIGN.md §12). Cancelling ctx aborts
+// after at most the shards in flight; partial results are never
 // returned.
-func (s *Sweep[T]) Resume(ctx context.Context, o Options, done []T, save func(prefix []T) error) (Result, error) {
-	m, err := s.merge(o, done, save)
+func (s *Sweep[T]) Resume(ctx context.Context, o Options, done []T, journal func(i int, digest json.RawMessage) error) (Result, error) {
+	m, err := s.merge(o, done, journal)
 	if err != nil {
 		return nil, err
 	}
@@ -94,14 +95,15 @@ func (s *Sweep[T]) Resume(ctx context.Context, o Options, done []T, save func(pr
 // by construction.
 type shardMerge[T any] struct {
 	*parallel.Frontier[T]
-	s      *Sweep[T]
-	o      Options
-	shards []T
+	s       *Sweep[T]
+	o       Options
+	journal func(i int, digest json.RawMessage) error
+	shards  []T
 }
 
 // merge validates o against done, replays done's progress lines, and
 // returns the merge with its frontier at len(done).
-func (s *Sweep[T]) merge(o Options, done []T, save func(prefix []T) error) (*shardMerge[T], error) {
+func (s *Sweep[T]) merge(o Options, done []T, journal func(i int, digest json.RawMessage) error) (*shardMerge[T], error) {
 	if o.Seeds <= 0 {
 		return nil, fmt.Errorf("%s: seed count must be positive, got %d", s.Name, o.Seeds)
 	}
@@ -112,24 +114,34 @@ func (s *Sweep[T]) merge(o Options, done []T, save func(prefix []T) error) (*sha
 	}
 	m := &shardMerge[T]{s: s, o: o, shards: make([]T, 0, n)}
 	for i, t := range done {
-		m.merged(i, t)
+		m.merged(i, t) // before the journal is set: done is journaled already
 	}
-	var saveAt func(prefix int) error
-	if save != nil {
-		saveAt = func(prefix int) error { return save(m.shards[:prefix]) }
-	}
-	m.Frontier = parallel.NewFrontier(len(done), n, o.Every, m.merged, saveAt)
+	m.journal = journal
+	m.Frontier = parallel.NewFrontier(len(done), n, m.merged)
 	return m, nil
 }
 
-func (m *shardMerge[T]) merged(i int, t T) {
+// merged journals shard i's digest, holds it for the fold, and streams
+// its progress line. A digest is marshalled only for a journal, so a
+// run without one does no encoding work.
+func (m *shardMerge[T]) merged(i int, t T) error {
+	if m.journal != nil {
+		blob, err := json.Marshal(t)
+		if err != nil {
+			return fmt.Errorf("%s: journal shard %d: %w", m.s.Name, i, err)
+		}
+		if err := m.journal(i, blob); err != nil {
+			return err
+		}
+	}
 	m.shards = append(m.shards, t)
 	if m.o.Progress != nil {
 		io.WriteString(m.o.Progress, m.s.Line(m.o.Seeds, i, t))
 	}
+	return nil
 }
 
-// fold checkpoints the rest of the prefix and folds the complete sweep.
+// fold folds the complete sweep; it fails if a shard is missing.
 func (m *shardMerge[T]) fold() (Result, error) {
 	if err := m.Finish(); err != nil {
 		return nil, err
@@ -138,22 +150,20 @@ func (m *shardMerge[T]) fold() (Result, error) {
 }
 
 // Kind is a Sweep with its digest type erased to the journal's bytes:
-// digests cross it as the exact JSON a checkpoint writes and a fleet
+// digests cross it as the exact JSON the journal holds and a fleet
 // worker streams.
 type Kind interface {
 	// Shards is the size of a seeds-sized sweep's shard space.
 	Shards(seeds int) int
-	// Resume is Sweep.Resume over journaled digests. A digest is
-	// marshalled only when save is called, so a run without a save
-	// callback does no encoding work.
-	Resume(ctx context.Context, o Options, done []json.RawMessage, save func(prefix []json.RawMessage) error) (Result, error)
+	// Resume is Sweep.Resume over journaled digests.
+	Resume(ctx context.Context, o Options, done []json.RawMessage, journal func(i int, digest json.RawMessage) error) (Result, error)
 	// RunShard executes shard i and returns its digest bytes.
 	RunShard(pool *core.MachinePool, seeds, i int) (json.RawMessage, error)
 	// Merge is the sweep's merge over digests computed elsewhere — a
 	// fleet coordinator's remote shards. It replays done's progress
-	// lines to o.Progress and checkpoints through save exactly as
+	// lines to o.Progress and journals each merged shard exactly as
 	// Resume does; o.Workers, o.Pool and o.Runner are unused.
-	Merge(o Options, done []json.RawMessage, save func(prefix []json.RawMessage) error) (Merge, error)
+	Merge(o Options, done []json.RawMessage, journal func(i int, digest json.RawMessage) error) (Merge, error)
 }
 
 // Merge folds shard digests that arrive in any order into the sweep's
@@ -162,10 +172,9 @@ type Merge interface {
 	// Add accepts shard i's digest under the frontier's rules: any
 	// order, duplicates ignored, an index past the shard space refused.
 	// It returns a corrupt digest's error and the sticky first
-	// checkpoint error.
+	// journal error.
 	Add(i int, digest json.RawMessage) error
-	// Fold checkpoints the rest of the prefix and folds the complete
-	// sweep; it fails if a shard is missing.
+	// Fold folds the complete sweep; it fails if a shard is missing.
 	Fold() (Result, error)
 }
 
@@ -176,24 +185,24 @@ type kind[T any] struct{ s *Sweep[T] }
 
 func (k kind[T]) Shards(seeds int) int { return k.s.Shards(seeds) }
 
-func (k kind[T]) Resume(ctx context.Context, o Options, done []json.RawMessage, save func(prefix []json.RawMessage) error) (Result, error) {
+func (k kind[T]) Resume(ctx context.Context, o Options, done []json.RawMessage, journal func(i int, digest json.RawMessage) error) (Result, error) {
 	typed, err := k.decode(done)
 	if err != nil {
 		return nil, err
 	}
-	return k.s.Resume(ctx, o, typed, k.encodeSave(done, save))
+	return k.s.Resume(ctx, o, typed, journal)
 }
 
 func (k kind[T]) RunShard(pool *core.MachinePool, seeds, i int) (json.RawMessage, error) {
 	return json.Marshal(k.s.Run(pool, seeds, i))
 }
 
-func (k kind[T]) Merge(o Options, done []json.RawMessage, save func(prefix []json.RawMessage) error) (Merge, error) {
+func (k kind[T]) Merge(o Options, done []json.RawMessage, journal func(i int, digest json.RawMessage) error) (Merge, error) {
 	typed, err := k.decode(done)
 	if err != nil {
 		return nil, err
 	}
-	m, err := k.s.merge(o, typed, k.encodeSave(done, save))
+	m, err := k.s.merge(o, typed, journal)
 	if err != nil {
 		return nil, err
 	}
@@ -212,27 +221,6 @@ func (d digestMerge[T]) Add(i int, digest json.RawMessage) error {
 }
 
 func (d digestMerge[T]) Fold() (Result, error) { return d.m.fold() }
-
-// encodeSave adapts a journal save to the typed prefix a merge saves.
-// done is the prefix the journal already holds; the saved prefix only
-// grows, so each digest is marshalled once, when it first becomes
-// durable.
-func (k kind[T]) encodeSave(done []json.RawMessage, save func(prefix []json.RawMessage) error) func(prefix []T) error {
-	if save == nil {
-		return nil
-	}
-	raw := slices.Clone(done)
-	return func(prefix []T) error {
-		for i := len(raw); i < len(prefix); i++ {
-			blob, err := json.Marshal(prefix[i])
-			if err != nil {
-				return fmt.Errorf("%s: checkpoint shard %d: %w", k.s.Name, i, err)
-			}
-			raw = append(raw, blob)
-		}
-		return save(raw)
-	}
-}
 
 // decode unmarshals a journaled digest prefix back into typed shards.
 func (k kind[T]) decode(raw []json.RawMessage) ([]T, error) {

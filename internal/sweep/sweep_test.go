@@ -37,11 +37,11 @@ type run struct {
 	stream string
 }
 
-func runSweep(t *testing.T, k sweep.Kind, o sweep.Options, done []json.RawMessage, save func([]json.RawMessage) error) run {
+func runSweep(t *testing.T, k sweep.Kind, o sweep.Options, done []json.RawMessage, journal func(int, json.RawMessage) error) run {
 	t.Helper()
 	var b bytes.Buffer
 	o.Progress = &b
-	res, err := k.Resume(context.Background(), o, done, save)
+	res, err := k.Resume(context.Background(), o, done, journal)
 	if err != nil {
 		t.Fatalf("seeds=%d workers=%d resume-from=%d: %v", o.Seeds, o.Workers, len(done), err)
 	}
@@ -62,9 +62,9 @@ func sameRun(t *testing.T, what string, got, want run) {
 }
 
 // TestSweeps holds both sweeps to the driver's contracts (DESIGN.md §8,
-// §12): byte identity at any width and from any checkpoint, refusal of
-// an oversized checkpoint and of a non-positive seed count, and a save
-// error that aborts with the save's own error.
+// §12): byte identity at any width and from any journaled prefix,
+// refusal of an oversized prefix and of a non-positive seed count, and
+// a journal error that aborts with the journal's own error.
 func TestSweeps(t *testing.T) {
 	for _, sw := range sweeps {
 		t.Run(sw.name, func(t *testing.T) {
@@ -84,30 +84,41 @@ func TestSweeps(t *testing.T) {
 
 			t.Run("resume", func(t *testing.T) {
 				if testing.Short() {
-					t.Skip("runs a sweep once per checkpoint")
+					t.Skip("runs a sweep once per journaled prefix")
 				}
 				const seeds = 3
 				want := runSweep(t, sw.kind, sweep.Options{Seeds: seeds, Workers: 1}, nil, nil)
 
-				// Capture every checkpoint at a tight cadence, as the bytes
-				// the journal would hold.
+				// Capture every journaled digest, as the bytes the journal
+				// would hold; each index must arrive once, in order.
 				var mu sync.Mutex
-				var checkpoints [][]json.RawMessage
-				save := func(prefix []json.RawMessage) error {
+				var journaled []json.RawMessage
+				journal := func(i int, digest json.RawMessage) error {
 					mu.Lock()
-					checkpoints = append(checkpoints, slices.Clone(prefix))
-					mu.Unlock()
+					defer mu.Unlock()
+					if i != len(journaled) {
+						t.Errorf("journaled shard %d after %d shards", i, len(journaled))
+					}
+					journaled = append(journaled, slices.Clone(digest))
 					return nil
 				}
-				ck := runSweep(t, sw.kind, sweep.Options{Seeds: seeds, Workers: 2, Every: 2}, nil, save)
-				sameRun(t, "checkpointing", ck, want)
-				if n := len(checkpoints); n == 0 || len(checkpoints[n-1]) != sw.kind.Shards(seeds) {
-					t.Fatalf("checkpoints do not end at the full %d-shard prefix", sw.kind.Shards(seeds))
+				ck := runSweep(t, sw.kind, sweep.Options{Seeds: seeds, Workers: 2}, nil, journal)
+				sameRun(t, "journaling", ck, want)
+				if len(journaled) != sw.kind.Shards(seeds) {
+					t.Fatalf("journaled %d shards, want the full %d-shard prefix", len(journaled), sw.kind.Shards(seeds))
 				}
-				for _, done := range checkpoints {
-					got := runSweep(t, sw.kind, sweep.Options{Seeds: seeds, Workers: 2, Every: 2}, done,
-						func([]json.RawMessage) error { return nil })
-					sameRun(t, "resume from a checkpoint", got, want)
+				// Resume from every other prefix and from the full one.
+				for k := 2; k < len(journaled)+2; k += 2 {
+					k := min(k, len(journaled))
+					done := journaled[:k]
+					got := runSweep(t, sw.kind, sweep.Options{Seeds: seeds, Workers: 2}, done,
+						func(i int, _ json.RawMessage) error {
+							if i < k {
+								t.Errorf("resume from %d re-journaled shard %d", k, i)
+							}
+							return nil
+						})
+					sameRun(t, "resume from a journaled prefix", got, want)
 				}
 			})
 
@@ -124,8 +135,8 @@ func TestSweeps(t *testing.T) {
 
 			t.Run("save-error", func(t *testing.T) {
 				boom := errors.New("journal full")
-				_, err := sw.kind.Resume(context.Background(), sweep.Options{Seeds: 2, Workers: 1, Every: 1}, nil,
-					func([]json.RawMessage) error { return boom })
+				_, err := sw.kind.Resume(context.Background(), sweep.Options{Seeds: 2, Workers: 1}, nil,
+					func(int, json.RawMessage) error { return boom })
 				if !errors.Is(err, boom) {
 					t.Fatalf("err = %v, want %v", err, boom)
 				}
@@ -187,12 +198,18 @@ func TestDigestWireFormat(t *testing.T) {
 
 			// A fleet coordinator merges remote digests as they arrive —
 			// out of order, duplicated, some past the shard space — and
-			// must fold and stream what a local run does and checkpoint
-			// the very bytes the workers sent.
+			// must fold and stream what a local run does and journal the
+			// very bytes the workers sent, past the replayed prefix only.
 			var b bytes.Buffer
-			var saved []json.RawMessage
-			m, err := g.kind.Merge(sweep.Options{Seeds: g.goldenSeeds, Progress: &b, Every: 2}, digests[:1],
-				func(prefix []json.RawMessage) error { saved = slices.Clone(prefix); return nil })
+			saved := slices.Clone(digests[:1])
+			m, err := g.kind.Merge(sweep.Options{Seeds: g.goldenSeeds, Progress: &b}, digests[:1],
+				func(i int, digest json.RawMessage) error {
+					if i != len(saved) {
+						t.Errorf("merge journaled shard %d after %d shards", i, len(saved))
+					}
+					saved = append(saved, slices.Clone(digest))
+					return nil
+				})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -212,7 +229,7 @@ func TestDigestWireFormat(t *testing.T) {
 			}
 			sameRun(t, "merge of the golden digests", run{res, b.String()}, fresh)
 			if !slices.EqualFunc(saved, digests, func(a, b json.RawMessage) bool { return bytes.Equal(a, b) }) {
-				t.Errorf("merge checkpointed\n%s\nwant the golden digests", saved)
+				t.Errorf("merge journaled\n%s\nwant the golden digests", saved)
 			}
 		})
 	}
