@@ -87,14 +87,16 @@ soak-smoke:
 	$(GO) run -race ./cmd/uexc-bench -soak -seeds 2500 -parallel 0
 
 # Short coverage-guided fuzzing burst on the decoder, the assembler,
-# the sweep merge frontier (adversarial arrival orders), and the
+# the sweep merge frontier (adversarial arrival orders), the
 # cross-mode oracle (arbitrary progen seeds, with and without the SMC
-# stanza).
+# stanza), and the GC simulator's per-barrier ledgers (arbitrary
+# mutator traces, one shared heap against one heap per barrier).
 fuzz:
 	$(GO) test ./internal/arch/ -fuzz FuzzDecodeEncode -fuzztime 30s
 	$(GO) test ./internal/asm/ -fuzz FuzzAssemble -fuzztime 30s
 	$(GO) test ./internal/parallel/ -fuzz FuzzFrontier -fuzztime 30s
 	$(GO) test ./internal/difftest/ -fuzz FuzzDiffModes -fuzztime 30s
+	$(GO) test ./internal/apps/gcsim/ -fuzz FuzzLedgers -fuzztime 30s
 
 clean:
 	$(GO) clean ./...

@@ -2,7 +2,7 @@
 // generational garbage collector tracks old→young pointer stores with a
 // page-protection write barrier; we run the same two applications the
 // paper measured (simulated Lisp operators, and random replacement in a
-// 1 MB array) under three barrier implementations and compare.
+// 1 MB array) once each, costed under three barriers, and compare.
 //
 //	go run ./examples/gcbarrier
 package main
@@ -31,17 +31,15 @@ func main() {
 
 	for _, wl := range []struct {
 		name string
-		run  func(gcsim.Barrier, simos.CostTable) gcsim.Result
+		run  func(...gcsim.Config) []gcsim.Result
 	}{
 		{"Lisp operations", gcsim.LispOps},
 		{"Array test (1 MB, random replacement)", gcsim.ArrayTest},
 	} {
-		sig := wl.run(gcsim.BarrierSigsegv, ultCosts)
-		fast := wl.run(gcsim.BarrierFastEager, fastCosts)
-		soft := wl.run(gcsim.BarrierSoftware, fastCosts)
-		if sig.Checksum != fast.Checksum || fast.Checksum != soft.Checksum {
-			log.Fatalf("%s: collector results diverged across barriers", wl.name)
-		}
+		rs := wl.run(gcsim.Config{Barrier: gcsim.BarrierSigsegv, Costs: ultCosts},
+			gcsim.Config{Barrier: gcsim.BarrierFastEager, Costs: fastCosts},
+			gcsim.Config{Barrier: gcsim.BarrierSoftware, Costs: fastCosts})
+		sig, fast, soft := rs[0], rs[1], rs[2]
 
 		fmt.Printf("%s  (%d collections, %d barrier faults, heap checksum %#x)\n",
 			wl.name, sig.Stats.Collections, sig.Stats.Faults, sig.Checksum)

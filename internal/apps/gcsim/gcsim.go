@@ -14,9 +14,9 @@
 //
 // The collector itself is real: it allocates objects, traces
 // reachability from roots plus dirty-page remembered sets, promotes
-// survivors, and reclaims garbage. The three barrier configurations
-// must produce identical heap results — only the cost differs. Costs
-// charge a virtual clock from the measured simos.CostTable.
+// survivors, and reclaims garbage. The barrier changes only the cost,
+// never the heap, so a heap runs once and books each Config's costs on
+// its own virtual clock from that Config's measured simos.CostTable.
 package gcsim
 
 import (
@@ -64,6 +64,21 @@ const (
 	objsPerPage    = 128 // 32-byte cons cells per 4 KB page
 )
 
+// Config is one barrier configuration a heap books costs for.
+type Config struct {
+	Barrier Barrier
+	Costs   simos.CostTable
+}
+
+// ledger is one Config's account of a run: its clock takes the charges
+// in the order a run of that Config alone makes them, so its sum is that
+// run's, bit for bit. Its Stats hold only Faults, Checks and BarrierCyc.
+type ledger struct {
+	Config
+	Stats
+	clock simos.Clock
+}
+
 // Stats tallies one run.
 type Stats struct {
 	Collections     int
@@ -105,10 +120,7 @@ const (
 // still hold its Ref in a local (TreeWorkload's build does) and splice
 // it back into the heap, exactly as a Go pointer would keep it alive.
 type Heap struct {
-	barrier Barrier
-	costs   simos.CostTable
-	clock   simos.Clock
-	checkCy float64
+	ledgers []ledger
 
 	chunks []*[chunkCells]cell
 	cells  int // cells allocated, including the nil cell
@@ -121,8 +133,9 @@ type Heap struct {
 	// compaction both fill pages in order.
 	old []Ref
 
-	protected []bool // per old page: write-protected
-	dirty     []bool // per old page: stored-into since last collection
+	// dirty marks the old pages stored into since the last collection;
+	// a page barrier write-protects exactly the clean ones.
+	dirty []bool
 
 	roots  []Ref
 	epoch  uint32 // bumped once per heap walk
@@ -131,17 +144,18 @@ type Heap struct {
 	stats Stats
 }
 
-// New creates a heap with the given barrier and measured cost table.
-// nurseryCap is the young-generation size in objects.
-func New(b Barrier, costs simos.CostTable, nurseryCap int) *Heap {
-	return &Heap{
-		barrier:    b,
-		costs:      costs,
-		checkCy:    checkCyclesStd,
+// New creates a heap that books the costs of each of cfgs. nurseryCap
+// is the young-generation size in objects.
+func New(nurseryCap int, cfgs ...Config) *Heap {
+	h := &Heap{
 		chunks:     []*[chunkCells]cell{new([chunkCells]cell)},
 		cells:      1, // cell 0 is nil
 		nurseryCap: nurseryCap,
 	}
+	for _, cfg := range cfgs {
+		h.ledgers = append(h.ledgers, ledger{Config: cfg})
+	}
+	return h
 }
 
 // cell returns r's storage. Chunks never move, so the pointer stays
@@ -151,21 +165,31 @@ func (h *Heap) cell(r Ref) *cell { return &h.chunks[r>>chunkBits][r&(chunkCells-
 // oldPages is the number of old-generation pages in use.
 func (h *Heap) oldPages() int { return (len(h.old) + objsPerPage - 1) / objsPerPage }
 
-// Stats returns run statistics.
-func (h *Heap) Stats() Stats {
-	s := h.stats
-	s.OldPages = h.oldPages()
-	return s
+// charge books cy cycles on every ledger.
+func (h *Heap) charge(cy float64) {
+	for i := range h.ledgers {
+		h.ledgers[i].clock.Charge(cy)
+	}
 }
 
-// Clock returns the virtual clock.
-func (h *Heap) Clock() *simos.Clock { return &h.clock }
+// Results reports the run as each Config booked it, in New's order.
+func (h *Heap) Results() []Result {
+	sum := h.Checksum()
+	rs := make([]Result, len(h.ledgers))
+	for i, l := range h.ledgers {
+		s := h.stats
+		s.OldPages = h.oldPages()
+		s.Faults, s.Checks, s.BarrierCyc = l.Faults, l.Checks, l.BarrierCyc
+		rs[i] = Result{Barrier: l.Barrier, Seconds: l.clock.Seconds(), Stats: s, Checksum: sum}
+	}
+	return rs
+}
 
 // AddRoot registers a root slot.
 func (h *Heap) AddRoot(r Ref) { h.roots = append(h.roots, r) }
 
 // Work charges mutator computation.
-func (h *Heap) Work(ops int) { h.clock.Charge(float64(ops) * computeCycles) }
+func (h *Heap) Work(ops int) { h.charge(float64(ops) * computeCycles) }
 
 // Alloc allocates a young object, collecting first if the nursery is
 // full.
@@ -173,7 +197,7 @@ func (h *Heap) Alloc(data uint32, left, right Ref) Ref {
 	if h.nursery >= h.nurseryCap {
 		h.Collect()
 	}
-	h.clock.Charge(allocCycles)
+	h.charge(allocCycles)
 	h.stats.Allocated++
 	h.nursery++
 	if h.cells%chunkCells == 0 {
@@ -185,31 +209,33 @@ func (h *Heap) Alloc(data uint32, left, right Ref) Ref {
 	return r
 }
 
-// WriteRef performs a pointer store src.refs[slot] = dst through the
+// WriteRef performs a pointer store src.refs[slot] = dst through each
 // configured write barrier.
 func (h *Heap) WriteRef(src Ref, slot int, dst Ref) {
-	h.clock.Charge(storeCycles)
 	c := h.cell(src)
-	switch h.barrier {
-	case BarrierSoftware:
-		// Inline check before every pointer store.
-		h.clock.Charge(h.checkCy)
-		h.stats.Checks++
-		if c.page != young {
-			h.dirty[c.page] = true
-		}
-	case BarrierSigsegv, BarrierFastEager:
-		if c.page != young && h.protected[c.page] {
+	// A page barrier protects exactly the clean old pages, so a store to
+	// one faults; under every barrier the store leaves its page dirty.
+	fault := c.page != young && !h.dirty[c.page]
+	if c.page != young {
+		h.dirty[c.page] = true
+	}
+	for i := range h.ledgers {
+		l := &h.ledgers[i]
+		l.clock.Charge(storeCycles)
+		switch {
+		case l.Barrier == BarrierSoftware:
+			// Inline check before every pointer store.
+			l.clock.Charge(checkCyclesStd)
+			l.Checks++
+		case fault:
 			// The store traps; the handler records the page in the
 			// dirty set and unprotects it (eagerly amplified under
 			// BarrierFastEager; by in-handler mprotect under
 			// BarrierSigsegv — both are inside the measured
 			// ProtFaultRT for their mode).
-			h.stats.Faults++
-			h.clock.Charge(h.costs.ProtFaultRT)
-			h.stats.BarrierCyc += h.costs.ProtFaultRT
-			h.dirty[c.page] = true
-			h.protected[c.page] = false
+			l.Faults++
+			l.clock.Charge(l.Costs.ProtFaultRT)
+			l.BarrierCyc += l.Costs.ProtFaultRT
 		}
 	}
 	c.refs[slot] = dst
@@ -217,25 +243,28 @@ func (h *Heap) WriteRef(src Ref, slot int, dst Ref) {
 
 // ReadRef performs a pointer load (no barrier; charged as compute).
 func (h *Heap) ReadRef(src Ref, slot int) Ref {
-	h.clock.Charge(storeCycles)
+	h.charge(storeCycles)
 	return h.cell(src).refs[slot]
 }
 
-// markYoung traces the young cells reachable from r, depth first in
-// preorder (refs[0] before refs[1]), recording them for promotion.
-func (h *Heap) markYoung(r Ref) {
+// mark traces the cells reachable from r, depth first in preorder
+// (refs[0] before refs[1]), charging each once. A minor collection's
+// trace stops at old cells and records the young ones for promotion.
+func (h *Heap) mark(r Ref, minor bool) {
 	if r == 0 {
 		return
 	}
 	c := h.cell(r)
-	if c.mark == h.epoch || c.page != young {
+	if c.mark == h.epoch || minor && c.page != young {
 		return
 	}
 	c.mark = h.epoch
-	h.clock.Charge(traceObjCycles)
-	h.marked = append(h.marked, r)
-	h.markYoung(c.refs[0])
-	h.markYoung(c.refs[1])
+	h.charge(traceObjCycles)
+	if minor {
+		h.marked = append(h.marked, r)
+	}
+	h.mark(c.refs[0], minor)
+	h.mark(c.refs[1], minor)
 }
 
 // Collect runs a young-generation collection: trace from roots and
@@ -252,13 +281,13 @@ func (h *Heap) Collect() {
 			continue
 		}
 		if c := h.cell(r); c.page == young {
-			h.markYoung(r)
+			h.mark(r, true)
 		} else {
 			// Old roots: their young referents are found via the
 			// dirty-set scan below, but the root object itself is
 			// always scanned (registered roots are few).
-			h.markYoung(c.refs[0])
-			h.markYoung(c.refs[1])
+			h.mark(c.refs[0], true)
+			h.mark(c.refs[1], true)
 		}
 	}
 	// Remembered set: scan dirty old pages, in page order, for
@@ -269,58 +298,46 @@ func (h *Heap) Collect() {
 			continue
 		}
 		dirtyPages++
-		h.clock.Charge(scanPageCycles)
+		h.charge(scanPageCycles)
 		for _, r := range h.old[page*objsPerPage : min((page+1)*objsPerPage, len(h.old))] {
 			c := h.cell(r)
-			h.markYoung(c.refs[0])
-			h.markYoung(c.refs[1])
+			h.mark(c.refs[0], true)
+			h.mark(c.refs[1], true)
 		}
 	}
 
 	// Promote survivors to the old generation.
 	for _, r := range h.marked {
-		h.clock.Charge(promoteCycles)
+		h.charge(promoteCycles)
 		h.cell(r).page = int32(len(h.old) / objsPerPage)
 		h.old = append(h.old, r)
 		h.stats.Promoted++
 	}
 	h.stats.Reclaimed += h.nursery - len(h.marked)
-	h.clock.Charge(float64(h.nursery-len(h.marked)) * reclaimCycles)
+	h.charge(float64(h.nursery-len(h.marked)) * reclaimCycles)
 	h.nursery = 0
 
 	// Re-protect the old generation under page barriers: one batched
 	// mprotect covering the opened (dirty) and newly created pages.
-	h.resetPages()
-	if h.barrier != BarrierSoftware && (dirtyPages > 0 || len(h.old) > 0) {
-		h.clock.Charge(h.costs.MprotectPage + float64(dirtyPages)*h.costs.MprotectExtraPage)
+	// Before the first promotion there is nothing to protect.
+	if len(h.old) > 0 {
+		h.reprotect(dirtyPages)
 	}
 }
 
-// resetPages sizes the per-page state to the old generation, empties
-// the dirty set and, under page barriers, write-protects every page.
-func (h *Heap) resetPages() {
+// reprotect sizes the dirty set to the old generation and empties it,
+// which under a page barrier write-protects every page, and charges
+// each page-barrier ledger one batched mprotect call that opens with
+// the given number of extra pages.
+func (h *Heap) reprotect(extra int) {
 	n := h.oldPages()
 	h.dirty = slices.Grow(h.dirty[:0], n)[:n]
-	h.protected = slices.Grow(h.protected[:0], n)[:n]
 	clear(h.dirty)
-	for p := range h.protected {
-		h.protected[p] = h.barrier != BarrierSoftware
+	for i := range h.ledgers {
+		if l := &h.ledgers[i]; l.Barrier != BarrierSoftware {
+			l.clock.Charge(l.Costs.MprotectPage + float64(extra)*l.Costs.MprotectExtraPage)
+		}
 	}
-}
-
-// markAll traces every cell reachable from r, charging each once.
-func (h *Heap) markAll(r Ref) {
-	if r == 0 {
-		return
-	}
-	c := h.cell(r)
-	if c.mark == h.epoch {
-		return
-	}
-	c.mark = h.epoch
-	h.clock.Charge(traceObjCycles)
-	h.markAll(c.refs[0])
-	h.markAll(c.refs[1])
 }
 
 // CollectFull runs a major collection: the whole heap (both
@@ -338,7 +355,7 @@ func (h *Heap) CollectFull() {
 	// Mark reachable old objects.
 	h.epoch++
 	for _, r := range h.roots {
-		h.markAll(r)
+		h.mark(r, false)
 	}
 
 	// Sweep and compact in page order: survivors slide down onto a
@@ -348,24 +365,18 @@ func (h *Heap) CollectFull() {
 		c := h.cell(r)
 		if c.mark != h.epoch {
 			h.stats.OldReclaimed++
-			h.clock.Charge(reclaimCycles)
+			h.charge(reclaimCycles)
 			continue
 		}
-		h.clock.Charge(promoteCycles) // compaction copy
+		h.charge(promoteCycles) // compaction copy
 		c.page = int32(len(live) / objsPerPage)
 		live = append(live, r)
 	}
 	h.old = live
 
 	// Reset protection state for the compacted generation.
-	h.resetPages()
-	if h.barrier != BarrierSoftware {
-		h.clock.Charge(h.costs.MprotectPage + float64(h.oldPages())*h.costs.MprotectExtraPage)
-	}
+	h.reprotect(h.oldPages())
 }
-
-// OldLive returns the number of live old-generation objects.
-func (h *Heap) OldLive() int { return len(h.old) }
 
 // Checksum folds the reachable heap into a value; used to prove that
 // barrier mechanisms do not change collector results.
@@ -396,7 +407,8 @@ func (h *Heap) fold(sum uint32, r Ref, depth uint32) uint32 {
 
 // --- Workloads -------------------------------------------------------
 
-// Result summarizes a workload run.
+// Result summarizes a workload run as one Config booked it. Each
+// workload walks its heap once and returns one Result per Config.
 type Result struct {
 	Barrier  Barrier
 	Seconds  float64
@@ -404,12 +416,24 @@ type Result struct {
 	Checksum uint32
 }
 
+// promoteRoots allocates n cells holding 0..n-1, registers each as a
+// root and collects, promoting them into the long-lived old generation.
+func (h *Heap) promoteRoots(n int) []Ref {
+	cells := make([]Ref, n)
+	for i := range cells {
+		cells[i] = h.Alloc(uint32(i), 0, 0)
+		h.AddRoot(cells[i])
+	}
+	h.Collect()
+	return cells
+}
+
 // LispOps is the paper's first benchmark: simulated Lisp operators
 // (cons/car/cdr) repeatedly building large list structures without
 // explicit deallocation, running the collector ~80 times and taking a
 // few thousand protection faults (§4.1).
-func LispOps(b Barrier, costs simos.CostTable) Result {
-	h := New(b, costs, 8200)
+func LispOps(cfgs ...Config) []Result {
+	h := New(8200, cfgs...)
 	rng := rand.New(rand.NewSource(42))
 
 	// Long-lived skeleton: a vector of list heads that survive
@@ -417,12 +441,7 @@ func LispOps(b Barrier, costs simos.CostTable) Result {
 	// pages), into which the mutator keeps splicing fresh young lists
 	// (old→young stores).
 	const skeletonSize = 4000
-	skeleton := make([]Ref, skeletonSize)
-	for i := range skeleton {
-		skeleton[i] = h.Alloc(uint32(i), 0, 0)
-		h.AddRoot(skeleton[i])
-	}
-	h.Collect() // promote the skeleton
+	skeleton := h.promoteRoots(skeletonSize)
 
 	const iters = 120_000
 	for i := 0; i < iters; i++ {
@@ -447,26 +466,21 @@ func LispOps(b Barrier, costs simos.CostTable) Result {
 			h.CollectFull() // occasional major collection, as in Xerox's
 		}
 	}
-	return Result{Barrier: b, Seconds: h.Clock().Seconds(), Stats: h.Stats(), Checksum: h.Checksum()}
+	return h.Results()
 }
 
 // ArrayTest is the paper's second benchmark: a large (1 MB) array whose
 // elements are randomly replaced with fresh objects; each replacement
 // creates garbage and many replacements store old→young pointers,
 // giving a much higher fault density relative to run time (§4.1).
-func ArrayTest(b Barrier, costs simos.CostTable) Result {
-	h := New(b, costs, 4000)
+func ArrayTest(cfgs ...Config) []Result {
+	h := New(4000, cfgs...)
 	rng := rand.New(rand.NewSource(43))
 
 	// The 1 MB array: 8192 slot-objects spanning 64 pages of 32-byte
 	// cells, long-lived.
 	const slots = 8192
-	array := make([]Ref, slots)
-	for i := range array {
-		array[i] = h.Alloc(uint32(i), 0, 0)
-		h.AddRoot(array[i])
-	}
-	h.Collect() // promote the array
+	array := h.promoteRoots(slots)
 
 	const replacements = 120_000
 	for i := 0; i < replacements; i++ {
@@ -475,7 +489,7 @@ func ArrayTest(b Barrier, costs simos.CostTable) Result {
 		h.WriteRef(array[idx], 0, fresh) // old→young: barrier
 		h.Work(7)
 	}
-	return Result{Barrier: b, Seconds: h.Clock().Seconds(), Stats: h.Stats(), Checksum: h.Checksum()}
+	return h.Results()
 }
 
 // TreeWorkload and InteractiveWorkload are the Hosking & Moss-style
@@ -486,8 +500,8 @@ func ArrayTest(b Barrier, costs simos.CostTable) Result {
 // splices (few traps per many stores); Interactive mixes operations
 // with a higher proportion of distinct old pages touched per
 // collection cycle (more traps per store).
-func TreeWorkload(b Barrier, costs simos.CostTable) Result {
-	h := New(b, costs, 6000)
+func TreeWorkload(cfgs ...Config) []Result {
+	h := New(6000, cfgs...)
 	rng := rand.New(rand.NewSource(44))
 
 	// A forest of long-lived tree nodes (~50 old pages) subjected to
@@ -495,12 +509,7 @@ func TreeWorkload(b Barrier, costs simos.CostTable) Result {
 	// checked stores) and spliced into random old nodes (occasional
 	// trapping stores).
 	const poolSize = 6400
-	pool := make([]Ref, poolSize)
-	for i := range pool {
-		pool[i] = h.Alloc(uint32(i), 0, 0)
-		h.AddRoot(pool[i])
-	}
-	h.Collect()
+	pool := h.promoteRoots(poolSize)
 
 	var build func(depth int) Ref
 	build = func(depth int) Ref {
@@ -519,23 +528,18 @@ func TreeWorkload(b Barrier, costs simos.CostTable) Result {
 		h.WriteRef(pool[rng.Intn(poolSize)], rng.Intn(2), t)
 		h.Work(40)
 	}
-	return Result{Barrier: b, Seconds: h.Clock().Seconds(), Stats: h.Stats(), Checksum: h.Checksum()}
+	return h.Results()
 }
 
 // InteractiveWorkload models the Smalltalk macro-benchmark mix: widely
 // scattered updates to long-lived state, so page protection traps are
 // comparatively frequent per store.
-func InteractiveWorkload(b Barrier, costs simos.CostTable) Result {
-	h := New(b, costs, 2500)
+func InteractiveWorkload(cfgs ...Config) []Result {
+	h := New(2500, cfgs...)
 	rng := rand.New(rand.NewSource(45))
 
 	const state = 3000
-	objs := make([]Ref, state)
-	for i := range objs {
-		objs[i] = h.Alloc(uint32(i), 0, 0)
-		h.AddRoot(objs[i])
-	}
-	h.Collect()
+	objs := h.promoteRoots(state)
 
 	for i := 0; i < 30_000; i++ {
 		idx := rng.Intn(state)
@@ -543,5 +547,5 @@ func InteractiveWorkload(b Barrier, costs simos.CostTable) Result {
 		h.WriteRef(objs[idx], rng.Intn(2), fresh)
 		h.Work(6)
 	}
-	return Result{Barrier: b, Seconds: h.Clock().Seconds(), Stats: h.Stats(), Checksum: h.Checksum()}
+	return h.Results()
 }

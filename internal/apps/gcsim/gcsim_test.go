@@ -1,6 +1,7 @@
 package gcsim
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -17,23 +18,38 @@ func costs(t *testing.T, mode core.Mode) simos.CostTable {
 	return ct
 }
 
+// configs is the three barrier configurations the paper compares,
+// each with its mode's measured costs.
+func configs(t *testing.T) []Config {
+	ult := costs(t, core.ModeUltrix)
+	fast := costs(t, core.ModeFast)
+	return []Config{
+		{Barrier: BarrierSigsegv, Costs: ult},
+		{Barrier: BarrierFastEager, Costs: fast},
+		{Barrier: BarrierSoftware, Costs: fast},
+	}
+}
+
+// stats returns the run statistics h's first configuration booked.
+func stats(h *Heap) Stats { return h.Results()[0].Stats }
+
 // workloads is every workload the package runs.
 var workloads = []struct {
 	name string
-	run  func(Barrier, simos.CostTable) Result
+	run  func(...Config) []Result
 }{
 	{"lisp", LispOps}, {"array", ArrayTest},
 	{"tree", TreeWorkload}, {"interactive", InteractiveWorkload},
 }
 
 func TestBarriersProduceIdenticalHeaps(t *testing.T) {
-	// The barrier mechanism changes cost, never collector results.
-	ult := costs(t, core.ModeUltrix)
-	fast := costs(t, core.ModeFast)
+	// The barrier mechanism changes cost, never collector results:
+	// each barrier runs alone, on its own heap.
+	cfgs := configs(t)
 	for _, wl := range workloads {
-		a := wl.run(BarrierSigsegv, ult)
-		b := wl.run(BarrierFastEager, fast)
-		c := wl.run(BarrierSoftware, fast)
+		a := wl.run(cfgs[0])[0]
+		b := wl.run(cfgs[1])[0]
+		c := wl.run(cfgs[2])[0]
 		if a.Checksum != b.Checksum || b.Checksum != c.Checksum {
 			t.Errorf("%s: checksums differ: sigsegv %#x fast %#x software %#x",
 				wl.name, a.Checksum, b.Checksum, c.Checksum)
@@ -53,12 +69,32 @@ func TestBarriersProduceIdenticalHeaps(t *testing.T) {
 	}
 }
 
+// TestSharedPassMatchesIsolatedRuns: a heap booking all three
+// barriers in one pass reports, for each, exactly the Result — every
+// Stats field, the checksum and every bit of Seconds — that the
+// barrier alone reports on its own heap.
+func TestSharedPassMatchesIsolatedRuns(t *testing.T) {
+	cfgs := configs(t)
+	for _, wl := range workloads {
+		shared := wl.run(cfgs...)
+		if len(shared) != len(cfgs) {
+			t.Fatalf("%s: %d results for %d configs", wl.name, len(shared), len(cfgs))
+		}
+		for i, cfg := range cfgs {
+			alone := fmt.Sprintf("%+v", wl.run(cfg)[0])
+			if got := fmt.Sprintf("%+v", shared[i]); got != alone {
+				t.Errorf("%s/%v: shared pass\n  %s\nisolated run\n  %s", wl.name, cfg.Barrier, got, alone)
+			}
+		}
+	}
+}
+
 func TestLispOpsShape(t *testing.T) {
 	// Paper §4.1: the Lisp-operations benchmark runs the collector
 	// about 80 times and takes over 2000 protection faults; Ultrix CPU
 	// time ~24 s, fast version faster.
-	ult := LispOps(BarrierSigsegv, costs(t, core.ModeUltrix))
-	fast := LispOps(BarrierFastEager, costs(t, core.ModeFast))
+	rs := LispOps(configs(t)[:2]...)
+	ult, fast := rs[0], rs[1]
 
 	if c := ult.Stats.Collections; c < 40 || c > 200 {
 		t.Errorf("collections = %d, want ~80", c)
@@ -83,8 +119,8 @@ func TestLispOpsShape(t *testing.T) {
 func TestArrayTestShape(t *testing.T) {
 	// Paper §4.1: 1 MB array with random replacement; ~2000 faults,
 	// Ultrix ~2 s, fast ~1.8 s (10% improvement).
-	ult := ArrayTest(BarrierSigsegv, costs(t, core.ModeUltrix))
-	fast := ArrayTest(BarrierFastEager, costs(t, core.ModeFast))
+	rs := ArrayTest(configs(t)[:2]...)
+	ult, fast := rs[0], rs[1]
 
 	if f := ult.Stats.Faults; f < 1000 || f > 6000 {
 		t.Errorf("faults = %d, want ~2000", f)
@@ -103,10 +139,9 @@ func TestArrayTestShape(t *testing.T) {
 func TestArrayBenefitsMoreThanLisp(t *testing.T) {
 	// Table 4's conclusion: performance impact is highly application-
 	// dependent; the array test's fault density makes it benefit more.
-	ultL := LispOps(BarrierSigsegv, costs(t, core.ModeUltrix))
-	fastL := LispOps(BarrierFastEager, costs(t, core.ModeFast))
-	ultA := ArrayTest(BarrierSigsegv, costs(t, core.ModeUltrix))
-	fastA := ArrayTest(BarrierFastEager, costs(t, core.ModeFast))
+	cfgs := configs(t)[:2]
+	l, a := LispOps(cfgs...), ArrayTest(cfgs...)
+	ultL, fastL, ultA, fastA := l[0], l[1], a[0], a[1]
 	impL := (ultL.Seconds - fastL.Seconds) / ultL.Seconds
 	impA := (ultA.Seconds - fastA.Seconds) / ultA.Seconds
 	if impA <= impL {
@@ -117,13 +152,13 @@ func TestArrayBenefitsMoreThanLisp(t *testing.T) {
 func TestCheckAndTrapCounts(t *testing.T) {
 	// Table 5 inputs: c (checks) from the software run, t (traps) from
 	// the page-protection run, for each application.
-	fast := costs(t, core.ModeFast)
+	cfgs := configs(t)
 	for _, wl := range []struct {
 		name string
-		run  func(Barrier, simos.CostTable) Result
+		run  func(...Config) []Result
 	}{{"tree", TreeWorkload}, {"interactive", InteractiveWorkload}} {
-		sw := wl.run(BarrierSoftware, fast)
-		pp := wl.run(BarrierFastEager, fast)
+		rs := wl.run(cfgs[2], cfgs[1])
+		sw, pp := rs[0], rs[1]
 		if sw.Stats.Checks == 0 || pp.Stats.Faults == 0 {
 			t.Fatalf("%s: c=%d t=%d", wl.name, sw.Stats.Checks, pp.Stats.Faults)
 		}
@@ -136,14 +171,14 @@ func TestCheckAndTrapCounts(t *testing.T) {
 }
 
 func TestCollectReclaimsGarbage(t *testing.T) {
-	h := New(BarrierSoftware, simos.CostTable{}, 100)
+	h := New(100, Config{Barrier: BarrierSoftware})
 	root := h.Alloc(1, 0, 0)
 	h.AddRoot(root)
 	for i := 0; i < 99; i++ {
 		h.Alloc(uint32(i), 0, 0) // garbage
 	}
 	h.Collect()
-	s := h.Stats()
+	s := stats(h)
 	if s.Promoted != 1 {
 		t.Errorf("promoted = %d, want 1 (the root)", s.Promoted)
 	}
@@ -153,7 +188,7 @@ func TestCollectReclaimsGarbage(t *testing.T) {
 }
 
 func TestPromotionKeepsReachableStructure(t *testing.T) {
-	h := New(BarrierSoftware, simos.CostTable{}, 1000)
+	h := New(1000, Config{Barrier: BarrierSoftware})
 	// Build a small tree, keep it, collect, verify the structure.
 	leaf1 := h.Alloc(10, 0, 0)
 	leaf2 := h.Alloc(20, 0, 0)
@@ -173,7 +208,7 @@ func TestPromotionKeepsReachableStructure(t *testing.T) {
 
 func TestWriteBarrierFaultOncePerPagePerCycle(t *testing.T) {
 	ct := simos.CostTable{ProtFaultRT: 100, MprotectPage: 50, MprotectExtraPage: 5}
-	h := New(BarrierFastEager, ct, 1_000_000)
+	h := New(1_000_000, Config{Barrier: BarrierFastEager, Costs: ct})
 	// Build some old objects on one page.
 	objs := make([]Ref, 10)
 	for i := range objs {
@@ -185,19 +220,19 @@ func TestWriteBarrierFaultOncePerPagePerCycle(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.WriteRef(objs[i%len(objs)], 0, h.Alloc(99, 0, 0))
 	}
-	if got := h.Stats().Faults; got != 1 {
+	if got := stats(h).Faults; got != 1 {
 		t.Errorf("faults = %d, want 1 (page amplified after first)", got)
 	}
 	// After a collection the page is re-protected: next store faults.
 	h.Collect()
 	h.WriteRef(objs[0], 0, h.Alloc(100, 0, 0))
-	if got := h.Stats().Faults; got != 2 {
+	if got := stats(h).Faults; got != 2 {
 		t.Errorf("faults = %d, want 2 after re-protection", got)
 	}
 }
 
 func TestFullCollectionReclaimsOldGarbage(t *testing.T) {
-	h := New(BarrierSoftware, simos.CostTable{}, 500)
+	h := New(500, Config{Barrier: BarrierSoftware})
 	root := h.Alloc(1, 0, 0)
 	h.AddRoot(root)
 	// Promote waves of garbage into the old generation: objects kept
@@ -210,14 +245,14 @@ func TestFullCollectionReclaimsOldGarbage(t *testing.T) {
 		h.WriteRef(root, 0, chain) // previous wave becomes garbage
 		h.Collect()                // promotes the live wave
 	}
-	before := h.OldLive()
+	before := len(h.old)
 	checksum := h.Checksum()
 	h.CollectFull()
-	after := h.OldLive()
+	after := len(h.old)
 	if after >= before {
 		t.Errorf("full collection freed nothing: %d -> %d", before, after)
 	}
-	if h.Stats().OldReclaimed == 0 {
+	if stats(h).OldReclaimed == 0 {
 		t.Error("OldReclaimed = 0")
 	}
 	if got := h.Checksum(); got != checksum {
@@ -232,7 +267,7 @@ func TestFullCollectionReclaimsOldGarbage(t *testing.T) {
 
 func TestFullCollectionReprotectsUnderPageBarrier(t *testing.T) {
 	ct := simos.CostTable{ProtFaultRT: 100, MprotectPage: 50, MprotectExtraPage: 5}
-	h := New(BarrierFastEager, ct, 1000)
+	h := New(1000, Config{Barrier: BarrierFastEager, Costs: ct})
 	objs := make([]Ref, 20)
 	for i := range objs {
 		objs[i] = h.Alloc(uint32(i), 0, 0)
@@ -242,18 +277,18 @@ func TestFullCollectionReprotectsUnderPageBarrier(t *testing.T) {
 	// Open a page via a fault, then run a full collection: the page
 	// must be protected again.
 	h.WriteRef(objs[0], 0, h.Alloc(1, 0, 0))
-	if h.Stats().Faults != 1 {
-		t.Fatalf("faults = %d", h.Stats().Faults)
+	if f := stats(h).Faults; f != 1 {
+		t.Fatalf("faults = %d", f)
 	}
 	h.CollectFull()
 	h.WriteRef(objs[0], 1, h.Alloc(2, 0, 0))
-	if h.Stats().Faults != 2 {
-		t.Errorf("faults = %d, want 2 (page re-protected by full collection)", h.Stats().Faults)
+	if f := stats(h).Faults; f != 2 {
+		t.Errorf("faults = %d, want 2 (page re-protected by full collection)", f)
 	}
 }
 
 func TestLispOpsRunsFullCollections(t *testing.T) {
-	r := LispOps(BarrierSoftware, simos.CostTable{})
+	r := LispOps(Config{Barrier: BarrierSoftware})[0]
 	if r.Stats.FullCollections < 3 {
 		t.Errorf("full collections = %d, want >= 3", r.Stats.FullCollections)
 	}
@@ -267,7 +302,7 @@ func TestCollectScansDirtyPagesInPageOrder(t *testing.T) {
 	// promoted in ascending page order, whatever order the pages were
 	// dirtied in. Repeat to catch any order that varies between runs.
 	for run := 0; run < 20; run++ {
-		h := New(BarrierSoftware, simos.CostTable{}, 1000)
+		h := New(1000, Config{Barrier: BarrierSoftware})
 		// A three-page list hanging off one root; preorder promotion
 		// puts list position k on page k/objsPerPage.
 		list := make([]Ref, 3*objsPerPage)
@@ -301,11 +336,12 @@ func TestCollectScansDirtyPagesInPageOrder(t *testing.T) {
 
 func TestAllocsPerRunBounded(t *testing.T) {
 	// The arena allocates cells in chunks, so host allocations are a
-	// small fraction of simulated cells: at most one per 64.
-	fast := costs(t, core.ModeFast)
+	// small fraction of simulated cells: at most one per 64, with all
+	// three barriers booked in the one pass.
+	cfgs := configs(t)
 	for _, wl := range workloads {
 		var r Result
-		allocs := testing.AllocsPerRun(1, func() { r = wl.run(BarrierFastEager, fast) })
+		allocs := testing.AllocsPerRun(1, func() { r = wl.run(cfgs...)[0] })
 		limit := float64(r.Stats.Allocated) / 64
 		t.Logf("%s: %.0f host allocations for %d cells", wl.name, allocs, r.Stats.Allocated)
 		if allocs > limit {

@@ -2,7 +2,8 @@ package gcsim
 
 // Golden results: the full Result of every workload × barrier pair —
 // every Stats field, the heap checksum and Seconds at full precision —
-// is pinned under testdata/. The Table 4/5 goldens in internal/harness
+// is pinned under testdata/, each workload booking all three barriers
+// in one pass. The Table 4/5 goldens in internal/harness
 // render only a few rounded columns; this file catches any drift in
 // promotion, reclamation, barrier cycles or the last bits of the
 // virtual clock. Refresh (after reviewing the diff) with:
@@ -16,25 +17,16 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"uexc/internal/core"
-	"uexc/internal/simos"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files with current output")
 
 func TestGoldenResults(t *testing.T) {
-	ult := costs(t, core.ModeUltrix)
-	fast := costs(t, core.ModeFast)
+	cfgs := configs(t)
 	var b strings.Builder
 	for _, wl := range workloads {
-		for _, cfg := range []struct {
-			barrier Barrier
-			costs   simos.CostTable
-		}{
-			{BarrierSigsegv, ult}, {BarrierFastEager, fast}, {BarrierSoftware, fast},
-		} {
-			fmt.Fprintf(&b, "%s: %+v\n", wl.name, wl.run(cfg.barrier, cfg.costs))
+		for _, r := range wl.run(cfgs...) {
+			fmt.Fprintf(&b, "%s: %+v\n", wl.name, r)
 		}
 	}
 	got := b.String()

@@ -425,6 +425,55 @@ func TestNoWorkerWaitsOnFsync(t *testing.T) {
 	}
 }
 
+// TestMetricsWaitForFinishRecord: /metrics reports a durable job
+// finished only once its finish record is durable. With every journal
+// fsync after the admission's parked, a campaign that has run to the
+// end still reads in flight and not yet ok; when the disk comes back
+// the gauge and the counter settle together.
+func TestMetricsWaitForFinishRecord(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs a campaign")
+	}
+	const seeds = 2
+	var syncs atomic.Int32
+	release := make(chan struct{})
+	s, base := startTest(t, Config{
+		Workers: 1, QueueDepth: 2, StoreDir: t.TempDir(),
+		storeSyncDelay: func() {
+			if syncs.Add(1) > 1 { // the admission's fsync passes
+				<-release
+			}
+		},
+	})
+	defer func() {
+		select {
+		case <-release:
+		default:
+			close(release)
+		}
+	}()
+
+	clientDone := make(chan streamed, 1)
+	go func() {
+		st, _ := tryPost(base, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 1})
+		clientDone <- st
+	}()
+	shards := harness.CampaignShards(seeds)
+	waitMetric(t, "finish record appended", func() bool { return s.store.Stats().Appends == uint64(2+shards) })
+	time.Sleep(20 * time.Millisecond)
+	if m := fetchMetrics(t, base); m.InFlight != 1 || m.JobsOK != 0 {
+		t.Fatalf("with the finish record not durable: inflight %d, ok %d; want 1, 0", m.InFlight, m.JobsOK)
+	}
+
+	close(release)
+	if st := <-clientDone; !st.complete || !st.ok {
+		t.Fatalf("job after the disk came back: ok=%v complete=%v", st.ok, st.complete)
+	}
+	if m := fetchMetrics(t, base); m.InFlight != 0 || m.JobsOK != 1 {
+		t.Fatalf("after the result event: inflight %d, ok %d; want 0, 1", m.InFlight, m.JobsOK)
+	}
+}
+
 // progressEvents counts job id's progress events so far.
 func progressEvents(s *Server, id uint64) int {
 	s.mu.Lock()

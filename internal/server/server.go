@@ -532,9 +532,21 @@ func (s *Server) execute(j *job) {
 		}
 	}()
 
-	// Settle the running gauges before anything that marks the job
-	// finished: a reader who has seen the terminal counter or the
-	// result event must not still read the job as in flight.
+	// Make the finish record durable first: until it is, a kill replays
+	// the job, so /metrics must still read it as running. Then settle
+	// the running gauges before anything that marks the job finished:
+	// a reader who has seen the terminal counter or the result event
+	// must not still read the job as in flight. Whether the job was
+	// cancelled is read before the fsync wait, which a deadline may
+	// outlast.
+	cancelled := j.ctx.Err() != nil
+	if s.store != nil && s.baseCtx.Err() == nil {
+		errText := ""
+		if err != nil {
+			errText = err.Error()
+		}
+		_ = s.store.FinishJob(j.id, ok, summary, errText)
+	}
 	s.metrics.add(func(m *metrics) { m.inFlight-- })
 	s.tenants.done(j.tenant)
 
@@ -546,18 +558,10 @@ func (s *Server) execute(j *job) {
 		// Poison quarantine is a job failure even though the quarantine
 		// cancelled the rest of the sweep.
 		s.metrics.add(func(m *metrics) { m.JobsFailed++ })
-	case j.ctx.Err() != nil:
+	case cancelled:
 		s.metrics.add(func(m *metrics) { m.JobsCancelled++ })
 	default:
 		s.metrics.add(func(m *metrics) { m.JobsFailed++ })
-	}
-
-	if s.store != nil && s.baseCtx.Err() == nil {
-		errText := ""
-		if err != nil {
-			errText = err.Error()
-		}
-		_ = s.store.FinishJob(j.id, ok, summary, errText)
 	}
 
 	ev := Event{
