@@ -46,12 +46,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "uexc-asm: %v\n", err)
 		os.Exit(1)
 	}
-	text := string(src)
+	texts := []*asm.Text{asm.Parse(string(src))}
 	if *withRT {
-		text = userrt.Prelude() + text
+		texts = []*asm.Text{userrt.Parsed(), texts[0]}
 		org = kernel.UserTextBase
 	}
-	p, list, err := asm.AssembleWithListing(text, uint32(org))
+	p, list, err := asm.AssembleTextsWithListing(uint32(org), texts...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "uexc-asm: %v\n", err)
 		os.Exit(1)

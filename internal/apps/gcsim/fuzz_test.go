@@ -81,16 +81,6 @@ func runTrace(trace []byte, cfgs ...Config) []Result {
 			h.Collect()
 		case 5:
 			h.CollectFull()
-			// An old cell the full collection reclaimed keeps the page
-			// it had before compaction, so the mutator may no longer
-			// store through it; a young one it may still splice back.
-			live := held[:0]
-			for _, r := range held {
-				if c := h.cell(r); c.page == young || c.mark == h.epoch {
-					live = append(live, r)
-				}
-			}
-			held = live
 		}
 	}
 	return h.Results()

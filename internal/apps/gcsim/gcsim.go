@@ -364,6 +364,10 @@ func (h *Heap) CollectFull() {
 	for _, r := range h.old {
 		c := h.cell(r)
 		if c.mark != h.epoch {
+			// The cell leaves the old generation: a store through a Ref
+			// the mutator kept dirties no page, as for a reclaimed young
+			// cell.
+			c.page = young
 			h.stats.OldReclaimed++
 			h.charge(reclaimCycles)
 			continue

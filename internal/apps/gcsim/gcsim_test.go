@@ -231,6 +231,40 @@ func TestWriteBarrierFaultOncePerPagePerCycle(t *testing.T) {
 	}
 }
 
+// TestWriteThroughReclaimedOldCell: the mutator may keep the Ref of an
+// old cell a full collection reclaimed and store through it, as it may
+// through a reclaimed young one. The cell left the old generation, so
+// the store dirties no page — in particular none past the compacted
+// generation's end, where this chain's deepest cell used to live.
+func TestWriteThroughReclaimedOldCell(t *testing.T) {
+	h := New(500, Config{Barrier: BarrierSigsegv})
+	root := h.Alloc(0, 0, 0)
+	h.AddRoot(root)
+	deepest := h.Alloc(1, 0, 0)
+	chain := deepest
+	for i := 1; i < 200; i++ {
+		chain = h.Alloc(uint32(i), chain, 0)
+	}
+	h.WriteRef(root, 0, chain)
+	h.Collect() // promotes root and chain onto two old pages
+	if pages := h.oldPages(); pages != 2 {
+		t.Fatalf("old generation spans %d pages, want 2", pages)
+	}
+	h.WriteRef(root, 0, 0) // drop the chain
+	h.CollectFull()
+	if len(h.old) != 1 {
+		t.Fatalf("old generation holds %d cells after the full collection, want 1", len(h.old))
+	}
+	faults := stats(h).Faults
+	h.WriteRef(deepest, 1, 0)
+	if slices.Contains(h.dirty, true) {
+		t.Error("a store through a reclaimed cell dirtied a live page")
+	}
+	if got := stats(h).Faults; got != faults {
+		t.Errorf("a store through a reclaimed cell faulted: %d -> %d faults", faults, got)
+	}
+}
+
 func TestFullCollectionReclaimsOldGarbage(t *testing.T) {
 	h := New(500, Config{Barrier: BarrierSoftware})
 	root := h.Alloc(1, 0, 0)

@@ -1,8 +1,16 @@
-// Package asm implements a two-pass assembler for the simulated
-// machine's ISA (internal/arch). It supports labels, constant
-// expressions, the usual data directives, and a small set of
-// pseudo-instructions, producing a relocated memory image plus a symbol
-// table.
+// Package asm implements an assembler for the simulated machine's ISA
+// (internal/arch). It supports labels, constant expressions, the usual
+// data directives, and a small set of pseudo-instructions, producing a
+// relocated memory image plus a symbol table.
+//
+// Assembly is a text pass and an assembly step. Parse reads one source
+// text once: it scans lines in place, resolves each mnemonic, and turns
+// operands into registers, memory operands and compiled expressions.
+// AssembleTexts then lays a sequence of parsed texts out as one image:
+// pass 1 assigns addresses and defines symbols, pass 2 evaluates
+// expressions and encodes, and neither reads operand text again. Line
+// numbers continue from one text to the next, so a prelude parsed once
+// and shared assembles exactly like the concatenated source.
 //
 // The simulated kernel, the user-mode runtime, and every microbenchmark
 // program in this repository are written in this assembly language, so
@@ -29,12 +37,9 @@ package asm
 
 import (
 	"cmp"
-	"encoding/binary"
 	"fmt"
 	"slices"
 	"strings"
-
-	"uexc/internal/arch"
 )
 
 // Chunk is a contiguous span of assembled bytes.
@@ -87,20 +92,17 @@ type Error struct {
 
 func (e *Error) Error() string { return fmt.Sprintf("asm: line %d: %s", e.Line, e.Msg) }
 
-// stmt is one parsed statement awaiting encoding.
-type stmt struct {
-	line     int
-	addr     uint32
-	size     uint32
-	mnemonic string   // instruction or directive (with '.')
-	ops      []string // raw operand texts
-	out      []byte   // the statement's size bytes in its chunk (layout)
-}
-
 // Assemble assembles source text with the location counter initially at
 // origin (overridable by .org).
 func Assemble(src string, origin uint32) (*Program, error) {
-	a, err := assemble(src, origin)
+	return AssembleTexts(origin, Parse(src))
+}
+
+// AssembleTexts assembles parsed texts, in order, as one source unit
+// with the location counter initially at origin. A text's line numbers
+// continue from the end of the one before it.
+func AssembleTexts(origin uint32, texts ...*Text) (*Program, error) {
+	a, err := assemble(origin, texts)
 	if err != nil {
 		return nil, err
 	}
@@ -118,25 +120,36 @@ type ListEntry struct {
 // AssembleWithListing assembles and additionally returns a per-statement
 // listing (address, size, and canonical text, in source order).
 func AssembleWithListing(src string, origin uint32) (*Program, []ListEntry, error) {
-	a, err := assemble(src, origin)
+	return AssembleTextsWithListing(origin, Parse(src))
+}
+
+// AssembleTextsWithListing is AssembleTexts plus the listing.
+func AssembleTextsWithListing(origin uint32, texts ...*Text) (*Program, []ListEntry, error) {
+	a, err := assemble(origin, texts)
 	if err != nil {
 		return nil, nil, err
 	}
-	listing := make([]ListEntry, 0, len(a.stmts))
-	for _, st := range a.stmts {
-		text := st.mnemonic
-		if len(st.ops) > 0 {
-			text += " " + strings.Join(st.ops, ", ")
+	listing := make([]ListEntry, 0, len(a.placed))
+	for _, p := range a.placed {
+		s := &a.texts[p.text].stmts[p.stmt]
+		text := s.name
+		if ops := operandTexts(nil, s.name, s.args); len(ops) > 0 {
+			text += " " + strings.Join(ops, ", ")
 		}
-		listing = append(listing, ListEntry{Line: st.line, Addr: st.addr, Size: st.size, Text: text})
+		listing = append(listing, ListEntry{Line: int(p.line), Addr: p.addr, Size: p.size, Text: text})
 	}
 	return &Program{Chunks: a.chunks, Symbols: a.syms}, listing, nil
 }
 
 // assemble runs pass 1, lays the image out, and runs pass 2.
-func assemble(src string, origin uint32) (*assembler, error) {
-	a := &assembler{syms: make(map[string]uint32), origin: origin}
-	if err := a.pass1(src); err != nil {
+func assemble(origin uint32, texts []*Text) (*assembler, error) {
+	nsyms, nstmts := 0, 0
+	for _, t := range texts {
+		nsyms += t.nsyms
+		nstmts += len(t.stmts)
+	}
+	a := &assembler{texts: texts, syms: make(map[string]uint32, nsyms), placed: make([]placed, 0, nstmts)}
+	if err := a.pass1(origin); err != nil {
 		return nil, err
 	}
 	a.layout()
@@ -144,60 +157,24 @@ func assemble(src string, origin uint32) (*assembler, error) {
 }
 
 type assembler struct {
+	texts  []*Text
 	syms   map[string]uint32
-	origin uint32
-	stmts  []stmt
-	chunks []Chunk // the image, laid out after pass 1 and filled by pass 2
+	placed []placed // statements that occupy the image, in source order
+	chunks []Chunk  // the image, laid out after pass 1 and filled by pass 2
+}
+
+// placed is one statement pass 1 gave an address,
+// texts[text].stmts[stmt]: its window is chunks[chunk].Data[off:off+size].
+type placed struct {
+	text, stmt int32
+	line       int32
+	addr, size uint32
+	chunk      int32
+	off        uint32
 }
 
 func errf(line int, format string, args ...any) error {
 	return &Error{Line: line, Msg: fmt.Sprintf(format, args...)}
-}
-
-// pass1 splits lines, defines labels and .equ constants, and assigns
-// addresses using fixed statement sizes.
-func (a *assembler) pass1(src string) error {
-	pc := a.origin
-	for lineNo, raw := range strings.Split(src, "\n") {
-		line := stripComment(raw)
-		// Peel labels (there may be several on one line).
-		for {
-			trimmed := strings.TrimSpace(line)
-			idx := labelSplit(trimmed)
-			if idx < 0 {
-				line = trimmed
-				break
-			}
-			name := strings.TrimSpace(trimmed[:idx])
-			if !validSymbol(name) {
-				return errf(lineNo+1, "bad label %q", name)
-			}
-			if _, dup := a.syms[name]; dup {
-				return errf(lineNo+1, "duplicate symbol %q", name)
-			}
-			a.syms[name] = pc
-			line = trimmed[idx+1:]
-		}
-		if line == "" {
-			continue
-		}
-		mn, ops := splitStmt(line)
-		s := stmt{line: lineNo + 1, addr: pc, mnemonic: mn, ops: ops}
-
-		size, err := a.stmtSize(&s, &pc)
-		if err != nil {
-			return err
-		}
-		if uint64(pc)+uint64(size) > 1<<32 {
-			return errf(s.line, "%s at %#x runs past 0xffffffff", mn, pc)
-		}
-		s.size = size
-		if size > 0 || mn == ".space" || mn == ".align" {
-			a.stmts = append(a.stmts, s)
-		}
-		pc += size
-	}
-	return nil
 }
 
 // Reservation bounds: images are a few hundred KB at most, so an
@@ -208,118 +185,112 @@ const (
 	maxAlign = 1 << 16 // 64 KB
 )
 
-// stmtSize returns the byte size of a statement; .org mutates pc
-// directly and .equ defines a symbol.
-func (a *assembler) stmtSize(s *stmt, pc *uint32) (uint32, error) {
-	switch s.mnemonic {
-	case ".org":
-		if len(s.ops) != 1 {
-			return 0, errf(s.line, ".org takes one operand")
+// pass1 defines labels and .equ constants and assigns addresses using
+// fixed statement sizes; .org, .equ, .align and .space see the symbols
+// defined above them.
+func (a *assembler) pass1(origin uint32) error {
+	pc := origin
+	base := int32(0)
+	for ti, t := range a.texts {
+		for i := range t.stmts {
+			s := &t.stmts[i]
+			line := int(base + s.line)
+			var size uint32
+			switch s.kind {
+			case kLabel:
+				if err := a.define(line, s.name, pc); err != nil {
+					return err
+				}
+				continue
+			case kBad:
+				return &Error{Line: line, Msg: s.arg}
+			case kIgnored:
+				continue
+			case kOrg:
+				v, err := a.value(t, s, line)
+				if err != nil {
+					return err
+				}
+				pc = v
+				continue
+			case kEqu:
+				if _, dup := a.syms[s.arg]; dup {
+					return errf(line, "duplicate symbol %q", s.arg)
+				}
+				v, err := a.value(t, s, line)
+				if err != nil {
+					return err
+				}
+				a.syms[s.arg] = v
+				continue
+			case kWord:
+				size = 4 * uint32(s.hi-s.lo)
+			case kHalf:
+				size = 2 * uint32(s.hi-s.lo)
+			case kByte:
+				size = uint32(s.hi - s.lo)
+			case kAscii:
+				size = uint32(len(s.arg))
+			case kAsciiz:
+				size = uint32(len(s.arg)) + 1
+			case kAlign:
+				n, err := a.value(t, s, line)
+				if err != nil {
+					return err
+				}
+				if n == 0 || n&(n-1) != 0 {
+					return errf(line, ".align operand must be a power of two")
+				}
+				if n > maxAlign {
+					return errf(line, ".align %d exceeds maximum %d", n, maxAlign)
+				}
+				size = (n - pc%n) % n
+			case kSpace:
+				n, err := a.value(t, s, line)
+				if err != nil {
+					return err
+				}
+				// Expressions are uint32, so a negative operand arrives as a
+				// huge positive one; either way a multi-megabyte reservation in
+				// a simulator image is a source bug, not a layout choice.
+				if n > maxSpace {
+					return errf(line, ".space %d exceeds maximum %d", n, maxSpace)
+				}
+				size = n
+			case kLi:
+				size = 8
+			default:
+				size = 4
+			}
+			if uint64(pc)+uint64(size) > 1<<32 {
+				return errf(line, "%s at %#x runs past 0xffffffff", s.name, pc)
+			}
+			if size > 0 || s.kind == kAlign || s.kind == kSpace {
+				a.placed = append(a.placed, placed{text: int32(ti), stmt: int32(i), line: int32(line), addr: pc, size: size})
+			}
+			pc += size
 		}
-		v, err := evalExpr(s.ops[0], a.lookup)
-		if err != nil {
-			return 0, errf(s.line, "%v", err)
-		}
-		*pc = v
-		return 0, nil
-	case ".equ":
-		if len(s.ops) != 2 {
-			return 0, errf(s.line, ".equ takes name, value")
-		}
-		name := strings.TrimSpace(s.ops[0])
-		if !validSymbol(name) {
-			return 0, errf(s.line, "bad .equ name %q", name)
-		}
-		if _, dup := a.syms[name]; dup {
-			return 0, errf(s.line, "duplicate symbol %q", name)
-		}
-		v, err := evalExpr(s.ops[1], a.lookup)
-		if err != nil {
-			return 0, errf(s.line, "%v", err)
-		}
-		a.syms[name] = v
-		return 0, nil
-	case ".word":
-		return 4 * uint32(len(s.ops)), nil
-	case ".half":
-		return 2 * uint32(len(s.ops)), nil
-	case ".byte":
-		return uint32(len(s.ops)), nil
-	case ".ascii", ".asciiz":
-		if len(s.ops) != 1 {
-			return 0, errf(s.line, "%s takes one string", s.mnemonic)
-		}
-		str, err := parseString(s.ops[0])
-		if err != nil {
-			return 0, errf(s.line, "%v", err)
-		}
-		n := uint32(len(str))
-		if s.mnemonic == ".asciiz" {
-			n++
-		}
-		return n, nil
-	case ".align":
-		if len(s.ops) != 1 {
-			return 0, errf(s.line, ".align takes one operand")
-		}
-		n, err := evalExpr(s.ops[0], a.lookup)
-		if err != nil {
-			return 0, errf(s.line, "%v", err)
-		}
-		if n == 0 || n&(n-1) != 0 {
-			return 0, errf(s.line, ".align operand must be a power of two")
-		}
-		if n > maxAlign {
-			return 0, errf(s.line, ".align %d exceeds maximum %d", n, maxAlign)
-		}
-		pad := (n - *pc%n) % n
-		return pad, nil
-	case ".space":
-		if len(s.ops) != 1 {
-			return 0, errf(s.line, ".space takes one operand")
-		}
-		n, err := evalExpr(s.ops[0], a.lookup)
-		if err != nil {
-			return 0, errf(s.line, "%v", err)
-		}
-		// Expressions are uint32, so a negative operand arrives as a
-		// huge positive one; either way a multi-megabyte reservation in
-		// a simulator image is a source bug, not a layout choice.
-		if n > maxSpace {
-			return 0, errf(s.line, ".space %d exceeds maximum %d", n, maxSpace)
-		}
-		return n, nil
-	case ".globl", ".global", ".text", ".data", ".set":
-		return 0, nil // accepted and ignored
+		base += t.lines
 	}
-	if strings.HasPrefix(s.mnemonic, ".") {
-		return 0, errf(s.line, "unknown directive %s", s.mnemonic)
-	}
-	// Instructions: fixed sizes; li/la always expand to two words so
-	// pass-1 addresses are stable.
-	switch s.mnemonic {
-	case "li", "la":
-		return 8, nil
-	}
-	if _, ok := arch.ByName[s.mnemonic]; !ok {
-		if _, pseudo := pseudoSizes[s.mnemonic]; !pseudo {
-			return 0, errf(s.line, "unknown mnemonic %q", s.mnemonic)
-		}
-	}
-	return 4, nil
+	return nil
 }
 
-var pseudoSizes = map[string]uint32{
-	"nop": 4, "move": 4, "b": 4, "beqz": 4, "bnez": 4, "not": 4, "neg": 4,
+func (a *assembler) define(line int, name string, v uint32) error {
+	if _, dup := a.syms[name]; dup {
+		return errf(line, "duplicate symbol %q", name)
+	}
+	a.syms[name] = v
+	return nil
 }
 
-func (a *assembler) lookup(name string) (uint32, bool) {
-	v, ok := a.syms[name]
-	return v, ok
+// value evaluates the last operand of a pass-1 directive.
+func (a *assembler) value(t *Text, s *stmt, line int) (uint32, error) {
+	v, err := t.eval(t.ops[s.hi-1].expr, a.syms)
+	if err != nil {
+		return 0, errf(line, "%v", err)
+	}
+	return v, nil
 }
-
-// putWord stores w little-endian at byte offset off of s's window.
-func (s *stmt) putWord(off uint32, w uint32) { binary.LittleEndian.PutUint32(s.out[off:], w) }
 
 // layout builds the image's chunks once, from pass 1's addresses and
 // sizes: statements whose [addr, addr+size) ranges touch or overlap
@@ -327,200 +298,47 @@ func (s *stmt) putWord(off uint32, w uint32) { binary.LittleEndian.PutUint32(s.o
 // its window into its chunk. Pass 2 encodes in source order straight
 // into those windows, so where statements overlap the later one wins.
 func (a *assembler) layout() {
-	order := make([]int32, 0, len(a.stmts))
-	for i := range a.stmts {
-		if a.stmts[i].size > 0 {
+	order := make([]int32, 0, len(a.placed))
+	sorted := true
+	for i := range a.placed {
+		if a.placed[i].size > 0 {
+			if n := len(order); n > 0 && a.placed[order[n-1]].addr > a.placed[i].addr {
+				sorted = false
+			}
 			order = append(order, int32(i))
 		}
 	}
-	slices.SortFunc(order, func(i, j int32) int { return cmp.Compare(a.stmts[i].addr, a.stmts[j].addr) })
-	end := func(i int32) uint64 { return uint64(a.stmts[i].addr) + uint64(a.stmts[i].size) }
+	if !sorted {
+		slices.SortFunc(order, func(i, j int32) int { return cmp.Compare(a.placed[i].addr, a.placed[j].addr) })
+	}
+	end := func(i int32) uint64 { return uint64(a.placed[i].addr) + uint64(a.placed[i].size) }
 	for first := 0; first < len(order); {
-		lo, hi := a.stmts[order[first]].addr, end(order[first])
+		lo, hi := a.placed[order[first]].addr, end(order[first])
 		next := first + 1
-		for ; next < len(order) && uint64(a.stmts[order[next]].addr) <= hi; next++ {
+		for ; next < len(order) && uint64(a.placed[order[next]].addr) <= hi; next++ {
 			hi = max(hi, end(order[next]))
 		}
-		data := make([]byte, hi-uint64(lo))
 		for _, i := range order[first:next] {
-			s := &a.stmts[i]
-			off := s.addr - lo
-			s.out = data[off : off+s.size : off+s.size]
+			p := &a.placed[i]
+			p.chunk, p.off = int32(len(a.chunks)), p.addr-lo
 		}
-		a.chunks = append(a.chunks, Chunk{Addr: lo, Data: data})
+		a.chunks = append(a.chunks, Chunk{Addr: lo, Data: make([]byte, hi-uint64(lo))})
 		first = next
 	}
 }
 
-// pass2 encodes all statements now that every symbol is known.
+// pass2 encodes every placed statement now that every symbol is known.
 func (a *assembler) pass2() error {
-	for i := range a.stmts {
-		if err := a.encodeStmt(&a.stmts[i]); err != nil {
+	for _, p := range a.placed {
+		t := a.texts[p.text]
+		s := &t.stmts[p.stmt]
+		e := site{syms: a.syms, t: t, s: s, ops: t.ops[s.lo:s.hi], line: int(p.line), addr: p.addr}
+		if p.size > 0 {
+			e.out = a.chunks[p.chunk].Data[p.off : p.off+p.size : p.off+p.size]
+		}
+		if err := e.encode(); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (a *assembler) encodeStmt(s *stmt) error {
-	switch s.mnemonic {
-	case ".word":
-		for i, op := range s.ops {
-			v, err := evalExpr(op, a.lookup)
-			if err != nil {
-				return errf(s.line, "%v", err)
-			}
-			s.putWord(4*uint32(i), v)
-		}
-		return nil
-	case ".half":
-		for i, op := range s.ops {
-			v, err := evalExpr(op, a.lookup)
-			if err != nil {
-				return errf(s.line, "%v", err)
-			}
-			if v > 0xffff {
-				return errf(s.line, ".half value %#x too large", v)
-			}
-			binary.LittleEndian.PutUint16(s.out[2*i:], uint16(v))
-		}
-		return nil
-	case ".byte":
-		for i, op := range s.ops {
-			v, err := evalExpr(op, a.lookup)
-			if err != nil {
-				return errf(s.line, "%v", err)
-			}
-			if v > 0xff {
-				return errf(s.line, ".byte value %#x too large", v)
-			}
-			s.out[i] = byte(v)
-		}
-		return nil
-	case ".ascii", ".asciiz":
-		str, err := parseString(s.ops[0])
-		if err != nil {
-			return errf(s.line, "%v", err)
-		}
-		copy(s.out, str)
-		if s.mnemonic == ".asciiz" {
-			s.out[len(str)] = 0
-		}
-		return nil
-	case ".align", ".space":
-		// Zero the window: an earlier statement may have written here.
-		clear(s.out)
-		return nil
-	}
-	return a.encodeInst(s)
-}
-
-// --- line scanning helpers ---
-
-func stripComment(line string) string {
-	// Strings can contain comment characters; scan outside quotes.
-	inStr := false
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if inStr {
-			if c == '\\' {
-				i++
-			} else if c == '"' {
-				inStr = false
-			}
-			continue
-		}
-		switch {
-		case c == '"':
-			inStr = true
-		case c == '#' || c == ';':
-			return line[:i]
-		case c == '/' && i+1 < len(line) && line[i+1] == '/':
-			return line[:i]
-		}
-	}
-	return line
-}
-
-// labelSplit finds the colon ending a leading label, or -1.
-func labelSplit(line string) int {
-	for i := 0; i < len(line); i++ {
-		c := line[i]
-		if c == ':' {
-			return i
-		}
-		if !isSymChar(c) {
-			return -1
-		}
-	}
-	return -1
-}
-
-// splitStmt separates mnemonic from comma-separated operands.
-func splitStmt(line string) (string, []string) {
-	line = strings.TrimSpace(line)
-	sp := strings.IndexAny(line, " \t")
-	if sp < 0 {
-		return strings.ToLower(line), nil
-	}
-	mn := strings.ToLower(line[:sp])
-	rest := strings.TrimSpace(line[sp+1:])
-	if rest == "" {
-		return mn, nil
-	}
-	if mn == ".ascii" || mn == ".asciiz" {
-		return mn, []string{rest}
-	}
-	parts := strings.Split(rest, ",")
-	for i := range parts {
-		parts[i] = strings.TrimSpace(parts[i])
-	}
-	return mn, parts
-}
-
-func parseString(op string) ([]byte, error) {
-	op = strings.TrimSpace(op)
-	if len(op) < 2 || op[0] != '"' || op[len(op)-1] != '"' {
-		return nil, fmt.Errorf("bad string literal %s", op)
-	}
-	body := op[1 : len(op)-1]
-	out := make([]byte, 0, len(body))
-	for i := 0; i < len(body); i++ {
-		c := body[i]
-		if c != '\\' {
-			out = append(out, c)
-			continue
-		}
-		i++
-		if i >= len(body) {
-			return nil, fmt.Errorf("dangling escape in %s", op)
-		}
-		switch body[i] {
-		case 'n':
-			out = append(out, '\n')
-		case 't':
-			out = append(out, '\t')
-		case '0':
-			out = append(out, 0)
-		case '\\':
-			out = append(out, '\\')
-		case '"':
-			out = append(out, '"')
-		default:
-			return nil, fmt.Errorf("unknown escape \\%c", body[i])
-		}
-	}
-	return out, nil
-}
-
-func validSymbol(name string) bool {
-	if name == "" || !isSymStart(name[0]) {
-		return false
-	}
-	for i := 1; i < len(name); i++ {
-		if !isSymChar(name[i]) {
-			return false
-		}
-	}
-	return true
 }

@@ -226,22 +226,25 @@ x: y:	nop
 	}
 }
 
+// errorCases are sources each of which must fail to assemble at origin
+// 0; errors.golden pins their exact diagnostics.
+var errorCases = []string{
+	"addu v0, a0",            // wrong arity
+	"bogus t0, t1",           // unknown mnemonic
+	"addu q9, a0, a1",        // bad register
+	"lw t0, 8[sp]",           // bad mem operand
+	".word undefinedsym",     // undefined symbol
+	"x: nop\nx: nop",         // duplicate label
+	".equ 9bad, 5",           // bad equ name
+	"beq a0, a1, 0x01000000", // unencodable branch (far)
+	"j 0x90000000",           // unreachable jump from 0
+	".align 3",               // non power of two
+	"sll t0, t1, 32",         // shift out of range
+	`.asciiz "unterminated`,  // bad string
+}
+
 func TestErrors(t *testing.T) {
-	cases := []string{
-		"addu v0, a0",            // wrong arity
-		"bogus t0, t1",           // unknown mnemonic
-		"addu q9, a0, a1",        // bad register
-		"lw t0, 8[sp]",           // bad mem operand
-		".word undefinedsym",     // undefined symbol
-		"x: nop\nx: nop",         // duplicate label
-		".equ 9bad, 5",           // bad equ name
-		"beq a0, a1, 0x01000000", // unencodable branch (far)
-		"j 0x90000000",           // unreachable jump from 0
-		".align 3",               // non power of two
-		"sll t0, t1, 32",         // shift out of range
-		`.asciiz "unterminated`,  // bad string
-	}
-	for _, src := range cases {
+	for _, src := range errorCases {
 		if _, err := Assemble(src, 0); err == nil {
 			t.Errorf("Assemble(%q) succeeded, want error", src)
 		} else if _, ok := err.(*Error); !ok {

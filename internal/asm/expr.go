@@ -1,221 +1,324 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
 )
 
-// exprParser evaluates constant expressions over the symbol table:
-// numbers (decimal, 0x hex, 0b binary, 'c' chars), symbols, unary - and
-// ~, binary + - * / % << >> & | ^, and parentheses, with conventional
-// precedence.
-type exprParser struct {
-	src  string
-	pos  int
-	syms func(string) (uint32, bool)
+// Expressions are constant expressions over the symbol table: numbers
+// (decimal, 0x hex, 0b binary, 'c' chars), symbols, unary - and ~,
+// binary + - * / % << >> & | ^, and parentheses, with conventional
+// precedence. The text pass compiles each one to postfix ops in
+// Text.code; the assembly step evaluates them once symbols are known.
+//
+// The ops are emitted in the order a recursive-descent evaluator
+// would have done the same work, and a syntax error becomes an opErr
+// at the point the parser found it, so evaluation reports the same
+// first error — an undefined symbol left of a syntax error wins.
+
+// exprRef is one compiled expression, Text.code[lo:hi]. An empty one
+// (a memory operand's missing offset) evaluates to 0.
+type exprRef struct{ lo, hi int32 }
+
+// exprOp is one postfix op. For opConst val is the constant; for
+// opSym, opErr, opDiv and opMod it indexes Text.names for the symbol's
+// name, the diagnostic, or the expression a zero divisor is reported
+// in.
+type exprOp struct {
+	op  byte
+	val uint32
 }
 
-// evalExpr evaluates the expression in src. syms resolves symbols; it
-// may be nil if the expression must be symbol-free.
-func evalExpr(src string, syms func(string) (uint32, bool)) (uint32, error) {
-	p := &exprParser{src: src, syms: syms}
-	v, err := p.parseBinary(0)
-	if err != nil {
-		return 0, err
+const (
+	opConst byte = iota
+	opSym
+	opErr
+	opNeg
+	opNot
+	opOr
+	opXor
+	opAnd
+	opShl
+	opShr
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opMod
+)
+
+// compiler is the recursive-descent parser of one expression.
+type compiler struct {
+	t   *Text
+	src string
+	pos int
+}
+
+// compile appends src's postfix ops to t.code. A bare number or symbol
+// — most operands — skips the descent.
+func (t *Text) compile(src string) exprRef {
+	lo := int32(len(t.code))
+	c := compiler{t: t, src: src}
+	if src != "" && allSymChars(src) {
+		c.primary()
+	} else if c.binary(0) {
+		c.skipSpace()
+		if c.pos != len(src) {
+			c.fail("trailing %q in expression %q", src[c.pos:], src)
+		}
 	}
-	p.skipSpace()
-	if p.pos != len(p.src) {
-		return 0, fmt.Errorf("trailing %q in expression %q", p.src[p.pos:], src)
+	return exprRef{lo, int32(len(t.code))}
+}
+
+func allSymChars(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if !isSymChar(s[i]) {
+			return false
+		}
 	}
-	return v, nil
+	return true
 }
 
-var binaryLevels = [][]string{
-	{"|"},
-	{"^"},
-	{"&"},
-	{"<<", ">>"},
-	{"+", "-"},
-	{"*", "/", "%"},
+func (c *compiler) emit(op byte, val uint32) {
+	c.t.code = append(c.t.code, exprOp{op: op, val: val})
 }
 
-func (p *exprParser) parseBinary(level int) (uint32, error) {
+// fail emits the syntax error the evaluation reports on reaching it
+// and reports false, which ends the compilation.
+func (c *compiler) fail(format string, args ...any) bool {
+	c.emit(opErr, c.t.name(fmt.Sprintf(format, args...)))
+	return false
+}
+
+// binaryLevels lists the binary operators by precedence, loosest
+// first.
+var binaryLevels = [][]struct {
+	text string
+	op   byte
+}{
+	{{"|", opOr}},
+	{{"^", opXor}},
+	{{"&", opAnd}},
+	{{"<<", opShl}, {">>", opShr}},
+	{{"+", opAdd}, {"-", opSub}},
+	{{"*", opMul}, {"/", opDiv}, {"%", opMod}},
+}
+
+// peekOp returns the operator of the given level next in the input,
+// and its length (0 if none).
+func (c *compiler) peekOp(level int) (byte, int) {
+	c.skipSpace()
+	for _, o := range binaryLevels[level] {
+		if strings.HasPrefix(c.src[c.pos:], o.text) {
+			return o.op, len(o.text)
+		}
+	}
+	return 0, 0
+}
+
+func (c *compiler) binary(level int) bool {
 	if level == len(binaryLevels) {
-		return p.parseUnary()
+		return c.unary()
 	}
-	left, err := p.parseBinary(level + 1)
-	if err != nil {
-		return 0, err
+	if !c.binary(level + 1) {
+		return false
 	}
 	for {
-		op := p.peekOp(binaryLevels[level])
-		if op == "" {
-			return left, nil
+		op, n := c.peekOp(level)
+		if n == 0 {
+			return true
 		}
-		p.pos += len(op)
-		right, err := p.parseBinary(level + 1)
-		if err != nil {
-			return 0, err
+		c.pos += n
+		if !c.binary(level + 1) {
+			return false
 		}
-		switch op {
-		case "|":
-			left |= right
-		case "^":
-			left ^= right
-		case "&":
-			left &= right
-		case "<<":
-			left <<= right & 31
-		case ">>":
-			left >>= right & 31
-		case "+":
-			left += right
-		case "-":
-			left -= right
-		case "*":
-			left *= right
-		case "/":
-			if right == 0 {
-				return 0, fmt.Errorf("division by zero in %q", p.src)
-			}
-			left /= right
-		case "%":
-			if right == 0 {
-				return 0, fmt.Errorf("modulo by zero in %q", p.src)
-			}
-			left %= right
+		var val uint32
+		if op == opDiv || op == opMod {
+			val = c.t.name(c.src)
 		}
+		c.emit(op, val)
 	}
 }
 
-// peekOp returns which of ops appears next, preferring longer matches so
-// "<<" is not read as "<".
-func (p *exprParser) peekOp(ops []string) string {
-	p.skipSpace()
-	rest := p.src[p.pos:]
-	best := ""
-	for _, op := range ops {
-		if strings.HasPrefix(rest, op) && len(op) > len(best) {
-			best = op
-		}
-	}
-	// Don't mistake "<<"/">>" prefixes when scanning single-char levels.
-	if best == "" {
-		return ""
-	}
-	if (best == "<" || best == ">") && len(rest) >= 2 && rest[1] == rest[0] {
-		return ""
-	}
-	return best
-}
-
-func (p *exprParser) parseUnary() (uint32, error) {
-	p.skipSpace()
-	if p.pos < len(p.src) {
-		switch p.src[p.pos] {
+func (c *compiler) unary() bool {
+	c.skipSpace()
+	if c.pos < len(c.src) {
+		switch c.src[c.pos] {
 		case '-':
-			p.pos++
-			v, err := p.parseUnary()
-			return -v, err
+			c.pos++
+			if !c.unary() {
+				return false
+			}
+			c.emit(opNeg, 0)
+			return true
 		case '~':
-			p.pos++
-			v, err := p.parseUnary()
-			return ^v, err
+			c.pos++
+			if !c.unary() {
+				return false
+			}
+			c.emit(opNot, 0)
+			return true
 		case '+':
-			p.pos++
-			return p.parseUnary()
+			c.pos++
+			return c.unary()
 		}
 	}
-	return p.parsePrimary()
+	return c.primary()
 }
 
-func (p *exprParser) parsePrimary() (uint32, error) {
-	p.skipSpace()
-	if p.pos >= len(p.src) {
-		return 0, fmt.Errorf("unexpected end of expression %q", p.src)
+func (c *compiler) primary() bool {
+	c.skipSpace()
+	if c.pos >= len(c.src) {
+		return c.fail("unexpected end of expression %q", c.src)
 	}
-	ch := p.src[p.pos]
+	ch := c.src[c.pos]
 	switch {
 	case ch == '(':
-		p.pos++
-		v, err := p.parseBinary(0)
-		if err != nil {
-			return 0, err
+		c.pos++
+		if !c.binary(0) {
+			return false
 		}
-		p.skipSpace()
-		if p.pos >= len(p.src) || p.src[p.pos] != ')' {
-			return 0, fmt.Errorf("missing ')' in %q", p.src)
+		c.skipSpace()
+		if c.pos >= len(c.src) || c.src[c.pos] != ')' {
+			return c.fail("missing ')' in %q", c.src)
 		}
-		p.pos++
-		return v, nil
+		c.pos++
+		return true
 	case ch == '\'':
-		return p.parseChar()
+		return c.char()
 	case ch >= '0' && ch <= '9':
-		return p.parseNumber()
+		return c.number()
 	case isSymStart(ch):
-		start := p.pos
-		for p.pos < len(p.src) && isSymChar(p.src[p.pos]) {
-			p.pos++
+		start := c.pos
+		for c.pos < len(c.src) && isSymChar(c.src[c.pos]) {
+			c.pos++
 		}
-		name := p.src[start:p.pos]
-		if p.syms == nil {
-			return 0, fmt.Errorf("symbol %q in constant-only expression", name)
-		}
-		v, ok := p.syms(name)
-		if !ok {
-			return 0, fmt.Errorf("undefined symbol %q", name)
-		}
-		return v, nil
+		c.emit(opSym, c.t.name(c.src[start:c.pos]))
+		return true
 	}
-	return 0, fmt.Errorf("unexpected %q in expression %q", string(ch), p.src)
+	return c.fail("unexpected %q in expression %q", string(ch), c.src)
 }
 
-func (p *exprParser) parseNumber() (uint32, error) {
-	start := p.pos
-	for p.pos < len(p.src) && (isSymChar(p.src[p.pos])) {
-		p.pos++
+func (c *compiler) number() bool {
+	start := c.pos
+	for c.pos < len(c.src) && isSymChar(c.src[c.pos]) {
+		c.pos++
 	}
-	text := p.src[start:p.pos]
+	text := c.src[start:c.pos]
 	v, err := strconv.ParseUint(text, 0, 64)
 	if err != nil {
-		return 0, fmt.Errorf("bad number %q", text)
+		return c.fail("bad number %q", text)
 	}
 	if v > 0xffffffff {
-		return 0, fmt.Errorf("number %q exceeds 32 bits", text)
+		return c.fail("number %q exceeds 32 bits", text)
 	}
-	return uint32(v), nil
+	c.emit(opConst, uint32(v))
+	return true
 }
 
-func (p *exprParser) parseChar() (uint32, error) {
+func (c *compiler) char() bool {
 	// 'c' or '\n' style.
-	rest := p.src[p.pos:]
+	rest := c.src[c.pos:]
 	if len(rest) >= 3 && rest[1] != '\\' && rest[2] == '\'' {
-		p.pos += 3
-		return uint32(rest[1]), nil
+		c.pos += 3
+		c.emit(opConst, uint32(rest[1]))
+		return true
 	}
 	if len(rest) >= 4 && rest[1] == '\\' && rest[3] == '\'' {
-		p.pos += 4
+		var v uint32
 		switch rest[2] {
 		case 'n':
-			return '\n', nil
+			v = '\n'
 		case 't':
-			return '\t', nil
+			v = '\t'
 		case '0':
-			return 0, nil
+			v = 0
 		case '\\':
-			return '\\', nil
+			v = '\\'
 		case '\'':
-			return '\'', nil
+			v = '\''
+		default:
+			return c.fail("bad character literal in %q", c.src)
 		}
+		c.pos += 4
+		c.emit(opConst, v)
+		return true
 	}
-	return 0, fmt.Errorf("bad character literal in %q", p.src)
+	return c.fail("bad character literal in %q", c.src)
 }
 
-func (p *exprParser) skipSpace() {
-	for p.pos < len(p.src) && (p.src[p.pos] == ' ' || p.src[p.pos] == '\t') {
-		p.pos++
+func (c *compiler) skipSpace() {
+	for c.pos < len(c.src) && (c.src[c.pos] == ' ' || c.src[c.pos] == '\t') {
+		c.pos++
 	}
+}
+
+// eval evaluates a compiled expression. A nil syms admits no symbols.
+func (t *Text) eval(e exprRef, syms map[string]uint32) (uint32, error) {
+	stack := make([]uint32, 0, 16)
+	for _, op := range t.code[e.lo:e.hi] {
+		switch op.op {
+		case opConst:
+			stack = append(stack, op.val)
+			continue
+		case opSym:
+			name := t.names[op.val]
+			if syms == nil {
+				return 0, fmt.Errorf("symbol %q in constant-only expression", name)
+			}
+			v, ok := syms[name]
+			if !ok {
+				return 0, fmt.Errorf("undefined symbol %q", name)
+			}
+			stack = append(stack, v)
+			continue
+		case opErr:
+			return 0, errors.New(t.names[op.val])
+		case opNeg:
+			stack[len(stack)-1] = -stack[len(stack)-1]
+			continue
+		case opNot:
+			stack[len(stack)-1] = ^stack[len(stack)-1]
+			continue
+		}
+		right := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		left := &stack[len(stack)-1]
+		switch op.op {
+		case opOr:
+			*left |= right
+		case opXor:
+			*left ^= right
+		case opAnd:
+			*left &= right
+		case opShl:
+			*left <<= right & 31
+		case opShr:
+			*left >>= right & 31
+		case opAdd:
+			*left += right
+		case opSub:
+			*left -= right
+		case opMul:
+			*left *= right
+		case opDiv:
+			if right == 0 {
+				return 0, fmt.Errorf("division by zero in %q", t.names[op.val])
+			}
+			*left /= right
+		case opMod:
+			if right == 0 {
+				return 0, fmt.Errorf("modulo by zero in %q", t.names[op.val])
+			}
+			*left %= right
+		}
+	}
+	if len(stack) == 0 {
+		return 0, nil
+	}
+	return stack[0], nil
 }
 
 func isSymStart(c byte) bool {

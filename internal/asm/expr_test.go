@@ -6,12 +6,16 @@ import (
 	"testing/quick"
 )
 
+// evalExpr compiles and evaluates one expression on its own. A nil
+// syms admits no symbols.
+func evalExpr(src string, syms map[string]uint32) (uint32, error) {
+	var t Text
+	return t.eval(t.compile(src), syms)
+}
+
 func evalOK(t *testing.T, src string, syms map[string]uint32) uint32 {
 	t.Helper()
-	v, err := evalExpr(src, func(n string) (uint32, bool) {
-		x, ok := syms[n]
-		return x, ok
-	})
+	v, err := evalExpr(src, syms)
 	if err != nil {
 		t.Fatalf("evalExpr(%q): %v", src, err)
 	}

@@ -1,17 +1,25 @@
-package asm
+package asm_test
 
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"uexc/internal/asm"
+	"uexc/internal/kernel"
+	"uexc/internal/userrt"
 )
 
 // FuzzAssemble feeds arbitrary source text to the assembler: it must
 // never panic, and every rejection must be a typed *Error carrying a
 // plausible source line — the diagnostic contract the kernel build and
 // the test harness rely on. Every success must hold the layout
-// invariants (checkLayout). Seed corpus under testdata/fuzz/FuzzAssemble.
+// invariants (checkLayout). And assembling the shared parsed prelude
+// followed by the parsed text must give exactly the program, or exactly
+// the error, of assembling the concatenated source. Seed corpus under
+// testdata/fuzz/FuzzAssemble.
 func FuzzAssemble(f *testing.F) {
 	f.Add("")
 	f.Add("nop\n")
@@ -23,12 +31,13 @@ func FuzzAssemble(f *testing.F) {
 	f.Add("\t.word 0x\n")
 	f.Add("loop:\tb loop\n")
 	f.Fuzz(func(t *testing.T, src string) {
-		p, listing, err := AssembleWithListing(src, 0x00400000)
+		checkSharedPrelude(t, src)
+		p, listing, err := asm.AssembleWithListing(src, 0x00400000)
 		if err == nil {
 			checkLayout(t, p, listing)
 			return
 		}
-		var ae *Error
+		var ae *asm.Error
 		if !errors.As(err, &ae) {
 			t.Fatalf("Assemble error is not *asm.Error: %T %v", err, err)
 		}
@@ -38,13 +47,27 @@ func FuzzAssemble(f *testing.F) {
 	})
 }
 
+// checkSharedPrelude asserts that the two-text assembly of the parsed
+// prelude and src is the one-text assembly of their concatenation.
+func checkSharedPrelude(t *testing.T, src string) {
+	t.Helper()
+	got, gotErr := asm.AssembleTexts(kernel.UserTextBase, userrt.Parsed(), asm.Parse(src))
+	want, wantErr := asm.Assemble(userrt.Prelude()+src, kernel.UserTextBase)
+	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+		t.Fatalf("parsed prelude + text: error %v, concatenated source: %v", gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("parsed prelude + text assembles a different program than the concatenated source")
+	}
+}
+
 // checkLayout asserts the image layout invariants: chunks are
 // non-empty, ascend, and neither overlap nor abut (abutting regions are
 // one chunk), and every statement that emits bytes lies inside one
 // chunk.
-func checkLayout(t *testing.T, p *Program, listing []ListEntry) {
+func checkLayout(t *testing.T, p *asm.Program, listing []asm.ListEntry) {
 	t.Helper()
-	end := func(c Chunk) uint64 { return uint64(c.Addr) + uint64(len(c.Data)) }
+	end := func(c asm.Chunk) uint64 { return uint64(c.Addr) + uint64(len(c.Data)) }
 	for i, c := range p.Chunks {
 		if len(c.Data) == 0 {
 			t.Fatalf("chunk %d at %#x is empty", i, c.Addr)
@@ -96,7 +119,7 @@ func TestAssemblerNeverPanics(t *testing.T) {
 					t.Fatalf("panic on %q: %v", src, r)
 				}
 			}()
-			_, _ = Assemble(src, 0x1000)
+			_, _ = asm.Assemble(src, 0x1000)
 		}()
 	}
 }
@@ -116,7 +139,7 @@ func TestAssemblerRandomBytes(t *testing.T) {
 					t.Fatalf("panic on %q: %v", src, r)
 				}
 			}()
-			_, _ = Assemble(src, 0)
+			_, _ = asm.Assemble(src, 0)
 		}()
 	}
 }

@@ -18,7 +18,7 @@ import (
 	"uexc/internal/userrt"
 )
 
-var update = flag.Bool("update", false, "rewrite the image digest golden")
+var update = flag.Bool("update", false, "rewrite the image and error goldens")
 
 // imageDigest hashes everything an assembled image hands its loaders:
 // each chunk's address, length and bytes, in order, and every symbol
@@ -46,16 +46,22 @@ func imageDigest(p *asm.Program) string {
 }
 
 // TestImageDigestGolden pins the exact image of every real source the
-// simulator assembles: the kernel, the user runtime prelude with each
-// example program and each test reproducer, and progen seeds 0–299 in
-// every mode, plain and mutated. A layout change in the assembler that
-// moves one byte or one symbol of any of them fails here.
+// simulator assembles: the kernel, and — through userrt.Assemble, the
+// call the machine's program loader makes — each example program, each
+// test reproducer, and progen seeds 0–299 in every mode, plain and
+// mutated, behind the user runtime prelude. A layout change in the
+// assembler that moves one byte or one symbol of any of them fails
+// here.
 func TestImageDigestGolden(t *testing.T) {
-	type source struct {
-		name, text string
-		origin     uint32
+	var b strings.Builder
+	record := func(name string, p *asm.Program, err error) {
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		fmt.Fprintf(&b, "%s %d %s\n", name, len(p.Chunks), imageDigest(p))
 	}
-	sources := []source{{"kernel", kernel.KernelSource(), kernel.KernelTextBase}}
+	p, err := asm.Assemble(kernel.KernelSource(), kernel.KernelTextBase)
+	record("kernel", p, err)
 	var files []string
 	for _, glob := range []string{"../../examples/programs/*.s", "../*/testdata/*.s"} {
 		m, err := filepath.Glob(glob)
@@ -73,28 +79,26 @@ func TestImageDigestGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sources = append(sources, source{filepath.ToSlash(f), userrt.Prelude() + string(text), kernel.UserTextBase})
+		p, err := userrt.Assemble(string(text))
+		record(filepath.ToSlash(f), p, err)
 	}
 	for seed := int64(0); seed < 300; seed++ {
-		p := progen.Generate(seed)
+		prog := progen.Generate(seed)
 		for _, mode := range []core.Mode{core.ModeUltrix, core.ModeFast, core.ModeHardware} {
 			for _, mutate := range []bool{false, true} {
-				name := fmt.Sprintf("progen/%d/%v/mutate=%v", seed, mode, mutate)
-				sources = append(sources, source{name, userrt.Prelude() + p.Source(mode, mutate), kernel.UserTextBase})
+				p, err := userrt.Assemble(prog.Source(mode, mutate))
+				record(fmt.Sprintf("progen/%d/%v/mutate=%v", seed, mode, mutate), p, err)
 			}
 		}
 	}
+	checkGolden(t, "images.golden", b.String())
+}
 
-	var b strings.Builder
-	for _, s := range sources {
-		p, err := asm.Assemble(s.text, s.origin)
-		if err != nil {
-			t.Fatalf("%s: %v", s.name, err)
-		}
-		fmt.Fprintf(&b, "%s %d %s\n", s.name, len(p.Chunks), imageDigest(p))
-	}
-	got := b.String()
-	path := filepath.Join("testdata", "images.golden")
+// checkGolden compares got with testdata/name line by line; -update
+// rewrites the file instead.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
 	if *update {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -109,9 +113,30 @@ func TestImageDigestGolden(t *testing.T) {
 		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
 		for i := range min(len(gl), len(wl)) {
 			if gl[i] != wl[i] {
-				t.Fatalf("image digest line %d:\n got  %s\n want %s", i+1, gl[i], wl[i])
+				t.Fatalf("%s line %d:\n got  %s\n want %s", name, i+1, gl[i], wl[i])
 			}
 		}
-		t.Fatalf("image digest golden has %d lines, got %d", len(wl), len(gl))
+		t.Fatalf("%s has %d lines, got %d", name, len(wl), len(gl))
+	}
+}
+
+// TestUserImageAllocs gates the cost of assembling one progen image
+// the way the program loader does: the prelude's text pass is shared,
+// so the user text's pass and the assembly step allocate a fixed
+// handful of slices, the symbol table and the image, independent of
+// the number of statements and operands.
+func TestUserImageAllocs(t *testing.T) {
+	const maxAllocs = 100
+	src := progen.Generate(7).Source(core.ModeFast, true)
+	if _, err := userrt.Assemble(src); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := userrt.Assemble(src); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > maxAllocs {
+		t.Errorf("userrt.Assemble of a progen image: %.0f allocs, want at most %d", allocs, maxAllocs)
 	}
 }

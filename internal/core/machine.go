@@ -113,14 +113,11 @@ func assembleUser(src string) (*asm.Program, error) {
 	if p, ok := progCache.Load(src); ok {
 		return p.(*asm.Program), nil
 	}
-	full := userrt.Prelude() + src
-	p, err := asm.Assemble(full, kernel.UserTextBase)
+	p, err := userrt.Assemble(src)
 	if err != nil {
 		return nil, err
 	}
-	// The image's symbol names are substrings of full, which keeps it
-	// live; keying by its tail stores the program text only once.
-	cached, _ := progCache.LoadOrStore(full[len(full)-len(src):], p)
+	cached, _ := progCache.LoadOrStore(src, p)
 	return cached.(*asm.Program), nil
 }
 

@@ -145,6 +145,18 @@ func (c *CPU) compileBlock(pc uint32, e *utlbEntry) *jitBlock {
 		kmode:   c.KernelMode(),
 		counted: e.counted,
 	}
+	ops := c.discover(pc, pg, pi)
+	if len(ops) > 0 {
+		b.ops = make([]uop, len(ops))
+		copy(b.ops, ops)
+	}
+	return b
+}
+
+// discover collects the block's µops into the CPU's scratch buffer and
+// returns them; the buffer is overwritten by the next compile.
+func (c *CPU) discover(pc uint32, pg *mem.Page, pi *pageInsts) []uop {
+	ops := c.blockScratch[:0]
 	w := pc & (arch.PageSize - 1) >> 2
 	last := uint32(arch.PageSize / 4)
 	va := pc
@@ -165,14 +177,15 @@ func (c *CPU) compileBlock(pc uint32, e *utlbEntry) *jitBlock {
 			if !dok || dbranch {
 				break
 			}
-			b.ops = append(b.ops, op, dop)
-			return b
+			ops = append(ops, op, dop)
+			break
 		}
-		b.ops = append(b.ops, op)
+		ops = append(ops, op)
 		w++
 		va += 4
 	}
-	return b
+	c.blockScratch = ops[:0]
+	return ops
 }
 
 // compileOne translates a single decoded instruction at va into a µop.

@@ -264,6 +264,10 @@ type CPU struct {
 	ipages    map[uint32]*pageInsts
 	lastIPfn  uint32 // instsFor memo: pfn+1 (0 = empty)
 	lastIPi   *pageInsts
+
+	// blockScratch is compileBlock's discovery buffer, reused across
+	// compiles; each block keeps an exact-length copy, never this.
+	blockScratch []uop
 }
 
 // New creates a CPU attached to the given memory and TLB, with PC at the

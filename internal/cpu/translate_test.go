@@ -280,3 +280,38 @@ func TestEngineToggleTortureLockstep(t *testing.T) {
 		t.Error("torture schedule provoked no exceptions")
 	}
 }
+
+// TestCompileBlockAllocs gates the compiler's cost: discovery runs in
+// the CPU's reused scratch buffer, so a compile allocates the block and
+// one exact-length copy of its µops, however long the block. Each
+// block owns its copy: a later compile must not change an earlier
+// block's µops.
+func TestCompileBlockAllocs(t *testing.T) {
+	const maxAllocs = 2
+	src := "\t.org 0x80001000\n"
+	for i := 0; i < 40; i++ {
+		src += fmt.Sprintf("\taddiu t%d, t%d, %d\n", i%8, (i+1)%8, i)
+	}
+	src += "\tjr ra\n\tnop\n"
+	const pc = 0x80001000
+	c := newEngineMachine(t, src, pc, EngineFast).c
+	runChunk(t, c, 1) // fills the micro-ITLB entry for the page
+	e := c.itlbLookup(pc)
+	if e == nil || e.insts == nil {
+		t.Fatal("no micro-ITLB entry for the block's page")
+	}
+	first := c.compileBlock(pc, e)
+	if len(first.ops) != 42 || len(first.ops) != cap(first.ops) {
+		t.Fatalf("block holds %d µops (cap %d), want 42 of exact length", len(first.ops), cap(first.ops))
+	}
+	want := append([]uop(nil), first.ops...)
+	allocs := testing.AllocsPerRun(50, func() { c.compileBlock(pc+8, e) })
+	if allocs > maxAllocs {
+		t.Errorf("compileBlock: %.1f allocs, want at most %d", allocs, maxAllocs)
+	}
+	for i := range want {
+		if first.ops[i] != want[i] {
+			t.Fatalf("µop %d of an earlier block changed: %+v -> %+v", i, want[i], first.ops[i])
+		}
+	}
+}

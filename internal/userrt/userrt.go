@@ -5,8 +5,8 @@
 // "the same state as Ultrix" for fair comparison (§3.3), and a
 // specialized minimal one like the pointer-swizzling handler of §4.2.2.
 //
-// Programs are assembled as Prelude() + user text; the user text must
-// define "main". Conventions:
+// A program is assembled as the prelude followed by the user text
+// (Assemble); the user text must define "main". Conventions:
 //
 //   - main is entered with sp set; returning from main exits with
 //     v0 as status.
@@ -19,14 +19,28 @@ package userrt
 
 import (
 	"fmt"
+	"sync"
 
+	"uexc/internal/asm"
 	"uexc/internal/kernel"
 )
 
-// Prelude returns the runtime assembly, to be prepended to user
-// program text and assembled at kernel.UserTextBase. It is rendered
-// once per process: its equates are constants.
+// Prelude returns the runtime assembly that precedes every user
+// program at kernel.UserTextBase. It is rendered once per process: its
+// equates are constants.
 func Prelude() string { return prelude }
+
+// Parsed returns the prelude's text pass. It is parsed once per
+// process, on first use, and shared read-only by every assembly.
+var Parsed = sync.OnceValue(func() *asm.Text { return asm.Parse(prelude) })
+
+// Assemble assembles a user program behind the prelude at
+// kernel.UserTextBase. Its line numbers continue after the prelude's,
+// so the image and every diagnostic are those of the concatenated
+// source.
+func Assemble(src string) (*asm.Program, error) {
+	return asm.AssembleTexts(kernel.UserTextBase, Parsed(), asm.Parse(src))
+}
 
 var prelude = fmt.Sprintf(`
 	.equ SYS_exit,        %d

@@ -3,18 +3,16 @@ package userrt
 import (
 	"testing"
 
-	"uexc/internal/asm"
 	"uexc/internal/kernel"
 )
 
 func TestPreludeAssembles(t *testing.T) {
-	src := Prelude() + `
+	p, err := Assemble(`
 main:
 	li v0, 0
 	jr ra
 	nop
-`
-	p, err := asm.Assemble(src, kernel.UserTextBase)
+`)
 	if err != nil {
 		t.Fatalf("prelude does not assemble: %v", err)
 	}
@@ -32,7 +30,7 @@ main:
 }
 
 func TestPreludeStartsAtTextBase(t *testing.T) {
-	p, err := asm.Assemble(Prelude()+"\nmain:\n\tjr ra\n\tnop\n", kernel.UserTextBase)
+	p, err := Assemble("\nmain:\n\tjr ra\n\tnop\n")
 	if err != nil {
 		t.Fatal(err)
 	}
