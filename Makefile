@@ -50,11 +50,15 @@ check: vet build
 # Execution-tier cross-check: each 30-seed sweep (the fault campaign
 # and the difftest oracle) under the JIT and under the pure interpreter
 # must pass and produce byte-identical summaries — the executable
-# observational-identity contract of cpu/translate.go.
+# observational-identity contract of cpu/translate.go. The difftest
+# leg at -parallel 1 runs every seed on one pooled machine, so each
+# program loads over the last one's translated blocks and the JIT's
+# revalidation against source words (cpu/block.go) is exercised.
 engine-crosscheck:
-	for sweep in faultcampaign difftest; do \
-		$(GO) run ./cmd/uexc-bench -$$sweep -seeds 30 -parallel 4 -engine jit > .crosscheck-jit.out && \
-		$(GO) run ./cmd/uexc-bench -$$sweep -seeds 30 -parallel 4 -engine interp > .crosscheck-interp.out && \
+	for run in "faultcampaign 4" "difftest 4" "difftest 1"; do \
+		set -- $$run; \
+		$(GO) run ./cmd/uexc-bench -$$1 -seeds 30 -parallel $$2 -engine jit > .crosscheck-jit.out && \
+		$(GO) run ./cmd/uexc-bench -$$1 -seeds 30 -parallel $$2 -engine interp > .crosscheck-interp.out && \
 		cmp .crosscheck-jit.out .crosscheck-interp.out || exit 1; \
 	done
 	rm -f .crosscheck-jit.out .crosscheck-interp.out

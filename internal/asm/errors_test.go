@@ -76,8 +76,18 @@ func corrupt(line string, kind int) string {
 // sources (seeds 0–9, every mode, plain and mutated) with one line
 // corrupted at each of five positions, assembled behind the user
 // runtime prelude (userrt.Assemble) so their line numbers continue
-// after it.
+// after it. The diagnostics are made twice, first with the line memo
+// empty and then with it warm, and both must match.
 func TestErrorsGolden(t *testing.T) {
+	asm.ResetLineMemo()
+	for _, memo := range []string{"cold", "warm"} {
+		t.Run(memo, func(t *testing.T) { checkGolden(t, "errors.golden", errorDiagnostics()) })
+	}
+}
+
+// errorDiagnostics assembles every source TestErrorsGolden pins and
+// returns the golden text.
+func errorDiagnostics() string {
 	var b strings.Builder
 	record := func(name string, err error) {
 		msg := "ok"
@@ -109,5 +119,5 @@ func TestErrorsGolden(t *testing.T) {
 			}
 		}
 	}
-	checkGolden(t, "errors.golden", b.String())
+	return b.String()
 }

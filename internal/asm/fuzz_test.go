@@ -18,7 +18,8 @@ import (
 // the test harness rely on. Every success must hold the layout
 // invariants (checkLayout). And assembling the shared parsed prelude
 // followed by the parsed text must give exactly the program, or exactly
-// the error, of assembling the concatenated source. Seed corpus under
+// the error, of assembling the concatenated source. And the parse
+// must be the miss path's (checkMemoInvisible). Seed corpus under
 // testdata/fuzz/FuzzAssemble.
 func FuzzAssemble(f *testing.F) {
 	f.Add("")
@@ -31,6 +32,7 @@ func FuzzAssemble(f *testing.F) {
 	f.Add("\t.word 0x\n")
 	f.Add("loop:\tb loop\n")
 	f.Fuzz(func(t *testing.T, src string) {
+		checkMemoInvisible(t, src)
 		checkSharedPrelude(t, src)
 		p, listing, err := asm.AssembleWithListing(src, 0x00400000)
 		if err == nil {
@@ -45,6 +47,26 @@ func FuzzAssemble(f *testing.F) {
 			t.Fatalf("diagnostic with bad line %d: %v", ae.Line, ae)
 		}
 	})
+}
+
+// memoWarmer is an unrelated text parsed before each fuzz input, so
+// the line memo is warm with lines the input may share.
+const memoWarmer = "main:\n\taddiu sp, sp, -8\n\tnop\n\tli t0, 0x1234\n\tbad instruction here\n\tlw t1, 4(sp)\n"
+
+// checkMemoInvisible asserts that Parse, with the line memo warmed by
+// an unrelated text, gives exactly the Text of parsing every line
+// straight through the miss path. src is parsed three times: a line is
+// memoised on its second miss, so the later parses splice its lines
+// from the memo.
+func checkMemoInvisible(t *testing.T, src string) {
+	t.Helper()
+	asm.Parse(memoWarmer)
+	want := asm.ParseUnmemoised(src)
+	for i := 0; i < 3; i++ {
+		if got := asm.Parse(src); !reflect.DeepEqual(got, want) {
+			t.Fatalf("memoised parse %d differs from the miss path:\n got  %+v\n want %+v", i+1, got, want)
+		}
+	}
 }
 
 // checkSharedPrelude asserts that the two-text assembly of the parsed

@@ -51,8 +51,18 @@ func imageDigest(p *asm.Program) string {
 // test reproducer, and progen seeds 0–299 in every mode, plain and
 // mutated, behind the user runtime prelude. A layout change in the
 // assembler that moves one byte or one symbol of any of them fails
-// here.
+// here. The images are built twice, first with the line memo empty and
+// then with it warm, and both must match.
 func TestImageDigestGolden(t *testing.T) {
+	asm.ResetLineMemo()
+	for _, memo := range []string{"cold", "warm"} {
+		t.Run(memo, func(t *testing.T) { checkGolden(t, "images.golden", imageDigests(t)) })
+	}
+}
+
+// imageDigests assembles every source TestImageDigestGolden pins and
+// returns the golden text.
+func imageDigests(t *testing.T) string {
 	var b strings.Builder
 	record := func(name string, p *asm.Program, err error) {
 		if err != nil {
@@ -91,7 +101,7 @@ func TestImageDigestGolden(t *testing.T) {
 			}
 		}
 	}
-	checkGolden(t, "images.golden", b.String())
+	return b.String()
 }
 
 // checkGolden compares got with testdata/name line by line; -update

@@ -2,7 +2,10 @@ package asm
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math/rand/v2"
 	"strings"
+	"sync/atomic"
 
 	"uexc/internal/arch"
 )
@@ -160,7 +163,25 @@ var mnemonics = func() map[string]*mnemonic {
 // Parse runs the text pass over src. It never fails: a statement it
 // cannot resolve carries its diagnostic, and the assembly step reports
 // the first one in the order two passes over the source would meet it.
+//
+// A line that recurs, in this text or any other, is copied from the
+// line memo (lineMemo) instead of parsed again.
 func Parse(src string) *Text {
+	t := newText(src)
+	line := int32(1)
+	for rest := src; ; line++ {
+		nl := strings.IndexByte(rest, '\n')
+		if nl < 0 {
+			t.memoLine(line, rest)
+			return t
+		}
+		t.memoLine(line, rest[:nl])
+		rest = rest[nl+1:]
+	}
+}
+
+// newText returns an empty Text sized for src.
+func newText(src string) *Text {
 	n := strings.Count(src, "\n")
 	t := &Text{
 		stmts: make([]stmt, 0, n+1),
@@ -169,16 +190,136 @@ func Parse(src string) *Text {
 	}
 	t.code = make([]exprOp, 0, cap(t.ops))
 	t.names = make([]string, 0, n/2)
-	line := int32(1)
-	for rest := src; ; line++ {
-		nl := strings.IndexByte(rest, '\n')
-		if nl < 0 {
-			t.parseLine(line, rest)
-			return t
-		}
-		t.parseLine(line, rest[:nl])
-		rest = rest[nl+1:]
+	return t
+}
+
+// The line memo. A line's parse is a pure function of its text, apart
+// from the line number its statements carry, so the memo maps a raw
+// line to the one-line Text parseLine makes of it, and a hit splices
+// that Text in with its indices relocated and its line patched: the
+// result is the Text parseLine would have appended. Generated programs
+// repeat most of their lines verbatim, so most lines cost one lookup.
+//
+// A line is memoised the second time it misses: the first miss only
+// notes its hash in memoSeen and parses the line straight into the
+// text. So a text read once — the kernel, say, at boot — costs no more
+// than without the memo, and lines that never recur never displace
+// ones that do.
+//
+// The memo is process-wide and bounded, because the server assembles
+// client text: a fixed table of memoSlots entries, memoWays-way set
+// associative by the line's hash. An insert takes a free way of its
+// set or evicts one at random, and lines longer than memoMaxLine
+// bypass the memo. Eviction is invisible: a miss parses the line as if
+// the memo did not exist. Entries are immutable once published, so
+// lookups and inserts are single atomic loads and stores, and no
+// reader ever takes a lock.
+const (
+	memoSlots   = 1 << 12
+	memoWays    = 4
+	memoMaxLine = 128
+)
+
+var (
+	memoSeed = maphash.MakeSeed()
+	lineMemo [memoSlots]memoSlot
+	memoSeen [memoSlots]atomic.Uint64 // hashes of lines missed once, direct-mapped
+)
+
+// memoSlot is one way of the memo. hash is a hint that spares the
+// probe a visit to every entry of the set: it and e are published
+// separately, so a lookup trusts only the entry's own hash and key.
+type memoSlot struct {
+	hash atomic.Uint64
+	e    atomic.Pointer[memoEntry]
+}
+
+// memoEntry is one memoised line: its hash and text, and its parse.
+// The parse's slices start in the entry's own arrays, so a typical
+// line's entry is one allocation besides its key.
+type memoEntry struct {
+	hash uint64
+	key  string
+	Text
+	stmtBuf [2]stmt
+	opBuf   [3]operand
+	codeBuf [3]exprOp
+	nameBuf [2]string
+}
+
+// memoLine appends one source line's labels and statement, from the
+// memo when it holds the line.
+func (t *Text) memoLine(line int32, raw string) {
+	if len(raw) > memoMaxLine {
+		t.parseLine(line, raw)
+		return
 	}
+	h := maphash.String(memoSeed, raw)
+	set := lineMemo[h&(memoSlots-1)&^(memoWays-1):][:memoWays]
+	for i := range set {
+		if set[i].hash.Load() != h {
+			continue
+		}
+		if e := set[i].e.Load(); e != nil && e.hash == h && e.key == raw {
+			t.splice(line, &e.Text)
+			return
+		}
+	}
+	if seen := &memoSeen[h&(memoSlots-1)]; seen.Load() != h {
+		seen.Store(h)
+		t.parseLine(line, raw)
+		return
+	}
+	t.splice(line, &memoize(set, h, raw).Text)
+}
+
+// memoize parses raw into an entry of its set and returns the entry.
+// The entry is parsed from a clone of raw, so it never keeps the text
+// raw came from alive.
+func memoize(set []memoSlot, h uint64, raw string) *memoEntry {
+	e := &memoEntry{hash: h, key: strings.Clone(raw)}
+	e.stmts, e.ops, e.code, e.names = e.stmtBuf[:0], e.opBuf[:0], e.codeBuf[:0], e.nameBuf[:0]
+	e.parseLine(0, e.key)
+	way := &set[rand.IntN(memoWays)]
+	for i := range set {
+		if set[i].e.Load() == nil {
+			way = &set[i]
+			break
+		}
+	}
+	way.e.Store(e)
+	way.hash.Store(h)
+	return e
+}
+
+// splice appends the one-line Text e as line number line of t: its
+// operand, code and name indices move past what t already holds.
+func (t *Text) splice(line int32, e *Text) {
+	opBase, codeBase, nameBase := int32(len(t.ops)), int32(len(t.code)), uint32(len(t.names))
+	for _, s := range e.stmts {
+		s.line = line
+		if s.kind != kLabel && s.kind != kBad { // those hold no operands
+			s.lo += opBase
+			s.hi += opBase
+		}
+		t.stmts = append(t.stmts, s)
+	}
+	for _, op := range e.ops {
+		if op.expr.hi > op.expr.lo {
+			op.expr.lo += codeBase
+			op.expr.hi += codeBase
+		}
+		t.ops = append(t.ops, op)
+	}
+	for _, c := range e.code {
+		switch c.op {
+		case opSym, opErr, opDiv, opMod:
+			c.val += nameBase
+		}
+		t.code = append(t.code, c)
+	}
+	t.names = append(t.names, e.names...)
+	t.nsyms += e.nsyms
 }
 
 // parseLine appends one source line's labels and statement.

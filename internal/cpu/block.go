@@ -117,14 +117,43 @@ type uop struct {
 // same mem.Page store generation the predecode cache trusts, so any
 // store into the page — SMC, program load, injected corruption —
 // invalidates the block exactly when it invalidates the decode.
+//
+// A moved generation alone does not condemn the block. Its µops are a
+// pure function of its start VA and the words discovery read (src), so
+// when the page still holds those words the block is exactly what a
+// fresh compile would build, and jitStep adopts the new generation in
+// place (revalidate). Program load and snapshot restore rewrite user
+// pages with the same bytes run after run; this is what lets their
+// blocks survive.
 type jitBlock struct {
-	gen     uint64    // page.Gen at compile time
+	gen     uint64    // page.Gen at compile time or last revalidation
 	page    *mem.Page // physical identity, for own-page store detection
 	startVA uint32    // VA of ops[0] when compiled
 	vpn     uint32    // startVA >> PageShift: VA-dependent targets/links
 	kmode   bool      // privilege mode at compile time
 	counted bool      // fetches went through the TLB: hits must count
 	ops     []uop     // nil/empty: sentinel "uncompilable here" marker
+	// src holds, in imm, every word discovery read from startVA on:
+	// ops' own words, then the words that ended discovery — an
+	// uncompilable word, or a branch whose delay slot could not join
+	// the block, with that slot if it is on the page. A block ended by
+	// the page or by its own delay slot has none. src heads the array
+	// ops ends, and its capacity spans the whole array.
+	src []uop
+}
+
+// revalidate reports whether the page still holds every word b was
+// discovered from; if so b adopts the page's current generation.
+func (b *jitBlock) revalidate() bool {
+	va := b.startVA
+	for i := range b.src {
+		if b.page.Word(va) != b.src[i].imm {
+			return false
+		}
+		va += 4
+	}
+	b.gen = b.page.Gen()
+	return true
 }
 
 // compileBlock translates the straight-line run starting at pc (which
@@ -135,33 +164,55 @@ type jitBlock struct {
 // delay slot would fall off the page (or is itself a branch, or is
 // not compilable) ends the block *before* the branch so the
 // interpreter handles the pair with full delay-slot semantics.
+//
+// The source words and the µops share one allocation, words first, so
+// a compile allocates twice: the block and that array.
 func (c *CPU) compileBlock(pc uint32, e *utlbEntry) *jitBlock {
+	b := new(jitBlock)
+	c.compileInto(b, pc, e)
+	return b
+}
+
+// compileInto compiles the block at pc into b, reusing b's array (src's
+// full capacity) when the new block fits. jitStep recompiles a stale
+// block this way in place: a block is referenced only from its slot in
+// the page's block table.
+func (c *CPU) compileInto(b *jitBlock, pc uint32, e *utlbEntry) {
 	pg, pi := e.page, e.insts
-	b := &jitBlock{
+	ops, words := c.discover(pc, pg, pi)
+	n := len(ops)
+	buf := b.src[:cap(b.src)]
+	if len(buf) < words+n {
+		buf = make([]uop, words+n)
+	}
+	*b = jitBlock{
 		gen:     pg.Gen(),
 		page:    pg,
 		startVA: pc,
 		vpn:     pc >> arch.PageShift,
 		kmode:   c.KernelMode(),
 		counted: e.counted,
+		src:     buf[:words],
+		ops:     buf[words : words+n : words+n],
 	}
-	ops := c.discover(pc, pg, pi)
-	if len(ops) > 0 {
-		b.ops = make([]uop, len(ops))
-		copy(b.ops, ops)
+	copy(b.ops, ops)
+	for i := range b.src {
+		b.src[i] = uop{imm: pg.Word(pc + uint32(i)*4)}
 	}
-	return b
 }
 
 // discover collects the block's µops into the CPU's scratch buffer and
-// returns them; the buffer is overwritten by the next compile.
-func (c *CPU) discover(pc uint32, pg *mem.Page, pi *pageInsts) []uop {
+// returns them with the number of words it read from pc on; the buffer
+// is overwritten by the next compile.
+func (c *CPU) discover(pc uint32, pg *mem.Page, pi *pageInsts) ([]uop, int) {
 	ops := c.blockScratch[:0]
 	w := pc & (arch.PageSize - 1) >> 2
 	last := uint32(arch.PageSize / 4)
 	va := pc
+	words := 0
 	for w < last {
 		inst := pi.fetch(pg, va)
+		words++
 		op, ok, branch := compileOne(&inst, va)
 		if !ok {
 			break
@@ -173,6 +224,7 @@ func (c *CPU) discover(pc uint32, pg *mem.Page, pi *pageInsts) []uop {
 				break
 			}
 			dinst := pi.fetch(pg, va+4)
+			words++
 			dop, dok, dbranch := compileOne(&dinst, va+4)
 			if !dok || dbranch {
 				break
@@ -185,7 +237,7 @@ func (c *CPU) discover(pc uint32, pg *mem.Page, pi *pageInsts) []uop {
 		va += 4
 	}
 	c.blockScratch = ops[:0]
-	return ops
+	return ops, words
 }
 
 // compileOne translates a single decoded instruction at va into a µop.

@@ -268,6 +268,11 @@ type CPU struct {
 	// blockScratch is compileBlock's discovery buffer, reused across
 	// compiles; each block keeps an exact-length copy, never this.
 	blockScratch []uop
+	// jitRevalidations counts invalidated blocks whose source words
+	// still matched, so jitStep adopted them instead of recompiling.
+	// A host-cache tally like JITBlocks, kept off Counters so that no
+	// digest or metric sees it; the package's tests read it.
+	jitRevalidations uint64
 }
 
 // New creates a CPU attached to the given memory and TLB, with PC at the

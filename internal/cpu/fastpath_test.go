@@ -52,6 +52,23 @@ type tortureMachine struct {
 	m     *mem.Memory
 	tl    *tlb.TLB
 	smcPA uint32 // physical address of the smc: instruction
+	prog  *asm.Program
+}
+
+// reload writes the program's image over memory again, as a loader
+// would: the bytes are the program's (undoing any self-modification),
+// and every page written advances its generation.
+func (tm *tortureMachine) reload(t *testing.T) {
+	t.Helper()
+	for _, ch := range tm.prog.Chunks {
+		pa := ch.Addr
+		if ch.Addr >= arch.KSeg0Base {
+			pa = arch.KSegPhys(ch.Addr)
+		}
+		if err := tm.m.Write(pa, ch.Data); err != nil {
+			t.Fatalf("reload %#x: %v", ch.Addr, err)
+		}
+	}
 }
 
 func newTortureMachine(t *testing.T, engine Engine) *tortureMachine {
@@ -65,15 +82,8 @@ func newTortureMachine(t *testing.T, engine Engine) *tortureMachine {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	for _, ch := range p.Chunks {
-		pa := ch.Addr
-		if ch.Addr >= arch.KSeg0Base {
-			pa = arch.KSegPhys(ch.Addr)
-		}
-		if err := m.Write(pa, ch.Data); err != nil {
-			t.Fatalf("load %#x: %v", ch.Addr, err)
-		}
-	}
+	tm := &tortureMachine{c: c, m: m, tl: tl, smcPA: p.MustSymbol("smc"), prog: p}
+	tm.reload(t)
 
 	// Code page: wired slot 0, global and writable (SMC), identity-
 	// mapped — mutations below never touch wired slots, so fetches
@@ -92,7 +102,7 @@ func newTortureMachine(t *testing.T, engine Engine) *tortureMachine {
 
 	c.PC = p.MustSymbol("start")
 	c.NPC = c.PC + 4
-	return &tortureMachine{c: c, m: m, tl: tl, smcPA: p.MustSymbol("smc")}
+	return tm
 }
 
 // tortureMutate applies mutation round r — identically on every

@@ -148,7 +148,10 @@ func TestDebugGuardJITStandDown(t *testing.T) {
 // captured digest bit-for-bit, and lockstep continues through the full
 // mutation schedule, including a self-modifying-code store issued
 // immediately after each restore so stale predecode/JIT state keyed to
-// pre-restore page generations would be caught at once.
+// pre-restore page generations would be caught at once. Other rounds
+// reload the program over both machines: the code pages' generations
+// move while most of their words stay, so the next round, run under
+// the JIT, must revalidate blocks rather than recompile them all.
 func TestEngineToggleTortureSnapshotRestore(t *testing.T) {
 	tog := newTortureMachine(t, EngineJIT)
 	ref := newTortureMachine(t, EngineInterp)
@@ -173,7 +176,8 @@ func TestEngineToggleTortureSnapshotRestore(t *testing.T) {
 
 	type pair struct{ tog, ref point }
 	var snap *pair
-	restores := 0
+	restores, reloads := 0, 0
+	reloadRound, revalidated := uint32(0), uint64(0)
 
 	engines := []Engine{EngineJIT, EngineFast, EngineInterp}
 	rng := uint32(0x2545f491)
@@ -181,6 +185,11 @@ func TestEngineToggleTortureSnapshotRestore(t *testing.T) {
 	for r := uint32(0); r < 400; r++ {
 		rng = rng*1664525 + 1013904223
 		tog.c.Engine = engines[rng>>16%3]
+		afterReload := reloads > 0 && r == reloadRound+1
+		if afterReload {
+			tog.c.Engine = EngineJIT
+			revalidated = tog.c.jitRevalidations
+		}
 		for _, tm := range []*tortureMachine{tog, ref} {
 			_, err := tm.c.Run(chunk)
 			var be *BudgetError
@@ -191,10 +200,18 @@ func TestEngineToggleTortureSnapshotRestore(t *testing.T) {
 		if f, s := tog.snapshot(), ref.snapshot(); f != s {
 			t.Fatalf("round %d: divergence\ntoggled: %s\nref:     %s", r, f, s)
 		}
+		if afterReload && tog.c.jitRevalidations == revalidated {
+			t.Errorf("round %d: no block revalidated after reloading the program", r)
+		}
 
 		switch {
 		case r%101 == 13:
 			snap = &pair{tog: capture(tog), ref: capture(ref)}
+		case r%101 == 80:
+			tog.reload(t)
+			ref.reload(t)
+			reloads++
+			reloadRound = r
 		case r%101 == 60 && snap != nil:
 			restore(tog, snap.tog)
 			restore(ref, snap.ref)
@@ -216,8 +233,8 @@ func TestEngineToggleTortureSnapshotRestore(t *testing.T) {
 		tog.tortureMutate(r)
 		ref.tortureMutate(r)
 	}
-	if restores < 3 {
-		t.Fatalf("schedule exercised only %d restores", restores)
+	if restores < 3 || reloads < 3 {
+		t.Fatalf("schedule exercised only %d restores and %d reloads", restores, reloads)
 	}
 	if tog.c.JITExecs == 0 {
 		t.Error("toggle schedule never retired a translated block")

@@ -11,9 +11,12 @@ package cpu
 //     outside a delay slot; the guard then pins (VPN, kernel mode,
 //     counted-ness, mem.Page.Gen). ASID and the Status mode bits are
 //     guarded transitively: the micro-ITLB tag is keyed by both, so a
-//     hit already proves they match. A moved page generation
-//     recompiles (JITInvalidations); any other mismatch recompiles as
-//     a guard miss (JITGuardMisses).
+//     hit already proves they match. A moved page generation counts
+//     as an invalidation (JITInvalidations): if it is the only
+//     mismatch and the page still holds the block's source words, the
+//     block adopts the new generation (jitBlock.revalidate); otherwise
+//     it recompiles. Any other mismatch recompiles as a guard miss
+//     (JITGuardMisses). A recompile rebuilds the block in place.
 //   - Exceptions never happen inside a block. Any op that would fault
 //     (overflow, misalignment, a data access the micro-DTLB cannot
 //     serve) exits before executing, with PC/NPC/prevWasBranch
@@ -94,18 +97,28 @@ func (c *CPU) jitStep(limit uint64) bool {
 	}
 	w := pc & (arch.PageSize - 1) >> 2
 	b := e.insts.blocks[w]
-	if b == nil || b.gen != e.page.Gen() || b.vpn != pc>>arch.PageShift ||
-		b.kmode != kmode || b.counted != e.counted {
-		if b != nil {
-			if b.gen != e.page.Gen() {
-				c.JITInvalidations++
-			} else {
-				c.JITGuardMisses++
-			}
-		}
+	vpn := pc >> arch.PageShift
+	switch {
+	case b == nil:
 		b = c.compileBlock(pc, e)
 		e.insts.blocks[w] = b
 		c.JITBlocks++
+	case b.gen == e.page.Gen() && b.vpn == vpn && b.kmode == kmode && b.counted == e.counted:
+	case b.gen == e.page.Gen():
+		c.JITGuardMisses++
+		c.compileInto(b, pc, e)
+		c.JITBlocks++
+	default:
+		c.JITInvalidations++
+		// The block stands if nothing but the generation moved and
+		// the page still holds its source words; otherwise it is
+		// rebuilt in place.
+		if b.page == e.page && b.vpn == vpn && b.kmode == kmode && b.counted == e.counted && b.revalidate() {
+			c.jitRevalidations++
+		} else {
+			c.compileInto(b, pc, e)
+			c.JITBlocks++
+		}
 	}
 	if len(b.ops) == 0 {
 		return false // sentinel: first instruction is interpreter-only

@@ -3,6 +3,7 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"uexc/internal/arch"
@@ -313,5 +314,167 @@ func TestCompileBlockAllocs(t *testing.T) {
 		if first.ops[i] != want[i] {
 			t.Fatalf("µop %d of an earlier block changed: %+v -> %+v", i, want[i], first.ops[i])
 		}
+	}
+}
+
+// revalSrc is the program TestRevalidatedBlockMatchesFreshCompile
+// loads, with two variants: %[1]s is the second word of the loop's
+// first block, %[2]s the word that ends that block. mfc0 is not
+// compilable, so in the base program the block stops there.
+const revalSrc = `
+	.org 0x80001000
+start:
+	li    s5, 0x7fffffff
+loop:
+	addiu s0, s0, 1
+	%[1]s
+	xor   s4, s4, s0
+	%[2]s
+	addu  s3, s3, t5
+	sltu  t0, s0, s5
+	bnez  t0, loop
+	nop
+`
+
+// checkEnteredBlocks holds every block valid at its page's current
+// generation, which is every block entered since that generation, to a
+// fresh compile of the page as it is now: the same µops from the same
+// source words. It returns how many blocks it checked.
+func checkEnteredBlocks(t *testing.T, stage string, c *CPU) int {
+	t.Helper()
+	n := 0
+	for _, pi := range c.ipages {
+		for _, b := range pi.blocks {
+			if b == nil || b.gen != b.page.Gen() {
+				continue
+			}
+			fresh := c.compileBlock(b.startVA, &utlbEntry{page: b.page, insts: pi, counted: b.counted})
+			if !slices.Equal(b.ops, fresh.ops) || !slices.Equal(b.src, fresh.src) {
+				t.Fatalf("%s: block at %#x is not a fresh compile\nblock µops %v words %v\nfresh µops %v words %v",
+					stage, b.startVA, b.ops, b.src, fresh.ops, fresh.src)
+			}
+			n++
+		}
+	}
+	return n
+}
+
+// TestRevalidatedBlockMatchesFreshCompile drives one machine the way
+// the pool does — restore the boot state, load a program, run — through
+// a reload of the same program, a program one word different inside a
+// block, a program whose block-ending word becomes compilable, a
+// restore of a mid-run snapshot and a fork of it. After every run chunk
+// each block entered must be exactly what a fresh compile of the
+// current page builds, and each stage must reuse or rebuild the blocks
+// its words call for.
+func TestRevalidatedBlockMatchesFreshCompile(t *testing.T) {
+	const (
+		base    = "addiu s2, s2, 3"
+		word    = "addiu s2, s2, 5"
+		stop    = "mfc0  t5, c0_status"
+		compile = "addiu t5, s0, 7"
+		loopVA  = 0x80001008 // li expands to two words
+	)
+	progs := map[string]*asm.Program{}
+	for name, v := range map[string][2]string{"base": {base, stop}, "word": {word, stop}, "stop": {base, compile}} {
+		p, err := asm.Assemble(fmt.Sprintf(revalSrc, v[0], v[1]), arch.KSeg0Base)
+		if err != nil {
+			t.Fatalf("assemble %s: %v", name, err)
+		}
+		if p.MustSymbol("loop") != loopVA {
+			t.Fatalf("loop at %#x, want %#x", p.MustSymbol("loop"), uint32(loopVA))
+		}
+		progs[name] = p
+	}
+
+	type point struct {
+		mem *mem.MemState
+		tlb *tlb.State
+		cpu *State
+	}
+	m := mem.New(1 << 22)
+	tl := &tlb.TLB{}
+	c := New(m, tl)
+	capture := func() point { return point{m.CaptureState(), tl.CaptureState(), c.CaptureState()} }
+	restore := func(p point) {
+		t.Helper()
+		if _, err := m.RestoreState(p.mem); err != nil {
+			t.Fatal(err)
+		}
+		tl.RestoreState(p.tlb)
+		c.RestoreState(p.cpu)
+	}
+	boot := capture()
+	load := func(name string) {
+		t.Helper()
+		restore(boot)
+		for _, ch := range progs[name].Chunks {
+			if err := m.Write(arch.KSegPhys(ch.Addr), ch.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+		c.PC = progs[name].MustSymbol("start")
+		c.NPC = c.PC + 4
+	}
+	loopBlock := func() *jitBlock {
+		pi := c.ipages[arch.KSegPhys(loopVA)>>arch.PageShift]
+		return pi.blocks[loopVA&(arch.PageSize-1)>>2]
+	}
+	// run advances the machine in chunks, checking after each, and
+	// returns the blocks compiled and revalidated meanwhile.
+	run := func(stage string) (compiled, revalidated uint64) {
+		t.Helper()
+		b0, r0 := c.JITBlocks, c.jitRevalidations
+		checked := 0
+		for i := 0; i < 40; i++ {
+			runChunk(t, c, 7)
+			checked += checkEnteredBlocks(t, stage, c)
+		}
+		if checked == 0 || c.JITExecs == 0 {
+			t.Fatalf("%s: no block entered", stage)
+		}
+		return c.JITBlocks - b0, c.jitRevalidations - r0
+	}
+
+	load("base")
+	if compiled, _ := run("load"); compiled == 0 {
+		t.Fatal("load: nothing compiled")
+	}
+	baseOps := len(loopBlock().ops)
+	if baseOps != 3 {
+		t.Fatalf("base loop block holds %d µops, want 3 (mfc0 ends it)", baseOps)
+	}
+
+	load("base")
+	if compiled, revalidated := run("reload"); compiled != 0 || revalidated == 0 {
+		t.Errorf("reload of the same program: %d compiled, %d revalidated; want 0 compiled", compiled, revalidated)
+	}
+
+	load("word")
+	if compiled, revalidated := run("one word"); compiled == 0 || revalidated == 0 {
+		t.Errorf("one word changed: %d compiled, %d revalidated; want both", compiled, revalidated)
+	}
+
+	load("stop")
+	run("stop word")
+	if n := len(loopBlock().ops); n <= baseOps {
+		t.Errorf("compilable stop word: loop block holds %d µops, want more than %d", n, baseOps)
+	}
+
+	load("base")
+	run("before snapshot")
+	snap := capture()
+	load("word")
+	run("other program")
+	restore(snap)
+	if _, revalidated := run("restore"); revalidated == 0 {
+		t.Error("restore: no block revalidated")
+	}
+
+	m, tl = mem.New(1<<22), &tlb.TLB{}
+	c = New(m, tl)
+	restore(snap)
+	if compiled, revalidated := run("fork"); compiled == 0 || revalidated != 0 {
+		t.Errorf("fork: %d compiled, %d revalidated; a fork starts cold", compiled, revalidated)
 	}
 }

@@ -208,24 +208,16 @@ func (p *Program) WithEpisodes(keep []int) *Program {
 // codes are offset) — the oracle self-test uses it to prove a semantic
 // divergence in a single mode is detected.
 func (p *Program) Source(mode core.Mode, mutate bool) string {
-	var b strings.Builder
-	b.WriteString(sourceHeader)
-	b.WriteString(prologue)
-	b.WriteString(setupStanza(mode))
-	b.WriteString(zeroRegs)
-	b.WriteString(p.workload())
-	b.WriteString(p.Extra)
-	b.WriteString(epilogue)
+	policy, wrapper := policyText, ""
 	if mutate {
-		b.WriteString(mutatedPolicy)
-	} else {
-		b.WriteString(policyText)
+		policy = mutatedPolicy
 	}
 	if mode == core.ModeHardware {
-		b.WriteString(teraWrapper)
+		wrapper = teraWrapper
 	}
-	b.WriteString(dataStanza)
-	return b.String()
+	// One concatenation allocates the text once, at its final size.
+	return sourceHeader + prologue + setupStanza(mode) + zeroRegs + p.workload() + p.Extra +
+		epilogue + policy + wrapper + dataStanza
 }
 
 // CountInsts counts the instruction lines of an assembly text: lines
@@ -236,7 +228,9 @@ func (p *Program) Source(mode core.Mode, mutate bool) string {
 // count, and it must be cheap enough to run per shard.
 func CountInsts(src string) int {
 	n := 0
-	for _, line := range strings.Split(src, "\n") {
+	for rest := src; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
 		s := strings.TrimSpace(line)
 		if i := strings.IndexByte(s, '#'); i >= 0 {
 			s = strings.TrimSpace(s[:i])

@@ -76,6 +76,50 @@ other_label:	addiu t2, t2, 2
 	}
 }
 
+// splitCountInsts is CountInsts as it was first written, over
+// strings.Split: the reference the scanning version must match.
+func splitCountInsts(src string) int {
+	n := 0
+	for _, line := range strings.Split(src, "\n") {
+		s := strings.TrimSpace(line)
+		if i := strings.IndexByte(s, '#'); i >= 0 {
+			s = strings.TrimSpace(s[:i])
+		}
+		if s == "" || s[0] == '.' || strings.HasSuffix(s, ":") {
+			continue
+		}
+		n++
+	}
+	return n
+}
+
+// TestCountInstsMatchesSplit pins CountInsts to the split-based count
+// on every mode's plain and mutated source of seeds 0–299, plus the
+// edge texts a line scanner could miscount, and gates it at zero
+// allocations.
+func TestCountInstsMatchesSplit(t *testing.T) {
+	for _, src := range []string{"", "\n", "nop", "nop\n", "\n\nnop", "a:\n\tnop\n\t.word 1\n# c\n  nop  "} {
+		if got, want := CountInsts(src), splitCountInsts(src); got != want {
+			t.Errorf("CountInsts(%q) = %d, split count %d", src, got, want)
+		}
+	}
+	var src string
+	for seed := int64(0); seed < 300; seed++ {
+		p := Generate(seed)
+		for _, mode := range []core.Mode{core.ModeUltrix, core.ModeFast, core.ModeHardware} {
+			for _, mutate := range []bool{false, true} {
+				src = p.Source(mode, mutate)
+				if got, want := CountInsts(src), splitCountInsts(src); got != want {
+					t.Fatalf("seed %d mode %s mutate %v: CountInsts = %d, split count %d", seed, mode, mutate, got, want)
+				}
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() { CountInsts(src) }); allocs != 0 {
+		t.Errorf("CountInsts: %.1f allocs, want 0", allocs)
+	}
+}
+
 // TestEmittedInstsTracksExtra: padding a program with N instructions
 // raises every mode's emitted count by exactly N — the property the
 // scaled budget formula rides on.
