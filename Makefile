@@ -3,8 +3,8 @@
 # `make check` is the tier-1 verification gate: static checks, the full
 # test suite under the race detector (the root module and the bench/
 # harness module; the serving gauntlets — byte-identity, debug
-# sessions, the mixed burst, and the chaos and fleet kill/restart runs
-# at full scale — are tests in internal/server), 30-seed smoke runs of
+# sessions, the mixed burst, and the chaos kill/restart runs at full
+# scale — are tests in internal/server), 30-seed smoke runs of
 # both sweeps (the fault-injection campaign and the difftest oracle)
 # across all three delivery modes, each cross-checked between execution
 # tiers, the race-enabled soak smoke, and the coverage ratchet. Each
@@ -91,7 +91,8 @@ soak-smoke:
 	$(GO) run -race ./cmd/uexc-bench -soak -seeds 2500 -parallel 0
 
 # Short coverage-guided fuzzing burst on the decoder, the assembler,
-# the sweep merge frontier (adversarial arrival orders), the
+# the sweep merge frontier (every arrival order local workers can
+# produce, from every resume point, with a failing merge), the
 # cross-mode oracle (arbitrary progen seeds, with and without the SMC
 # stanza), and the GC simulator's per-barrier ledgers (arbitrary
 # mutator traces, one shared heap against one heap per barrier).

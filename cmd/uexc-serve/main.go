@@ -8,8 +8,6 @@
 //	uexc-serve                       serve until SIGTERM/Ctrl-C, then drain
 //	uexc-serve -store-dir d -resume  serve with a durable job journal, resuming
 //	                                 jobs that survived the last crash
-//	uexc-serve -coordinator u1,u2    serve as a fleet coordinator: campaign and
-//	                                 difftest jobs fan out to these worker nodes
 //
 // See README.md "Serving" and DESIGN.md §11–13.
 package main
@@ -21,7 +19,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
 	"uexc/internal/server"
@@ -49,9 +46,6 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		storeDir   = fs.String("store-dir", "", "durable job journal directory (empty: in-memory only)")
 		resume     = fs.Bool("resume", false, "re-admit journaled jobs that never finished (needs -store-dir)")
 
-		coordinator    = fs.String("coordinator", "", "comma-separated worker base URLs; serve as a fleet coordinator (DESIGN.md §13)")
-		dispatchShards = fs.Int("dispatch-shards", 0, "shards per dispatched range in coordinator mode (0: 12)")
-
 		tenantInflight = fs.Int("tenant-inflight", 0, "per-tenant (X-Tenant) max in-flight jobs (0: unlimited)")
 		tenantQueued   = fs.Int("tenant-queued", 0, "per-tenant max queued jobs (0: unlimited)")
 		tenantRate     = fs.Float64("tenant-seeds-per-sec", 0, "per-tenant admission rate in seed units/s (0: unlimited)")
@@ -68,18 +62,12 @@ func run(ctx context.Context, args []string, stderr io.Writer) error {
 		MaxInFlight: *tenantInflight, MaxQueued: *tenantQueued,
 		SeedsPerSec: *tenantRate, SeedBurst: *tenantBurst,
 	}
-	var nodes []string
-	for _, u := range strings.Split(*coordinator, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			nodes = append(nodes, u)
-		}
-	}
 
 	return server.Run(ctx, server.Config{
 		Addr: *addr, Workers: *workers, QueueDepth: *queue,
 		MaxJobTimeout: *jobTimeout, MaxSeeds: *maxSeeds,
 		StoreDir: *storeDir, Resume: *resume,
-		Tenants: tenants, WorkerNodes: nodes, DispatchShards: *dispatchShards,
+		Tenants: tenants,
 	}, stderr, nil)
 }
 

@@ -331,8 +331,7 @@ type Shard struct {
 }
 
 // ShardLine renders seed i's progress line from its digest — the one
-// formatting point shared by live shards, journal replays, and the
-// fleet coordinator's remote-shard merge (DESIGN.md §13), so all three
+// formatting point shared by live shards and journal replays, so both
 // streams are byte-identical by construction. Non-clean verdicts are
 // tagged; the common (clean) line is unchanged from the pre-verdict
 // format.
@@ -365,9 +364,8 @@ func classify(runs []ModeRun, t *Shard) {
 }
 
 // RunShard runs seed i's three-mode comparison on a pooled machine and
-// returns its digest — the single shard-execution point shared by the
-// Oracle sweep and the serving layer's shard-range jobs, so remote and
-// local digests are byte-identical.
+// returns its digest — the single shard-execution point of the Oracle
+// sweep, also called directly by the tests and the benchmark.
 func RunShard(pool Machines, i int) Shard {
 	return CheckProgram(pool, progen.Generate(int64(i)))
 }

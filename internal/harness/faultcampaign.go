@@ -199,10 +199,8 @@ func CampaignShards(seeds int) int {
 }
 
 // ShardLine renders shard i's progress line from its digest — the
-// single formatting point for live shards, journaled shards
-// replayed on resume, and shards merged from remote workers by the
-// fleet coordinator (DESIGN.md §13), so all three are byte-identical
-// by construction.
+// single formatting point for live shards and journaled shards
+// replayed on resume, so both are byte-identical by construction.
 func ShardLine(seeds, i int, t CampaignShard) string {
 	if i < seeds*len(campaignModes) {
 		seed, mode := i/len(campaignModes), campaignModes[i%len(campaignModes)]
@@ -220,11 +218,8 @@ func ShardLine(seeds, i int, t CampaignShard) string {
 
 // RunShard executes shard i of a `seeds`-sized campaign on a pooled
 // machine and returns its digest. It is the single shard-execution
-// point: the Campaign sweep and the serving layer's shard-range jobs
-// (the fleet coordinator's dispatch unit) both call it, so a
-// digest computed on a remote worker is byte-identical to one computed
-// locally — the property that lets a distributed campaign merge into
-// the serial stream.
+// point: the Campaign sweep runs every shard through it, so a digest
+// is a pure function of (seeds, i) wherever it runs.
 func RunShard(pool *core.MachinePool, seeds, i int) CampaignShard {
 	var t CampaignShard
 	if i < seeds*len(campaignModes) {

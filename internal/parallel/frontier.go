@@ -20,15 +20,15 @@ import (
 // sees only "the shard ran".
 type ShardRunner func(i int, run func())
 
-// Frontier is the §8 merge frontier: results of the shards [start, n)
-// arrive in any order — from local workers, a resumed run, or remote
-// fleet nodes — and leave as one in-order stream. It tracks the
+// Frontier is the §8 merge frontier: Run executes the shards [start,
+// n) on local workers, whose results arrive in any order, each index
+// exactly once, and leave as one in-order stream. It tracks the
 // contiguous merged prefix; each index the prefix advances over goes
 // to the merged callback, in order, never concurrently. Results that
 // arrive early wait in a pending set until the prefix reaches them.
 //
 // The first error merged returns sticks: the prefix stops below the
-// index that failed, and every later Add and Finish returns the error.
+// index that failed, and every later add and finish returns the error.
 type Frontier[T any] struct {
 	mu      sync.Mutex
 	next    int // first index not yet merged
@@ -39,28 +39,20 @@ type Frontier[T any] struct {
 }
 
 // NewFrontier returns a frontier whose prefix already covers [0,
-// start) — a resumed run's durable prefix, or the shards below a
-// sub-range — and ends at n.
+// start) — a resumed run's durable prefix — and ends at n.
 func NewFrontier[T any](start, n int, merged func(i int, t T) error) *Frontier[T] {
 	return &Frontier[T]{next: start, n: n, pending: map[int]T{}, merged: merged}
 }
 
-// Add accepts index i's result. An index below the frontier was
-// already merged (or replayed) and is ignored, as is a second copy of
-// one still pending: results are deterministic, so both copies are the
-// same. An index at or past n is refused with an error.
-func (f *Frontier[T]) Add(i int, t T) error {
+// add accepts index i's result. Run adds each index of [start, n)
+// exactly once.
+func (f *Frontier[T]) add(i int, t T) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if i >= f.n {
-		return fmt.Errorf("shard %d is past the end of the %d-shard space", i, f.n)
-	}
-	if f.err != nil || i < f.next {
+	if f.err != nil {
 		return f.err
 	}
-	if _, dup := f.pending[i]; !dup {
-		f.pending[i] = t
-	}
+	f.pending[i] = t
 	for f.err == nil {
 		t, ok := f.pending[f.next]
 		if !ok {
@@ -74,8 +66,8 @@ func (f *Frontier[T]) Add(i int, t T) error {
 	return f.err
 }
 
-// Finish fails if the prefix does not cover every index below n.
-func (f *Frontier[T]) Finish() error {
+// finish fails if the prefix does not cover every index below n.
+func (f *Frontier[T]) finish() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.err == nil && f.next < f.n {
@@ -102,7 +94,7 @@ func (f *Frontier[T]) stuck() error {
 
 // Run is the sweep driver. It executes every shard the frontier still
 // lacks across workers (normalized via Workers), each through runner
-// (nil calls it directly), Adds each result, and Finishes. The first
+// (nil calls it directly), adds each result, and finishes. The first
 // shard or merge error cancels the sweep and is returned; otherwise a
 // cut-short sweep returns ctx's error. Any non-nil error means the
 // merged prefix is all that is valid.
@@ -129,7 +121,7 @@ func (f *Frontier[T]) Run(ctx context.Context, workers int, runner ShardRunner, 
 			return // the runner gave up on a dead sweep
 		}
 		if serr == nil {
-			serr = f.Add(i, t)
+			serr = f.add(i, t)
 		}
 		if serr != nil {
 			f.fail(serr)
@@ -142,5 +134,5 @@ func (f *Frontier[T]) Run(ctx context.Context, workers int, runner ShardRunner, 
 	if err != nil {
 		return err
 	}
-	return f.Finish()
+	return f.finish()
 }

@@ -17,9 +17,8 @@ import (
 type frontierCase struct {
 	name     string
 	start, n int
-	// adds is the direct arrival order. The first copy of index i
-	// carries the serial result i+1; any later copy carries -(i+1), so a
-	// duplicate that leaks into the merged stream is caught.
+	// adds is the direct arrival order; index i carries the serial
+	// result i+1.
 	adds []int
 	// drive feeds the frontier through Run at the given width.
 	drive  func(t *testing.T, f *Frontier[int], workers int) error
@@ -42,9 +41,8 @@ func runPlain(t *testing.T, f *Frontier[int], workers int) error {
 	return f.Run(context.Background(), workers, nil, serialShard)
 }
 
-// frontierCases covers the §8 frontier's contract — as a local sweep's
-// driver, as a shard-range worker's emitter started mid-space, and as
-// a fleet coordinator's merge of remote arrivals.
+// frontierCases covers the §8 frontier's contract as a local sweep's
+// driver, from the start of the shard space and from a resumed prefix.
 var frontierCases = []frontierCase{
 	{
 		name: "skips-done-prefix", start: 3, n: 8, wantNext: 8,
@@ -66,7 +64,7 @@ var frontierCases = []frontierCase{
 		name: "save-error-aborts", n: 100, failAt: 50, wantNext: 50, wantErr: "disk full",
 		drive: func(t *testing.T, f *Frontier[int], workers int) error {
 			err := runPlain(t, f, workers)
-			if aerr := f.Add(99, 100); !errors.Is(aerr, errDiskFull) {
+			if aerr := f.add(99, 100); !errors.Is(aerr, errDiskFull) {
 				t.Errorf("Add after a failed merge = %v, want the sticky %v", aerr, errDiskFull)
 			}
 			return err
@@ -141,11 +139,7 @@ var frontierCases = []frontierCase{
 			}
 		},
 	},
-	{name: "start-ignores-below", start: 2, n: 5, adds: []int{3, 0, 2, 1, 4}, wantNext: 5},
 	{name: "out-of-order", n: 6, adds: []int{5, 3, 1, 0, 4, 2}, wantNext: 6},
-	{name: "dup-below-frontier", n: 3, adds: []int{0, 1, 0, 1, 2}, wantNext: 3},
-	{name: "dup-pending", n: 4, adds: []int{2, 3, 2, 1, 0, 3}, wantNext: 4},
-	{name: "past-end-refused", n: 3, adds: []int{3, 0, 7, 1, 2}, wantNext: 3, wantErr: "past the end"},
 	{name: "finish-incomplete", n: 3, adds: []int{0, 2}, wantNext: 1, wantErr: "stopped at shard 1 of 3"},
 }
 
@@ -189,18 +183,12 @@ func TestFrontier(t *testing.T) {
 				if c.drive != nil {
 					err = c.drive(t, f, workers)
 				} else {
-					seen := map[int]bool{}
 					for _, i := range c.adds {
-						v := i + 1
-						if seen[i] {
-							v = -v
-						}
-						seen[i] = true
-						if aerr := f.Add(i, v); err == nil {
+						if aerr := f.add(i, i+1); err == nil {
 							err = aerr
 						}
 					}
-					if ferr := f.Finish(); err == nil {
+					if ferr := f.finish(); err == nil {
 						err = ferr
 					}
 				}
@@ -283,13 +271,14 @@ func TestShardRunnerWrapsEveryShard(t *testing.T) {
 	}
 }
 
-// FuzzFrontier feeds the frontier adversarial arrival orders — any
-// permutation, duplicates, indices below the start and past the end —
-// at every start offset, as a fleet of misbehaving nodes could, with
-// the merged call of one fuzzed index (or none) failing. The fuzzed
-// arrivals are followed by [start, n) in order, so every run without a
-// failure completes, and a run with one stops at the failed index with
-// the error stuck to every later Add and to Finish.
+// FuzzFrontier feeds the frontier what local workers can produce: any
+// permutation of [start, n), at every start offset, with the merged
+// call of one fuzzed index (or none) failing. order picks the
+// permutation as a Lehmer code: its k-th byte, modulo the number of
+// indices not yet added, picks the next one, and missing bytes pick
+// the lowest. A run without a failure completes; a run with one stops
+// at the failed index with the error stuck to every later add and to
+// finish.
 func FuzzFrontier(f *testing.F) {
 	f.Fuzz(func(t *testing.T, nb, startb, failb uint8, order []byte) {
 		n := int(nb)%32 + 1
@@ -314,33 +303,32 @@ func FuzzFrontier(f *testing.F) {
 			merged = append(merged, i)
 			return nil
 		})
-		arrivals := make([]int, 0, len(order)+n)
-		for _, b := range order {
-			arrivals = append(arrivals, int(b)%(n+2))
-		}
+		left := make([]int, 0, n-start)
 		for i := start; i < n; i++ {
-			arrivals = append(arrivals, i)
+			left = append(left, i)
 		}
-		for _, i := range arrivals {
-			err := fr.Add(i, i+1)
+		for k := 0; len(left) > 0; k++ {
+			pick := 0
+			if k < len(order) {
+				pick = int(order[k]) % len(left)
+			}
+			i := left[pick]
+			left = append(left[:pick], left[pick+1:]...)
+			err := fr.add(i, i+1)
 			switch {
-			case i >= n:
-				if err == nil {
-					t.Fatalf("Add(%d) of %d accepted", i, n)
-				}
 			case failed:
 				if !errors.Is(err, errDiskFull) {
-					t.Fatalf("Add(%d) after the failure at %d = %v, want the sticky %v", i, failAt, err, errDiskFull)
+					t.Fatalf("add(%d) after the failure at %d = %v, want the sticky %v", i, failAt, err, errDiskFull)
 				}
 			case err != nil:
-				t.Fatalf("Add(%d) of %d = %v", i, n, err)
+				t.Fatalf("add(%d) of %d = %v", i, n, err)
 			}
 		}
 		want := n
-		if err := fr.Finish(); failAt < n {
+		if err := fr.finish(); failAt < n {
 			want = failAt
 			if !errors.Is(err, errDiskFull) {
-				t.Fatalf("Finish after the failure at %d = %v, want the sticky %v", failAt, err, errDiskFull)
+				t.Fatalf("finish after the failure at %d = %v, want the sticky %v", failAt, err, errDiskFull)
 			}
 		} else if err != nil {
 			t.Fatal(err)

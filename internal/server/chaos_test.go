@@ -3,22 +3,19 @@ package server
 import (
 	"fmt"
 	"hash/fnv"
-	"os"
-	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"uexc/internal/harness"
 )
 
-// The chaos and fleet gauntlets (DESIGN.md §12, §13) run one campaign
-// job through seeded, deterministic faults — injected worker panics,
-// shard stalls, slow fsyncs, mid-stream client disconnects, and
-// in-process kills that abandon the journal mid-batch exactly as
-// SIGKILL would — and hold the survivor to the two properties that
-// make the fabric crash-tolerant:
+// The chaos gauntlet (DESIGN.md §12) runs one campaign job through
+// seeded, deterministic faults — injected worker panics, shard stalls,
+// slow fsyncs, mid-stream client disconnects, and in-process kills
+// that abandon the journal mid-batch exactly as SIGKILL would — and
+// holds the survivor to the two properties that make the fabric
+// crash-tolerant:
 //
 //  1. byte-identity: the finally completed job's stream reconstructs
 //     output byte-identical to a run that was never disturbed;
@@ -49,27 +46,6 @@ func TestChaosGauntlet(t *testing.T) {
 				t.Skip("full-scale gauntlet: campaigns across kills")
 			}
 			runChaos(t, c.seeds, c.kills, faultPlan{seed: c.plan})
-		})
-	}
-}
-
-// TestFleetGauntlet runs the distributed gauntlet under each plan: a
-// small-scale plan, and the full-scale run (30 seeds).
-func TestFleetGauntlet(t *testing.T) {
-	for _, c := range []struct {
-		name  string
-		seeds int
-		plan  int64
-		full  bool
-	}{
-		{"plan-3", 5, 3, false},
-		{"full-scale", 30, 0, true},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			if c.full && testing.Short() {
-				t.Skip("full-scale gauntlet: a campaign across a fleet")
-			}
-			runFleet(t, c.seeds, faultPlan{seed: c.plan})
 		})
 	}
 }
@@ -291,120 +267,6 @@ func runChaos(t *testing.T, seeds, kills int, p faultPlan) {
 		t.Errorf("survivor re-ran shard %d inside its %d-shard durable prefix", lowest, snap.ResumedShards)
 	case snap.Checkpoints == 0 || !snap.StoreEnabled:
 		t.Errorf("checkpoints = %d, store enabled = %v: the survivor journaled nothing", snap.Checkpoints, snap.StoreEnabled)
-	}
-	if err := checkGauges(snap, true); err != nil {
-		t.Error(err)
-	}
-}
-
-// runFleet is the distributed gauntlet: a coordinator with a durable
-// journal fans one campaign out to two worker nodes, and the harness
-// then breaks everything breakable in sequence —
-//
-//  1. one worker is killed mid-shard-range, so its unfinished range
-//     must re-dispatch to the survivor (duplicate shard deliveries
-//     reach the merge frontier and are discarded);
-//  2. the coordinator itself is killed mid-fan-out, after ranges have
-//     acked and merged digests are durable, and a garbage
-//     journal.ndjson.tmp is planted in its store directory — the torn
-//     leftover of a compaction interrupted at the worst moment;
-//  3. a replacement coordinator reopens the journal (clobbering the
-//     torn tmp), resumes the job from its merge frontier, dispatches
-//     only the remainder to the surviving and a replacement worker,
-//     and finishes.
-func runFleet(t *testing.T, seeds int, p faultPlan) {
-	want := golden(t, TypeCampaign, seeds)
-	space := harness.CampaignShards(seeds)
-	dir := t.TempDir()
-
-	// The gate brakes every worker at one global shard index: shards
-	// below it run (with the plan's transient panics and stalls),
-	// shards at or past it stall until the gate opens. Range jobs carry
-	// true shard indices, so the brake pins the coordinator's merge
-	// frontier below the gate — the kills below cannot race the
-	// campaign finishing early.
-	var gate atomic.Int64
-	gate.Store(int64(space / 2))
-	workerCfg := Config{
-		Workers: 2, QueueDepth: 8,
-		ShardAttempts: 3, ShardBackoff: time.Millisecond,
-		shardFault: func(job uint64, shard, attempt int) ShardFault {
-			if int64(shard) >= gate.Load() {
-				return ShardFault{Stall: 30 * time.Second}
-			}
-			return p.fault(job, shard, attempt)
-		},
-	}
-	w0, w0URL, killW0 := crashable(t, workerCfg)
-	_, w1URL := startTest(t, workerCfg)
-	coordCfg := func(resume bool, nodes ...string) Config {
-		return Config{
-			Workers: 1, QueueDepth: 4,
-			StoreDir: dir, Resume: resume,
-			WorkerNodes: nodes, DispatchShards: 6,
-			WorkerQuarantine: 100 * time.Millisecond,
-			ShardBackoff:     time.Millisecond,
-		}
-	}
-	coordA, baseA, killA := crashable(t, coordCfg(false, w0URL, w1URL))
-	id := admitAndAbandon(t, baseA, Request{Type: TypeCampaign, Seeds: seeds, Parallel: 2, Verbose: true})
-
-	// Fault 1: kill worker 0 once it is executing a dispatched range
-	// while the coordinator has acked at least one. Demanding an ack
-	// before the kill matters: the survivor may be braked for the full
-	// stall on its own range, so the progress wait before the
-	// coordinator kill must already be satisfied by pre-kill work, not
-	// depend on the brake expiring.
-	waitMetric(t, "worker 0 holds a live range", func() bool {
-		return coordA.snapshot().FleetDispatches >= 2 && coordA.snapshot().FleetAcks >= 1 &&
-			w0.snapshot().InFlight >= 1
-	})
-	killW0()
-	waitMetric(t, "stranded range re-dispatched to the survivor", func() bool {
-		return coordA.snapshot().FleetRedispatches >= 1
-	})
-
-	// Fault 2: kill the coordinator once this life's merge progress is
-	// durable, then plant a torn compaction tmp next to the
-	// journal — reopening must clobber it, not replay it.
-	waitJournalQuiesce(t, coordA)
-	killA()
-	tornTmp := filepath.Join(dir, "journal.ndjson.tmp")
-	if err := os.WriteFile(tornTmp, []byte("{\"t\":\"restart\",\"job\":9\ngarbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// Recovery: open the gate, bring up a replacement worker, and let
-	// coordinator B resume from the journal with the surviving fleet.
-	gate.Store(int64(space))
-	_, w2URL := startTest(t, workerCfg)
-	_, baseB := startTest(t, coordCfg(true, w1URL, w2URL))
-	if _, err := os.Stat(tornTmp); !os.IsNotExist(err) {
-		t.Fatalf("torn compaction tmp survived reopen (stat err: %v)", err)
-	}
-	st := reattach(t, baseB, id)
-	if !st.complete || !st.ok {
-		t.Fatalf("resumed stream incomplete (ok=%v complete=%v): %s", st.ok, st.complete, st.errText)
-	}
-	if st.output != want {
-		t.Fatalf("distributed stream differs from the undisturbed run\n--- distributed ---\n%s--- golden ---\n%s", st.output, want)
-	}
-
-	// Exact accounting on the surviving coordinator: one restart, one
-	// replayed job resumed mid-campaign, every dispatch acked, and
-	// every gauge back at zero.
-	snap := fetchMetrics(t, baseB)
-	switch {
-	case snap.Restarts != 1 || snap.ReplayedJobs != 1:
-		t.Errorf("restarts/replayed = %d/%d, want 1/1", snap.Restarts, snap.ReplayedJobs)
-	case snap.ResumedShards == 0 || snap.ResumedShards >= uint64(space):
-		t.Errorf("resumed shards = %d, want mid-campaign (of %d)", snap.ResumedShards, space)
-	case snap.JobsOK != 1 || snap.JobsFailed != 0 || snap.JobsCancelled != 0:
-		t.Errorf("ok/failed/cancelled = %d/%d/%d, want 1/0/0", snap.JobsOK, snap.JobsFailed, snap.JobsCancelled)
-	case !snap.FleetEnabled || snap.FleetWorkers != 2:
-		t.Errorf("fleet enabled/workers = %v/%d, want true/2", snap.FleetEnabled, snap.FleetWorkers)
-	case snap.FleetDispatches == 0 || snap.FleetDispatches != snap.FleetAcks:
-		t.Errorf("dispatches/acks = %d/%d, want equal and nonzero on the survivor", snap.FleetDispatches, snap.FleetAcks)
 	}
 	if err := checkGauges(snap, true); err != nil {
 		t.Error(err)

@@ -193,27 +193,6 @@ func abandon(t *testing.T, resp *http.Response, n int) Event {
 	return first
 }
 
-// postEvents posts a job and returns every event before its verified
-// trailer — for tests that inspect event kinds postStream's
-// reconstruction hides (shard-range digests).
-func postEvents(t *testing.T, base string, req Request) []Event {
-	t.Helper()
-	resp := post(t, base, "", req)
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(resp.Body)
-		t.Fatalf("POST /jobs: status %d: %s", resp.StatusCode, msg)
-	}
-	var evs []Event
-	if err := ReadEvents(resp.Body, func(ev Event) error {
-		evs = append(evs, ev)
-		return nil
-	}); err != nil {
-		t.Fatalf("POST /jobs: %v", err)
-	}
-	return evs
-}
-
 // waitMetric polls a server-side condition until it holds or the
 // deadline lapses. Test goroutine only.
 func waitMetric(t *testing.T, what string, cond func() bool) {
@@ -239,7 +218,7 @@ func durableShards(s *Server) uint64 {
 // for a campaign or difftest job of the given size. It defines the
 // serving layer's byte-identity contract: StreamResult's
 // reconstruction of that job's stream must equal it at any shard
-// width, across kills and resumes, and through a fleet coordinator.
+// width and across kills and resumes.
 func golden(t *testing.T, typ Type, seeds int) string {
 	t.Helper()
 	var b strings.Builder

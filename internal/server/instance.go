@@ -8,8 +8,8 @@ import (
 )
 
 // Instance is a Server serving its Handler on a TCP listener in this
-// process: the one way Run and the tests (the chaos and fleet
-// gauntlets among them) bring a server up and take it down.
+// process: the one way Run and the tests (the chaos gauntlet among
+// them) bring a server up and take it down.
 type Instance struct {
 	// URL is the base URL clients address, e.g. "http://127.0.0.1:8612".
 	URL string
@@ -64,12 +64,11 @@ func (in *Instance) Stop() error {
 
 // Kill crashes the instance. A real SIGKILL severs the process's
 // sockets and its execution at the same instant; in-process, the
-// listener and its connections go first so remotely-driven ephemeral
-// jobs (a worker's dispatched shard ranges) lose their client and die —
-// otherwise Kill's worker shutdown could be pinned behind a stalled
-// range whose context only the connection cancels. The journal is
-// abandoned inside Server.Kill before job contexts die, preserving the
-// no-zero-digest window.
+// listener and its connections go first so ephemeral jobs lose their
+// client streams and die — otherwise Kill's worker shutdown could be
+// pinned behind a stalled ephemeral job whose context only its client
+// connection cancels. The journal is abandoned inside Server.Kill
+// before job contexts die, preserving the no-zero-digest window.
 func (in *Instance) Kill() {
 	_ = in.hs.Close()
 	in.srv.Kill()

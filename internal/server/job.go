@@ -12,7 +12,6 @@ import (
 	"uexc/internal/debug"
 	dt "uexc/internal/difftest"
 	"uexc/internal/harness"
-	"uexc/internal/parallel"
 	"uexc/internal/progen"
 	"uexc/internal/sweep"
 )
@@ -67,14 +66,6 @@ type Request struct {
 	// Commands is a debug-session job's command script, executed in
 	// order against the Seed/Mode program (see debug.Command).
 	Commands []debug.Command `json:"commands,omitempty"`
-
-	// ShardFrom/ShardTo select the half-open sub-range [ShardFrom,
-	// ShardTo) of a campaign/difftest job's shard space — the worker
-	// side of the coordinator protocol (DESIGN.md §13). Such a job
-	// streams one "shard" event per index, in ascending order, instead
-	// of progress lines. Both zero means the whole job, locally merged.
-	ShardFrom int `json:"shard_from,omitempty"`
-	ShardTo   int `json:"shard_to,omitempty"`
 }
 
 // sweeps maps each sweep job type to its sweep: the one place the
@@ -82,15 +73,6 @@ type Request struct {
 var sweeps = map[Type]sweep.Kind{
 	TypeCampaign: harness.Campaign.Kind(),
 	TypeDifftest: dt.Oracle.Kind(),
-}
-
-// ShardSpace returns the size of the sweep shard space a range may
-// address: sweep types only, zero for everything else.
-func (r *Request) ShardSpace() int {
-	if sw := sweeps[r.Type]; sw != nil {
-		return sw.Shards(r.Seeds)
-	}
-	return 0
 }
 
 // Validate rejects malformed job specifications with a client-facing
@@ -133,16 +115,6 @@ func (r *Request) Validate(maxSeeds int) error {
 	}
 	if r.Parallel < 0 {
 		return fmt.Errorf("parallel must be >= 0 (0 selects all CPUs), got %d", r.Parallel)
-	}
-	if r.ShardFrom != 0 || r.ShardTo != 0 {
-		space := r.ShardSpace()
-		if space == 0 {
-			return fmt.Errorf("%s: shard ranges apply only to campaign and difftest jobs", r.Type)
-		}
-		if r.ShardFrom < 0 || r.ShardTo <= r.ShardFrom || r.ShardTo > space {
-			return fmt.Errorf("%s: shard range [%d,%d) outside the %d-shard space",
-				r.Type, r.ShardFrom, r.ShardTo, space)
-		}
 	}
 	if r.TimeoutMS < 0 {
 		return fmt.Errorf("timeout_ms must be >= 0, got %d", r.TimeoutMS)
@@ -188,14 +160,6 @@ type Event struct {
 	// trailer line itself is not part of its own fingerprint.
 	Records int    `json:"records,omitempty"`
 	FNV     string `json:"fnv64,omitempty"`
-
-	// Shard-range fields: one "shard" event per merged index of a
-	// ShardFrom/ShardTo job, carrying the true shard index (a pointer so
-	// index 0 survives omitempty) and the engine digest — the same bytes
-	// a local run would journal, which is what makes the
-	// coordinator's merge byte-identical to local execution.
-	Shard *int            `json:"shard,omitempty"`
-	Data  json.RawMessage `json:"data,omitempty"`
 }
 
 // eventLog is a job's replayable event history: every event ever
@@ -343,19 +307,11 @@ func (s *Server) runJob(j *job) (ok bool, summary string, err error) {
 	return false, "", fmt.Errorf("unknown job type %q", j.req.Type)
 }
 
-// runSweep executes a sweep job. A shard-range job runs its slice of
-// the shard space for a coordinator; in coordinator mode the sweep fans
-// out to the worker fleet. Otherwise it runs locally under the
-// server's shard runner (per-shard retry, deadline, chaos injection)
-// and, when a store is configured, journals every merged shard and
-// skips the durable prefix recovered from the journal on resume.
+// runSweep executes a sweep job under the server's shard runner
+// (per-shard retry, deadline, chaos injection) and, when a store is
+// configured, journals every merged shard and skips the durable prefix
+// recovered from the journal on resume.
 func (s *Server) runSweep(j *job, sw sweep.Kind) (bool, string, error) {
-	if j.req.ShardTo > 0 {
-		return s.runShardRange(j, sw)
-	}
-	if s.fleet != nil {
-		return s.runDistributed(j, sw)
-	}
 	// A nil io.Writer keeps the sweep's "no progress stream" contract;
 	// a typed-nil wrapper would defeat its nil check.
 	var w io.Writer
@@ -370,30 +326,6 @@ func (s *Server) runSweep(j *job, sw sweep.Kind) (bool, string, error) {
 		return false, "", err
 	}
 	return s.sweepVerdict(res)
-}
-
-// runShardRange executes the sub-range [ShardFrom, ShardTo) of a
-// sweep's shard space — the worker half of the coordinator
-// protocol. Each shard runs through the server's shard runner at its
-// TRUE index (retry accounting, poison quarantine, and chaos plans all
-// key on the global shard index, so a re-dispatched range misbehaves
-// identically on any worker), and a frontier started at ShardFrom
-// streams its digest back as one "shard" event, strictly in ascending
-// order. The digests are the exact bytes a local run would journal;
-// the fold stays with the coordinator.
-func (s *Server) runShardRange(j *job, sw sweep.Kind) (bool, string, error) {
-	from, to, space := j.req.ShardFrom, j.req.ShardTo, j.req.ShardSpace()
-	f := parallel.NewFrontier(from, to, func(i int, digest json.RawMessage) error {
-		j.emit(Event{Type: "shard", ID: j.id, Shard: &i, Data: digest})
-		return nil
-	})
-	err := f.Run(j.ctx, j.req.Parallel, s.shardRunner(j), func(i int) (json.RawMessage, error) {
-		return sw.RunShard(s.pool, j.req.Seeds, i)
-	})
-	if err != nil {
-		return false, "", fmt.Errorf("shard range [%d,%d) aborted: %w", from, to, err)
-	}
-	return true, fmt.Sprintf("shards [%d,%d) of %d complete\n", from, to, space), nil
 }
 
 // runProgram executes one generated program under one mode on a pooled

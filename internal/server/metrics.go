@@ -36,12 +36,6 @@ type Counters struct {
 	SessionsStarted uint64 `json:"sessions_started_total"`
 	SessionsEvicted uint64 `json:"sessions_evicted_total"`
 
-	// Fleet counters (coordinator mode, DESIGN.md §13).
-	FleetDispatches    uint64 `json:"fleet_dispatches_total"`          // shard ranges sent to workers
-	FleetRedispatches  uint64 `json:"fleet_redispatches_total"`        // ranges re-sent after a worker failure
-	FleetAcks          uint64 `json:"fleet_acks_total"`                // ranges fully merged into the frontier
-	WorkersQuarantined uint64 `json:"fleet_workers_quarantined_total"` // worker quarantine episodes
-
 	// Durability counters (DESIGN.md §12). The journal's own four are
 	// the store's (store.Stats), copied in by snapshot.
 	Restarts       uint64 `json:"restarts_total"`        // journal restart records (process incarnations)
@@ -125,8 +119,6 @@ type Snapshot struct {
 	InFlight       int64 `json:"inflight_jobs"`
 	Draining       bool  `json:"draining"`
 	SessionsActive int   `json:"sessions_active"`
-	FleetEnabled   bool  `json:"fleet_enabled"`
-	FleetWorkers   int   `json:"fleet_workers"`
 	StoreEnabled   bool  `json:"store_enabled"`
 
 	Counters
@@ -166,7 +158,6 @@ func (s *Server) snapshot() Snapshot {
 	snap.QueueDepth, snap.QueueCapacity = len(s.queue), cap(s.queue)
 	snap.Draining = s.isDraining()
 	snap.SessionsActive = s.sessionCount()
-	snap.FleetEnabled, snap.FleetWorkers = s.fleet != nil, len(s.cfg.WorkerNodes)
 	snap.StoreEnabled = s.store != nil
 	snap.Tenants = s.tenants.snapshot()
 	snap.Pool = s.pool.Stats()

@@ -124,18 +124,6 @@ type Config struct {
 	// Tenants caps each X-Tenant key's admission (in-flight jobs,
 	// queued jobs, seeds/s token bucket). Zero value: unlimited.
 	Tenants TenantLimits
-
-	// WorkerNodes, when non-empty, runs this server as a fleet
-	// coordinator: campaign/difftest jobs are split into shard ranges
-	// and dispatched to these worker base URLs (DESIGN.md §13).
-	WorkerNodes []string
-	// DispatchShards is the target shards per dispatched range (<=0:
-	// 12) — small enough to rebalance around a dead worker, large
-	// enough to amortize the HTTP round trip.
-	DispatchShards int
-	// WorkerQuarantine is the cooldown before a worker that kept
-	// failing is retried (<=0: 2s).
-	WorkerQuarantine time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -163,12 +151,6 @@ func (c Config) withDefaults() Config {
 	if c.ShardDeadline <= 0 {
 		c.ShardDeadline = 60 * time.Second
 	}
-	if c.DispatchShards <= 0 {
-		c.DispatchShards = 12
-	}
-	if c.WorkerQuarantine <= 0 {
-		c.WorkerQuarantine = 2 * time.Second
-	}
 	return c
 }
 
@@ -181,7 +163,6 @@ type Server struct {
 	metrics *metrics
 	store   *store.Store // nil without StoreDir
 	tenants *tenantRegistry
-	fleet   *fleet // nil unless WorkerNodes is set
 	queue   chan *job
 	stop    chan struct{}
 	nextID  atomic.Uint64
@@ -226,9 +207,6 @@ func New(cfg Config) (*Server, error) {
 	// image fails startup rather than the first job.
 	if _, err := core.BootSnapshot(); err != nil {
 		return nil, fmt.Errorf("boot: %w", err)
-	}
-	if len(cfg.WorkerNodes) > 0 {
-		s.fleet = newFleet(s, cfg.WorkerNodes)
 	}
 
 	var pending []store.PendingJob

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"uexc/internal/harness"
 	"uexc/internal/parallel"
 )
 
@@ -277,67 +275,6 @@ func TestJobDeadline(t *testing.T) {
 	}
 	if got := s.snapshot().JobsFailed; got != 0 {
 		t.Errorf("JobsFailed = %d, want 0 (deadline is a cancellation)", got)
-	}
-}
-
-// TestShardRangeJob pins the worker half of the coordinator protocol:
-// a campaign range job streams exactly one shard event per index of
-// [from, to), in ascending order (index 0 included — the pointer field
-// survives omitempty), each digest byte-identical to the local engine's
-// shard, at any parallel width.
-func TestShardRangeJob(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs campaign shards")
-	}
-	const seeds = 4
-	space := harness.CampaignShards(seeds) // 15
-	s, base := startTest(t, Config{Workers: 2, QueueDepth: 4})
-
-	for _, rg := range []struct{ from, to, par int }{
-		{0, space/2 + 1, 3},
-		{space/2 + 1, space, 1},
-	} {
-		evs := postEvents(t, base, Request{
-			Type: TypeCampaign, Seeds: seeds,
-			ShardFrom: rg.from, ShardTo: rg.to, Parallel: rg.par,
-		})
-		want := rg.from
-		for _, ev := range evs {
-			switch ev.Type {
-			case "shard":
-				if ev.Shard == nil {
-					t.Fatalf("shard event without an index: %+v", ev)
-				}
-				if *ev.Shard != want {
-					t.Fatalf("shard events out of order: got %d, want %d", *ev.Shard, want)
-				}
-				local, _ := json.Marshal(harness.RunShard(s.pool, seeds, *ev.Shard))
-				if string(ev.Data) != string(local) {
-					t.Errorf("shard %d digest %s != local %s", *ev.Shard, ev.Data, local)
-				}
-				want++
-			case "result":
-				if ev.OK == nil || !*ev.OK {
-					t.Fatalf("range job failed: %+v", ev)
-				}
-			}
-		}
-		if want != rg.to {
-			t.Fatalf("range [%d,%d): shard events stop at %d", rg.from, rg.to, want)
-		}
-	}
-
-	// Malformed ranges are client errors, not jobs.
-	for _, req := range []Request{
-		{Type: TypeProgramRun, Seed: 1, ShardFrom: 0, ShardTo: 1},       // not rangeable
-		{Type: TypeCampaign, Seeds: seeds, ShardFrom: 3, ShardTo: 3},    // empty
-		{Type: TypeCampaign, Seeds: seeds, ShardFrom: -1, ShardTo: 2},   // negative
-		{Type: TypeCampaign, Seeds: seeds, ShardFrom: 0, ShardTo: 9999}, // past the space
-		{Type: TypeDifftest, Seeds: seeds, ShardFrom: 2, ShardTo: 1},    // inverted
-	} {
-		if st, err := tryPost(base, req); err != nil || st.status != http.StatusBadRequest {
-			t.Errorf("range %+v: status %d (err %v), want 400", req, st.status, err)
-		}
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 func TestCrashPoints(t *testing.T) {
 	const seeds = 3
 	kind := harness.Campaign.Kind()
-	shards := kind.Shards(seeds)
+	shards := harness.CampaignShards(seeds)
 	pool := &core.MachinePool{}
 	run := func(done []json.RawMessage, journal func(int, json.RawMessage) error, ran func(int)) (string, error) {
 		var b bytes.Buffer
@@ -143,6 +143,11 @@ func TestCrashPoints(t *testing.T) {
 			check(t, dir, synced)
 		})
 	}
+	// How many fsync rounds a run takes depends on how the group commit
+	// falls, so the rows run up to the journal's record count (the
+	// accept, every shard, the finish) whatever the timing: the set of
+	// subtests is the same on every run, and a row past the last round
+	// runs the campaign uncrashed.
 	for k := 1; ; k++ {
 		dir := t.TempDir()
 		crashed := false
@@ -152,7 +157,7 @@ func TestCrashPoints(t *testing.T) {
 				check(t, dir, synced)
 			}
 		})
-		if !crashed {
+		if !crashed && k >= shards+2 {
 			break // the campaign finished in fewer fsyncs
 		}
 	}

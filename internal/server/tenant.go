@@ -19,9 +19,8 @@ type TenantLimits struct {
 	// unlimited).
 	MaxQueued int
 	// SeedsPerSec is the token-bucket refill rate in seed units per
-	// second: a campaign/difftest admission charges its seed count (a
-	// shard-range job charges proportionally), point jobs charge one
-	// (<=0: unlimited).
+	// second: a campaign/difftest admission charges its seed count,
+	// point jobs charge one (<=0: unlimited).
 	SeedsPerSec float64
 	// SeedBurst is the bucket capacity — how many seed units a tenant
 	// may spend at once after idling (<=0: 4 seconds of refill).
@@ -30,15 +29,10 @@ type TenantLimits struct {
 
 // admissionCost is a job's token price in seed units.
 func admissionCost(r *Request) float64 {
-	space := r.ShardSpace()
-	if space == 0 {
+	if sweeps[r.Type] == nil {
 		return 1 // program-run / figure-sweep: one engine boot
 	}
-	cost := float64(r.Seeds)
-	if r.ShardTo > 0 {
-		cost *= float64(r.ShardTo-r.ShardFrom) / float64(space)
-	}
-	return math.Max(cost, 1)
+	return float64(r.Seeds)
 }
 
 // tenantState is one tenant's live accounting: two gauges moved

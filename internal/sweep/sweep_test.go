@@ -14,21 +14,22 @@ import (
 	"sync"
 	"testing"
 
-	"uexc/internal/core"
 	"uexc/internal/difftest"
 	"uexc/internal/harness"
 	"uexc/internal/sweep"
 )
 
-// sweeps is the table every test below runs over: each sweep with the
-// seed count of its width rows and of its testdata/digests.golden part.
+// sweeps is the table every test below runs over: each sweep with its
+// shard count and the seed count of its width rows and of its
+// testdata/digests.golden part.
 var sweeps = []struct {
 	name               string
 	kind               sweep.Kind
+	shards             func(seeds int) int
 	seeds, goldenSeeds int
 }{
-	{"campaign", harness.Campaign.Kind(), 6, 3},
-	{"difftest", difftest.Oracle.Kind(), 12, 4},
+	{"campaign", harness.Campaign.Kind(), harness.Campaign.Shards, 6, 3},
+	{"difftest", difftest.Oracle.Kind(), difftest.Oracle.Shards, 12, 4},
 }
 
 // run is one fresh or resumed sweep, its progress stream captured.
@@ -104,8 +105,8 @@ func TestSweeps(t *testing.T) {
 				}
 				ck := runSweep(t, sw.kind, sweep.Options{Seeds: seeds, Workers: 2}, nil, journal)
 				sameRun(t, "journaling", ck, want)
-				if len(journaled) != sw.kind.Shards(seeds) {
-					t.Fatalf("journaled %d shards, want the full %d-shard prefix", len(journaled), sw.kind.Shards(seeds))
+				if len(journaled) != sw.shards(seeds) {
+					t.Fatalf("journaled %d shards, want the full %d-shard prefix", len(journaled), sw.shards(seeds))
 				}
 				// Resume from every other prefix and from the full one.
 				for k := 2; k < len(journaled)+2; k += 2 {
@@ -123,7 +124,7 @@ func TestSweeps(t *testing.T) {
 			})
 
 			t.Run("oversized-checkpoint", func(t *testing.T) {
-				done := make([]json.RawMessage, sw.kind.Shards(2)+1)
+				done := make([]json.RawMessage, sw.shards(2)+1)
 				for i := range done {
 					done[i] = json.RawMessage("{}")
 				}
@@ -154,12 +155,12 @@ func TestSweeps(t *testing.T) {
 }
 
 // TestDigestWireFormat pins the shard digests' JSON, which journals
-// (DESIGN.md §12) and the fleet protocol (§13) carry across processes
-// and versions. testdata/digests.golden holds one line per shard: the
-// 12 shards of a 3-seed campaign, then difftest seeds 0–3. It was
-// written by an earlier version of the sweeps, so unlike the resume
-// rows above it checks bytes this binary did not write. There is no
-// -update: a change here means old journals no longer replay.
+// (DESIGN.md §12) carry across processes and versions.
+// testdata/digests.golden holds one line per shard: the 12 shards of a
+// 3-seed campaign, then difftest seeds 0–3. It was written by an
+// earlier version of the sweeps, so unlike the resume rows above it
+// checks bytes this binary did not write. There is no -update: a
+// change here means old journals no longer replay.
 func TestDigestWireFormat(t *testing.T) {
 	raw, err := os.ReadFile("testdata/digests.golden")
 	if err != nil {
@@ -171,65 +172,33 @@ func TestDigestWireFormat(t *testing.T) {
 			lines = append(lines, bytes.TrimSuffix(l, []byte("\n")))
 		}
 	}
-	pool := &core.MachinePool{}
 	for _, g := range sweeps {
-		n := g.kind.Shards(g.goldenSeeds)
+		n := g.shards(g.goldenSeeds)
 		if len(lines) < n {
 			t.Fatalf("%s: golden has %d lines left, want %d", g.name, len(lines), n)
 		}
 		digests := lines[:n]
 		lines = lines[n:]
 		t.Run(g.name, func(t *testing.T) {
+			// A fresh sweep's journal callback receives exactly the bytes
+			// a durable node writes.
+			o := sweep.Options{Seeds: g.goldenSeeds, Workers: 2}
+			var journaled []json.RawMessage
+			fresh := runSweep(t, g.kind, o, nil, func(i int, digest json.RawMessage) error {
+				journaled = append(journaled, slices.Clone(digest))
+				return nil
+			})
+			if len(journaled) != n {
+				t.Fatalf("journaled %d shards, want %d", len(journaled), n)
+			}
 			for i, want := range digests {
-				got, err := g.kind.RunShard(pool, g.goldenSeeds, i)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got, want) {
+				if got := journaled[i]; !bytes.Equal(got, want) {
 					t.Errorf("shard %d digest differs\ngot:  %s\nwant: %s", i, got, want)
 				}
 			}
-			o := sweep.Options{Seeds: g.goldenSeeds, Workers: 2}
-			fresh := runSweep(t, g.kind, o, nil, nil)
 			for _, k := range []int{n / 2, n} {
 				resumed := runSweep(t, g.kind, o, digests[:k], nil)
 				sameRun(t, "resume from the golden prefix", resumed, fresh)
-			}
-
-			// A fleet coordinator merges remote digests as they arrive —
-			// out of order, duplicated, some past the shard space — and
-			// must fold and stream what a local run does and journal the
-			// very bytes the workers sent, past the replayed prefix only.
-			var b bytes.Buffer
-			saved := slices.Clone(digests[:1])
-			m, err := g.kind.Merge(sweep.Options{Seeds: g.goldenSeeds, Progress: &b}, digests[:1],
-				func(i int, digest json.RawMessage) error {
-					if i != len(saved) {
-						t.Errorf("merge journaled shard %d after %d shards", i, len(saved))
-					}
-					saved = append(saved, slices.Clone(digest))
-					return nil
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Add(n, digests[0]); err == nil {
-				t.Error("merge accepted a shard past the shard space")
-			}
-			for i := n - 1; i >= 0; i-- {
-				for range 2 {
-					if err := m.Add(i, digests[i]); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
-			res, err := m.Fold()
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRun(t, "merge of the golden digests", run{res, b.String()}, fresh)
-			if !slices.EqualFunc(saved, digests, func(a, b json.RawMessage) bool { return bytes.Equal(a, b) }) {
-				t.Errorf("merge journaled\n%s\nwant the golden digests", saved)
 			}
 		})
 	}
