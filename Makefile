@@ -53,9 +53,12 @@ check: vet build
 # observational-identity contract of cpu/translate.go. The difftest
 # leg at -parallel 1 runs every seed on one pooled machine, so each
 # program loads over the last one's translated blocks and the JIT's
-# revalidation against source words (cpu/block.go) is exercised.
+# revalidation against source words (cpu/block.go) is exercised. The
+# campaign leg at -parallel 1 does the same under the armed injector,
+# where user blocks run up to its quiet horizon, and reuses the one
+# machine's watchdog across every checkout.
 engine-crosscheck:
-	for run in "faultcampaign 4" "difftest 4" "difftest 1"; do \
+	for run in "faultcampaign 4" "faultcampaign 1" "difftest 4" "difftest 1"; do \
 		set -- $$run; \
 		$(GO) run ./cmd/uexc-bench -$$1 -seeds 30 -parallel $$2 -engine jit > .crosscheck-jit.out && \
 		$(GO) run ./cmd/uexc-bench -$$1 -seeds 30 -parallel $$2 -engine interp > .crosscheck-interp.out && \

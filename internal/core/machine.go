@@ -51,6 +51,12 @@ func (m Mode) String() string {
 type Machine struct {
 	K    *kernel.Kernel
 	Prog *asm.Program // assembled user program (runtime + user text)
+
+	// wd is the machine's one livelock watchdog. A restore drops the
+	// CPU's watchdog with the rest of the run wiring; the next Run
+	// resets wd and re-arms it, so its coverage pages are reused across
+	// pool checkouts.
+	wd *cpu.Watchdog
 }
 
 // BootSnapshot returns the process-wide boot snapshot: the kernel is
@@ -97,7 +103,7 @@ func NewMachine() (*Machine, error) {
 		return nil, err
 	}
 	m.fromBoot()
-	m.K.CPU.Watchdog = cpu.NewWatchdog()
+	m.armWatchdog()
 	return m, nil
 }
 
@@ -185,18 +191,28 @@ func (m *Machine) EnableHardwareDelivery(mask uint32) {
 // carries the recorded *kernel.MachineError cause chain, reachable via
 // errors.Is/errors.As.
 func (m *Machine) Run(maxInsts uint64) error {
-	// Forked and restored machines defer watchdog construction to the
-	// first Run — checkout latency is what the pool exists to shave —
-	// so arm one here if the machine doesn't carry one yet. Armed or
-	// not, execution is identical (Observe only reads machine state);
-	// only livelock classification needs the detector.
+	// Forked and restored machines defer arming the watchdog to the
+	// first Run — checkout latency is what the pool exists to shave.
+	// Armed or not, execution is identical (Observe only reads machine
+	// state); only livelock classification needs the detector.
 	if m.K.CPU.Watchdog == nil {
-		m.K.CPU.Watchdog = cpu.NewWatchdog()
+		m.armWatchdog()
 	}
 	if err := m.K.Run(maxInsts); err != nil {
 		return err
 	}
 	return m.exitErr()
+}
+
+// armWatchdog attaches the machine's watchdog to its CPU, reset to the
+// state a fresh cpu.NewWatchdog has.
+func (m *Machine) armWatchdog() {
+	if m.wd == nil {
+		m.wd = cpu.NewWatchdog()
+	} else {
+		m.wd.Reset()
+	}
+	m.K.CPU.Watchdog = m.wd
 }
 
 // exitErr reports a nonzero process exit, wrapping the kill reason of

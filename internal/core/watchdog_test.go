@@ -94,3 +94,54 @@ cell:
 		t.Errorf("err = %v, want ErrBudget", err)
 	}
 }
+
+// TestWatchdogReusedAcrossCheckouts: a pooled machine keeps one
+// watchdog and resets it for each checkout's run. No coverage may leak
+// from one run into the next — a leaked PC would not count as new
+// progress, moving the detection point — so the same livelock run on a
+// reused machine must fail exactly as on a fresh one, and a
+// progressing loop in between must still run to its budget, under all
+// three engines.
+func TestWatchdogReusedAcrossCheckouts(t *testing.T) {
+	const spin = "main:\nspin:\n\tb     spin\n\tnop\n"
+	const count = "main:\n\tli    t0, 0\ncount:\n\taddiu t0, t0, 1\n\tb     count\n\tnop\n"
+	prev := cpu.DefaultEngine
+	defer func() { cpu.DefaultEngine = prev }()
+	for _, e := range []cpu.Engine{cpu.EngineJIT, cpu.EngineFast, cpu.EngineInterp} {
+		cpu.DefaultEngine = e
+		run := func(m *Machine, src string, budget uint64) error {
+			t.Helper()
+			if err := m.LoadProgram(src); err != nil {
+				t.Fatal(err)
+			}
+			return m.Run(budget)
+		}
+		fresh, err := NewMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := run(fresh, spin, 5_000_000)
+		if !errors.Is(want, cpu.ErrLivelock) {
+			t.Fatalf("engine %d: fresh machine: %v, want livelock", e, want)
+		}
+		pool := &MachinePool{}
+		for i, src := range []string{spin, count, spin, spin} {
+			m, err := pool.Get()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = run(m, src, 400_000)
+			if src == count {
+				if !errors.Is(err, cpu.ErrBudget) {
+					t.Errorf("engine %d checkout %d: progressing loop: %v, want budget", e, i, err)
+				}
+			} else if err == nil || err.Error() != want.Error() {
+				t.Errorf("engine %d checkout %d: %v, want %v", e, i, err, want)
+			}
+			pool.Put(m)
+		}
+		if st := pool.Stats(); st.Forks != 1 {
+			t.Errorf("engine %d: %d forks, want one machine reused", e, st.Forks)
+		}
+	}
+}

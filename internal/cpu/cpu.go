@@ -101,6 +101,24 @@ type InjectedFault struct {
 	HasBV    bool
 }
 
+// InjectHooks is a fault injector's hook on the CPU (see CPU.Inject),
+// one interface value like OSHooks.
+type InjectHooks interface {
+	// Step is consulted before every interpreted instruction; a non-nil
+	// result raises that exception instead of executing it.
+	Step(c *CPU) *InjectedFault
+
+	// QuietUntil is the injector's quiet horizon, a query with no side
+	// effects: while c.Insts is below the returned value and the CPU
+	// stays in its current mode, Step returns nil and changes nothing
+	// (no RNG draw, no state). It returns 0 when the very next Step may
+	// act. Run relies on it to execute translated blocks that retire
+	// strictly below the horizon (translate.go); blocks never touch
+	// CP0, so the mode and Status bits it reads cannot change inside
+	// one.
+	QuietUntil(c *CPU) uint64
+}
+
 // Counters is the CPU's statistics, embedded in State (so c.Insts reads
 // through) and so captured and restored with it.
 type Counters struct {
@@ -194,13 +212,6 @@ type State struct {
 	// switch only changes speed; tests flip it to verify exactly that.
 	Engine Engine
 
-	// InjectUserOnly declares that the installed Inject hook is a pure
-	// no-op in kernel mode (returns nil, no side effects), which lets
-	// the JIT translate kernel-mode code while a fault-injection
-	// campaign is armed. internal/faultinject sets it; any injector
-	// that observes kernel-mode steps must leave it false.
-	InjectUserOnly bool
-
 	Cost CostModel
 	Counters
 
@@ -225,8 +236,9 @@ type CPU struct {
 
 	// Inject, when non-nil, is consulted at the top of every Step; a
 	// non-nil result raises that exception instead of executing the
-	// instruction at PC. Hook point for internal/faultinject.
-	Inject func(c *CPU) *InjectedFault
+	// instruction at PC. Hook point for internal/faultinject. Its quiet
+	// horizon lets the JIT run blocks between injection instants.
+	Inject InjectHooks
 
 	// Watchdog, when non-nil, monitors Run for livelock.
 	Watchdog *Watchdog
@@ -645,7 +657,7 @@ func (c *CPU) Step() error {
 	}
 
 	if c.Inject != nil {
-		if f := c.Inject(c); f != nil {
+		if f := c.Inject.Step(c); f != nil {
 			c.raise(&excSignal{code: f.Code, badva: f.BadVAddr, hasBV: f.HasBV}, instPC, inDelay)
 			return nil
 		}

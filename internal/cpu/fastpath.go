@@ -20,10 +20,12 @@ package cpu
 //     — self-modifying code, program loads, injected corruption — make
 //     the next fetch re-decode, exactly like the uncached interpreter's
 //     decode-every-fetch behaviour.
-//   - Whenever a tlb.TLB.InjectMiss hook is installed (fault-injection
-//     campaigns), the micro-TLBs are bypassed entirely so the hook and
-//     the statistics see every single lookup; the predecode cache stays
-//     active because decoding is pure and generation-checked.
+//   - Whenever a tlb.TLB.InjectMiss hook is installed, counted
+//     micro-TLB entries are bypassed so the hook and the statistics see
+//     every single lookup; the predecode cache stays active because
+//     decoding is pure and generation-checked. The fault injector
+//     installs the hook only while forced misses are pending, so
+//     between bursts campaigns get the micro-TLBs back.
 //     Engine=EngineInterp (translate.go) disables everything for
 //     differential verification.
 //

@@ -243,3 +243,21 @@ func TestEngineToggleTortureSnapshotRestore(t *testing.T) {
 		t.Error("torture schedule provoked no exceptions")
 	}
 }
+
+// TestRestoreStateDropsRunWiring: hooks belong to the run, not the
+// state. A restore must drop the inject hook (and the watchdog and
+// trace hook) so the next run's owner arms what it needs; a hook left
+// behind would keep injecting into, or capping the blocks of, a run
+// that never asked for it.
+func TestRestoreStateDropsRunWiring(t *testing.T) {
+	tm := newTortureMachine(t, EngineJIT)
+	st := tm.c.CaptureState()
+	tm.c.Inject = &scriptedInjector{tl: tm.tl}
+	tm.c.Watchdog = NewWatchdog()
+	tm.c.Trace = func(Exception) {}
+	tm.c.RestoreState(st)
+	if tm.c.Inject != nil || tm.c.Watchdog != nil || tm.c.Trace != nil {
+		t.Errorf("restore kept run wiring: inject=%v watchdog=%v trace=%v",
+			tm.c.Inject != nil, tm.c.Watchdog != nil, tm.c.Trace != nil)
+	}
+}

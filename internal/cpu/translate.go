@@ -22,12 +22,18 @@ package cpu
 //     serve) exits before executing, with PC/NPC/prevWasBranch
 //     reconstructed to the exact interpreter state — including the
 //     delay-slot case, where EPC arithmetic must see the branch.
-//   - Armed hooks disable translation where they could observe a
-//     difference: CPU.Inject suppresses the tier entirely unless the
-//     injector declared itself kernel-silent (InjectUserOnly), and
-//     TLB.InjectMiss is honored for free because the micro-TLBs never
-//     serve counted entries while it is armed — kernel text in kseg0
-//     (uncounted) keeps JITting, mapped user pages fall back.
+//   - Armed hooks limit translation to where they cannot observe a
+//     difference. CPU.Inject caps every block at the injector's quiet
+//     horizon (InjectHooks.QuietUntil): the block retires only
+//     instructions whose Insts lies below it, where the interpreter's
+//     per-step hook call would have been a no-op, and at the horizon
+//     the interpreter steps (and the hook acts). Blocks never touch
+//     CP0, so the mode and UEX bit the horizon depends on are fixed for
+//     the block's duration. TLB.InjectMiss is honored for free because
+//     the micro-TLBs never serve counted entries while it is installed
+//     — faultinject installs it only while forced misses are pending —
+//     so kernel text in kseg0 (uncounted) keeps JITting and mapped
+//     user pages fall back during a miss burst.
 //   - A store into the block's own code page completes, then exits
 //     the block; the next entry sees the moved generation and
 //     recompiles. This is what keeps TestSMCStanzaObservesPatch exact
@@ -74,14 +80,18 @@ func (c *CPU) fastOff() bool { return c.Engine == EngineInterp }
 func (c *CPU) jitStep(limit uint64) bool {
 	// A delay slot's PC/NPC pair is not the fall-through shape blocks
 	// are compiled for; an attached debug guard must check every fetch
-	// and data address; an armed injector must see every step unless it
-	// declared itself a no-op in kernel mode (faultinject's contract)
-	// and we are in kernel mode now.
+	// and data address; an armed injector must see every step from its
+	// quiet horizon on, so a block may only retire instructions that
+	// start below it.
 	if c.prevWasBranch || c.Debug != nil {
 		return false
 	}
-	if c.Inject != nil && !(c.InjectUserOnly && c.KernelMode()) {
-		return false
+	if c.Inject != nil {
+		h := c.Inject.QuietUntil(c)
+		if c.Insts >= h {
+			return false
+		}
+		limit = min(limit, h-c.Insts)
 	}
 	pc := c.PC
 	if pc&3 != 0 {

@@ -3,6 +3,7 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -279,6 +280,115 @@ func TestEngineToggleTortureLockstep(t *testing.T) {
 	}
 	if tog.c.GPR[22] == 0 { // s6: exception count
 		t.Error("torture schedule provoked no exceptions")
+	}
+}
+
+// scriptedInjector is a test InjectHooks with faultinject's contract:
+// quiet windows between scripted instants, where it raises a fault, or
+// starts a forced-miss burst that installs TLB.InjectMiss until the
+// burst's last miss removes it, or does nothing. It is silent in kernel
+// mode. userSteps counts the Step calls made in user mode — an
+// observation for the test, never an input to the schedule.
+type scriptedInjector struct {
+	tl        *tlb.TLB
+	next      uint64 // Insts of the next instant
+	fired     int    // instants so far
+	misses    int    // forced misses still pending
+	bursts    int    // bursts started
+	userSteps uint64
+}
+
+func (s *scriptedInjector) QuietUntil(c *CPU) uint64 {
+	switch {
+	case c.KernelMode():
+		return math.MaxUint64
+	case s.misses > 0:
+		return 0
+	}
+	return s.next
+}
+
+func (s *scriptedInjector) Step(c *CPU) *InjectedFault {
+	if c.KernelMode() {
+		return nil
+	}
+	s.userSteps++
+	if c.Insts < s.next {
+		return nil
+	}
+	s.fired++
+	s.next = c.Insts + 40 + uint64(s.fired*53%257)
+	switch s.fired % 3 {
+	case 0:
+		return &InjectedFault{Code: arch.ExcMod, BadVAddr: 0x10000, HasBV: true}
+	case 1:
+		s.misses = 1 + s.fired%4
+		s.bursts++
+		s.tl.InjectMiss = s.miss
+	}
+	return nil
+}
+
+func (s *scriptedInjector) miss(va uint32, asid uint8) bool {
+	s.misses--
+	if s.misses == 0 {
+		s.tl.InjectMiss = nil
+	}
+	return true
+}
+
+// TestEngineToggleTortureArmedInjector is the engine-toggle torture
+// with an armed injector on both machines, the loop running in user
+// mode: the toggled machine must match the EngineInterp reference after
+// every chunk — state, injector schedule, and whether InjectMiss is
+// installed — while its translated blocks retire user instructions
+// between instants (it calls Step in user mode fewer times than the
+// reference, which calls it for every instruction).
+func TestEngineToggleTortureArmedInjector(t *testing.T) {
+	tog := newTortureMachine(t, EngineJIT)
+	ref := newTortureMachine(t, EngineInterp)
+	injs := [2]*scriptedInjector{}
+	for i, tm := range []*tortureMachine{tog, ref} {
+		injs[i] = &scriptedInjector{tl: tm.tl, next: 300}
+		tm.c.Inject = injs[i]
+		tm.c.CP0[arch.C0Status] |= arch.SrKUc // the loop runs in user mode
+	}
+
+	engines := []Engine{EngineJIT, EngineFast, EngineInterp}
+	rng := uint32(0x2545f491)
+	const chunk = 97
+	for r := uint32(0); r < 400; r++ {
+		rng = rng*1664525 + 1013904223
+		tog.c.Engine = engines[rng>>16%3]
+		for i, tm := range []*tortureMachine{tog, ref} {
+			_, err := tm.c.Run(chunk)
+			var be *BudgetError
+			if !errors.As(err, &be) {
+				t.Fatalf("round %d: run ended: %v (pc=%#x)", r, err, tm.c.PC)
+			}
+			if installed := tm.tl.InjectMiss != nil; installed != (injs[i].misses > 0) {
+				t.Fatalf("round %d: InjectMiss installed=%v with %d misses pending", r, installed, injs[i].misses)
+			}
+		}
+		if f, s := tog.snapshot(), ref.snapshot(); f != s {
+			t.Fatalf("round %d (engine %d): divergence\ntoggled: %s\nref:     %s", r, tog.c.Engine, f, s)
+		}
+		a, b := injs[0], injs[1]
+		if a.next != b.next || a.fired != b.fired || a.misses != b.misses {
+			t.Fatalf("round %d: injector schedules diverged: %+v vs %+v", r, *a, *b)
+		}
+		tog.tortureMutate(r)
+		ref.tortureMutate(r)
+	}
+	if injs[0].fired < 50 || injs[0].bursts < 10 {
+		t.Errorf("schedule too thin: %d instants, %d miss bursts", injs[0].fired, injs[0].bursts)
+	}
+	if tog.c.GPR[22] == 0 { // s6: exception count
+		t.Error("torture schedule provoked no exceptions")
+	}
+	if saved := injs[1].userSteps - injs[0].userSteps; saved < 1000 {
+		t.Errorf("translated blocks retired only %d user instructions between instants (user steps: jit %d, interp %d)",
+			saved, injs[0].userSteps, injs[1].userSteps)
 	}
 }
 

@@ -51,18 +51,28 @@ func (e *BudgetError) Is(target error) bool { return target == ErrBudget }
 // never flagged; it runs until the instruction budget types it as a
 // *BudgetError instead.
 type Watchdog struct {
-	seen map[uint32]struct{}
-	// seenMemo is a direct-mapped membership cache in front of seen: a
-	// slot holding pc|1 proves pc is in the map (word-aligned PCs make
-	// bit 0 a validity tag). Pure acceleration — a miss falls back to
-	// the map, so detection behavior is bit-for-bit unchanged.
-	seenMemo   [1024]uint32
+	// cover is the PC coverage: one bitmap per virtual page, a bit per
+	// byte offset so every distinct PC (aligned or not) is its own
+	// member. A page whose epoch is not the watchdog's holds stale bits
+	// from an earlier run and is cleared on first touch, so Reset is
+	// O(1) and a reused watchdog clears only the pages it touches again.
+	cover map[uint32]*coverPage
+	last  *coverPage // the most recently touched page, checked first
+	epoch uint64
+
 	quietSince uint64 // Insts at last sign of progress
 	lastWrites uint64
 	lastCmp    uint64
 	anchor     uint32
 	snap       uint64
 	snapValid  bool
+}
+
+// coverPage is the PC-coverage bitmap of one virtual page.
+type coverPage struct {
+	vpn   uint32
+	epoch uint64
+	bits  [arch.PageSize / 64]uint64
 }
 
 // watchdogWindow is the number of quiet instructions (no new PC, no
@@ -72,22 +82,57 @@ const watchdogWindow = 50_000
 
 // NewWatchdog returns a watchdog with no coverage or snapshot state.
 func NewWatchdog() *Watchdog {
-	return &Watchdog{seen: make(map[uint32]struct{})}
+	return &Watchdog{cover: make(map[uint32]*coverPage)}
+}
+
+// maxRetainedPages bounds the coverage pages Reset keeps for reuse: a
+// run that wandered over more code pages than any ordinary program
+// does not pin them for the machine's lifetime.
+const maxRetainedPages = 256
+
+// Reset returns the watchdog to the state NewWatchdog builds, keeping
+// its coverage pages as allocations, so a machine can re-arm one
+// watchdog for every run.
+func (w *Watchdog) Reset() {
+	if len(w.cover) > maxRetainedPages {
+		*w = *NewWatchdog()
+		return
+	}
+	*w = Watchdog{cover: w.cover, last: w.last, epoch: w.epoch + 1}
+}
+
+// visit adds pc to the coverage and reports whether it is new.
+func (w *Watchdog) visit(pc uint32) bool {
+	vpn := pc >> arch.PageShift
+	p := w.last
+	if p == nil || p.vpn != vpn {
+		if p = w.cover[vpn]; p == nil {
+			p = &coverPage{vpn: vpn, epoch: w.epoch}
+			w.cover[vpn] = p
+		}
+		w.last = p
+	}
+	if p.epoch != w.epoch {
+		p.bits = [arch.PageSize / 64]uint64{}
+		p.epoch = w.epoch
+	}
+	off := pc & (arch.PageSize - 1)
+	bit := uint64(1) << (off & 63)
+	if p.bits[off>>6]&bit != 0 {
+		return false
+	}
+	p.bits[off>>6] |= bit
+	return true
 }
 
 // Observe is called after every retired instruction (or taken
 // exception); it returns a *LivelockError when a state cycle is proven.
 func (w *Watchdog) Observe(c *CPU) error {
 	pc := c.PC
-	if w.seenMemo[pc>>2&1023] != pc|1 {
-		if _, ok := w.seen[pc]; !ok {
-			w.seen[pc] = struct{}{}
-			w.seenMemo[pc>>2&1023] = pc | 1
-			w.quietSince = c.Insts
-			w.snapValid = false
-			return nil
-		}
-		w.seenMemo[pc>>2&1023] = pc | 1
+	if w.visit(pc) {
+		w.quietSince = c.Insts
+		w.snapValid = false
+		return nil
 	}
 	if c.MemWrites != w.lastWrites {
 		w.lastWrites = c.MemWrites

@@ -6,8 +6,11 @@
 // the hook points the hardware layers expose:
 //
 //   - cpu.CPU.Inject: a synchronous exception forced before the next
-//     user instruction (spurious faults, storms, handler faults);
-//   - tlb.TLB.InjectMiss / FlipBits: forced refill misses, flipped
+//     user instruction (spurious faults, storms, handler faults), with
+//     a quiet horizon that lets the JIT run user blocks between
+//     injection instants;
+//   - tlb.TLB.InjectMiss / FlipBits: forced refill misses (the hook is
+//     installed only while a miss burst is pending), flipped
 //     permission/tag bits, stale-ASID entries;
 //   - mem.Memory.CorruptWord: single-word upsets of user frames.
 //
@@ -33,6 +36,7 @@ package faultinject
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"uexc/internal/arch"
@@ -93,8 +97,8 @@ const (
 )
 
 // Injector drives a fault plan against one machine. Attach installs
-// its hooks; every injected event runs the invariant Checker and files
-// any violation.
+// it as the CPU's inject hook (cpu.InjectHooks); every injected event
+// runs the invariant Checker and files any violation.
 type Injector struct {
 	k   *kernel.Kernel
 	rng *rand.Rand
@@ -116,14 +120,21 @@ type Injector struct {
 	Violations []error
 }
 
-// Attach seeds an injector and installs its hooks on the machine's CPU
-// and TLB. Call Detach to remove them. The handler-fault trigger is
-// armed: it fires once, on the first user-mode instruction observed
-// with the UEX recursion bit set.
+// Attach seeds an injector and installs it as the CPU's inject hook.
+// The TLB's InjectMiss hook is installed only while a forced-miss burst
+// is pending, so the micro-TLBs serve user pages between bursts. Call
+// Detach to remove both. The handler-fault trigger is armed: it fires
+// once, on the first user-mode instruction observed with the UEX
+// recursion bit set.
 func Attach(k *kernel.Kernel, seed int64) *Injector {
+	return attach(k, rand.NewSource(seed))
+}
+
+// attach is Attach over an explicit random source.
+func attach(k *kernel.Kernel, src rand.Source) *Injector {
 	inj := &Injector{
 		k:       k,
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     rand.New(src),
 		armed:   true,
 		Checker: NewChecker(k),
 	}
@@ -134,20 +145,13 @@ func Attach(k *kernel.Kernel, seed int64) *Injector {
 		inj.queue = append(inj.queue, base[i])
 	}
 	inj.nextAt = warmup + uint64(inj.rng.Intn(gap))
-	k.CPU.Inject = inj.step
-	// step's first action is an unconditional kernel-mode early-out with
-	// no side effects (no RNG draw, no counter), so the CPU may skip the
-	// hook entirely while in kernel mode. This keeps the block-translation
-	// tier (cpu/translate.go) live for kernel code under campaigns.
-	k.CPU.InjectUserOnly = true
-	k.TLB.InjectMiss = inj.tlbMiss
+	k.CPU.Inject = inj
 	return inj
 }
 
-// Detach removes the injector's hooks.
+// Detach removes the injector's hooks, a pending miss burst included.
 func (inj *Injector) Detach() {
 	inj.k.CPU.Inject = nil
-	inj.k.CPU.InjectUserOnly = false
 	inj.k.TLB.InjectMiss = nil
 }
 
@@ -161,15 +165,38 @@ func (inj *Injector) note(kind Kind, detail string) {
 	}
 }
 
-// step is the cpu.CPU.Inject hook: consulted before every instruction.
-func (inj *Injector) step(c *cpu.CPU) *cpu.InjectedFault {
+// QuietUntil is the quiet horizon of cpu.InjectHooks: the Insts value
+// below which Step returns nil without drawing from the RNG or
+// changing any state. It mirrors Step's decision order: kernel mode is
+// always quiet; a pending handler fault or storm pulse makes the next
+// step act; a pending forced-miss burst keeps user code stepping until
+// its last miss; otherwise nothing happens before the next scheduled
+// event.
+func (inj *Injector) QuietUntil(c *cpu.CPU) uint64 {
+	switch {
+	case c.KernelMode():
+		return math.MaxUint64
+	case inj.handlerFaultDue(c), inj.storm > 0, inj.misses > 0:
+		return 0
+	}
+	return inj.nextAt
+}
+
+// handlerFaultDue reports whether Step raises the handler fault now.
+func (inj *Injector) handlerFaultDue(c *cpu.CPU) bool {
+	return inj.armed && c.CP0[arch.C0Status]&arch.SrUEX != 0
+}
+
+// Step is the cpu.InjectHooks step: consulted before every interpreted
+// instruction.
+func (inj *Injector) Step(c *cpu.CPU) *cpu.InjectedFault {
 	if c.KernelMode() {
 		return nil
 	}
 	// Handler fault: the first user instruction observed with the UEX
 	// bit set is one executing inside a user-level exception handler —
 	// fault it, exercising §2's recursion escalation.
-	if inj.armed && c.CP0[arch.C0Status]&arch.SrUEX != 0 {
+	if inj.handlerFaultDue(c) {
 		inj.armed = false
 		badva := uint32(kernel.UserTextBase + 0x80)
 		detail := "Mod inside user handler"
@@ -196,6 +223,7 @@ func (inj *Injector) step(c *cpu.CPU) *cpu.InjectedFault {
 		inj.flip(c)
 	case TLBForceMiss:
 		inj.misses = 1 + inj.rng.Intn(6)
+		inj.k.TLB.InjectMiss = inj.tlbMiss
 		inj.note(TLBForceMiss, fmt.Sprintf("next %d lookups forced to miss", inj.misses))
 	case TLBStaleASID:
 		inj.stale(c)
@@ -320,11 +348,13 @@ func (inj *Injector) corrupt() {
 	inj.note(MemCorrupt, fmt.Sprintf("pa %#x: %#x->%#x", pa, before, after))
 }
 
-// tlbMiss is the tlb.TLB.InjectMiss hook.
+// tlbMiss is the tlb.TLB.InjectMiss hook, installed while misses are
+// pending: it forces this lookup to miss and removes itself with the
+// burst's last miss.
 func (inj *Injector) tlbMiss(va uint32, asid uint8) bool {
-	if inj.misses <= 0 {
-		return false
-	}
 	inj.misses--
+	if inj.misses == 0 {
+		inj.k.TLB.InjectMiss = nil
+	}
 	return true
 }

@@ -23,9 +23,17 @@ import (
 // verdict layer tells the two apart. The fixed campaign program is
 // small, so the floor dominates today; the formula keeps the bound
 // honest if the program grows.
-func campaignBudgetFor(mode core.Mode) uint64 {
-	return progen.RunBudget(progen.CountInsts(campaignProg(mode)), mode)
-}
+func campaignBudgetFor(mode core.Mode) uint64 { return campaignBudgets[mode] }
+
+// campaignBudgets holds campaignBudgetFor's bound per mode. The
+// campaign texts are constants, so each is scanned once per process
+// rather than once per run.
+var campaignBudgets = func() (b [3]uint64) {
+	for _, mode := range campaignModes {
+		b[mode] = progen.RunBudget(progen.CountInsts(CampaignProgram(mode)), mode)
+	}
+	return b
+}()
 
 // RequiredCoverage lists the event/behaviour categories a campaign
 // must exercise at least once to be considered a meaningful sweep.
@@ -342,7 +350,7 @@ func campaignRun(pool *core.MachinePool, seed int64, mode core.Mode) (rep RunDig
 	}
 	healthy = true
 	inj := faultinject.Attach(m.K, seed)
-	if err := m.LoadProgram(campaignProg(mode)); err != nil {
+	if err := m.LoadProgram(CampaignProgram(mode)); err != nil {
 		rep.Failures = append(rep.Failures, "load: "+err.Error())
 		return rep
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"uexc/internal/core"
+	"uexc/internal/cpu"
 	"uexc/internal/sweep"
 )
 
@@ -45,6 +46,35 @@ func TestLivelockProbeAllModes(t *testing.T) {
 		}
 		if outcome != "livelock detected" {
 			t.Errorf("mode %s: outcome %q", mode, outcome)
+		}
+	}
+}
+
+// TestCampaignFingerprintsAcrossEngines: every run's fingerprint —
+// outcome, error text, console, stats, cycles, instructions and event
+// log — is the same under the JIT, the fast path and the interpreter.
+// One worker means one pooled machine serves every run, so its
+// translated blocks and its watchdog are reused across checkouts.
+func TestCampaignFingerprintsAcrossEngines(t *testing.T) {
+	prev := cpu.DefaultEngine
+	defer func() { cpu.DefaultEngine = prev }()
+	const seeds = 40
+	var ref []string
+	for _, e := range []cpu.Engine{cpu.EngineInterp, cpu.EngineFast, cpu.EngineJIT} {
+		cpu.DefaultEngine = e
+		fps := runCampaign(t, seeds, 1).Fingerprints
+		if len(fps) != seeds*len(campaignModes) {
+			t.Fatalf("engine %d: %d fingerprints, want %d", e, len(fps), seeds*len(campaignModes))
+		}
+		if ref == nil {
+			ref = fps
+			continue
+		}
+		for i := range fps {
+			if fps[i] != ref[i] {
+				t.Fatalf("engine %d, seed %d mode %s: fingerprint differs from the interpreter's:\n  %s\n  %s",
+					e, i/len(campaignModes), campaignModes[i%len(campaignModes)], fps[i], ref[i])
+			}
 		}
 	}
 }

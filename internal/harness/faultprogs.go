@@ -159,8 +159,9 @@ done_msg:
 	.ascii "done\n"
 `
 
-// campaignProg assembles the scenario for one delivery mode.
-func campaignProg(mode core.Mode) string {
+// CampaignProgram is the campaign's scenario text for one delivery
+// mode (a constant per mode).
+func CampaignProgram(mode core.Mode) string {
 	switch mode {
 	case core.ModeFast:
 		return campaignCommonSetup + `

@@ -141,6 +141,17 @@ func TestCampaignBudgetScalesWithProgram(t *testing.T) {
 	}
 }
 
+// TestCampaignBudgetsMatchScan: the per-mode bounds computed once at
+// startup are exactly what scanning each campaign text yields.
+func TestCampaignBudgetsMatchScan(t *testing.T) {
+	for _, mode := range campaignModes {
+		want := progen.RunBudget(progen.CountInsts(CampaignProgram(mode)), mode)
+		if got := campaignBudgetFor(mode); got != want {
+			t.Errorf("mode %s: budget %d, scan gives %d", mode, got, want)
+		}
+	}
+}
+
 // TestShardLineTagsVerdicts: non-clean verdicts must be visible in the
 // progress stream; clean lines must render exactly as before the
 // verdict layer (resume byte-identity depends on it).
